@@ -97,9 +97,12 @@ void CouplerUnit::half_exchange(sim::Cluster& cluster, sim::App& src,
 }
 
 void CouplerUnit::exchange(sim::Cluster& cluster) {
-  region_gather_ = cluster.region(name_ + "/gather");
-  region_map_ = cluster.region(name_ + "/map");
-  region_scatter_ = cluster.region(name_ + "/scatter");
+  if (cluster.id() != bound_cluster_) {
+    bound_cluster_ = cluster.id();
+    region_gather_ = cluster.region(name_ + "/gather");
+    region_map_ = cluster.region(name_ + "/map");
+    region_scatter_ = cluster.region(name_ + "/scatter");
+  }
   if (!comm_ || comm_.size() != cluster.num_ranks()) {
     // Gather/scatter endpoints live in the instances' rank ranges, so the
     // unit's communicator spans the whole cluster.

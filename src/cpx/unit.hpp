@@ -110,6 +110,8 @@ class CouplerUnit {
   // Lazily rebuilt on the first post-restore exchange.
   comm::Communicator comm_;  // cpx-lint: allow(ckpt)
 
+  // Interned once per cluster (keyed on sim::Cluster::id()).
+  std::uint64_t bound_cluster_ = 0;    // cpx-lint: allow(ckpt)
   sim::RegionId region_gather_ = -1;   // cpx-lint: allow(ckpt)
   sim::RegionId region_map_ = -1;      // cpx-lint: allow(ckpt)
   sim::RegionId region_scatter_ = -1;  // cpx-lint: allow(ckpt)

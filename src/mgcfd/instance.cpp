@@ -117,13 +117,6 @@ void Instance::build_analytic(std::int64_t global_cells) {
   }
 }
 
-void Instance::ensure_regions(sim::Cluster& cluster) {
-  region_flux_ = cluster.region(name_ + "/flux");
-  region_halo_ = cluster.region(name_ + "/halo");
-  region_mg_ = cluster.region(name_ + "/mg_coarse");
-  region_reduce_ = cluster.region(name_ + "/reduce");
-}
-
 double Instance::mean_owned() const {
   double sum = 0.0;
   for (const RankLoad& l : loads_) {
@@ -132,8 +125,11 @@ double Instance::mean_owned() const {
   return sum / static_cast<double>(loads_.size());
 }
 
-void Instance::step(sim::Cluster& cluster) {
-  ensure_regions(cluster);
+void Instance::bind(sim::Cluster& cluster) {
+  region_flux_ = cluster.region(name_ + "/flux");
+  region_halo_ = cluster.region(name_ + "/halo");
+  region_mg_ = cluster.region(name_ + "/mg_coarse");
+  region_reduce_ = cluster.region(name_ + "/reduce");
   const sim::MachineModel& m = cluster.machine();
 
   // Level visit multiplier of one V-cycle: every level is visited twice
@@ -161,83 +157,89 @@ void Instance::step(sim::Cluster& cluster) {
     return w;
   };
 
-  // --- Finest-level halo round: one message round carrying the bytes of
-  // all fine-level sweeps; the extra rounds' latencies are charged below.
+  // Finest-level halo round: one message round carrying the bytes of all
+  // fine-level sweeps; the extra rounds' latencies are charged as delays.
+  // Coarse halos shrink with cells^(2/3) and are latency-dominated.
   const int fine_rounds = 2 * work_.smooth_steps;
-  message_scratch_.clear();
-  for (int l = 0; l < ranks_.size(); ++l) {
-    const RankLoad& load = loads_[static_cast<std::size_t>(l)];
+  const double per_round = m.lat_inter + 2.0 * m.msg_overhead;
+  const int coarse_rounds =
+      2 * work_.smooth_steps * std::max(work_.mg_levels - 1, 0);
+  const auto p = static_cast<std::size_t>(ranks_.size());
+  sweep_s_.resize(p);
+  interior_s_.resize(p);
+  boundary_s_.resize(p);
+  delay_s_.resize(p);
+  std::vector<sim::Message> messages;
+  for (std::size_t l = 0; l < p; ++l) {
+    const RankLoad& load = loads_[l];
+    std::int64_t halo_total = 0;
     for (std::size_t k = 0; k < load.neighbors.size(); ++k) {
       const std::size_t bytes =
           static_cast<std::size_t>(load.halo_cells[k]) *
           work_.bytes_per_halo_cell * static_cast<std::size_t>(fine_rounds);
-      message_scratch_.push_back(
-          {ranks_.begin + l, load.neighbors[k], bytes});
+      messages.push_back({ranks_.begin + static_cast<sim::Rank>(l),
+                          load.neighbors[k], bytes});
+      halo_total += load.halo_cells[k];
     }
-  }
 
-  if (overlap_) {
-    // Split-phase schedule: the halo payload (previous step's boundary
-    // state) is ready when the step starts, so the round is posted first;
-    // each rank's interior share of the sweeps runs inside the window and
-    // the boundary share after the data lands.
-    const int pending = cluster.exchange_begin(message_scratch_,
-                                               region_halo_);
-    for (int l = 0; l < ranks_.size(); ++l) {
-      const RankLoad& load = loads_[static_cast<std::size_t>(l)];
-      std::int64_t halo_total = 0;
-      for (const std::int64_t h : load.halo_cells) {
-        halo_total += h;
-      }
-      const double boundary_frac = std::min(
-          1.0, static_cast<double>(halo_total) /
-                   static_cast<double>(std::max<std::int64_t>(load.owned, 1)));
-      sim::Work w = sweep_work(load);
-      w.flops *= 1.0 - boundary_frac;
-      w.bytes *= 1.0 - boundary_frac;
-      cluster.compute(ranks_.begin + l, w, region_flux_);
-    }
-    cluster.exchange_finish(pending);
-    for (int l = 0; l < ranks_.size(); ++l) {
-      const RankLoad& load = loads_[static_cast<std::size_t>(l)];
-      std::int64_t halo_total = 0;
-      for (const std::int64_t h : load.halo_cells) {
-        halo_total += h;
-      }
-      const double boundary_frac = std::min(
-          1.0, static_cast<double>(halo_total) /
-                   static_cast<double>(std::max<std::int64_t>(load.owned, 1)));
-      sim::Work w = sweep_work(load);
-      w.flops *= boundary_frac;
-      w.bytes *= boundary_frac;
-      w.launches = 0.0;  // same kernels, already counted in the window
-      cluster.compute(ranks_.begin + l, w, region_flux_);
-    }
-  } else {
-    // --- Compute: flux + update kernels across all level visits ---
-    for (int l = 0; l < ranks_.size(); ++l) {
-      cluster.compute(ranks_.begin + l,
-                      sweep_work(loads_[static_cast<std::size_t>(l)]),
-                      region_flux_);
-    }
-    cluster.exchange(message_scratch_, region_halo_);
-  }
+    sweep_s_[l] = m.compute_time(sweep_work(load));
+    // Split-phase placement: the interior-cell share of the sweeps runs
+    // inside the halo window, the boundary share after the data lands.
+    const double boundary_frac = std::min(
+        1.0, static_cast<double>(halo_total) /
+                 static_cast<double>(std::max<std::int64_t>(load.owned, 1)));
+    sim::Work interior = sweep_work(load);
+    interior.flops *= 1.0 - boundary_frac;
+    interior.bytes *= 1.0 - boundary_frac;
+    interior_s_[l] = m.compute_time(interior);
+    sim::Work boundary = sweep_work(load);
+    boundary.flops *= boundary_frac;
+    boundary.bytes *= boundary_frac;
+    boundary.launches = 0.0;  // same kernels, already counted in the window
+    boundary_s_[l] = m.compute_time(boundary);
 
-  // --- Latency of the remaining fine rounds and the coarse-level rounds.
-  // Coarse halos shrink with cells^(2/3) and are latency-dominated.
-  const double per_round = m.lat_inter + 2.0 * m.msg_overhead;
-  const int coarse_rounds =
-      2 * work_.smooth_steps * std::max(work_.mg_levels - 1, 0);
-  for (int l = 0; l < ranks_.size(); ++l) {
-    const auto n_nbrs = static_cast<double>(
-        std::max<std::size_t>(loads_[static_cast<std::size_t>(l)].neighbors.size(), 1));
     // Each extra round exchanges with every neighbour.
-    const double delay =
-        (fine_rounds - 1 + coarse_rounds) * per_round * n_nbrs;
-    cluster.comm_delay(ranks_.begin + l, delay, region_mg_);
+    const auto n_nbrs = static_cast<double>(
+        std::max<std::size_t>(load.neighbors.size(), 1));
+    delay_s_[l] = (fine_rounds - 1 + coarse_rounds) * per_round * n_nbrs;
+  }
+  halo_ = cluster.make_schedule(messages);
+}
+
+void Instance::step(sim::Cluster& cluster) {
+  if (needs_bind(cluster)) {
+    bind(cluster);
+  }
+  // One loop charges every sweep share, from the cached per-rank seconds.
+  const auto charge_sweeps = [&](const std::vector<double>& seconds) {
+    for (int l = 0; l < ranks_.size(); ++l) {
+      cluster.compute_seconds(ranks_.begin + l,
+                              seconds[static_cast<std::size_t>(l)],
+                              region_flux_);
+    }
+  };
+  if (overlap_) {
+    // Split-phase: the halo payload (previous step's boundary state) is
+    // ready when the step starts, so the round is posted first; the
+    // interior share of the sweeps runs inside the window and the
+    // boundary share after the data lands. Totals match the synchronous
+    // schedule; only placement differs.
+    const int pending = cluster.exchange_begin(halo_, region_halo_);
+    charge_sweeps(interior_s_);
+    cluster.exchange_finish(pending);
+    charge_sweeps(boundary_s_);
+  } else {
+    charge_sweeps(sweep_s_);
+    cluster.exchange(halo_, region_halo_);
   }
 
-  // --- Residual allreduce closing the timestep ---
+  // Latency of the remaining fine rounds and the coarse-level rounds.
+  for (int l = 0; l < ranks_.size(); ++l) {
+    cluster.comm_delay(ranks_.begin + l, delay_s_[static_cast<std::size_t>(l)],
+                       region_mg_);
+  }
+
+  // Residual allreduce closing the timestep.
   cluster.allreduce(ranks_, 5 * sizeof(double), region_reduce_);
 }
 

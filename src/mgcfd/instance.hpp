@@ -76,7 +76,9 @@ class Instance final : public sim::App {
   };
 
   void build_analytic(std::int64_t global_cells);
-  void ensure_regions(sim::Cluster& cluster);
+  /// Interns the regions and caches everything step() charges that
+  /// depends only on the cluster (sim::App::needs_bind).
+  void bind(sim::Cluster& cluster);
 
   std::string name_;
   sim::RankRange ranks_;
@@ -85,11 +87,16 @@ class Instance final : public sim::App {
   bool overlap_ = false;
   std::vector<RankLoad> loads_;  ///< indexed by rank - ranks_.begin
 
+  // Bound to one cluster by bind().
   sim::RegionId region_flux_ = -1;
   sim::RegionId region_halo_ = -1;
   sim::RegionId region_mg_ = -1;
   sim::RegionId region_reduce_ = -1;
-  std::vector<sim::Message> message_scratch_;
+  sim::ExchangeSchedule halo_;      ///< finest-level halo round
+  std::vector<double> sweep_s_;     ///< per rank: whole V-cycle sweeps
+  std::vector<double> interior_s_;  ///< overlap: interior share
+  std::vector<double> boundary_s_;  ///< overlap: boundary share
+  std::vector<double> delay_s_;     ///< remaining fine + coarse rounds
 };
 
 }  // namespace cpx::mgcfd

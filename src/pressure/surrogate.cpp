@@ -138,9 +138,19 @@ std::vector<ComponentTimes> Instance::predict_components() const {
 }
 
 void Instance::step(sim::Cluster& cluster) {
+  if (needs_bind(cluster)) {
+    component_regions_.clear();
+    for (const ComponentModel& comp : component_models()) {
+      component_regions_.push_back(cluster.region(name_ + "/" + comp.name));
+    }
+    region_spray_ = cluster.region(name_ + "/spray");
+    region_reduce_ = cluster.region(name_ + "/reduce");
+  }
   const sim::MachineModel& m = cluster.machine();
-  for (const ComponentModel& comp : component_models()) {
-    const sim::RegionId region = cluster.region(name_ + "/" + comp.name);
+  const std::vector<ComponentModel>& comps = component_models();
+  for (std::size_t c = 0; c < comps.size(); ++c) {
+    const ComponentModel& comp = comps[c];
+    const sim::RegionId region = component_regions_[c];
     const ComponentSplit s = component_split(comp);
     for (int l = 0; l < ranks_.size(); ++l) {
       // Compute expressed as flops so the roofline stays consistent.
@@ -153,7 +163,6 @@ void Instance::step(sim::Cluster& cluster) {
 
   // Spray: the hot rank gets the injector load; everyone waits on the
   // serialised exchange.
-  const sim::RegionId spray_region = cluster.region(name_ + "/spray");
   const ComponentTimes spray = spray_times();
   const double p = static_cast<double>(ranks_.size());
   const double work =
@@ -166,15 +175,14 @@ void Instance::step(sim::Cluster& cluster) {
                                 : (l == 0 ? spray.compute : work / p);
     sim::Work w;
     w.flops = compute_share * m.flop_rate;
-    cluster.compute(ranks_.begin + l, w, spray_region);
+    cluster.compute(ranks_.begin + l, w, region_spray_);
     if (spray.comm > 0.0) {
-      cluster.comm_delay(ranks_.begin + l, spray.comm, spray_region);
+      cluster.comm_delay(ranks_.begin + l, spray.comm, region_spray_);
     }
   }
   // The spray's collective and the pressure solve's residual reductions
   // synchronise the instance each step.
-  cluster.allreduce(ranks_, 8 * sizeof(double),
-                    cluster.region(name_ + "/reduce"));
+  cluster.allreduce(ranks_, 8 * sizeof(double), region_reduce_);
 }
 
 }  // namespace cpx::pressure

@@ -111,6 +111,10 @@ class Instance final : public sim::App {
   std::string name_;
   Config config_;
   sim::RankRange ranks_;
+  // Interned once per cluster (sim::App::needs_bind).
+  std::vector<sim::RegionId> component_regions_;  ///< per component_models()
+  sim::RegionId region_spray_ = -1;
+  sim::RegionId region_reduce_ = -1;
 };
 
 }  // namespace cpx::pressure

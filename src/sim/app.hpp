@@ -4,6 +4,7 @@
 // solver surrogate). The coupled workflow driver steps instances according
 // to the coupling schedule; coupler units move data between them.
 
+#include <cstdint>
 #include <string>
 
 #include "sim/cluster.hpp"
@@ -31,6 +32,24 @@ class App {
   /// instance supports it (docs/communication.md); default is a no-op for
   /// instances with nothing to hide.
   virtual void set_overlap(bool /*on*/) {}
+
+ protected:
+  /// Bind-once contract (docs/SIMULATOR.md): what step() derives from the
+  /// cluster alone — region ids, exchange schedules, per-rank compute
+  /// seconds — is computed when this returns true and reused until it
+  /// does again. It returns true on the first call and whenever `cluster`
+  /// is not the cluster of the previous bind (Cluster::id(), which no
+  /// two clusters share even when one reuses another's address).
+  bool needs_bind(const Cluster& cluster) {
+    if (cluster.id() == bound_cluster_) {
+      return false;
+    }
+    bound_cluster_ = cluster.id();
+    return true;
+  }
+
+ private:
+  std::uint64_t bound_cluster_ = 0;  ///< Cluster::id() ids start at 1
 };
 
 }  // namespace cpx::sim

@@ -1,6 +1,7 @@
 #include "sim/cluster.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "ckpt/snapshot.hpp"
@@ -8,9 +9,18 @@
 #include "support/metrics.hpp"
 
 namespace cpx::sim {
+namespace {
+
+std::uint64_t next_cluster_id() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
 
 Cluster::Cluster(const MachineModel& machine, int num_ranks)
-    : machine_(machine),
+    : id_(next_cluster_id()),
+      machine_(machine),
       num_ranks_(num_ranks),
       num_nodes_((num_ranks + machine.cores_per_node - 1) /
                  machine.cores_per_node),
@@ -19,6 +29,7 @@ Cluster::Cluster(const MachineModel& machine, int num_ranks)
       comm_messages_(static_cast<std::size_t>(num_ranks), 0),
       comm_hidden_(static_cast<std::size_t>(num_ranks), 0.0),
       profile_(num_ranks),
+      sender_slot_(static_cast<std::size_t>(num_ranks), -1),
       sync_clock_scratch_(static_cast<std::size_t>(num_ranks), 0.0),
       sync_epoch_(static_cast<std::size_t>(num_ranks), 0) {
   CPX_REQUIRE(num_ranks >= 1, "Cluster: need at least one rank");
@@ -122,17 +133,129 @@ void Cluster::bump_to(Rank rank, double time, RegionId region) {
   }
 }
 
+ExchangeSchedule Cluster::make_schedule(std::span<const Message> messages) {
+  ExchangeSchedule schedule;
+  build_schedule(messages, schedule);
+  return schedule;
+}
+
+void Cluster::build_schedule(std::span<const Message> messages,
+                             ExchangeSchedule& out) {
+  out.cluster_id_ = id_;
+  out.entries_.clear();
+  out.senders_.clear();
+
+  // Count inter-node messages per sending node for injection-bandwidth
+  // sharing. A rank may send several messages; each message occupies the
+  // NIC, so contention scales with message concurrency, not with distinct
+  // senders.
+  senders_per_node_.assign(static_cast<std::size_t>(num_nodes_), 0);
+  for (const Message& m : messages) {
+    CPX_DCHECK(m.src >= 0 && m.src < num_ranks_);
+    CPX_DCHECK(m.dst >= 0 && m.dst < num_ranks_);
+    if (node_of(m.src) != node_of(m.dst)) {
+      ++senders_per_node_[static_cast<std::size_t>(node_of(m.src))];
+    }
+  }
+
+  for (const Message& m : messages) {
+    const bool same_node = node_of(m.src) == node_of(m.dst);
+    double bw = machine_.bandwidth(same_node);
+    if (!same_node) {
+      const int concurrent =
+          senders_per_node_[static_cast<std::size_t>(node_of(m.src))];
+      const double nic_share =
+          machine_.node_injection_bw / std::max(1, concurrent);
+      bw = std::min(bw, nic_share);
+    }
+    out.entries_.push_back({m.src, m.dst, machine_.latency(same_node),
+                            static_cast<double>(m.bytes) / bw});
+
+    int& slot = sender_slot_[static_cast<std::size_t>(m.src)];
+    if (slot < 0) {
+      slot = static_cast<int>(out.senders_.size());
+      out.senders_.push_back({m.src, 0, 0});
+    }
+    ExchangeSchedule::Sender& sender =
+        out.senders_[static_cast<std::size_t>(slot)];
+    sender.bytes += m.bytes;
+    ++sender.messages;
+  }
+  for (const ExchangeSchedule::Sender& sender : out.senders_) {
+    sender_slot_[static_cast<std::size_t>(sender.rank)] = -1;
+  }
+}
+
 void Cluster::exchange(std::span<const Message> messages, RegionId region) {
   if (messages.empty()) {
     return;
   }
-  // A synchronous exchange is a split-phase one with an empty window:
-  // receivers wait immediately, so the hidden-time channel stays zero and
-  // the charging is identical to the historical three-pass implementation.
-  exchange_finish(exchange_begin(messages, region));
+  build_schedule(messages, schedule_scratch_);
+  exchange(schedule_scratch_, region);
 }
 
 int Cluster::exchange_begin(std::span<const Message> messages,
+                            RegionId region) {
+  build_schedule(messages, schedule_scratch_);
+  return exchange_begin(schedule_scratch_, region);
+}
+
+void Cluster::post(const ExchangeSchedule& schedule, RegionId region,
+                   std::vector<PendingMessage>& arrivals) {
+  CPX_REQUIRE(schedule.cluster_id_ == id_,
+              "Cluster: exchange schedule was built by another cluster");
+  for (const ExchangeSchedule::Sender& sender : schedule.senders_) {
+    maybe_fail(sender.rank);
+    account_traffic(sender.rank, sender.bytes, sender.messages);
+  }
+  // Senders pay the per-message software overhead; several messages from
+  // one rank serialise because its clock advances in place. Arrivals are
+  // fixed here — compute issued before the receive cannot make the wire
+  // faster.
+  arrivals.clear();
+  for (const ExchangeSchedule::Entry& e : schedule.entries_) {
+    double& src_clock = clocks_[static_cast<std::size_t>(e.src)];
+    src_clock += machine_.msg_overhead;
+    profile_.add_comm(e.src, region, machine_.msg_overhead);
+    arrivals.push_back({e.dst, (src_clock + e.latency) + e.transfer});
+  }
+}
+
+double Cluster::receive(std::span<const PendingMessage> arrivals,
+                        RegionId region, bool replay) {
+  // Receivers pay a per-message overhead and wait for arrivals. The
+  // replay advances the synchronous counterfactual from the begin
+  // snapshot with the same recurrence, so the hidden time of a message is
+  // its sync wait minus its real wait.
+  double hidden_total = 0.0;
+  for (const PendingMessage& pm : arrivals) {
+    const auto dst = static_cast<std::size_t>(pm.dst);
+    if (replay) {
+      double& sync_clock = sync_clock_scratch_[dst];
+      const double sync_wait = std::max(0.0, pm.arrival - sync_clock);
+      const double real_wait = std::max(0.0, pm.arrival - clocks_[dst]);
+      sync_clock = std::max(sync_clock, pm.arrival) + machine_.msg_overhead;
+      const double hidden = std::max(0.0, sync_wait - real_wait);
+      comm_hidden_[dst] += hidden;
+      hidden_total += hidden;
+    }
+    bump_to(pm.dst, pm.arrival, region);
+    clocks_[dst] += machine_.msg_overhead;
+    profile_.add_comm(pm.dst, region, machine_.msg_overhead);
+  }
+  return hidden_total;
+}
+
+void Cluster::exchange(const ExchangeSchedule& schedule, RegionId region) {
+  // A synchronous exchange is a split-phase one with an empty window: the
+  // counterfactual replay would start every destination at its real clock
+  // and advance it by the same recurrence, so it would hide exactly
+  // nothing. It is skipped.
+  post(schedule, region, arrival_scratch_);
+  receive(arrival_scratch_, region, /*replay=*/false);
+}
+
+int Cluster::exchange_begin(const ExchangeSchedule& schedule,
                             RegionId region) {
   // Reuse a finished slot; growing happens only while the set of
   // concurrently in-flight exchanges is still being discovered.
@@ -150,49 +273,11 @@ int Cluster::exchange_begin(std::span<const Message> messages,
   PendingExchange& pe = pending_exchanges_[static_cast<std::size_t>(slot)];
   pe.active = true;
   pe.region = region;
-  pe.messages.clear();
-  pe.begin_clocks.clear();
-
-  // Pass 1: count sending ranks per node for injection-bandwidth sharing.
-  senders_per_node_.assign(static_cast<std::size_t>(num_nodes_), 0);
-  // A rank may send several messages; count distinct inter-node senders
-  // approximately by counting inter-node messages per node (each message
-  // occupies the NIC, so contention scales with message concurrency).
-  for (const Message& m : messages) {
-    CPX_DCHECK(m.src >= 0 && m.src < num_ranks_);
-    CPX_DCHECK(m.dst >= 0 && m.dst < num_ranks_);
-    if (node_of(m.src) != node_of(m.dst)) {
-      ++senders_per_node_[static_cast<std::size_t>(node_of(m.src))];
-    }
-  }
-
-  // Pass 2: compute send completion times (serialise per-sender overheads)
-  // and arrivals. Arrivals are fixed here — compute issued between begin
-  // and finish cannot make the wire faster.
-  for (const Message& m : messages) {
-    maybe_fail(m.src);
-    const bool same_node = node_of(m.src) == node_of(m.dst);
-    // Sender pays the per-message software overhead; multiple messages from
-    // one rank serialise naturally because we advance its clock in place.
-    double& src_clock = clocks_[static_cast<std::size_t>(m.src)];
-    src_clock += machine_.msg_overhead;
-    profile_.add_comm(m.src, region, machine_.msg_overhead);
-    account_traffic(m.src, m.bytes);
-
-    double bw = machine_.bandwidth(same_node);
-    if (!same_node) {
-      const int concurrent =
-          senders_per_node_[static_cast<std::size_t>(node_of(m.src))];
-      const double nic_share =
-          machine_.node_injection_bw / std::max(1, concurrent);
-      bw = std::min(bw, nic_share);
-    }
-    pe.messages.push_back({m.dst, src_clock + machine_.latency(same_node) +
-                                      static_cast<double>(m.bytes) / bw});
-  }
+  post(schedule, region, pe.messages);
 
   // Snapshot every destination's clock after all senders have been
   // charged: the synchronous counterfactual would start waiting here.
+  pe.begin_clocks.clear();
   for (const PendingMessage& pm : pe.messages) {
     pe.begin_clocks.push_back(clocks_[static_cast<std::size_t>(pm.dst)]);
   }
@@ -210,8 +295,8 @@ void Cluster::exchange_finish(int exchange) {
       pending_exchanges_[static_cast<std::size_t>(exchange)];
   ++finish_epoch_;
 
-  // Pass A (before any bump): open the per-destination counterfactual
-  // clocks and measure the overlap window (compute done since begin).
+  // Before any bump: open the per-destination counterfactual clocks and
+  // measure the overlap window (compute done since begin).
   double window_total = 0.0;
   for (std::size_t i = 0; i < pe.messages.size(); ++i) {
     const auto dst = static_cast<std::size_t>(pe.messages[i].dst);
@@ -221,26 +306,7 @@ void Cluster::exchange_finish(int exchange) {
       window_total += clocks_[dst] - pe.begin_clocks[i];
     }
   }
-
-  // Pass B: receivers pay a per-message overhead and wait for arrivals —
-  // but only for the part of each flight their window did not cover. The
-  // counterfactual replay advances from the begin snapshot with the exact
-  // synchronous recurrence, so hidden time is sync wait minus real wait.
-  double hidden_total = 0.0;
-  for (const PendingMessage& pm : pe.messages) {
-    const auto dst = static_cast<std::size_t>(pm.dst);
-    double& sync_clock = sync_clock_scratch_[dst];
-    const double sync_wait = std::max(0.0, pm.arrival - sync_clock);
-    const double real_wait = std::max(0.0, pm.arrival - clocks_[dst]);
-    sync_clock = std::max(sync_clock, pm.arrival) + machine_.msg_overhead;
-    const double hidden = std::max(0.0, sync_wait - real_wait);
-    comm_hidden_[dst] += hidden;
-    hidden_total += hidden;
-
-    bump_to(pm.dst, pm.arrival, pe.region);
-    clocks_[dst] += machine_.msg_overhead;
-    profile_.add_comm(pm.dst, pe.region, machine_.msg_overhead);
-  }
+  const double hidden_total = receive(pe.messages, pe.region, /*replay=*/true);
 
   if (support::metrics::enabled()) {
     support::metrics::counter_add(

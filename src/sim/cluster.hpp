@@ -22,6 +22,7 @@
 // data cannot advance past the coupler's clock.
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -57,6 +58,39 @@ struct Message {
   std::size_t bytes = 0;
 };
 
+/// A bulk exchange with everything that does not depend on the clocks
+/// resolved up front (docs/SIMULATOR.md, "Schedules and bound instances").
+/// Built once by Cluster::make_schedule() for a message list that repeats
+/// every step (a halo or migration pattern); charging it touches only the
+/// clocks, the profile and the traffic counters. A schedule is valid only
+/// on the cluster that built it.
+class ExchangeSchedule {
+ private:
+  friend class Cluster;
+
+  /// One message: endpoints, the wire latency and the transfer seconds
+  /// `bytes / effective_bw`, where the effective bandwidth already
+  /// includes the node's NIC share. Arrival is charged as
+  /// `(send_completion + latency) + transfer`, the association of the
+  /// message-list form.
+  struct Entry {
+    Rank src = 0;
+    Rank dst = 0;
+    double latency = 0.0;
+    double transfer = 0.0;
+  };
+  /// Traffic injected by one sending rank (integer sums, so exact).
+  struct Sender {
+    Rank rank = 0;
+    std::size_t bytes = 0;
+    std::int64_t messages = 0;
+  };
+
+  std::uint64_t cluster_id_ = 0;  ///< Cluster::id() of the builder
+  std::vector<Entry> entries_;    ///< in message-list order
+  std::vector<Sender> senders_;   ///< in order of first appearance
+};
+
 /// Thrown when a fault-injected rank reaches its failure step and then
 /// touches the cluster (compute or communication): the simulated process
 /// died, so the simulation object driving it must be discarded and rebuilt
@@ -80,6 +114,10 @@ class RankFailure : public std::runtime_error {
 class Cluster {
  public:
   Cluster(const MachineModel& machine, int num_ranks);
+
+  /// Process-unique identity of this cluster (never 0). Instances key
+  /// their bind-once caches on it (sim/app.hpp).
+  std::uint64_t id() const { return id_; }
 
   const MachineModel& machine() const { return machine_; }
   int num_ranks() const { return num_ranks_; }
@@ -105,7 +143,16 @@ class Cluster {
   void compute_seconds(Rank rank, double seconds, RegionId region);
 
   // --- Point-to-point ---
-  /// Bulk BSP-style exchange of independent messages.
+  /// Resolves a message list into a reusable schedule: per message the
+  /// latency and transfer seconds under this round's NIC contention, per
+  /// sender its byte and message totals.
+  ExchangeSchedule make_schedule(std::span<const Message> messages);
+  /// Bulk BSP-style exchange of independent messages. Equivalent to
+  /// exchange_finish(exchange_begin(schedule, region)) with nothing
+  /// charged in between.
+  void exchange(const ExchangeSchedule& schedule, RegionId region);
+  /// Message-list form: builds into a schedule this cluster owns (warm
+  /// calls allocate nothing) and charges it.
   void exchange(std::span<const Message> messages, RegionId region);
   /// Single eager message (use for pipelines / coupler hand-offs).
   void send(Rank src, Rank dst, std::size_t bytes, RegionId region);
@@ -117,6 +164,7 @@ class Cluster {
   /// running. Returns a handle for exchange_finish(). Several exchanges
   /// may be in flight; handles are reused after finish, so the warm path
   /// allocates nothing.
+  int exchange_begin(const ExchangeSchedule& schedule, RegionId region);
   int exchange_begin(std::span<const Message> messages, RegionId region);
   /// Receives a posted exchange: each destination waits only for the
   /// arrivals its concurrent compute did not already cover. The comm time
@@ -223,11 +271,30 @@ class Cluster {
     }
   }
 
+  std::uint64_t id_;      ///< process-unique // cpx-lint: allow(ckpt)
   MachineModel machine_;  ///< construction config // cpx-lint: allow(ckpt)
   int num_ranks_;
   int num_nodes_;  ///< derived from machine_ // cpx-lint: allow(ckpt)
   void account_traffic(Rank src, std::size_t bytes,
                        std::int64_t messages = 1);
+
+  struct PendingMessage {
+    Rank dst = 0;
+    double arrival = 0.0;
+  };
+  /// Fills `out` from `messages` (reusing its storage).
+  void build_schedule(std::span<const Message> messages,
+                      ExchangeSchedule& out);
+  /// The sender half of every bulk exchange: charges overheads and
+  /// traffic, writes each message's arrival to `arrivals`.
+  void post(const ExchangeSchedule& schedule, RegionId region,
+            std::vector<PendingMessage>& arrivals);
+  /// The receiver half: each destination waits for its arrivals and pays
+  /// the per-message overhead. With `replay`, also advances the
+  /// synchronous counterfactual from sync_clock_scratch_ and returns the
+  /// comm time it hides (exchange_finish); without, returns 0.
+  double receive(std::span<const PendingMessage> arrivals, RegionId region,
+                 bool replay);
 
   std::vector<double> clocks_;
   std::vector<std::size_t> comm_bytes_;
@@ -242,16 +309,17 @@ class Cluster {
   int failure_step_ = 0;    // cpx-lint: allow(ckpt)
   int current_step_ = 0;
 
-  // Scratch reused across exchange() calls to avoid reallocations.
-  std::vector<int> senders_per_node_;    // cpx-lint: allow(ckpt)
-  std::vector<double> arrival_scratch_;  // cpx-lint: allow(ckpt)
+  // Scratch of the message-list adapters and of the synchronous
+  // exchange(), reused so warm calls allocate nothing. sender_slot_ maps a
+  // rank to its entry in a schedule's sender list while one is built (-1
+  // otherwise).
+  ExchangeSchedule schedule_scratch_;          // cpx-lint: allow(ckpt)
+  std::vector<int> senders_per_node_;          // cpx-lint: allow(ckpt)
+  std::vector<int> sender_slot_;               // cpx-lint: allow(ckpt)
+  std::vector<PendingMessage> arrival_scratch_;  // cpx-lint: allow(ckpt)
 
   // In-flight split-phase exchanges. Slots (and their message storage) are
   // reused after exchange_finish so the warm path allocates nothing.
-  struct PendingMessage {
-    Rank dst = 0;
-    double arrival = 0.0;
-  };
   struct PendingExchange {
     bool active = false;
     RegionId region = -1;

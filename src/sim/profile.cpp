@@ -35,27 +35,6 @@ const std::string& Profile::region_name(RegionId id) const {
   return names_[static_cast<std::size_t>(id)];
 }
 
-void Profile::ensure_region_storage(RegionId region) {
-  CPX_REQUIRE(region >= 0 && static_cast<std::size_t>(region) < names_.size(),
-              "Profile: unknown region id " << region);
-}
-
-void Profile::add_compute(Rank rank, RegionId region, double seconds) {
-  ensure_region_storage(region);
-  CPX_DCHECK(rank >= 0 && rank < num_ranks_);
-  CPX_DCHECK(seconds >= 0.0);
-  compute_[static_cast<std::size_t>(region)][static_cast<std::size_t>(rank)] +=
-      seconds;
-}
-
-void Profile::add_comm(Rank rank, RegionId region, double seconds) {
-  ensure_region_storage(region);
-  CPX_DCHECK(rank >= 0 && rank < num_ranks_);
-  CPX_DCHECK(seconds >= 0.0);
-  comm_[static_cast<std::size_t>(region)][static_cast<std::size_t>(rank)] +=
-      seconds;
-}
-
 RegionTimes Profile::rank_region(Rank rank, RegionId region) const {
   CPX_REQUIRE(region >= 0 && static_cast<std::size_t>(region) < names_.size(),
               "Profile: unknown region id " << region);

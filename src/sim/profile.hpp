@@ -11,6 +11,8 @@
 #include <string_view>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace cpx::ckpt {
 class Writer;
 class Reader;
@@ -49,8 +51,23 @@ class Profile {
   std::size_t num_regions() const { return names_.size(); }
   const std::string& region_name(RegionId id) const;
 
-  void add_compute(Rank rank, RegionId region, double seconds);
-  void add_comm(Rank rank, RegionId region, double seconds);
+  /// Per-charge hot path: the region must come from region() (checked
+  /// only by CPX_DCHECK).
+  void add_compute(Rank rank, RegionId region, double seconds) {
+    CPX_DCHECK(region >= 0 &&
+               static_cast<std::size_t>(region) < compute_.size());
+    CPX_DCHECK(rank >= 0 && rank < num_ranks_);
+    CPX_DCHECK(seconds >= 0.0);
+    compute_[static_cast<std::size_t>(region)]
+            [static_cast<std::size_t>(rank)] += seconds;
+  }
+  void add_comm(Rank rank, RegionId region, double seconds) {
+    CPX_DCHECK(region >= 0 && static_cast<std::size_t>(region) < comm_.size());
+    CPX_DCHECK(rank >= 0 && rank < num_ranks_);
+    CPX_DCHECK(seconds >= 0.0);
+    comm_[static_cast<std::size_t>(region)][static_cast<std::size_t>(rank)] +=
+        seconds;
+  }
 
   /// Time recorded for one rank in one region.
   RegionTimes rank_region(Rank rank, RegionId region) const;
@@ -77,15 +94,17 @@ class Profile {
   void restore(ckpt::Reader& r);
 
  private:
-  void ensure_region_storage(RegionId region);
-
   int num_ranks_;
   std::vector<std::string> names_;
   // Name -> id index (heterogeneous lookup, so region() takes no copy on
   // the hot hit path). Ids stay the order of first interning — names_ is
   // the id-ordered source of truth, the map only accelerates lookup.
   std::map<std::string, RegionId, std::less<>> index_;  // cpx-lint: allow(ckpt)
-  // Indexed [region][rank]; grown lazily as regions are interned.
+  // Indexed [region][rank]; one row per region, added as regions are
+  // interned. Rows rather than one flat region-major array: interning a
+  // region into a flat array copies every existing row when it grows,
+  // which measurably raised peak memory on 40,000-rank runs
+  // (docs/SIMULATOR.md).
   std::vector<std::vector<double>> compute_;
   std::vector<std::vector<double>> comm_;
 };

@@ -58,26 +58,58 @@ double Instance::pipeline_seconds(const sim::Cluster& cluster) const {
   return 2.0 * (intra_hops * hop_intra + inter_hops * hop_inter);
 }
 
-void Instance::ensure_regions(sim::Cluster& cluster) {
+void Instance::bind(sim::Cluster& cluster) {
   region_deposit_ = cluster.region(name_ + "/deposit");
   region_field_ = cluster.region(name_ + "/field");
   region_push_ = cluster.region(name_ + "/push");
   region_migrate_ = cluster.region(name_ + "/migrate");
   region_reduce_ = cluster.region(name_ + "/reduce");
-}
-
-void Instance::step(sim::Cluster& cluster) {
-  ensure_regions(cluster);
+  const sim::MachineModel& m = cluster.machine();
   const int p = ranks_.size();
   const double particles = particles_per_rank() * step_weight_;
   const double cells = cells_per_rank() * step_weight_;
 
+  sim::Work deposit;
+  deposit.flops = particles * work_.flops_per_particle_deposit;
+  deposit.bytes = particles * work_.bytes_per_particle_deposit;
+  deposit_s_ = m.compute_time(deposit);
+  sim::Work field;
+  field.flops = cells * work_.flops_per_cell_field;
+  field.bytes = cells * work_.bytes_per_cell_field;
+  field_s_ = m.compute_time(field);
+  sim::Work push;
+  push.flops = particles * work_.flops_per_particle_push;
+  push.bytes = particles * work_.bytes_per_particle_push;
+  push_s_ = m.compute_time(push);
+  pipeline_s_ = step_weight_ * pipeline_seconds(cluster);
+
+  // Migration of boundary-crossing particles to the 1-D neighbours.
+  std::vector<sim::Message> messages;
+  if (p > 1) {
+    const auto bytes = static_cast<std::size_t>(
+        work_.migration_fraction * particles *
+        static_cast<double>(work_.bytes_per_particle));
+    for (int l = 0; l < p; ++l) {
+      if (l > 0) {
+        messages.push_back({ranks_.begin + l, ranks_.begin + l - 1, bytes});
+      }
+      if (l + 1 < p) {
+        messages.push_back({ranks_.begin + l, ranks_.begin + l + 1, bytes});
+      }
+    }
+  }
+  migrate_ = cluster.make_schedule(messages);
+}
+
+void Instance::step(sim::Cluster& cluster) {
+  if (needs_bind(cluster)) {
+    bind(cluster);
+  }
+  const int p = ranks_.size();
+
   // 1. Charge deposition — perfectly parallel particle sweep.
   for (int l = 0; l < p; ++l) {
-    sim::Work w;
-    w.flops = particles * work_.flops_per_particle_deposit;
-    w.bytes = particles * work_.bytes_per_particle_deposit;
-    cluster.compute(ranks_.begin + l, w, region_deposit_);
+    cluster.compute_seconds(ranks_.begin + l, deposit_s_, region_deposit_);
   }
 
   // 2. Field solve: local tridiagonal elimination, then the serial
@@ -86,42 +118,21 @@ void Instance::step(sim::Cluster& cluster) {
   //    substitution has reached it, so every rank leaves at
   //    max(entry clocks) + pipeline time.
   for (int l = 0; l < p; ++l) {
-    sim::Work w;
-    w.flops = cells * work_.flops_per_cell_field;
-    w.bytes = cells * work_.bytes_per_cell_field;
-    cluster.compute(ranks_.begin + l, w, region_field_);
+    cluster.compute_seconds(ranks_.begin + l, field_s_, region_field_);
   }
   if (p > 1) {
-    const double done = cluster.max_clock(ranks_) +
-                        step_weight_ * pipeline_seconds(cluster);
+    const double done = cluster.max_clock(ranks_) + pipeline_s_;
     cluster.wait_until(ranks_, done, region_field_);
   }
 
   // 3+4. Gather + leapfrog push — perfectly parallel.
   for (int l = 0; l < p; ++l) {
-    sim::Work w;
-    w.flops = particles * work_.flops_per_particle_push;
-    w.bytes = particles * work_.bytes_per_particle_push;
-    cluster.compute(ranks_.begin + l, w, region_push_);
+    cluster.compute_seconds(ranks_.begin + l, push_s_, region_push_);
   }
 
   // 5. Migration of boundary-crossing particles to the 1-D neighbours.
   if (p > 1) {
-    const auto bytes = static_cast<std::size_t>(
-        work_.migration_fraction * particles *
-        static_cast<double>(work_.bytes_per_particle));
-    message_scratch_.clear();
-    for (int l = 0; l < p; ++l) {
-      if (l > 0) {
-        message_scratch_.push_back(
-            {ranks_.begin + l, ranks_.begin + l - 1, bytes});
-      }
-      if (l + 1 < p) {
-        message_scratch_.push_back(
-            {ranks_.begin + l, ranks_.begin + l + 1, bytes});
-      }
-    }
-    cluster.exchange(message_scratch_, region_migrate_);
+    cluster.exchange(migrate_, region_migrate_);
   }
 
   // 6. Diagnostics allreduce (energies, particle count).

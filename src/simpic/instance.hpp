@@ -70,7 +70,9 @@ class Instance final : public sim::App {
   double pipeline_seconds(const sim::Cluster& cluster) const;
 
  private:
-  void ensure_regions(sim::Cluster& cluster);
+  /// Interns the regions and caches everything step() charges that
+  /// depends only on the cluster (sim::App::needs_bind).
+  void bind(sim::Cluster& cluster);
 
   std::string name_;
   StcConfig config_;
@@ -78,12 +80,18 @@ class Instance final : public sim::App {
   WorkModel work_;
   double step_weight_ = 1.0;
 
+  // Bound to one cluster by bind(). The plasma is uniform, so every rank
+  // charges the same compute seconds.
   sim::RegionId region_deposit_ = -1;
   sim::RegionId region_field_ = -1;
   sim::RegionId region_push_ = -1;
   sim::RegionId region_migrate_ = -1;
   sim::RegionId region_reduce_ = -1;
-  std::vector<sim::Message> message_scratch_;
+  double deposit_s_ = 0.0;
+  double field_s_ = 0.0;
+  double push_s_ = 0.0;
+  double pipeline_s_ = 0.0;      ///< step_weight * pipeline_seconds
+  sim::ExchangeSchedule migrate_;  ///< 1-D neighbour migration round
 };
 
 }  // namespace cpx::simpic

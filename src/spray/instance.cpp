@@ -27,8 +27,10 @@ Instance::Instance(std::string name, const InstanceConfig& config,
 }
 
 void Instance::step(sim::Cluster& cluster) {
-  const sim::RegionId region_push = cluster.region(name_ + "/push");
-  const sim::RegionId region_comm = cluster.region(name_ + "/comm");
+  if (needs_bind(cluster)) {
+    region_push_ = cluster.region(name_ + "/push");
+    region_comm_ = cluster.region(name_ + "/comm");
+  }
   const int p = ranks_.size();
   const double total = static_cast<double>(config_.num_particles);
   const double mean = total / p;
@@ -43,7 +45,7 @@ void Instance::step(sim::Cluster& cluster) {
         sim::Work w;
         w.flops = particles * config_.flops_per_particle;
         w.bytes = particles * config_.bytes_per_particle;
-        cluster.compute(ranks_.begin + l, w, region_push);
+        cluster.compute(ranks_.begin + l, w, region_push_);
       }
       // Neighbour migration + the source-term gather that serialises on
       // the hot rank (all ranks contribute to the injector region's gas
@@ -57,12 +59,12 @@ void Instance::step(sim::Cluster& cluster) {
         world_.post(l, l + 1, mig_bytes);
         world_.post(l + 1, l, mig_bytes);
       }
-      sim::flush_exchange(world_, cluster, region_comm, ranks_.begin,
+      sim::flush_exchange(world_, cluster, region_comm_, ranks_.begin,
                           message_scratch_);
       const std::size_t gather_bytes = 2 * sizeof(double) * 8;
       world_.post_collective(static_cast<std::size_t>(p - 1) * gather_bytes,
                              p - 1);
-      cluster.gather(ranks_, ranks_.begin, gather_bytes, region_comm);
+      cluster.gather(ranks_, ranks_.begin, gather_bytes, region_comm_);
       break;
     }
     case Strategy::kBalanced: {
@@ -70,7 +72,7 @@ void Instance::step(sim::Cluster& cluster) {
         sim::Work w;
         w.flops = mean * config_.flops_per_particle;
         w.bytes = mean * config_.bytes_per_particle;
-        cluster.compute(ranks_.begin + l, w, region_push);
+        cluster.compute(ranks_.begin + l, w, region_push_);
       }
       // Redistribution back to spatial owners every step: the particles a
       // rank holds are unrelated to its mesh partition, so the gas-field
@@ -83,7 +85,7 @@ void Instance::step(sim::Cluster& cluster) {
           static_cast<std::size_t>(p) * static_cast<std::size_t>(p - 1) *
               pair_bytes,
           static_cast<std::int64_t>(p) * (p - 1));
-      cluster.alltoall(ranks_, pair_bytes, region_comm);
+      cluster.alltoall(ranks_, pair_bytes, region_comm_);
       break;
     }
     case Strategy::kAsyncTask: {
@@ -97,7 +99,7 @@ void Instance::step(sim::Cluster& cluster) {
         w.flops = per_worker * config_.flops_per_particle;
         w.bytes = per_worker * config_.bytes_per_particle;
         cluster.compute(ranks_.begin + spray_comm_.global_rank(l), w,
-                        region_push);
+                        region_push_);
       }
       for (int l = 0; l < workers; ++l) {
         // One-sided exposure epoch with a solver-side partner (a rank of
@@ -109,7 +111,7 @@ void Instance::step(sim::Cluster& cluster) {
                       4 * sizeof(double));
         }
       }
-      sim::flush_exchange(world_, cluster, region_comm, ranks_.begin,
+      sim::flush_exchange(world_, cluster, region_comm_, ranks_.begin,
                           message_scratch_);
       break;
     }

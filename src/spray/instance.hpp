@@ -62,6 +62,9 @@ class Instance final : public sim::App {
   comm::Communicator world_;
   comm::Communicator spray_comm_;  ///< kAsyncTask subgroup 0 of world_
   std::vector<sim::Message> message_scratch_;
+  // Interned once per cluster (sim::App::needs_bind).
+  sim::RegionId region_push_ = -1;
+  sim::RegionId region_comm_ = -1;
 };
 
 }  // namespace cpx::spray

@@ -18,9 +18,11 @@ Instance::Instance(std::string name, std::int64_t mesh_cells,
 }
 
 void Instance::step(sim::Cluster& cluster) {
-  const sim::RegionId region_spmv = cluster.region(name_ + "/spmv");
-  const sim::RegionId region_halo = cluster.region(name_ + "/halo");
-  const sim::RegionId region_dot = cluster.region(name_ + "/dot");
+  if (needs_bind(cluster)) {
+    region_spmv_ = cluster.region(name_ + "/spmv");
+    region_halo_ = cluster.region(name_ + "/halo");
+    region_dot_ = cluster.region(name_ + "/dot");
+  }
   const sim::MachineModel& m = cluster.machine();
   const int p = ranks_.size();
   const double cells = stats_.owned_mean;
@@ -32,7 +34,7 @@ void Instance::step(sim::Cluster& cluster) {
     w.flops = iters * cells * work_.flops_per_cell_per_iteration;
     w.bytes = iters * cells * work_.bytes_per_cell_per_iteration;
     w.launches = iters * 3.0;  // spmv + 2 axpy-class kernels
-    cluster.compute(ranks_.begin + l, w, region_spmv);
+    cluster.compute(ranks_.begin + l, w, region_spmv_);
   }
 
   // One fused halo message per neighbour carrying all iterations' bytes;
@@ -53,23 +55,23 @@ void Instance::step(sim::Cluster& cluster) {
             {ranks_.begin + l, ranks_.begin + l + 1, halo_bytes});
       }
     }
-    cluster.exchange(message_scratch_, region_halo);
+    cluster.exchange(message_scratch_, region_halo_);
     const double per_round = m.lat_inter + 2.0 * m.msg_overhead;
     for (int l = 0; l < p; ++l) {
       cluster.comm_delay(ranks_.begin + l, (iters - 1.0) * per_round * 2.0,
-                         region_halo);
+                         region_halo_);
     }
     // Two dot-product allreduces per CG iteration: the first two as real
     // synchronising collectives, the rest as their analytic cost.
     for (int it = 0; it < 2; ++it) {
-      cluster.allreduce(ranks_, sizeof(double), region_dot);
+      cluster.allreduce(ranks_, sizeof(double), region_dot_);
     }
     const int nodes = cluster.node_of(ranks_.end - 1) -
                       cluster.node_of(ranks_.begin) + 1;
     const double reduce_cost =
         m.allreduce_time(p, nodes, sizeof(double)) * (2.0 * iters - 2.0);
     for (int l = 0; l < p; ++l) {
-      cluster.comm_delay(ranks_.begin + l, reduce_cost, region_dot);
+      cluster.comm_delay(ranks_.begin + l, reduce_cost, region_dot_);
     }
   }
 }

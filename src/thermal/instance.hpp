@@ -38,6 +38,10 @@ class Instance final : public sim::App {
   WorkModel work_;
   mesh::PartitionStats stats_;
   std::vector<sim::Message> message_scratch_;
+  // Interned once per cluster (sim::App::needs_bind).
+  sim::RegionId region_spmv_ = -1;
+  sim::RegionId region_halo_ = -1;
+  sim::RegionId region_dot_ = -1;
 };
 
 }  // namespace cpx::thermal

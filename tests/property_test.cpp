@@ -6,17 +6,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "mesh/mesh.hpp"
 #include "mesh/partition.hpp"
 #include "mesh/stats.hpp"
 #include "perfmodel/allocator.hpp"
 #include "perfmodel/persistence.hpp"
+#include "mgcfd/instance.hpp"
 #include "sim/cluster.hpp"
+#include "simpic/instance.hpp"
 #include "simpic/pic.hpp"
+#include "support/check.hpp"
 #include "support/options.hpp"
 #include "workflow/case_io.hpp"
 #include "support/rng.hpp"
@@ -110,6 +119,206 @@ TEST_P(ClusterAccounting, ClocksNeverDecrease) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterAccounting,
                          ::testing::Range(1, 11));
+
+// --- Exchange schedules: one charging path, bitwise ----------------------
+
+/// Everything a bulk exchange charges, compared bit for bit.
+void expect_same_state(const sim::Cluster& a, const sim::Cluster& b,
+                       const std::string& what) {
+  ASSERT_EQ(a.num_ranks(), b.num_ranks());
+  ASSERT_EQ(a.profile().num_regions(), b.profile().num_regions());
+  for (sim::Rank r = 0; r < a.num_ranks(); ++r) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.clock(r)),
+              std::bit_cast<std::uint64_t>(b.clock(r)))
+        << what << ": clock of rank " << r;
+    ASSERT_EQ(a.comm_bytes(r), b.comm_bytes(r)) << what << ": rank " << r;
+    ASSERT_EQ(a.comm_messages(r), b.comm_messages(r))
+        << what << ": rank " << r;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.comm_hidden_seconds(r)),
+              std::bit_cast<std::uint64_t>(b.comm_hidden_seconds(r)))
+        << what << ": hidden comm of rank " << r;
+    for (std::size_t g = 0; g < a.profile().num_regions(); ++g) {
+      const auto region = static_cast<sim::RegionId>(g);
+      const sim::RegionTimes ta = a.profile().rank_region(r, region);
+      const sim::RegionTimes tb = b.profile().rank_region(r, region);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ta.compute),
+                std::bit_cast<std::uint64_t>(tb.compute))
+          << what << ": rank " << r << " region " << g;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ta.comm),
+                std::bit_cast<std::uint64_t>(tb.comm))
+          << what << ": rank " << r << " region " << g;
+    }
+  }
+}
+
+/// A random bulk round over several nodes: multi-message senders, intra-
+/// and inter-node traffic, and ranks that both send and receive.
+std::vector<sim::Message> random_round(Rng& rng, int p, int cores_per_node) {
+  std::vector<sim::Message> msgs;
+  const int senders = 1 + static_cast<int>(rng.uniform_index(
+                              static_cast<std::uint64_t>(p / 2)));
+  for (int s = 0; s < senders; ++s) {
+    const auto src = static_cast<sim::Rank>(
+        rng.uniform_index(static_cast<std::uint64_t>(p)));
+    const int count = 1 + static_cast<int>(rng.uniform_index(4));
+    for (int m = 0; m < count; ++m) {
+      sim::Rank dst = src;
+      if (rng.uniform() < 0.5) {
+        // Same node (when the node has another rank).
+        const int node_begin = src / cores_per_node * cores_per_node;
+        const int node_size = std::min(cores_per_node, p - node_begin);
+        dst = node_begin + static_cast<sim::Rank>(rng.uniform_index(
+                               static_cast<std::uint64_t>(node_size)));
+      } else {
+        dst = static_cast<sim::Rank>(
+            rng.uniform_index(static_cast<std::uint64_t>(p)));
+      }
+      if (dst != src) {
+        msgs.push_back({src, dst, rng.uniform_index(1 << 20)});
+      }
+    }
+  }
+  return msgs;
+}
+
+class ScheduleEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
+  // A schedule built once and charged every round, the message-list
+  // adapter, and split-phase begin+finish with an empty window must leave
+  // identical clocks, profile, traffic counters and hidden-comm totals.
+  const auto [seed, slow] = GetParam();
+  const sim::MachineModel machine =
+      slow ? sim::MachineModel::slow_network() : sim::MachineModel::archer2();
+  Rng rng(static_cast<std::uint64_t>(seed) * 104729);
+  const int p = machine.cores_per_node +
+                static_cast<int>(rng.uniform_index(
+                    static_cast<std::uint64_t>(4 * machine.cores_per_node)));
+  sim::Cluster by_schedule(machine, p);
+  sim::Cluster by_list(machine, p);
+  sim::Cluster by_split(machine, p);
+  sim::Cluster by_split_schedule(machine, p);
+  sim::Cluster* clusters[] = {&by_schedule, &by_list, &by_split,
+                              &by_split_schedule};
+  const std::vector<sim::Message> msgs =
+      random_round(rng, p, machine.cores_per_node);
+  const sim::ExchangeSchedule schedule = by_schedule.make_schedule(msgs);
+  const sim::ExchangeSchedule split_schedule =
+      by_split_schedule.make_schedule(msgs);
+
+  for (int round = 0; round < 4; ++round) {
+    // Uneven entry clocks, so waits and serialised overheads differ.
+    for (sim::Rank r = 0; r < p; ++r) {
+      const double seconds = rng.uniform(0.0, 1e-4);
+      for (sim::Cluster* c : clusters) {
+        c->compute_seconds(r, seconds, c->region("work"));
+      }
+    }
+    by_schedule.exchange(schedule, by_schedule.region("halo"));
+    by_list.exchange(msgs, by_list.region("halo"));
+    by_split.exchange_finish(
+        by_split.exchange_begin(msgs, by_split.region("halo")));
+    by_split_schedule.exchange_finish(by_split_schedule.exchange_begin(
+        split_schedule, by_split_schedule.region("halo")));
+  }
+  expect_same_state(by_schedule, by_list, "schedule vs message list");
+  expect_same_state(by_schedule, by_split, "schedule vs begin+finish");
+  expect_same_state(by_schedule, by_split_schedule,
+                    "schedule vs scheduled begin+finish");
+  EXPECT_EQ(by_schedule.comm_hidden_seconds({0, p}), 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleEquivalence,
+                         ::testing::Combine(::testing::Range(1, 9),
+                                            ::testing::Bool()));
+
+TEST(ExchangeSchedules, ScheduleFromAnotherClusterIsRejected) {
+  sim::Cluster a(sim::MachineModel::archer2(), 4);
+  sim::Cluster b(sim::MachineModel::archer2(), 4);
+  const std::vector<sim::Message> msgs = {{0, 1, 64}};
+  const sim::ExchangeSchedule schedule = a.make_schedule(msgs);
+  EXPECT_NE(a.id(), b.id());
+  EXPECT_THROW(b.exchange(schedule, b.region("x")), CheckError);
+}
+
+// --- Bound instances: rebinding to another cluster -----------------------
+
+/// Steps `app` alternately on two clusters of different machines and
+/// region layouts, then on a cluster constructed in place of a destroyed
+/// one (same address), and compares each against a fresh instance that
+/// only ever saw one cluster. A per-cluster cache that survived the switch
+/// (or was keyed on the cluster's address) charges the wrong regions or
+/// machine and fails.
+template <typename MakeApp>
+void expect_rebinding_matches_fresh(const MakeApp& make_app, int p) {
+  const sim::MachineModel machines[2] = {sim::MachineModel::archer2(),
+                                         sim::MachineModel::slow_network()};
+  // Region ids differ between the two machines' clusters.
+  const auto make_cluster = [&](sim::Cluster* c, int k) {
+    for (int extra = 0; extra <= k; ++extra) {
+      c->region("other/" + std::to_string(extra));
+    }
+  };
+  const auto app = make_app();
+  sim::Cluster shared_0(machines[0], p);
+  sim::Cluster shared_1(machines[1], p);
+  sim::Cluster fresh_0(machines[0], p);
+  sim::Cluster fresh_1(machines[1], p);
+  sim::Cluster* shared[2] = {&shared_0, &shared_1};
+  sim::Cluster* fresh[2] = {&fresh_0, &fresh_1};
+  decltype(make_app()) fresh_apps[2] = {make_app(), make_app()};
+  for (int k = 0; k < 2; ++k) {
+    make_cluster(shared[k], k);
+    make_cluster(fresh[k], k);
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (int k = 0; k < 2; ++k) {
+      app->step(*shared[k]);
+      fresh_apps[k]->step(*fresh[k]);
+      expect_same_state(*shared[k], *fresh[k],
+                        app->name() + " round " + std::to_string(round) +
+                            " machine " + std::to_string(k));
+    }
+  }
+
+  // The slot's second cluster is built where the first one lived.
+  std::optional<sim::Cluster> slot;
+  for (int k = 0; k < 2; ++k) {
+    slot.emplace(machines[k], p);
+    make_cluster(&*slot, k);
+    sim::Cluster reference(machines[k], p);
+    make_cluster(&reference, k);
+    const auto fresh_app = make_app();
+    app->step(*slot);
+    fresh_app->step(reference);
+    expect_same_state(*slot, reference,
+                      app->name() + " in-place cluster " + std::to_string(k));
+  }
+}
+
+TEST(BoundInstances, MgcfdRebindsPerCluster) {
+  for (const bool overlap : {false, true}) {
+    expect_rebinding_matches_fresh(
+        [overlap] {
+          auto app = std::make_unique<mgcfd::Instance>(
+              "row", 2'000'000, sim::RankRange{3, 3 + 300});
+          app->set_overlap(overlap);
+          return app;
+        },
+        310);
+  }
+}
+
+TEST(BoundInstances, SimpicRebindsPerCluster) {
+  expect_rebinding_matches_fresh(
+      [] {
+        return std::make_unique<simpic::Instance>(
+            "pic", simpic::base_stc_28m(), sim::RankRange{5, 5 + 400},
+            simpic::WorkModel{}, 2.5);
+      },
+      410);
+}
 
 // --- Allocator feasibility and quality ----------------------------------
 

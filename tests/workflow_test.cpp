@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "perfmodel/allocator.hpp"
@@ -300,6 +302,45 @@ TEST(EndToEnd, OptimizedBeatsBaseAtScale) {
   const double speedup = runtimes[0] / runtimes[1];
   EXPECT_GT(speedup, 3.5);
   EXPECT_LT(speedup, 8.0);
+}
+
+TEST(Coupled, VirtualTimeIsPinnedBitwise) {
+  // Virtual time is an output that must never move: the Fig 9 case
+  // (Optimized-STC) on the allocation Alg 1 gives for 40,000 cores, with
+  // runtime() compared bit for bit after 1, 2, 5, 10 and 20 density
+  // steps, with split-phase overlap off and on. A simulator-core change
+  // that reorders or pre-sums a single floating-point term fails here.
+  const RankAssignment ra{
+      {100, 198, 197, 197, 197, 197, 197, 197, 197, 197, 197, 197, 1245,
+       32676, 1245, 2486},
+      {1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4, 4, 38}};
+  struct Pin {
+    int step;
+    std::uint64_t sync_bits;
+    std::uint64_t overlap_bits;
+  };
+  constexpr Pin kPins[] = {
+      {1, 0x3ff4a13fc1d747d5ULL, 0x3fe5547d674def69ULL},
+      {2, 0x3ffd196396da1bfdULL, 0x3ff3226288a9cbd7ULL},
+      {5, 0x400c067f2154e57cULL, 0x4006456703d92422ULL},
+      {10, 0x40194fd0182844a4ULL, 0x4015b8e04c301b33ULL},
+      {20, 0x4027f4789391f65fULL, 0x4025729cf05b96d2ULL},
+  };
+  for (const bool overlap : {false, true}) {
+    CoupledSimulation sim(hpc_combustor_hpt(true),
+                          sim::MachineModel::archer2(), ra);
+    sim.set_overlap_enabled(overlap);
+    int done = 0;
+    for (const Pin& pin : kPins) {
+      sim.run(pin.step - done);
+      done = pin.step;
+      const std::uint64_t want = overlap ? pin.overlap_bits : pin.sync_bits;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sim.runtime()), want)
+          << "overlap=" << overlap << " step " << pin.step << ": runtime "
+          << std::hexfloat << sim.runtime() << " expected "
+          << std::bit_cast<double>(want);
+    }
+  }
 }
 
 }  // namespace
