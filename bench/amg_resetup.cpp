@@ -12,6 +12,10 @@
 //            (the steady-state per-timestep cost the re-setup amortises
 //            against)
 //
+// Next to the timings it prints the hierarchy shape (rows and nnz/row per
+// level, operator complexity) and the PCG iteration count, so a coarsening
+// stall — a level that barely shrinks and fills in — is visible.
+//
 //   ./amg_resetup [--n=48] [--reps=5] [--metrics=out.json]
 
 #include <chrono>
@@ -120,9 +124,11 @@ int main(int argc, char** argv) {
   const amg::Preconditioner precond =
       amg::make_amg_preconditioner(hierarchy);
   amg::PcgWorkspace workspace;
+  amg::PcgResult solve_result;
   const double t_solve = time_best(reps, [&] {
     std::fill(x.begin(), x.end(), 0.0);
-    amg::pcg(hierarchy.level(0).a, x, b, 1e-8, 200, precond, workspace);
+    solve_result =
+        amg::pcg(hierarchy.level(0).a, x, b, 1e-8, 200, precond, workspace);
   });
 
   print_banner(std::cout, "AMG setup vs numeric re-setup (fixed sparsity)");
@@ -136,5 +142,21 @@ int main(int argc, char** argv) {
   std::cout << "reset_values speedup over full setup: " << t_full / t_reset
             << "x" << (t_full / t_reset >= 2.0 ? " (>= 2x target)" : "")
             << "\n";
+
+  print_banner(std::cout, "AMG hierarchy (default options)");
+  Table levels({"level", "rows", "nnz", "nnz/row"});
+  levels.set_precision(4);
+  for (int l = 0; l < hierarchy.num_levels(); ++l) {
+    const sparse::CsrMatrix& al = hierarchy.level(l).a;
+    levels.add_row({static_cast<long long>(l),
+                    static_cast<long long>(al.rows()),
+                    static_cast<long long>(al.nnz()),
+                    static_cast<double>(al.nnz()) /
+                        static_cast<double>(al.rows())});
+  }
+  levels.print(std::cout);
+  std::cout << "operator complexity: " << hierarchy.operator_complexity()
+            << "\npcg iterations to 1e-8: " << solve_result.iterations
+            << (solve_result.converged ? "" : " (not converged)") << "\n";
   return 0;
 }

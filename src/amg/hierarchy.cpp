@@ -106,11 +106,15 @@ AmgHierarchy::AmgHierarchy(sparse::CsrMatrix a, const AmgOptions& options)
   CPX_METRICS_SCOPE("amg/setup");
 
   levels_.push_back({std::move(a), {}, {}});
+  // Level l uses theta * 2^-l (see AmgOptions::strength_theta): with a
+  // fixed theta most coarse nodes have no strong neighbour and coarsening
+  // stalls.
+  double theta = options_.strength_theta;
   while (num_levels() < options_.max_levels &&
          levels_.back().a.rows() > options_.coarse_size) {
     const sparse::CsrMatrix& fine = levels_.back().a;
-    const sparse::CsrMatrix strength =
-        strength_graph(fine, options_.strength_theta);
+    const sparse::CsrMatrix strength = strength_graph(fine, theta);
+    theta *= 0.5;
     const Aggregation agg = aggregate_greedy(strength);
     if (agg.num_aggregates >= fine.rows()) {
       break;  // no coarsening progress (e.g. fully decoupled matrix)

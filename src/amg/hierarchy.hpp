@@ -27,6 +27,10 @@ enum class CycleKind { kV, kW, kK };
 enum class SpgemmKind { kTwoPass, kSpa };
 
 struct AmgOptions {
+  /// Strength-of-connection threshold on the finest level. Level l uses
+  /// strength_theta · 2^-l (Vaněk, Mandel & Brezina 1996), so the coarse
+  /// Galerkin operators, whose off-diagonal weight is spread over more
+  /// entries, keep enough strong couplings to aggregate.
   double strength_theta = 0.08;
   int max_levels = 10;
   std::int64_t coarse_size = 64;    ///< direct-solve threshold

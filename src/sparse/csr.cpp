@@ -795,20 +795,24 @@ void SpgemmPlan::fill_values(const CsrMatrix& a, const CsrMatrix& b,
   if (support::metrics::enabled()) {
     support::metrics::counter_add("sparse/spgemm_flops", flops_);
   }
-  // Sizing the outer per-lane vector happens serially, before the parallel
-  // region, so concurrent chunks only ever touch their own lane's slot.
+  // Every lane's accumulator is sized serially, before the parallel region:
+  // chunks are claimed dynamically, so a lane that sat out the first call
+  // would otherwise allocate on a later, warm one. Sizing zero-fills; the
+  // gather below clears every entry it reads, so it stays zero between rows.
   const auto lanes = static_cast<std::size_t>(support::max_threads());
   if (lane_acc_.size() < lanes) {
     lane_acc_.resize(lanes);
+  }
+  for (auto& acc : lane_acc_) {
+    if (acc.size() < static_cast<std::size_t>(cols_)) {
+      acc.assign(static_cast<std::size_t>(cols_), 0.0);
+    }
   }
   support::parallel_chunks(0, rows_, kSpgemmGrain, [&](std::int64_t,
                                                        std::int64_t r0,
                                                        std::int64_t r1,
                                                        int lane) {
     auto& acc = lane_acc_[static_cast<std::size_t>(lane)];
-    if (acc.empty() && cols_ > 0) {
-      acc.assign(static_cast<std::size_t>(cols_), 0.0);
-    }
     for (std::int64_t r = r0; r < r1; ++r) {
       // Accumulate the row into the dense array (per output entry in A-row
       // order — the accumulation order of spgemm_spa/spgemm_twopass, so

@@ -177,7 +177,7 @@ class SpgemmPlan {
   CsrMatrix numeric(const CsrMatrix& a, const CsrMatrix& b) const;
 
   /// Numeric pass into an existing matrix with this plan's structure;
-  /// allocation-free after the per-lane scratch warms up.
+  /// allocation-free after the first call at the current pool width.
   void numeric_into(const CsrMatrix& a, const CsrMatrix& b,
                     CsrMatrix& c) const;
 

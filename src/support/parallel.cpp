@@ -113,14 +113,16 @@ class ThreadPool {
       metrics::counter_add(lane_exec_counter_name(lane), ns(claim, done));
     };
     const JobFn run_fn = timed_run ? JobFn(timed) : fn;
+    CPX_REQUIRE(nchunks <= kMaxChunks,
+                "parallel region of " << nchunks << " chunks is too large");
     {
       MutexLock lock(job_mutex_);
       job_fn_ = run_fn;
-      job_chunks_ = nchunks;
       job_pending_.store(nchunks, std::memory_order_relaxed);
       job_error_ = nullptr;
-      // Release: workers claiming chunks via job_next_ see the fields above.
-      job_next_.store(0, std::memory_order_release);
+      // Release: workers claiming chunks via job_claim_ see the fields above.
+      job_claim_.store(static_cast<std::uint64_t>(nchunks) << 32,
+                       std::memory_order_release);
       ++generation_;
     }
     job_cv_.notify_all();
@@ -200,15 +202,22 @@ class ThreadPool {
     }
   }
 
-  // The chunk loop reads job_fn_/job_chunks_ without job_mutex_: run()
-  // publishes them with job_next_.store(release) and every claim is a
-  // fetch_add(acquire) on job_next_, so the fields are visible before any
-  // chunk executes — a release/acquire handoff the capability analysis
-  // cannot express (TSan-validated instead; docs/parallelism.md).
+  // The chunk loop reads job_fn_ without job_mutex_: run() publishes it
+  // with job_claim_.store(release) and every claim is a fetch_add(acquire)
+  // on job_claim_, so the fields are visible before any chunk executes — a
+  // release/acquire handoff the capability analysis cannot express
+  // (TSan-validated instead; docs/parallelism.md).
+  //
+  // The chunk index and the job's chunk count must come from one atomic
+  // read: a worker still leaving the previous job that read the count
+  // separately could see the next job's count and run one of its chunks
+  // twice (a double job_pending_ decrement, after which run() never returns).
   void work() CPX_NO_THREAD_SAFETY_ANALYSIS {
     while (true) {
-      const std::int64_t c = job_next_.fetch_add(1, std::memory_order_acq_rel);
-      if (c >= job_chunks_) {
+      const std::uint64_t claim =
+          job_claim_.fetch_add(1, std::memory_order_acq_rel);
+      const auto c = static_cast<std::int64_t>(claim & 0xffffffffU);
+      if (c >= static_cast<std::int64_t>(claim >> 32)) {
         return;
       }
       try {
@@ -238,11 +247,13 @@ class ThreadPool {
   std::condition_variable done_cv_;
   std::uint64_t generation_ CPX_GUARDED_BY(job_mutex_) = 0;
   bool stop_ CPX_GUARDED_BY(job_mutex_) = false;
-  // job_fn_/job_chunks_ are written under job_mutex_ but read lock-free in
-  // work() under the job_next_ release/acquire protocol documented there.
+  // job_fn_ is written under job_mutex_ but read lock-free in work() under
+  // the job_claim_ release/acquire protocol documented there.
   JobFn job_fn_ CPX_GUARDED_BY(job_mutex_);
-  std::int64_t job_chunks_ CPX_GUARDED_BY(job_mutex_) = 0;
-  std::atomic<std::int64_t> job_next_{0};
+  /// (chunk count << 32) | next unclaimed chunk. Claims past the count
+  /// (at most one per lane per job) stay below 2^32 for kMaxChunks chunks.
+  static constexpr std::int64_t kMaxChunks = std::int64_t{1} << 31;
+  std::atomic<std::uint64_t> job_claim_{0};
   std::atomic<std::int64_t> job_pending_{0};
   std::exception_ptr job_error_ CPX_GUARDED_BY(job_mutex_);
 };

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -99,6 +100,32 @@ TEST(ParallelChunks, DecompositionIndependentOfThreadCount) {
                              EXPECT_GE(lane, 0);
                              EXPECT_LT(lane, 3);
                            });
+  support::set_max_threads(1);
+}
+
+// Back-to-back regions with varying chunk counts: a worker still leaving
+// one region's claim loop must never claim a chunk of the next.
+TEST(PoolStress, BackToBackRegionsRunEveryChunkOnce) {
+  support::set_max_threads(4);
+  constexpr int kRegions = 300000;
+  constexpr int kMaxChunks = 64;
+  std::array<std::atomic<int>, kMaxChunks> hits{};
+  int bad_regions = 0;
+  for (int region = 0; region < kRegions; ++region) {
+    const int chunks = 1 + region % kMaxChunks;
+    support::parallel_chunks(
+        0, chunks, 1,
+        [&](std::int64_t chunk, std::int64_t, std::int64_t, int) {
+          hits[static_cast<std::size_t>(chunk)].fetch_add(
+              1, std::memory_order_relaxed);
+        });
+    bool ok = true;
+    for (int c = 0; c < kMaxChunks; ++c) {
+      ok &= hits[static_cast<std::size_t>(c)].exchange(0) == (c < chunks);
+    }
+    bad_regions += ok ? 0 : 1;
+  }
+  EXPECT_EQ(bad_regions, 0);
   support::set_max_threads(1);
 }
 
