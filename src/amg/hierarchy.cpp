@@ -67,6 +67,7 @@ void AmgHierarchy::factor_coarse() {
   const sparse::CsrMatrix& a = levels_.back().a;
   const std::int64_t n = a.rows();
   coarse_n_ = n;
+  // cpx-lint: allow(solve-alloc) — fixed size, only the first build allocates (SolverAllocations.SteadyStateResetValuesAllocatesNothing)
   coarse_dense_.assign(static_cast<std::size_t>(n * n), 0.0);
   for (std::int64_t r = 0; r < n; ++r) {
     const auto cols = a.row_cols(r);
@@ -84,6 +85,7 @@ void AmgHierarchy::factor_coarse() {
   // semi-definite (e.g. a pinned-singular pressure Laplacian coarse grid).
   double shift = 0.0;
   for (int attempt = 0; attempt < 8; ++attempt) {
+    // cpx-lint: allow(solve-alloc) — fixed size, only the first build allocates (SolverAllocations.SteadyStateResetValuesAllocatesNothing)
     coarse_factor_.assign(coarse_dense_.begin(), coarse_dense_.end());
     if (shift != 0.0) {
       for (std::int64_t i = 0; i < n; ++i) {
@@ -91,6 +93,7 @@ void AmgHierarchy::factor_coarse() {
       }
     }
     if (cholesky_in_place(coarse_factor_, n)) {
+      // cpx-lint: allow(solve-alloc) — fixed size, only the first build allocates (SolverAllocations.SteadyStateResetValuesAllocatesNothing)
       coarse_y_.assign(static_cast<std::size_t>(n), 0.0);
       return;
     }

@@ -18,11 +18,11 @@ void PcgWorkspace::resize(std::size_t n) {
   // Workspace sizing is the one place the solve path may allocate: it runs
   // once per problem size and the early-return keeps repeat solves free
   // (tests/solver_alloc_test.cpp proves the steady state allocates nothing).
-  r.assign(n, 0.0);      // cpx-lint: allow(alloc)
-  z.assign(n, 0.0);      // cpx-lint: allow(alloc)
-  p.assign(n, 0.0);      // cpx-lint: allow(alloc)
-  ap.assign(n, 0.0);     // cpx-lint: allow(alloc)
-  r_old.assign(n, 0.0);  // cpx-lint: allow(alloc)
+  r.assign(n, 0.0);      // cpx-lint: allow(solve-alloc)
+  z.assign(n, 0.0);      // cpx-lint: allow(solve-alloc)
+  p.assign(n, 0.0);      // cpx-lint: allow(solve-alloc)
+  ap.assign(n, 0.0);     // cpx-lint: allow(solve-alloc)
+  r_old.assign(n, 0.0);  // cpx-lint: allow(solve-alloc)
 }
 
 PcgResult pcg(const sparse::CsrMatrix& a, std::span<double> x,
@@ -41,7 +41,7 @@ PcgResult pcg(const sparse::CsrMatrix& a, std::span<double> x,
   CPX_METRICS_SCOPE("amg/pcg");
 
   // Amortised: no-op after the first solve at this size.
-  workspace.resize(n);  // cpx-lint: allow(alloc)
+  workspace.resize(n);  // cpx-lint: allow(solve-alloc)
   auto& r = workspace.r;
   auto& z = workspace.z;
   auto& p = workspace.p;

@@ -1,9 +1,9 @@
 #pragma once
-// Registry of checkpointed classes (lint rule `ckpt`, docs/checkpoint.md).
+// Registry of checkpointed classes (cpxcheck rule `ckpt`, docs/checkpoint.md).
 //
 // Every class that implements a `serialize(ckpt::Writer&)` /
 // `restore(ckpt::Reader&)` pair must be listed here, and every listed
-// class must still implement the pair — tools/lint_cpx.py cross-checks
+// class must still implement the pair — tools/cpxcheck cross-checks
 // both directions, and additionally verifies that every data member of a
 // registered class is mentioned in its serialize AND restore bodies (or
 // carries a `// cpx-lint: allow(ckpt)` with a reason, for members that

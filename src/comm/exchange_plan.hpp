@@ -24,7 +24,7 @@
 // flight; finish() waits and scatters. Between the two the caller may
 // compute on any slot the plan does not fill (interior cells) — reading a
 // ghost slot in the window is a data race in the MPI realisation this
-// transport models, and tools/lint_cpx.py's `split-phase` rule flags it.
+// transport models, and tools/cpxcheck's `split-phase` rule flags it.
 // isend copies the gathered payload immediately, so the caller may also
 // overwrite *source* slots inside the window. execute() is exactly
 // begin() + finish(); both paths are allocation-free once warm and

@@ -801,10 +801,12 @@ void SpgemmPlan::fill_values(const CsrMatrix& a, const CsrMatrix& b,
   // gather below clears every entry it reads, so it stays zero between rows.
   const auto lanes = static_cast<std::size_t>(support::max_threads());
   if (lane_acc_.size() < lanes) {
+    // cpx-lint: allow(solve-alloc) — serial first-call sizing (SolverAllocations.SteadyStateResetValuesAllocatesNothing)
     lane_acc_.resize(lanes);
   }
   for (auto& acc : lane_acc_) {
     if (acc.size() < static_cast<std::size_t>(cols_)) {
+      // cpx-lint: allow(solve-alloc) — serial first-call sizing (SolverAllocations.SteadyStateResetValuesAllocatesNothing)
       acc.assign(static_cast<std::size_t>(cols_), 0.0);
     }
   }

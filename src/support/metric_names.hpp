@@ -3,7 +3,7 @@
 //
 // Call sites keep their string literals (a literal at the CPX_METRICS_SCOPE
 // macro is what makes the timer overhead a pointer store), but every literal
-// must also appear here: tools/lint_cpx.py cross-references the two sets and
+// must also appear here: tools/cpxcheck cross-references the two sets and
 // fails on a name used in src/ but missing from this header, or listed here
 // but no longer used. That keeps dashboards and docs/observability.md from
 // silently drifting when a kernel is renamed. Names under "test/" are

@@ -359,11 +359,11 @@ double parallel_reduce(std::int64_t begin, std::int64_t end,
       guard.owned = true;
       if (tl_partial.size() < static_cast<std::size_t>(n)) {
         // Amortised growth; steady-state calls never reach here.
-        tl_partial.resize(static_cast<std::size_t>(n));  // cpx-lint: allow(alloc)
+        tl_partial.resize(static_cast<std::size_t>(n));  // cpx-lint: allow(solve-alloc)
       }
       partial = tl_partial.data();
     } else {
-      // cpx-lint: allow(alloc) — re-entrant cold path, see above.
+      // cpx-lint: allow(solve-alloc) — re-entrant cold path, see above.
       local_partial.assign(static_cast<std::size_t>(n), 0.0);
       partial = local_partial.data();
     }

@@ -1,5 +1,5 @@
 #pragma once
-// cpxcheck fixture — ckpt-registry rule: a miniature checkpoint registry.
+// cpxcheck fixture — ckpt rule: a miniature checkpoint registry.
 // `fix::Absent` is registered but implements nothing (EXPECT a finding at
 // line 1 of this file); `fix::Saved` exists but drops a member.
 

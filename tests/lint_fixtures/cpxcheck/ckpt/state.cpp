@@ -1,4 +1,4 @@
-// cpxcheck fixture — ckpt-registry rule: out-of-line serialize/restore
+// cpxcheck fixture — ckpt rule: out-of-line serialize/restore
 // bodies. `ok_` is threaded through both; `missing_` through neither.
 
 #include "state.hpp"

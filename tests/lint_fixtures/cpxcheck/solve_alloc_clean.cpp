@@ -10,7 +10,7 @@ struct Scratch {
 
 // Warm-sizing at setup carries an explicit, audited allow.
 void size_scratch(Scratch& s, int n) {
-  s.buf.resize(static_cast<std::size_t>(n));  // cpx-lint: allow(alloc) — setup-time sizing, amortised before the solve
+  s.buf.resize(static_cast<std::size_t>(n));  // cpx-lint: allow(solve-alloc) — setup-time sizing, amortised before the solve
 }
 
 // Debug-tier-gated work is off the production solve path.

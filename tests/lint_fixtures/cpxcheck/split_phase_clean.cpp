@@ -14,8 +14,8 @@ double balanced(comm::Communicator& comm, double acc) {
 }
 
 // Container begin() with arguments is NOT a window: the receiver's
-// declared type resolves to a non-plan class (the regex heuristic in
-// tools/lint_cpx.py has to rely on argument count here).
+// declared type resolves to a non-plan class (a per-line regex would
+// have to rely on argument count here).
 int container_begin(std::vector<int>& v) {
   auto it = v.begin();
   std::advance(it, 1);

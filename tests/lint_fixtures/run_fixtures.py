@@ -2,11 +2,10 @@
 """Fixture tests for the static-analysis tools (docs/static_analysis.md).
 
 Runs cpxcheck (lite engine, no baseline) over tests/lint_fixtures/cpxcheck
-and tools/lint_cpx.py over tests/lint_fixtures/lint_cpx, and asserts the
-EXACT `path:line:rule` finding set recorded in expected_cpxcheck.txt /
-expected_lint_cpx.txt: trigger fixtures must fire on their marked lines,
-clean fixtures must stay silent. Also unit-tests the raw-string handling
-in both tools' lexing layers and the `--list --json` rule inventories.
+and asserts the EXACT `path:line:rule` finding set recorded in
+expected_cpxcheck.txt: trigger fixtures must fire on their marked lines,
+clean fixtures must stay silent. Also unit-tests the lexer's literal
+handling and the `--list --json` rule inventory.
 
 Registered as a ctest (label `lint`); runs standalone too:
 
@@ -71,33 +70,6 @@ def check_findings(name: str, cmd: list[str], expected_file: Path) -> None:
         ok(f"{name}: {len(expected)} finding(s) match exactly")
 
 
-def check_raw_strings_lint_cpx() -> None:
-    sys.path.insert(0, str(REPO / "tools"))
-    import lint_cpx
-    src = ('auto s = R"(line one "quote\n'
-           'ghost_x plan.begin(a); new int;)" ; x.begin(y);\n'
-           'auto t = u8R"d(second "raw)d"; int n = 10\'000;\n'
-           "char c = 'x'; auto u = LR\"(third)\";\n")
-    out = lint_cpx.strip_comments_and_strings(src)
-    if out.count("\n") != src.count("\n"):
-        fail("lint_cpx stripper: raw string broke line structure")
-    elif any(s in out for s in ("ghost_x", "plan.begin", "new int",
-                                "quote", "second", "third")):
-        fail("lint_cpx stripper: raw-string contents leaked into code")
-    elif "x.begin(y)" not in out:
-        fail("lint_cpx stripper: code after a raw string was eaten")
-    elif "10'000" not in out:
-        fail("lint_cpx stripper: digit separator mangled")
-    else:
-        ok("lint_cpx stripper handles raw strings")
-    # Identifier tails must not be misread as encoding prefixes.
-    out2 = lint_cpx.strip_comments_and_strings('f(FACTOR"(not raw)");\n')
-    if "not raw" in out2:
-        fail("lint_cpx stripper: FACTOR\"...\" misread as raw string")
-    else:
-        ok("lint_cpx stripper: no false raw-string prefixes")
-
-
 def check_raw_strings_cpxcheck() -> None:
     sys.path.insert(0, str(REPO / "tools" / "cpxcheck"))
     import lex
@@ -116,25 +88,32 @@ def check_raw_strings_cpxcheck() -> None:
             fail("cpxcheck lexer: line numbers wrong after raw string")
         else:
             ok("cpxcheck lexer handles raw strings")
+    # A digit separator is not a quote, and an identifier tail is not an
+    # encoding prefix.
+    toks = lex.tokenize('int n = 10\'000; f(FACTOR"(not raw)");\n')
+    if not any(t.kind == lex.NUM and t.text == "10'000" for t in toks):
+        fail("cpxcheck lexer: digit separator mangled")
+    elif not any(t.kind == lex.STR and t.text == "(not raw)"
+                 for t in toks) or "FACTOR" not in \
+            [t.text for t in toks if t.kind == lex.ID]:
+        fail('cpxcheck lexer: FACTOR"..." misread as a raw string')
+    else:
+        ok("cpxcheck lexer: digit separators, no false raw-string prefixes")
 
 
-def check_inventories() -> None:
-    for name, cmd in (
-            ("lint_cpx", [sys.executable, "tools/lint_cpx.py",
-                          "--list", "--json"]),
-            ("cpxcheck", [sys.executable, "tools/cpxcheck",
-                          "--list", "--json"])):
-        code, output = run(cmd)
-        try:
-            rules = json.loads(output)
-        except json.JSONDecodeError:
-            fail(f"{name} --list --json: not valid JSON")
-            continue
-        if code != 0 or not rules or not all(
-                r.get("name") and r.get("summary") for r in rules):
-            fail(f"{name} --list --json: empty or incomplete inventory")
-        else:
-            ok(f"{name} --list --json: {len(rules)} rules")
+def check_inventory() -> None:
+    code, output = run([sys.executable, "tools/cpxcheck", "--list",
+                        "--json"])
+    try:
+        rules = json.loads(output)
+    except json.JSONDecodeError:
+        fail("cpxcheck --list --json: not valid JSON")
+        return
+    if code != 0 or not rules or not all(
+            r.get("name") and r.get("summary") for r in rules):
+        fail("cpxcheck --list --json: empty or incomplete inventory")
+    else:
+        ok(f"cpxcheck --list --json: {len(rules)} rules")
 
 
 def main() -> int:
@@ -143,13 +122,8 @@ def main() -> int:
         [sys.executable, "tools/cpxcheck", "tests/lint_fixtures/cpxcheck",
          "--engine", "lite", "--baseline", "none"],
         HERE / "expected_cpxcheck.txt")
-    check_findings(
-        "lint_cpx fixtures",
-        [sys.executable, "tools/lint_cpx.py", "tests/lint_fixtures/lint_cpx"],
-        HERE / "expected_lint_cpx.txt")
-    check_raw_strings_lint_cpx()
     check_raw_strings_cpxcheck()
-    check_inventories()
+    check_inventory()
     if failures:
         print(f"\nrun_fixtures: {len(failures)} failure(s)")
         return 1

@@ -1,17 +1,11 @@
 #!/usr/bin/env python3
-"""Doc-drift gate for the static-analysis rule inventories
+"""Doc-drift gate for the static-analysis rule inventory
 (docs/static_analysis.md).
 
-Collects the machine-readable rule lists from both tools
-(`lint_cpx.py --list --json`, `cpxcheck --list --json`) and cross-checks
-them against docs/static_analysis.md in both directions:
-
-  * every rule a tool enforces must be documented (as `` `name` `` inside
-    a rule-table row or heading), and
-  * every rule name the doc claims must exist in a tool.
-
-Rule names are recognised in the doc as backticked tokens following the
-`rule:` marker, i.e. lines containing `rule:` followed by `` `name` ``.
+Cross-checks `cpxcheck --list --json` against docs/static_analysis.md in
+both directions: every rule cpxcheck enforces must be documented, and
+every rule the doc claims must exist. Rule names are recognised in the
+doc as backticked tokens after a `rule:` marker (`` rule: `name` ``).
 Run from anywhere; exits non-zero on drift. Registered as a ctest (label
 `lint`) and run in the lint CI job.
 """
@@ -30,43 +24,29 @@ DOC = REPO / "docs" / "static_analysis.md"
 DOC_RULE_RE = re.compile(r"rule:\s*`([a-z][a-z0-9-]*)`")
 
 
-def tool_rules() -> dict[str, str]:
-    rules: dict[str, str] = {}
-    for cmd in ([sys.executable, str(REPO / "tools" / "lint_cpx.py"),
-                 "--list", "--json"],
-                [sys.executable, str(REPO / "tools" / "cpxcheck"),
-                 "--list", "--json"]):
-        proc = subprocess.run(cmd, cwd=REPO, capture_output=True, text=True)
-        if proc.returncode != 0:
-            print(f"check_rule_docs: {' '.join(cmd)} failed:\n{proc.stderr}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        for entry in json.loads(proc.stdout):
-            rules[entry["name"]] = entry["tool"]
-    return rules
-
-
 def main() -> int:
     if not DOC.is_file():
         print(f"check_rule_docs: {DOC} missing", file=sys.stderr)
         return 1
     documented = set(DOC_RULE_RE.findall(DOC.read_text(encoding="utf-8")))
-    enforced = tool_rules()
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "cpxcheck"), "--list",
+         "--json"], cwd=REPO, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"check_rule_docs: cpxcheck --list --json failed:\n"
+              f"{proc.stderr}", file=sys.stderr)
+        return 2
+    enforced = {entry["name"] for entry in json.loads(proc.stdout)}
 
-    errors = []
-    for name in sorted(set(enforced) - documented):
-        errors.append(
-            f"rule `{name}` ({enforced[name]}) is enforced but not "
-            f"documented in docs/static_analysis.md — add a `rule: "
-            f"\\`{name}\\`` entry")
-    for name in sorted(documented - set(enforced)):
-        errors.append(
-            f"rule `{name}` is documented in docs/static_analysis.md but "
-            f"no tool enforces it — stale doc entry")
-
+    errors = [f"rule `{name}` is enforced but not documented in "
+              f"docs/static_analysis.md — add a `rule: \\`{name}\\`` entry"
+              for name in sorted(enforced - documented)]
+    errors += [f"rule `{name}` is documented in docs/static_analysis.md "
+               f"but cpxcheck does not enforce it — stale doc entry"
+               for name in sorted(documented - enforced)]
+    for e in errors:
+        print(f"check_rule_docs: {e}")
     if errors:
-        for e in errors:
-            print(f"check_rule_docs: {e}")
         return 1
     print(f"check_rule_docs: {len(enforced)} rules documented and "
           f"enforced, no drift")

@@ -111,7 +111,7 @@ def _parse_clang(path: str, text: str, repo: Path,
     facts = FileFacts(path=path, engine="clang",
                       includes=[i.include.name for i in tu.get_includes()
                                 if i.depth == 1],
-                      lines=text.splitlines())
+                      lines=text.splitlines(), tokens=lex.tokenize(text))
     _walk_cursor(tu.cursor, facts, abs_path, [])
     return facts
 

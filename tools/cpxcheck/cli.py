@@ -71,8 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         if args.json:
             print(json.dumps(
-                [{"name": r.name, "summary": r.summary,
-                  "aliases": sorted(r.aliases), "tool": "cpxcheck"}
+                [{"name": r.name, "summary": r.summary}
                  for r in rules.RULES], indent=2))
         else:
             for r in rules.RULES:

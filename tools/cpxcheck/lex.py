@@ -1,12 +1,12 @@
 """C++ tokenizer for cpxcheck (docs/static_analysis.md).
 
-A real lexer instead of the regex stripper in tools/lint_cpx.py: comments,
-string/char literals (including raw strings with arbitrary delimiters and
-encoding prefixes), digit separators, and preprocessor lines are consumed
-as units, so downstream phases see a clean token stream with exact line
-numbers. This is the layer that makes scope- and statement-level analysis
-possible at all — the per-line regex rules desynchronize on exactly the
-constructs handled here.
+A real lexer rather than a regex stripper: comments, string/char literals
+(including raw strings with arbitrary delimiters and encoding prefixes),
+digit separators, and preprocessor lines are consumed as units, so
+downstream phases see a clean token stream with exact line numbers. This
+is the layer that makes scope- and statement-level analysis possible at
+all — per-line regex rules desynchronize on exactly the constructs
+handled here.
 """
 
 from __future__ import annotations

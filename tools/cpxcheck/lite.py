@@ -47,7 +47,7 @@ def parse_file(path: str, text: str) -> FileFacts:
     toks = lex.tokenize(text)
     facts = FileFacts(path=path, engine="lite",
                       includes=_INCLUDE_RE.findall(text),
-                      lines=text.splitlines())
+                      lines=text.splitlines(), tokens=toks)
     match = _match_brackets(toks)
     _Scope(toks, match, facts).walk(0, len(toks), [], None)
     return facts
@@ -649,7 +649,7 @@ def _scan_calls(fn: FunctionInfo, toks: list[Tok], gated: bool) -> None:
     for k, t in enumerate(toks):
         if t.kind != lex.ID or t.text in _CONTROL_KEYWORDS:
             continue
-        if k + 1 >= len(toks) or toks[k + 1].text != "(":
+        if _call_paren(toks, k + 1) is None:
             continue
         receiver = ""
         qualifier = ""
@@ -670,6 +670,25 @@ def _scan_calls(fn: FunctionInfo, toks: list[Tok], gated: bool) -> None:
         fn.calls.append(CallSite(name=t.text, qualifier=qualifier,
                                  receiver=receiver, line=t.line,
                                  in_debug_gate=gated))
+
+
+def _call_paren(toks: list[Tok], k: int) -> int | None:
+    """Index of the `(` that makes toks[k - 1] a callee: the next token, or
+    the one after an explicit template-argument list (`f<W>(...)`)."""
+    if k < len(toks) and toks[k].text == "<":
+        depth = 0
+        for j in range(k, len(toks)):
+            text = toks[j].text
+            if text in ("<", ">", ">>"):
+                depth += {"<": 1, ">": -1, ">>": -2}[text]
+                if depth <= 0:
+                    k = j + 1
+                    break
+            elif text in (";", "{", "}", "&&", "||"):
+                return None
+        else:
+            return None
+    return k if k < len(toks) and toks[k].text == "(" else None
 
 
 def _scan_local_decl(fn: FunctionInfo, toks: list[Tok]) -> None:

@@ -86,11 +86,10 @@ class FunctionInfo:
     local_vars: list[VarDecl] = field(default_factory=list)
     body_idents: set[str] = field(default_factory=set)  # every identifier
                                                         # in the body
-
-    @property
-    def class_name(self) -> str:
-        parts = self.qualname.split("::")
-        return parts[-2] if len(parts) >= 2 else ""
+    # Enclosing class, "" for a free function. Set by rules.Project: the
+    # last qualifier counts only if the analysed files define a class of
+    # that name (`cpx::amg::smooth` is free, not a method of `amg`).
+    class_name: str = ""
 
 
 @dataclass
@@ -100,6 +99,7 @@ class FileFacts:
     classes: list[ClassInfo] = field(default_factory=list)
     functions: list[FunctionInfo] = field(default_factory=list)
     includes: list[str] = field(default_factory=list)   # raw include targets
+    tokens: list[Tok] = field(default_factory=list)     # whole-file tokens
     # Raw source lines (1-based access via line_text) for inline-allow
     # handling and message context.
     lines: list[str] = field(default_factory=list)

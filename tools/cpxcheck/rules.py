@@ -1,18 +1,16 @@
 """cpxcheck rules (docs/static_analysis.md).
 
-Each rule consumes the model.py facts produced by either frontend. These
-are the semantic upgrades of the tools/lint_cpx.py regex rules: members
-come from real class definitions instead of a `name_` naming convention,
-split-phase windows are tracked path-sensitively through the statement
-tree, deterministic-kernel checks resolve receiver types, and solve-alloc
-follows the call graph out of the solve entry points instead of stopping
-at a fixed file list.
+Each rule consumes the model.py facts produced by either frontend: ckpt
+members come from real class definitions, split-phase windows are tracked
+path-sensitively through the statement tree, deterministic-kernel checks
+resolve receiver types, solve-alloc follows the call graph out of the
+solve entry points, and the token rules (naked-new, reduce, raw-comm,
+metrics-registry) read the whole-file token stream, so comments and
+string literals never match.
 
-Suppression: the same `// cpx-lint: allow(<rule>)` markers as lint_cpx.py
-(same line or the line above). Each cpxcheck rule also honours the legacy
-lint rule name it subsumes (e.g. `allow(alloc)` silences `solve-alloc`),
-so existing annotated code keeps its meaning. Project-wide exceptions go
-in tools/cpxcheck/baseline.txt with a justification.
+Suppression: `// cpx-lint: allow(<rule>)` on the line or the line above,
+where <rule> is a name from RULES. Project-wide exceptions go in
+tools/cpxcheck/baseline.txt with a justification.
 """
 
 from __future__ import annotations
@@ -28,65 +26,70 @@ from model import (CallSite, ClassInfo, FileFacts, Finding, FunctionInfo,
 ALLOW_RE = re.compile(
     r"//\s*cpx-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
-# Rule names the allow() marker may legally reference: the regex linter's
-# rules plus cpxcheck's. `allow-audit` rejects anything else.
-LINT_CPX_RULES = frozenset({
-    "naked-new", "alloc", "reduce", "deterministic-kernels",
-    "metrics-registry", "raw-comm", "ckpt", "split-phase",
-})
-
 
 @dataclass(frozen=True)
 class RuleInfo:
     name: str
     summary: str
-    aliases: frozenset  # allow() names that silence this rule
 
 
 RULES = (
     RuleInfo(
-        "ckpt-registry",
+        "ckpt",
         "Registered checkpoint classes define serialize/restore, "
         "implementers are registered, and every non-static data member "
         "(enumerated from the class definition, not a naming convention) "
-        "is threaded through BOTH bodies or carries allow(ckpt).",
-        frozenset({"ckpt-registry", "ckpt"})),
+        "is threaded through BOTH bodies or carries allow(ckpt)."),
     RuleInfo(
         "split-phase",
         "Every exchange window — ExchangePlan begin()/finish() and "
         "Cluster exchange_begin()/exchange_finish() — must close on every "
         "control path (early returns, throws, diverging branches, loop "
-        "bodies), with no ghost-slot reads inside the window.",
-        frozenset({"split-phase"})),
+        "bodies), with no ghost-slot reads inside the window."),
     RuleInfo(
         "deterministic-kernels",
         "No ambient randomness or wall-clock reads outside their sanctioned "
         "homes, and no iteration over unordered containers — resolved "
-        "through declared types, not identifier spelling.",
-        frozenset({"deterministic-kernels"})),
+        "through declared types, not identifier spelling."),
     RuleInfo(
         "solve-alloc",
         "No allocating expressions (container growth, new, make_unique, "
         "malloc) in any function reachable from the solve-path entry "
-        "points (amg::pcg, AmgHierarchy::solve/cycle) via the call graph.",
-        frozenset({"solve-alloc", "alloc", "naked-new"})),
+        "points (amg::pcg, AmgHierarchy::solve/cycle/reset_values, "
+        "SpgemmPlan::fill_values) via the call graph."),
     RuleInfo(
         "simd-tier",
         "Horizontal SIMD reductions in kernel code go through the "
         "fixed-lane tree helpers (tree_reduce/tree_combine, exact tier); "
         "direct hsum() calls are relaxed-tier — lane-order rounding "
-        "changes with the simd width — and need allow(simd-tier).",
-        frozenset({"simd-tier"})),
+        "changes with the simd width — and need allow(simd-tier)."),
+    RuleInfo(
+        "naked-new",
+        "No naked new/delete expressions in src/; ownership goes through "
+        "containers or smart pointers."),
+    RuleInfo(
+        "reduce",
+        "parallel_reduce is called only from support/blas1 and the "
+        "parallel runtime, so the deterministic chunk-order combine is the "
+        "only summation policy."),
+    RuleInfo(
+        "raw-comm",
+        "No neighbour-indexed rank-state access (`ranks_[r + 1]`, "
+        "`parts_[partner]`) outside src/comm/; rank-to-rank bytes move "
+        "through comm::Communicator / ExchangePlan."),
+    RuleInfo(
+        "metrics-registry",
+        "Every metric name passed to CPX_METRICS_SCOPE(_COMM) or "
+        "counter_add is listed in support/metric_names.hpp, and every "
+        "listed name is still used."),
     RuleInfo(
         "allow-audit",
-        "Every `cpx-lint: allow(<rule>)` marker names a rule that exists "
-        "(in lint_cpx.py or cpxcheck); unknown names are dead suppressions "
-        "that silently enforce nothing.",
-        frozenset({"allow-audit"})),
+        "Every `cpx-lint: allow(<rule>)` marker names a rule in this "
+        "list; unknown names are dead suppressions that silently enforce "
+        "nothing."),
 )
 
-KNOWN_ALLOW_NAMES = LINT_CPX_RULES | {r.name for r in RULES} \
-    | frozenset().union(*(r.aliases for r in RULES))
+KNOWN_ALLOW_NAMES = frozenset(r.name for r in RULES)
 
 GROWTH_CALLS = frozenset({
     "push_back", "emplace_back", "emplace", "resize", "reserve",
@@ -103,8 +106,14 @@ RANDOM_IDENTS = frozenset({
 CLOCK_IDENTS = frozenset({"system_clock", "high_resolution_clock"})
 
 SOLVE_ENTRY_SUFFIXES = ("amg::pcg", "AmgHierarchy::solve",
-                        "AmgHierarchy::cycle")
+                        "AmgHierarchy::cycle", "AmgHierarchy::reset_values",
+                        "SpgemmPlan::fill_values")
 RNG_HOME = "src/support/rng.hpp"
+# The only homes of raw parallel_reduce calls (rule `reduce`).
+REDUCE_HOMES = frozenset({"src/support/blas1.cpp", "src/support/parallel.hpp",
+                          "src/support/parallel.cpp"})
+METRIC_CALLS = frozenset({"CPX_METRICS_SCOPE", "CPX_METRICS_SCOPE_COMM",
+                          "counter_add"})
 
 
 @dataclass
@@ -120,7 +129,18 @@ class Project:
         return out
 
     def allowed(self, facts: FileFacts, line: int, rule: RuleInfo) -> bool:
-        return bool(self.allows(facts, line) & rule.aliases)
+        return rule.name in self.allows(facts, line)
+
+    def bind_classes(self) -> None:
+        """Sets FunctionInfo.class_name: the last qualifier of a function
+        is its class only if the analysed files define a class of that
+        name; otherwise it is a namespace and the function is free."""
+        defined = {c.name for f in self.files for c in f.classes}
+        for facts in self.files:
+            for fn in facts.functions:
+                parts = fn.qualname.split("::")
+                fn.class_name = parts[-2] if len(parts) >= 2 \
+                    and parts[-2] in defined else ""
 
 
 def rule_by_name(name: str) -> RuleInfo:
@@ -131,26 +151,31 @@ def rule_by_name(name: str) -> RuleInfo:
 
 
 def run_rules(project: Project) -> list[Finding]:
+    project.bind_classes()
     findings: list[Finding] = []
-    findings += check_ckpt_registry(project)
+    findings += check_ckpt(project)
     findings += check_split_phase(project)
     findings += check_deterministic(project)
     findings += check_solve_alloc(project)
     findings += check_simd_tier(project)
+    findings += check_naked_new(project)
+    findings += check_reduce(project)
+    findings += check_raw_comm(project)
+    findings += check_metrics_registry(project)
     findings += check_allow_audit(project)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
 
 # ---------------------------------------------------------------------------
-# ckpt-registry
+# ckpt
 # ---------------------------------------------------------------------------
 
 _CKPT_ENTRY_RE = re.compile(r'"((?:\w+::)*\w+)"')
 
 
-def check_ckpt_registry(project: Project) -> list[Finding]:
-    rule = rule_by_name("ckpt-registry")
+def check_ckpt(project: Project) -> list[Finding]:
+    rule = rule_by_name("ckpt")
     registry = next((f for f in project.files
                      if f.path.endswith("ckpt/registry.hpp")
                      or f.path.endswith("registry.hpp")
@@ -636,9 +661,16 @@ def _resolve_call(project, facts, fn, call: CallSite, by_name):
     if call.qualifier:
         qualed = [c for c in candidates if call.qualifier in c.qualname]
         return qualed[0] if len(qualed) == 1 else None
-    # Free call: prefer free functions; also allow a unique same-class
-    # method (implicit this).
+    # Free call: prefer free functions, found as unqualified lookup does
+    # (innermost enclosing namespace first); also allow a unique
+    # same-class method (implicit this).
     free = [c for c in candidates if not c.class_name]
+    scope = _namespace(fn)
+    for depth in range(len(scope), -1, -1):
+        here = [c for c in free if _namespace(c) == scope[:depth]]
+        if here:
+            free = here
+            break
     if len(free) == 1:
         return free[0]
     same_cls = [c for c in candidates
@@ -646,6 +678,11 @@ def _resolve_call(project, facts, fn, call: CallSite, by_name):
     if len(same_cls) == 1:
         return same_cls[0]
     return None
+
+
+def _namespace(fn: FunctionInfo) -> list[str]:
+    parts = fn.qualname.split("::")[:-1]
+    return parts[:-1] if fn.class_name else parts
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +719,130 @@ def check_simd_tier(project: Project) -> list[Finding]:
                         "whose rounding changes with the simd width; use "
                         "tree_reduce/tree_combine for bit-stable results "
                         "or mark the site allow(simd-tier)"))
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# Token rules: naked-new, reduce, raw-comm, metrics-registry
+# ---------------------------------------------------------------------------
+
+def _token_findings(project: Project, rule: RuleInfo, facts: FileFacts,
+                    hits, message: str) -> list[Finding]:
+    """One finding per token in `hits` not silenced by an allow marker."""
+    return [Finding(rule.name, facts.path, t.line, message.format(t.text))
+            for t in hits if not project.allowed(facts, t.line, rule)]
+
+
+def _next_text(toks, k: int) -> str:
+    return toks[k].text if k < len(toks) else ""
+
+
+def check_naked_new(project: Project) -> list[Finding]:
+    rule = rule_by_name("naked-new")
+    findings: list[Finding] = []
+    for facts in project.files:
+        toks = facts.tokens
+        hits = []
+        for k, t in enumerate(toks):
+            if t.kind != lex.ID or t.text not in ("new", "delete"):
+                continue
+            j = k + 1
+            if t.text == "delete" and _next_text(toks, j) == "[" \
+                    and _next_text(toks, j + 1) == "]":
+                j += 2  # delete[]
+            operand = toks[j] if j < len(toks) else None
+            if operand is not None and (
+                    operand.kind == lex.ID
+                    or operand.text in ("(", "::")
+                    or operand.text == ("[" if t.text == "new" else "*")):
+                hits.append(t)
+        findings += _token_findings(
+            project, rule, facts, hits,
+            "naked `{}`; ownership goes through a container or "
+            "make_unique, never a raw new/delete pair")
+    return findings
+
+
+def check_reduce(project: Project) -> list[Finding]:
+    rule = rule_by_name("reduce")
+    findings: list[Finding] = []
+    for facts in project.files:
+        if facts.path in REDUCE_HOMES:
+            continue
+        toks = facts.tokens
+        hits = [t for k, t in enumerate(toks)
+                if t.kind == lex.ID and t.text == "parallel_reduce"
+                and _next_text(toks, k + 1) in ("(", "<")]
+        findings += _token_findings(
+            project, rule, facts, hits,
+            "raw {} outside support/blas1; use the blas1 wrappers so "
+            "reductions share one combine order")
+    return findings
+
+
+def check_raw_comm(project: Project) -> list[Finding]:
+    rule = rule_by_name("raw-comm")
+    findings: list[Finding] = []
+    for facts in project.files:
+        if facts.path.startswith("src/comm/"):
+            continue
+        toks = facts.tokens
+        hits = []
+        for k, t in enumerate(toks):
+            if t.kind != lex.ID or t.text not in ("ranks_", "parts_") \
+                    or _next_text(toks, k + 1) != "[":
+                continue
+            depth = 0
+            for x in toks[k + 1:]:
+                depth += {"[": 1, "]": -1}.get(x.text, 0)
+                if depth == 0:
+                    break
+                if x.text in ("+", "-", "to", "partner") \
+                        or x.text.startswith("neighbor"):
+                    hits.append(t)
+                    break
+        findings += _token_findings(
+            project, rule, facts, hits,
+            "neighbour-indexed `{}` access; move rank-to-rank bytes "
+            "through comm::Communicator/ExchangePlan (src/comm/, "
+            "docs/communication.md)")
+    return findings
+
+
+def check_metrics_registry(project: Project) -> list[Finding]:
+    """Cross-checks metric-name literals against the registry header in
+    both directions. Runs only when the registry is among the analysed
+    files: the unused-name direction is defined over the whole tree."""
+    rule = rule_by_name("metrics-registry")
+    registry = next((f for f in project.files
+                     if f.path.endswith("metric_names.hpp")), None)
+    if registry is None:
+        return []
+    toks = registry.tokens
+    registered = {t.text: t for k, t in enumerate(toks)
+                  if t.kind == lex.STR and k > 0 and toks[k - 1].text == "="
+                  and _next_text(toks, k + 1) == ";"}
+    used: set = set()
+    findings: list[Finding] = []
+    for facts in project.files:
+        if facts is registry:
+            continue
+        toks = facts.tokens
+        for k, t in enumerate(toks):
+            if t.kind == lex.ID and t.text in METRIC_CALLS \
+                    and _next_text(toks, k + 1) == "(" and k + 2 < len(toks) \
+                    and toks[k + 2].kind == lex.STR:
+                name = toks[k + 2]
+                used.add(name.text)
+                if name.text not in registered:
+                    findings += _token_findings(
+                        project, rule, facts, [name],
+                        f'metric name "{{}}" is not listed in '
+                        f"{registry.path}")
+    findings += _token_findings(
+        project, rule, registry,
+        [t for name, t in registered.items() if name not in used],
+        'registered metric name "{}" is no longer used')
     return findings
 
 
