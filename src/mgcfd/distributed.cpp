@@ -102,26 +102,10 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
         c.z -= e.area * e.normal.z;
       }
     }
-    // Degrees (incident local edges per owned cell — equals the global
-    // degree, since every incident global edge is present locally).
-    ps.degrees.assign(owned, 0.0);
-    for (const auto& e : lm.edges) {
-      if (e.a < lm.num_owned()) {
-        ps.degrees[static_cast<std::size_t>(e.a)] += 1.0;
-      }
-      if (e.b < lm.num_owned()) {
-        ps.degrees[static_cast<std::size_t>(e.b)] += 1.0;
-      }
-    }
-    ps.volumes.reserve(owned);
-    for (mesh::CellId c : lm.owned) {
-      ps.volumes.push_back(mesh.volumes()[static_cast<std::size_t>(c)]);
-    }
-
     // Incident-edge CSR: rows are owned cells, entries ascend in edge
-    // index, so gathering a cell's residual accumulates its edge
-    // contributions in exactly the order the edge-centric scatter loop
-    // used to — the gather form is bitwise-neutral.
+    // index, so gathering a boundary cell's residual accumulates its edge
+    // contributions in the order the interior edge scatter uses — the two
+    // forms are bitwise-interchangeable.
     ps.edge_offsets.assign(owned + 1, 0);
     for (const auto& e : lm.edges) {
       if (e.a < lm.num_owned()) {
@@ -133,6 +117,20 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
     }
     for (std::size_t i = 1; i < ps.edge_offsets.size(); ++i) {
       ps.edge_offsets[i] += ps.edge_offsets[i - 1];
+    }
+    // Step-invariant face-area scale of the local time step: the incident
+    // edge count (the CSR row length — local edges cover every global
+    // edge of an owned cell) times vol^(2/3).
+    ps.volumes.reserve(owned);
+    ps.face_area.reserve(owned);
+    for (std::size_t i = 0; i < owned; ++i) {
+      const double vol =
+          mesh.volumes()[static_cast<std::size_t>(lm.owned[i])];
+      const double degree =
+          static_cast<double>(ps.edge_offsets[i + 1] - ps.edge_offsets[i]);
+      ps.volumes.push_back(vol);
+      ps.face_area.push_back(std::max(degree, 1.0) *
+                             std::pow(vol, 2.0 / 3.0));
     }
     const auto num_incident =
         static_cast<std::size_t>(ps.edge_offsets.back());
@@ -159,7 +157,9 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
     }
 
     ps.split = mesh::split_interior_boundary(lm);
+    ps.is_interior.assign(total, 0);
     for (const std::int32_t c : ps.split.interior) {
+      ps.is_interior[static_cast<std::size_t>(c)] = 1;
       ps.interior_incidence +=
           ps.edge_offsets[static_cast<std::size_t>(c) + 1] -
           ps.edge_offsets[static_cast<std::size_t>(c)];
@@ -245,16 +245,47 @@ void DistributedSolver::exchange_halos() {
   }
 }
 
-void DistributedSolver::compute_residuals(
-    PartState& ps, std::span<const std::int32_t> cells) const {
-  // Gather form of the flux loop: each cell accumulates its incident
-  // edges' contributions in ascending edge order — the order the
-  // edge-centric scatter delivered them — so any grouping of cells
-  // (interior-first, boundary-later) leaves the residuals bitwise
-  // unchanged. Cut-edge fluxes are recomputed on both owning cells;
-  // rusanov_flux is a pure function of its operands, so both sides see
+void DistributedSolver::scatter_interior_residuals(PartState& ps) const {
+  // Edge-centric form for interior cells: one flux per edge with an
+  // interior endpoint, added into each interior endpoint. Edges ascend,
+  // so every interior cell accumulates its contributions in the same
+  // order as the per-cell gather (bitwise-neutral). Both endpoints of
+  // such an edge are owned, so no ghost slot is read and the pass may
+  // run inside the halo window. The flux is applied on the fly, not
+  // stored: a per-edge flux buffer would add 40 bytes per edge to the
+  // working set to save only the boundary cells' recomputation.
+  for (const auto& e : ps.local.edges) {
+    const bool a_in = ps.is_interior[static_cast<std::size_t>(e.a)] != 0;
+    const bool b_in = ps.is_interior[static_cast<std::size_t>(e.b)] != 0;
+    if (!a_in && !b_in) {
+      continue;
+    }
+    const State f = rusanov_flux(ps.u[static_cast<std::size_t>(e.a)],
+                                 ps.u[static_cast<std::size_t>(e.b)],
+                                 e.normal, options_.dissipation);
+    if (a_in) {
+      State& r = ps.residual[static_cast<std::size_t>(e.a)];
+      for (int j = 0; j < 5; ++j) {
+        r[j] -= e.area * f[j];
+      }
+    }
+    if (b_in) {
+      State& r = ps.residual[static_cast<std::size_t>(e.b)];
+      for (int j = 0; j < 5; ++j) {
+        r[j] += e.area * f[j];
+      }
+    }
+  }
+}
+
+void DistributedSolver::gather_boundary_residuals(PartState& ps) const {
+  // Gather form for boundary cells (those with a ghost neighbour): each
+  // cell accumulates its incident edges in ascending edge order, the
+  // order the interior scatter uses too. Fluxes of edges shared with an
+  // interior cell or another owned boundary cell are recomputed here;
+  // rusanov_flux is a pure function of its operands, so every side sees
   // the identical value.
-  for (const std::int32_t c : cells) {
+  for (const std::int32_t c : ps.split.boundary) {
     State& r = ps.residual[static_cast<std::size_t>(c)];
     const std::int32_t lo = ps.edge_offsets[static_cast<std::size_t>(c)];
     const std::int32_t hi =
@@ -298,10 +329,8 @@ double DistributedSolver::finalize_part(PartState& ps) {
     State& uc = ps.u[c];
     const double vol = ps.volumes[c];
     const double wave = std::abs(uc[1] / uc[0]) + sound_speed(uc);
-    const double face_area =
-        std::max(ps.degrees[c], 1.0) * std::pow(vol, 2.0 / 3.0);
     const double dt =
-        options_.cfl * vol / std::max(wave * face_area, 1e-12);
+        options_.cfl * vol / std::max(wave * ps.face_area[c], 1e-12);
     for (int k = 0; k < 5; ++k) {
       part_norm_sq += ps.residual[c][k] * ps.residual[c][k];
       uc[k] += dt * ps.residual[c][k] / vol;
@@ -317,8 +346,8 @@ double DistributedSolver::finalize_part(PartState& ps) {
 double DistributedSolver::compute_and_update() {
   for (PartState& ps : parts_) {
     std::fill(ps.residual.begin(), ps.residual.end(), State{});
-    compute_residuals(ps, ps.split.interior);
-    compute_residuals(ps, ps.split.boundary);
+    scatter_interior_residuals(ps);
+    gather_boundary_residuals(ps);
     norm_partials_[static_cast<std::size_t>(ps.local.part)] =
         finalize_part(ps);
     if (cluster_ != nullptr) {
@@ -361,7 +390,7 @@ double DistributedSolver::step_overlapped() {
 
   for (PartState& ps : parts_) {
     std::fill(ps.residual.begin(), ps.residual.end(), State{});
-    compute_residuals(ps, ps.split.interior);
+    scatter_interior_residuals(ps);
     if (cluster_ != nullptr) {
       const double total_incid = static_cast<double>(
           ps.interior_incidence + ps.boundary_incidence);
@@ -383,7 +412,7 @@ double DistributedSolver::step_overlapped() {
   }
 
   for (PartState& ps : parts_) {
-    compute_residuals(ps, ps.split.boundary);
+    gather_boundary_residuals(ps);
     norm_partials_[static_cast<std::size_t>(ps.local.part)] =
         finalize_part(ps);
     if (cluster_ != nullptr) {

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -80,10 +79,11 @@ class DistributedSolver {
 
   /// Split-phase halo overlap (docs/communication.md): step() begins the
   /// halo exchange, computes interior-cell residuals inside the window,
-  /// finishes, then computes boundary-cell residuals. Residuals are
-  /// gathered per cell in ascending incident-edge order in both modes, so
-  /// the overlapped and synchronous solutions are bitwise identical; only
-  /// the co-simulated timing differs (Cluster::comm_hidden_seconds).
+  /// finishes, then computes boundary-cell residuals. Both modes run the
+  /// same two passes (interior edge scatter, boundary cell gather), and
+  /// every cell accumulates its edges in ascending edge order, so the
+  /// overlapped and synchronous solutions are bitwise identical; only the
+  /// co-simulated timing differs (Cluster::comm_hidden_seconds).
   void set_overlap(bool on) { overlap_ = on; }
   bool overlap() const { return overlap_; }
 
@@ -102,10 +102,14 @@ class DistributedSolver {
     std::vector<State> residual;  ///< owned only
     std::vector<mesh::Vec3> closure;  ///< owned only
     std::vector<double> volumes;      ///< owned only
-    std::vector<double> degrees;      ///< owned only (incident edge count)
+    /// owned only: max(incident edges, 1) * vol^(2/3), the step-invariant
+    /// face-area scale of the local time step
+    std::vector<double> face_area;
+    /// owned + ghost: 1 for interior cells (no ghost neighbour), else 0
+    std::vector<std::uint8_t> is_interior;
 
     /// Per-cell incident-edge CSR (ascending edge index within each row):
-    /// the gather form of the residual loop, shared by both step modes.
+    /// the gather form of the boundary-cell residual loop.
     std::vector<std::int32_t> edge_offsets;  ///< num_owned + 1
     std::vector<std::int32_t> edge_ids;
     std::vector<std::int8_t> edge_side;  ///< 0: cell is edge.a, 1: edge.b
@@ -117,8 +121,8 @@ class DistributedSolver {
   void exchange_halos();
   double compute_and_update();
   double step_overlapped();
-  void compute_residuals(PartState& ps,
-                         std::span<const std::int32_t> cells) const;
+  void scatter_interior_residuals(PartState& ps) const;
+  void gather_boundary_residuals(PartState& ps) const;
   double finalize_part(PartState& ps);
 
   // Everything below except parts_[].u and overlap_ is rebuilt by the

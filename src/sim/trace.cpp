@@ -14,6 +14,7 @@ void Trace::record(Rank rank, RegionId region, TraceKind kind, double start,
     ++dropped_;
     return;
   }
+  // cpx-lint: allow(solve-alloc) — opt-in event log; tracing is off by default (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
   events_.push_back({rank, region, kind, start, end});
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "mesh/partition.hpp"
@@ -14,6 +15,7 @@
 #include "perfmodel/sweep.hpp"
 #include "sim/cluster.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace cpx::mgcfd {
 namespace {
@@ -317,6 +319,46 @@ TEST(Distributed, FreestreamFixedPointSurvivesPartitioning) {
   dist.set_uniform(inf);
   const double res = dist.run(5);
   EXPECT_LT(res, 1e-12);
+}
+
+TEST(Distributed, SolutionIsPinnedBitwise) {
+  // The distributed solution is an output that must never move: a density
+  // and energy pulse on a small annulus row, 4 parts, 10 steps, with a
+  // co-simulating cluster attached. Both step modes must produce the same
+  // solution bits; each mode pins its own virtual clock.
+  const mesh::UnstructuredMesh m =
+      mesh::make_annulus_mesh(6, 24, 8, 1.0, 2.0, 30.0, 1.0, 5);
+  EulerOptions opt;
+  opt.mg_levels = 1;
+  opt.cfl = 0.4;
+  const State inf = freestream(0.4, 1.0, 1.0, {0, 0, 1});
+  constexpr std::uint64_t kSolutionDigest = 0x7557f84be2e41fbfULL;
+  constexpr std::uint64_t kClockBits[] = {0x3f46f7212a5c02d3ULL,
+                                           0x3f46f3a6443bb2f4ULL};
+  for (const bool overlap : {false, true}) {
+    DistributedSolver dist(m, 4, opt);
+    sim::Cluster cluster(sim::MachineModel::archer2(), 4);
+    dist.attach_cluster(&cluster);
+    dist.set_overlap(overlap);
+    dist.set_uniform(inf);
+    for (mesh::CellId c = 0; c < m.num_cells(); c += 7) {
+      State bumped = inf;
+      bumped[0] *= 1.08;
+      bumped[4] *= 1.08;
+      dist.set_cell(c, bumped);
+    }
+    dist.run(10);
+    std::uint64_t h = 0;
+    for (const State& u : dist.gather_solution()) {
+      for (const double v : u) {
+        h = hash_mix(h, std::bit_cast<std::uint64_t>(v));
+      }
+    }
+    EXPECT_EQ(h, kSolutionDigest) << "overlap=" << overlap;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cluster.max_clock()),
+              kClockBits[overlap ? 1 : 0])
+        << "overlap=" << overlap;
+  }
 }
 
 TEST(Instance, RejectsBadConstruction) {

@@ -21,6 +21,8 @@
 #include "amg/pcg.hpp"
 #include "comm/communicator.hpp"
 #include "comm/exchange_plan.hpp"
+#include "mesh/mesh.hpp"
+#include "mgcfd/distributed.hpp"
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
 #include "sparse/generators.hpp"
@@ -267,6 +269,41 @@ TEST(SolverAllocations, WideParallelReduceAllocatesNothingWhenWarm) {
   EXPECT_DOUBLE_EQ(total, 0.5 * static_cast<double>(kN));
   EXPECT_EQ(allocs, 0u)
       << "warm wide parallel_reduce made " << allocs << " heap allocations";
+}
+
+TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
+  // A warm DistributedSolver::step() — halo exchange, interior scatter,
+  // boundary gather, update, residual allreduce — touches no heap, in
+  // both step modes, with and without a co-simulating cluster, at pool
+  // widths 1 and 4.
+  const cpx::mesh::UnstructuredMesh m =
+      cpx::mesh::make_annulus_mesh(6, 24, 8, 1.0, 2.0, 30.0, 1.0);
+  cpx::mgcfd::EulerOptions opt;
+  opt.mg_levels = 1;
+  opt.cfl = 0.4;
+  const int width = support::max_threads();
+  for (const int threads : {1, 4}) {
+    support::set_max_threads(threads);
+    for (const bool overlap : {false, true}) {
+      for (const bool with_cluster : {false, true}) {
+        cpx::mgcfd::DistributedSolver dist(m, 4, opt);
+        cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), 4);
+        if (with_cluster) {
+          dist.attach_cluster(&cluster);
+        }
+        dist.set_overlap(overlap);
+        dist.set_uniform(cpx::mgcfd::freestream(0.4, 1.0, 1.0, {0, 0, 1}));
+        dist.run(2);  // warm-up: comm buffer pool, transfer log, cluster
+        const std::size_t allocs =
+            allocations_during([&] { dist.run(4); });
+        EXPECT_EQ(allocs, 0u)
+            << "warm DistributedSolver::step made " << allocs
+            << " heap allocations (threads=" << threads
+            << " overlap=" << overlap << " cluster=" << with_cluster << ")";
+      }
+    }
+  }
+  support::set_max_threads(width);
 }
 
 }  // namespace

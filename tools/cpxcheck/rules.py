@@ -56,7 +56,8 @@ RULES = (
         "No allocating expressions (container growth, new, make_unique, "
         "malloc) in any function reachable from the solve-path entry "
         "points (amg::pcg, AmgHierarchy::solve/cycle/reset_values, "
-        "SpgemmPlan::fill_values) via the call graph."),
+        "SpgemmPlan::fill_values, DistributedSolver::step) via the call "
+        "graph."),
     RuleInfo(
         "simd-tier",
         "Horizontal SIMD reductions in kernel code go through the "
@@ -107,7 +108,8 @@ CLOCK_IDENTS = frozenset({"system_clock", "high_resolution_clock"})
 
 SOLVE_ENTRY_SUFFIXES = ("amg::pcg", "AmgHierarchy::solve",
                         "AmgHierarchy::cycle", "AmgHierarchy::reset_values",
-                        "SpgemmPlan::fill_values")
+                        "SpgemmPlan::fill_values",
+                        "DistributedSolver::step")
 RNG_HOME = "src/support/rng.hpp"
 # The only homes of raw parallel_reduce calls (rule `reduce`).
 REDUCE_HOMES = frozenset({"src/support/blas1.cpp", "src/support/parallel.hpp",
