@@ -5,56 +5,11 @@
 #include <span>
 
 #include "ckpt/snapshot.hpp"
+#include "mgcfd/flux.hpp"
 #include "sim/comm_bridge.hpp"
 #include "support/check.hpp"
 
 namespace cpx::mgcfd {
-namespace {
-
-State rusanov_flux(const State& ua, const State& ub, const mesh::Vec3& n,
-                   double dissipation) {
-  // Same numerics as EulerSolver::compute_residual (euler.cpp); kept in
-  // lock-step so the distributed and sequential solvers agree exactly.
-  const auto phys = [](const State& u, const mesh::Vec3& nn) {
-    const double rho = u[0];
-    const double vn = (u[1] * nn.x + u[2] * nn.y + u[3] * nn.z) / rho;
-    const double p = pressure(u);
-    State f;
-    f[0] = rho * vn;
-    f[1] = u[1] * vn + p * nn.x;
-    f[2] = u[2] * vn + p * nn.y;
-    f[3] = u[3] * vn + p * nn.z;
-    f[4] = (u[4] + p) * vn;
-    return f;
-  };
-  const auto speed = [](const State& u, const mesh::Vec3& nn) {
-    const double vn = (u[1] * nn.x + u[2] * nn.y + u[3] * nn.z) / u[0];
-    return std::abs(vn) + sound_speed(u);
-  };
-  const State fa = phys(ua, n);
-  const State fb = phys(ub, n);
-  const double smax = std::max(speed(ua, n), speed(ub, n));
-  State f;
-  for (int k = 0; k < 5; ++k) {
-    f[k] = 0.5 * (fa[k] + fb[k]) - 0.5 * dissipation * smax * (ub[k] - ua[k]);
-  }
-  return f;
-}
-
-State physical_flux(const State& u, const mesh::Vec3& n) {
-  const double rho = u[0];
-  const double vn = (u[1] * n.x + u[2] * n.y + u[3] * n.z) / rho;
-  const double p = pressure(u);
-  State f;
-  f[0] = rho * vn;
-  f[1] = u[1] * vn + p * n.x;
-  f[2] = u[2] * vn + p * n.y;
-  f[3] = u[3] * vn + p * n.z;
-  f[4] = (u[4] + p) * vn;
-  return f;
-}
-
-}  // namespace
 
 DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
                                      int parts, const EulerOptions& options)
@@ -85,89 +40,86 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
     }
     ps.u.assign(total, State{1.0, 0.0, 0.0, 0.0, 2.5});
     ps.residual.assign(owned, State{});
-    // Geometric closure of each owned cell from its incident edges (every
+    // Geometric closure and incident-edge count of each owned cell (every
     // global edge touching an owned cell appears in the local edge list).
     ps.closure.assign(owned, mesh::Vec3{0.0, 0.0, 0.0});
+    std::vector<std::int32_t> degree(owned, 0);
     for (const auto& e : lm.edges) {
       if (e.a < lm.num_owned()) {
         auto& c = ps.closure[static_cast<std::size_t>(e.a)];
         c.x += e.area * e.normal.x;
         c.y += e.area * e.normal.y;
         c.z += e.area * e.normal.z;
+        ++degree[static_cast<std::size_t>(e.a)];
       }
       if (e.b < lm.num_owned()) {
         auto& c = ps.closure[static_cast<std::size_t>(e.b)];
         c.x -= e.area * e.normal.x;
         c.y -= e.area * e.normal.y;
         c.z -= e.area * e.normal.z;
+        ++degree[static_cast<std::size_t>(e.b)];
       }
-    }
-    // Incident-edge CSR: rows are owned cells, entries ascend in edge
-    // index, so gathering a boundary cell's residual accumulates its edge
-    // contributions in the order the interior edge scatter uses — the two
-    // forms are bitwise-interchangeable.
-    ps.edge_offsets.assign(owned + 1, 0);
-    for (const auto& e : lm.edges) {
-      if (e.a < lm.num_owned()) {
-        ++ps.edge_offsets[static_cast<std::size_t>(e.a) + 1];
-      }
-      if (e.b < lm.num_owned()) {
-        ++ps.edge_offsets[static_cast<std::size_t>(e.b) + 1];
-      }
-    }
-    for (std::size_t i = 1; i < ps.edge_offsets.size(); ++i) {
-      ps.edge_offsets[i] += ps.edge_offsets[i - 1];
     }
     // Step-invariant face-area scale of the local time step: the incident
-    // edge count (the CSR row length — local edges cover every global
-    // edge of an owned cell) times vol^(2/3).
+    // edge count times vol^(2/3).
     ps.volumes.reserve(owned);
     ps.face_area.reserve(owned);
     for (std::size_t i = 0; i < owned; ++i) {
       const double vol =
           mesh.volumes()[static_cast<std::size_t>(lm.owned[i])];
-      const double degree =
-          static_cast<double>(ps.edge_offsets[i + 1] - ps.edge_offsets[i]);
       ps.volumes.push_back(vol);
-      ps.face_area.push_back(std::max(degree, 1.0) *
-                             std::pow(vol, 2.0 / 3.0));
+      ps.face_area.push_back(
+          std::max(static_cast<double>(degree[i]), 1.0) *
+          std::pow(vol, 2.0 / 3.0));
     }
-    const auto num_incident =
-        static_cast<std::size_t>(ps.edge_offsets.back());
-    ps.edge_ids.resize(num_incident);
-    ps.edge_side.resize(num_incident);
-    std::vector<std::int32_t> cursor(ps.edge_offsets.begin(),
-                                     ps.edge_offsets.end() - 1);
+
+    const mesh::CellSplit split = mesh::split_interior_boundary(lm);
+    ps.phase.assign(total, kGhost);
+    for (const std::int32_t c : split.interior) {
+      ps.phase[static_cast<std::size_t>(c)] = kInterior;
+      ps.interior_incidence += degree[static_cast<std::size_t>(c)];
+    }
+    for (const std::int32_t c : split.boundary) {
+      ps.phase[static_cast<std::size_t>(c)] = kBoundary;
+      ps.boundary_incidence += degree[static_cast<std::size_t>(c)];
+    }
+    // Each pass visits, in ascending order, every edge with an endpoint in
+    // its phase. An interior-boundary edge lies on both lists, so each
+    // cell still sums all of its edges in ascending edge order.
     for (std::size_t idx = 0; idx < lm.edges.size(); ++idx) {
       const auto& e = lm.edges[idx];
-      if (e.a < lm.num_owned()) {
-        auto& at = cursor[static_cast<std::size_t>(e.a)];
-        ps.edge_ids[static_cast<std::size_t>(at)] =
-            static_cast<std::int32_t>(idx);
-        ps.edge_side[static_cast<std::size_t>(at)] = 0;
-        ++at;
-      }
-      if (e.b < lm.num_owned()) {
-        auto& at = cursor[static_cast<std::size_t>(e.b)];
-        ps.edge_ids[static_cast<std::size_t>(at)] =
-            static_cast<std::int32_t>(idx);
-        ps.edge_side[static_cast<std::size_t>(at)] = 1;
-        ++at;
+      for (const Phase p : {kInterior, kBoundary}) {
+        if (ps.phase[static_cast<std::size_t>(e.a)] == p ||
+            ps.phase[static_cast<std::size_t>(e.b)] == p) {
+          ps.pass_edges[p].push_back(static_cast<std::int32_t>(idx));
+        }
       }
     }
 
-    ps.split = mesh::split_interior_boundary(lm);
-    ps.is_interior.assign(total, 0);
-    for (const std::int32_t c : ps.split.interior) {
-      ps.is_interior[static_cast<std::size_t>(c)] = 1;
-      ps.interior_incidence +=
-          ps.edge_offsets[static_cast<std::size_t>(c) + 1] -
-          ps.edge_offsets[static_cast<std::size_t>(c)];
-    }
-    for (const std::int32_t c : ps.split.boundary) {
-      ps.boundary_incidence +=
-          ps.edge_offsets[static_cast<std::size_t>(c) + 1] -
-          ps.edge_offsets[static_cast<std::size_t>(c)];
+    if (check::deep()) {
+      // Tier-2 audit of the overlap partition: interior rows never reach
+      // a ghost slot, and every ghost slot a boundary row reads is filled
+      // by a plan channel. Stencil rows are the cell-neighbour CSR.
+      std::vector<std::int32_t> offsets(owned + 1, 0);
+      for (std::size_t i = 0; i < owned; ++i) {
+        offsets[i + 1] = offsets[i] + degree[i];
+      }
+      std::vector<std::int32_t> cursor(offsets.begin(), offsets.end() - 1);
+      std::vector<std::int32_t> stencil_cells(
+          static_cast<std::size_t>(offsets.back()));
+      for (const auto& e : lm.edges) {
+        if (e.a < lm.num_owned()) {
+          stencil_cells[static_cast<std::size_t>(
+              cursor[static_cast<std::size_t>(e.a)]++)] = e.b;
+        }
+        if (e.b < lm.num_owned()) {
+          stencil_cells[static_cast<std::size_t>(
+              cursor[static_cast<std::size_t>(e.b)]++)] = e.a;
+        }
+      }
+      comm::validate_split(halo_plan_,
+                           {lm.part, lm.num_owned(), split.interior,
+                            split.boundary, offsets, stencil_cells});
     }
 
     ps.local = std::move(lm);
@@ -180,26 +132,6 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
   for (const comm::ExchangePlan::Channel& ch : halo_plan_.channels()) {
     halo_messages_.push_back(
         {ch.src, ch.dst, ch.send_indices.size() * sizeof(State)});
-  }
-
-  if (check::deep()) {
-    // Tier-2 audit of the overlap partition: interior rows never reach a
-    // ghost slot, and every ghost slot a boundary row reads is filled by
-    // a plan channel. The cell-neighbour stencil shares the CSR offsets.
-    std::vector<std::int32_t> stencil_cells;
-    for (const PartState& ps : parts_) {
-      stencil_cells.clear();
-      stencil_cells.reserve(ps.edge_ids.size());
-      for (std::size_t k = 0; k < ps.edge_ids.size(); ++k) {
-        const auto& e =
-            ps.local.edges[static_cast<std::size_t>(ps.edge_ids[k])];
-        stencil_cells.push_back(ps.edge_side[k] == 0 ? e.b : e.a);
-      }
-      comm::validate_split(
-          halo_plan_,
-          {ps.local.part, ps.local.num_owned(), ps.split.interior,
-           ps.split.boundary, ps.edge_offsets, stencil_cells});
-    }
   }
 }
 
@@ -245,66 +177,30 @@ void DistributedSolver::exchange_halos() {
   }
 }
 
-void DistributedSolver::scatter_interior_residuals(PartState& ps) const {
-  // Edge-centric form for interior cells: one flux per edge with an
-  // interior endpoint, added into each interior endpoint. Edges ascend,
-  // so every interior cell accumulates its contributions in the same
-  // order as the per-cell gather (bitwise-neutral). Both endpoints of
-  // such an edge are owned, so no ghost slot is read and the pass may
-  // run inside the halo window. The flux is applied on the fly, not
-  // stored: a per-edge flux buffer would add 40 bytes per edge to the
-  // working set to save only the boundary cells' recomputation.
-  for (const auto& e : ps.local.edges) {
-    const bool a_in = ps.is_interior[static_cast<std::size_t>(e.a)] != 0;
-    const bool b_in = ps.is_interior[static_cast<std::size_t>(e.b)] != 0;
-    if (!a_in && !b_in) {
-      continue;
-    }
+void DistributedSolver::scatter_residuals(PartState& ps, Phase target) const {
+  // Edge-centric residual of the cells in phase `target`: one flux per
+  // edge of the pass list, added into each endpoint of that phase. The
+  // list ascends, so every cell accumulates its contributions in
+  // ascending edge order whichever pass serves it. Both endpoints of an
+  // interior-pass edge are owned, so that pass may run inside the halo
+  // window. The flux is applied on the fly, not stored: a per-edge flux
+  // buffer would add 40 bytes per edge to the working set to save only
+  // the interior-boundary edges' second evaluation.
+  for (const std::int32_t idx : ps.pass_edges[target]) {
+    const auto& e = ps.local.edges[static_cast<std::size_t>(idx)];
     const State f = rusanov_flux(ps.u[static_cast<std::size_t>(e.a)],
                                  ps.u[static_cast<std::size_t>(e.b)],
                                  e.normal, options_.dissipation);
-    if (a_in) {
+    if (ps.phase[static_cast<std::size_t>(e.a)] == target) {
       State& r = ps.residual[static_cast<std::size_t>(e.a)];
       for (int j = 0; j < 5; ++j) {
         r[j] -= e.area * f[j];
       }
     }
-    if (b_in) {
+    if (ps.phase[static_cast<std::size_t>(e.b)] == target) {
       State& r = ps.residual[static_cast<std::size_t>(e.b)];
       for (int j = 0; j < 5; ++j) {
         r[j] += e.area * f[j];
-      }
-    }
-  }
-}
-
-void DistributedSolver::gather_boundary_residuals(PartState& ps) const {
-  // Gather form for boundary cells (those with a ghost neighbour): each
-  // cell accumulates its incident edges in ascending edge order, the
-  // order the interior scatter uses too. Fluxes of edges shared with an
-  // interior cell or another owned boundary cell are recomputed here;
-  // rusanov_flux is a pure function of its operands, so every side sees
-  // the identical value.
-  for (const std::int32_t c : ps.split.boundary) {
-    State& r = ps.residual[static_cast<std::size_t>(c)];
-    const std::int32_t lo = ps.edge_offsets[static_cast<std::size_t>(c)];
-    const std::int32_t hi =
-        ps.edge_offsets[static_cast<std::size_t>(c) + 1];
-    for (std::int32_t k = lo; k < hi; ++k) {
-      const auto& e =
-          ps.local.edges[static_cast<std::size_t>(
-              ps.edge_ids[static_cast<std::size_t>(k)])];
-      const State f = rusanov_flux(ps.u[static_cast<std::size_t>(e.a)],
-                                   ps.u[static_cast<std::size_t>(e.b)],
-                                   e.normal, options_.dissipation);
-      if (ps.edge_side[static_cast<std::size_t>(k)] == 0) {
-        for (int j = 0; j < 5; ++j) {
-          r[j] -= e.area * f[j];
-        }
-      } else {
-        for (int j = 0; j < 5; ++j) {
-          r[j] += e.area * f[j];
-        }
       }
     }
   }
@@ -346,8 +242,8 @@ double DistributedSolver::finalize_part(PartState& ps) {
 double DistributedSolver::compute_and_update() {
   for (PartState& ps : parts_) {
     std::fill(ps.residual.begin(), ps.residual.end(), State{});
-    scatter_interior_residuals(ps);
-    gather_boundary_residuals(ps);
+    scatter_residuals(ps, kInterior);
+    scatter_residuals(ps, kBoundary);
     norm_partials_[static_cast<std::size_t>(ps.local.part)] =
         finalize_part(ps);
     if (cluster_ != nullptr) {
@@ -390,7 +286,7 @@ double DistributedSolver::step_overlapped() {
 
   for (PartState& ps : parts_) {
     std::fill(ps.residual.begin(), ps.residual.end(), State{});
-    scatter_interior_residuals(ps);
+    scatter_residuals(ps, kInterior);
     if (cluster_ != nullptr) {
       const double total_incid = static_cast<double>(
           ps.interior_incidence + ps.boundary_incidence);
@@ -412,7 +308,7 @@ double DistributedSolver::step_overlapped() {
   }
 
   for (PartState& ps : parts_) {
-    gather_boundary_residuals(ps);
+    scatter_residuals(ps, kBoundary);
     norm_partials_[static_cast<std::size_t>(ps.local.part)] =
         finalize_part(ps);
     if (cluster_ != nullptr) {

@@ -8,14 +8,16 @@
 //
 // This closes the loop between the performance instance (instance.hpp,
 // which only *accounts* for communication) and the numerics (euler.hpp,
-// which is sequential): the distributed solver produces the same solution
-// as the sequential solver on the same mesh (tests verify this), while its
-// communication structure — per-neighbour pack/send/unpack plus a residual
-// allreduce — is precisely what the performance instance charges to the
-// virtual cluster. Passing a Cluster lets one run co-simulate: real
-// physics and virtual timing from the same execution, charged with the
-// real message sizes recorded by the communicator.
+// which is sequential): the distributed solver evaluates the sequential
+// solver's flux kernel (flux.hpp) and reproduces its solution on the same
+// mesh bit for bit (tests verify this), while its communication structure
+// — per-neighbour pack/send/unpack plus a residual allreduce — is
+// precisely what the performance instance charges to the virtual cluster.
+// Passing a Cluster lets one run co-simulate: real physics and virtual
+// timing from the same execution, charged with the real message sizes
+// recorded by the communicator.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -80,8 +82,8 @@ class DistributedSolver {
   /// Split-phase halo overlap (docs/communication.md): step() begins the
   /// halo exchange, computes interior-cell residuals inside the window,
   /// finishes, then computes boundary-cell residuals. Both modes run the
-  /// same two passes (interior edge scatter, boundary cell gather), and
-  /// every cell accumulates its edges in ascending edge order, so the
+  /// same two edge-scatter passes (interior cells, then boundary cells),
+  /// and every cell accumulates its edges in ascending edge order, so the
   /// overlapped and synchronous solutions are bitwise identical; only the
   /// co-simulated timing differs (Cluster::comm_hidden_seconds).
   void set_overlap(bool on) { overlap_ = on; }
@@ -96,6 +98,11 @@ class DistributedSolver {
   void restore(ckpt::Reader& r);
 
  private:
+  /// The residual pass that accumulates a cell slot: interior cells (no
+  /// ghost neighbour) may run inside the halo window, boundary cells after
+  /// it; ghost slots are read but never written.
+  enum Phase : std::uint8_t { kInterior = 0, kBoundary = 1, kGhost = 2 };
+
   struct PartState {
     mesh::LocalMesh local;
     std::vector<State> u;         ///< owned + ghost states
@@ -105,24 +112,21 @@ class DistributedSolver {
     /// owned only: max(incident edges, 1) * vol^(2/3), the step-invariant
     /// face-area scale of the local time step
     std::vector<double> face_area;
-    /// owned + ghost: 1 for interior cells (no ghost neighbour), else 0
-    std::vector<std::uint8_t> is_interior;
-
-    /// Per-cell incident-edge CSR (ascending edge index within each row):
-    /// the gather form of the boundary-cell residual loop.
-    std::vector<std::int32_t> edge_offsets;  ///< num_owned + 1
-    std::vector<std::int32_t> edge_ids;
-    std::vector<std::int8_t> edge_side;  ///< 0: cell is edge.a, 1: edge.b
-    mesh::CellSplit split;
-    std::int64_t interior_incidence = 0;  ///< CSR entries in interior rows
+    std::vector<Phase> phase;  ///< owned + ghost
+    /// Per pass (kInterior, kBoundary): ascending indices of the local
+    /// edges with an endpoint in that phase. Interior-boundary edges are
+    /// on both lists, so each is evaluated twice.
+    std::array<std::vector<std::int32_t>, 2> pass_edges;
+    /// Summed incident-edge counts of the interior / boundary cells: the
+    /// split of the flux work charged to the co-simulated clock.
+    std::int64_t interior_incidence = 0;
     std::int64_t boundary_incidence = 0;
   };
 
   void exchange_halos();
   double compute_and_update();
   double step_overlapped();
-  void scatter_interior_residuals(PartState& ps) const;
-  void gather_boundary_residuals(PartState& ps) const;
+  void scatter_residuals(PartState& ps, Phase target) const;
   double finalize_part(PartState& ps);
 
   // Everything below except parts_[].u and overlap_ is rebuilt by the

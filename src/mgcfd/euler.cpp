@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "mgcfd/flux.hpp"
 #include "support/check.hpp"
 
 namespace cpx::mgcfd {
@@ -39,34 +41,6 @@ State freestream(double mach, double rho, double p,
          0.5 * rho * (v.x * v.x + v.y * v.y + v.z * v.z);
   return u;
 }
-
-namespace {
-
-/// Physical Euler flux of state u projected on unit normal n.
-State euler_flux(const State& u, const mesh::Vec3& n) {
-  const double rho = u[0];
-  const double vx = u[1] / rho;
-  const double vy = u[2] / rho;
-  const double vz = u[3] / rho;
-  const double p = pressure(u);
-  const double vn = vx * n.x + vy * n.y + vz * n.z;
-  State f;
-  f[0] = rho * vn;
-  f[1] = u[1] * vn + p * n.x;
-  f[2] = u[2] * vn + p * n.y;
-  f[3] = u[3] * vn + p * n.z;
-  f[4] = (u[4] + p) * vn;
-  return f;
-}
-
-double normal_speed(const State& u, const mesh::Vec3& n) {
-  const double rho = u[0];
-  const double vn =
-      (u[1] * n.x + u[2] * n.y + u[3] * n.z) / rho;
-  return std::abs(vn) + sound_speed(u);
-}
-
-}  // namespace
 
 EulerSolver::EulerSolver(const mesh::UnstructuredMesh& mesh,
                          const EulerOptions& options)
@@ -119,22 +93,17 @@ void EulerSolver::compute_residual(int level,
   const auto& u = states_[static_cast<std::size_t>(level)];
   residual.assign(static_cast<std::size_t>(m.num_cells()), State{});
   for (const mesh::Edge& e : m.edges()) {
-    const State& ua = u[static_cast<std::size_t>(e.a)];
-    const State& ub = u[static_cast<std::size_t>(e.b)];
-    const State fa = euler_flux(ua, e.normal);
-    const State fb = euler_flux(ub, e.normal);
-    const double smax =
-        std::max(normal_speed(ua, e.normal), normal_speed(ub, e.normal));
+    const State f = rusanov_flux(u[static_cast<std::size_t>(e.a)],
+                                 u[static_cast<std::size_t>(e.b)], e.normal,
+                                 options_.dissipation);
     for (int k = 0; k < 5; ++k) {
-      const double f = 0.5 * (fa[k] + fb[k]) -
-                       0.5 * options_.dissipation * smax * (ub[k] - ua[k]);
-      const double contrib = e.area * f;
+      const double contrib = e.area * f[k];
       residual[static_cast<std::size_t>(e.a)][k] -= contrib;
       residual[static_cast<std::size_t>(e.b)][k] += contrib;
     }
   }
   // Transmissive boundary flux through each cell's closure face (zero for
-  // interior cells): euler_flux is linear in its (unnormalised) normal, so
+  // interior cells): physical_flux is linear in its (unnormalised) normal, so
   // this cancels the open-boundary imbalance exactly for uniform flow.
   const auto& closure = closures_[static_cast<std::size_t>(level)];
   for (std::int64_t c = 0; c < m.num_cells(); ++c) {
@@ -144,7 +113,7 @@ void EulerSolver::compute_residual(int level,
     }
     // Outward boundary area vector is -d; by linearity of the flux,
     // -F(u, -d) = +F(u, d).
-    const State f = euler_flux(u[static_cast<std::size_t>(c)], d);
+    const State f = physical_flux(u[static_cast<std::size_t>(c)], d);
     for (int k = 0; k < 5; ++k) {
       residual[static_cast<std::size_t>(c)][k] += f[k];
     }
@@ -201,24 +170,44 @@ double EulerSolver::euler_stage(int level, const std::vector<double>& dts) {
   return std::sqrt(norm);
 }
 
+bool EulerSolver::density_finite(int level) const {
+  const auto& u = states_[static_cast<std::size_t>(level)];
+  return std::all_of(u.begin(), u.end(),
+                     [](const State& s) { return std::isfinite(s[0]); });
+}
+
 double EulerSolver::smooth_level(int level) {
+  // The wave speeds need a finite density (clamp_positivity cannot repair
+  // a NaN), so no stage starts from a non-finite one: the step stops and
+  // reports the divergence as a NaN norm.
+  constexpr double kDiverged = std::numeric_limits<double>::quiet_NaN();
+  if (!density_finite(level)) {
+    return kDiverged;
+  }
   const std::vector<double> dts = compute_time_steps(level);
   auto& u = states_[static_cast<std::size_t>(level)];
 
   if (options_.integration == TimeIntegration::kForwardEuler) {
-    return euler_stage(level, dts);
+    const double norm = euler_stage(level, dts);
+    return density_finite(level) ? norm : kDiverged;
   }
 
   // SSP-RK3 (Shu-Osher): u1 = u + dt L; u2 = 3/4 u + 1/4 (u1 + dt L);
   // u^{n+1} = 1/3 u + 2/3 (u2 + dt L). Frozen per-cell dt across stages.
   const std::vector<State> u0 = u;
   const double norm = euler_stage(level, dts);  // -> u1
+  if (!density_finite(level)) {
+    return kDiverged;
+  }
   euler_stage(level, dts);                      // -> u1 + dt L(u1)
   for (std::size_t c = 0; c < u.size(); ++c) {
     for (int k = 0; k < 5; ++k) {
       u[c][k] = 0.75 * u0[c][k] + 0.25 * u[c][k];
     }
     clamp_positivity(u[c]);
+  }
+  if (!density_finite(level)) {
+    return kDiverged;
   }
   euler_stage(level, dts);                      // -> u2 + dt L(u2)
   for (std::size_t c = 0; c < u.size(); ++c) {
@@ -227,7 +216,7 @@ double EulerSolver::smooth_level(int level) {
     }
     clamp_positivity(u[c]);
   }
-  return norm;
+  return density_finite(level) ? norm : kDiverged;
 }
 
 void EulerSolver::restrict_to(int coarse_level) {
@@ -264,13 +253,7 @@ void EulerSolver::prolong_correction(int coarse_level) {
     for (int k = 0; k < 5; ++k) {
       fu[c][k] += cu[agg][k] - cu0[agg][k];
     }
-    // Same positivity guard as smoothing.
-    fu[c][0] = std::max(fu[c][0], 1e-10);
-    const double ke =
-        0.5 * (fu[c][1] * fu[c][1] + fu[c][2] * fu[c][2] +
-               fu[c][3] * fu[c][3]) /
-        fu[c][0];
-    fu[c][4] = std::max(fu[c][4], ke + 1e-10);
+    clamp_positivity(fu[c]);
   }
 }
 
@@ -279,6 +262,9 @@ double EulerSolver::vcycle() {
   for (int l = 0; l < num_levels(); ++l) {
     for (int s = 0; s < options_.smooth_steps; ++s) {
       const double norm = smooth_level(l);
+      if (std::isnan(norm)) {
+        return norm;  // diverged: nothing is prolonged from this level
+      }
       if (l == 0 && s == 0) {
         entry_norm = norm;
       }
@@ -290,7 +276,10 @@ double EulerSolver::vcycle() {
   for (int l = num_levels() - 1; l > 0; --l) {
     prolong_correction(l);
     for (int s = 0; s < options_.smooth_steps; ++s) {
-      smooth_level(l - 1);
+      const double norm = smooth_level(l - 1);
+      if (std::isnan(norm)) {
+        return norm;
+      }
     }
   }
   return entry_norm;
@@ -301,6 +290,9 @@ double EulerSolver::run(int steps) {
   double norm = 0.0;
   for (int s = 0; s < steps; ++s) {
     norm = num_levels() > 1 ? vcycle() : smooth_level(0);
+    if (std::isnan(norm)) {
+      break;  // diverged
+    }
   }
   return norm;
 }

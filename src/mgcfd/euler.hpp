@@ -4,10 +4,10 @@
 // proxy for the production density solver (compressor/turbine rows).
 //
 // Like the published MG-CFD mini-app, the solver sweeps edges accumulating
-// numerical fluxes (here a Rusanov / local Lax-Friedrichs flux, which is
-// robust and preserves free-stream exactly), applies explicit local-time-
-// step updates, and cycles a hierarchy of agglomerated coarse meshes to
-// damp long-wavelength error. The kernels are real: tests verify
+// numerical fluxes (here a Rusanov / local Lax-Friedrichs flux, flux.hpp,
+// which is robust and preserves free-stream exactly), applies explicit
+// local-time-step updates, and cycles a hierarchy of agglomerated coarse
+// meshes to damp long-wavelength error. The kernels are real: tests verify
 // free-stream preservation, positivity, conservation, and residual decay.
 
 #include <array>
@@ -67,15 +67,19 @@ class EulerSolver {
 
   /// One explicit smoothing step on the given level (forward Euler or
   /// SSP-RK3 per options); returns the L2 norm of the flux residual at the
-  /// start of the step.
+  /// start of the step. Divergence is a defined outcome: when the level
+  /// holds, or a stage leaves, a non-finite density the step returns NaN
+  /// and evaluates no further flux.
   double smooth_level(int level);
 
   /// One multigrid V-cycle (smooth, restrict, recurse, prolong correction,
-  /// smooth). Returns the fine-level residual norm at entry.
+  /// smooth). Returns the fine-level residual norm at entry, or NaN as
+  /// soon as a smoothing step on any level diverges.
   double vcycle();
 
   /// `steps` cycles (or plain steps when mg_levels == 1); returns the
-  /// final fine-level residual norm.
+  /// final fine-level residual norm, or NaN after stopping at the first
+  /// step that diverged.
   double run(int steps);
 
   /// Total mass (density * volume summed) on the fine level — conserved on
@@ -91,6 +95,7 @@ class EulerSolver {
   /// u += dt * R(u) / V on `level`; returns the residual L2 norm.
   double euler_stage(int level, const std::vector<double>& dts);
   void clamp_positivity(State& u) const;
+  bool density_finite(int level) const;
 
   void restrict_to(int coarse_level);
   void prolong_correction(int coarse_level);
