@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "ckpt/snapshot.hpp"
@@ -10,6 +11,10 @@
 #include "support/check.hpp"
 
 namespace cpx::mgcfd {
+
+namespace {
+constexpr double kDiverged = std::numeric_limits<double>::quiet_NaN();
+}  // namespace
 
 DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
                                      int parts, const EulerOptions& options)
@@ -27,6 +32,12 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
   halo_plan_ = mesh::build_halo_plan(locals);
   halo_plan_.finalize(sizeof(State));
   norm_partials_.assign(static_cast<std::size_t>(parts), 0.0);
+  std::size_t max_slots = 0;
+  for (const mesh::LocalMesh& lm : locals) {
+    max_slots = std::max(
+        max_slots, static_cast<std::size_t>(lm.num_owned() + lm.num_ghosts()));
+  }
+  primitives_.assign(max_slots, Primitives{});
 
   local_of_.assign(static_cast<std::size_t>(global_cells_), -1);
   parts_.reserve(locals.size());
@@ -177,6 +188,17 @@ void DistributedSolver::exchange_halos() {
   }
 }
 
+bool DistributedSolver::refresh_primitives(const PartState& ps,
+                                           std::size_t slots) {
+  for (std::size_t i = 0; i < slots; ++i) {
+    if (!std::isfinite(ps.u[i][0])) {
+      return false;  // diverged; primitives() needs a positive density
+    }
+    primitives_[i] = primitives(ps.u[i]);
+  }
+  return true;
+}
+
 void DistributedSolver::scatter_residuals(PartState& ps, Phase target) const {
   // Edge-centric residual of the cells in phase `target`: one flux per
   // edge of the pass list, added into each endpoint of that phase. The
@@ -188,17 +210,19 @@ void DistributedSolver::scatter_residuals(PartState& ps, Phase target) const {
   // the interior-boundary edges' second evaluation.
   for (const std::int32_t idx : ps.pass_edges[target]) {
     const auto& e = ps.local.edges[static_cast<std::size_t>(idx)];
-    const State f = rusanov_flux(ps.u[static_cast<std::size_t>(e.a)],
-                                 ps.u[static_cast<std::size_t>(e.b)],
-                                 e.normal, options_.dissipation);
-    if (ps.phase[static_cast<std::size_t>(e.a)] == target) {
-      State& r = ps.residual[static_cast<std::size_t>(e.a)];
+    const auto a = static_cast<std::size_t>(e.a);
+    const auto b = static_cast<std::size_t>(e.b);
+    const State f = rusanov_flux(ps.u[a], primitives_[a], ps.u[b],
+                                 primitives_[b], e.normal,
+                                 options_.dissipation);
+    if (ps.phase[a] == target) {
+      State& r = ps.residual[a];
       for (int j = 0; j < 5; ++j) {
         r[j] -= e.area * f[j];
       }
     }
-    if (ps.phase[static_cast<std::size_t>(e.b)] == target) {
-      State& r = ps.residual[static_cast<std::size_t>(e.b)];
+    if (ps.phase[b] == target) {
+      State& r = ps.residual[b];
       for (int j = 0; j < 5; ++j) {
         r[j] += e.area * f[j];
       }
@@ -214,17 +238,19 @@ double DistributedSolver::finalize_part(PartState& ps) {
     if (d.x == 0.0 && d.y == 0.0 && d.z == 0.0) {
       continue;
     }
-    const State f = physical_flux(ps.u[c], d);
+    const State f = physical_flux(ps.u[c], primitives_[c], d);
     for (int k = 0; k < 5; ++k) {
       ps.residual[c][k] += f[k];
     }
   }
-  // Local-time-step update with positivity guard.
+  // Local-time-step update with positivity guard. An update that leaves
+  // a non-finite density makes the part's norm, and so the step's, NaN.
   double part_norm_sq = 0.0;
+  bool finite = true;
   for (std::size_t c = 0; c < owned; ++c) {
     State& uc = ps.u[c];
     const double vol = ps.volumes[c];
-    const double wave = std::abs(uc[1] / uc[0]) + sound_speed(uc);
+    const double wave = std::abs(uc[1] / uc[0]) + primitives_[c].c;
     const double dt =
         options_.cfl * vol / std::max(wave * ps.face_area[c], 1e-12);
     for (int k = 0; k < 5; ++k) {
@@ -235,12 +261,17 @@ double DistributedSolver::finalize_part(PartState& ps) {
     const double ke =
         0.5 * (uc[1] * uc[1] + uc[2] * uc[2] + uc[3] * uc[3]) / uc[0];
     uc[4] = std::max(uc[4], ke + 1e-10);
+    finite = finite && std::isfinite(uc[0]);
   }
-  return part_norm_sq;
+  return finite ? part_norm_sq : kDiverged;
 }
 
 double DistributedSolver::compute_and_update() {
   for (PartState& ps : parts_) {
+    // The halo has landed: every slot of the part is current.
+    if (!refresh_primitives(ps, ps.u.size())) {
+      return kDiverged;
+    }
     std::fill(ps.residual.begin(), ps.residual.end(), State{});
     scatter_residuals(ps, kInterior);
     scatter_residuals(ps, kBoundary);
@@ -284,7 +315,15 @@ double DistributedSolver::step_overlapped() {
     pending = cluster_->exchange_begin(halo_messages_, region_halo_);
   }
 
+  // Inside the window only the owned slots are current; a diverged part
+  // stops the interior passes, but the window is still closed below.
+  bool finite = true;
   for (PartState& ps : parts_) {
+    finite = refresh_primitives(
+        ps, static_cast<std::size_t>(ps.local.num_owned()));
+    if (!finite) {
+      break;
+    }
     std::fill(ps.residual.begin(), ps.residual.end(), State{});
     scatter_residuals(ps, kInterior);
     if (cluster_ != nullptr) {
@@ -306,8 +345,16 @@ double DistributedSolver::step_overlapped() {
   if (cluster_ != nullptr) {
     cluster_->exchange_finish(pending);
   }
+  if (!finite) {
+    return kDiverged;
+  }
 
   for (PartState& ps : parts_) {
+    // The scratch is shared by the parts, so the owned slots are refreshed
+    // again together with the ghost slots the halo just filled.
+    if (!refresh_primitives(ps, ps.u.size())) {
+      return kDiverged;
+    }
     scatter_residuals(ps, kBoundary);
     norm_partials_[static_cast<std::size_t>(ps.local.part)] =
         finalize_part(ps);
@@ -351,6 +398,9 @@ double DistributedSolver::run(int steps) {
   double norm = 0.0;
   for (int s = 0; s < steps; ++s) {
     norm = step();
+    if (std::isnan(norm)) {
+      break;  // diverged
+    }
   }
   return norm;
 }

@@ -16,6 +16,12 @@
 // Passing a Cluster lets one run co-simulate: real physics and virtual
 // timing from the same execution, charged with the real message sizes
 // recorded by the communicator.
+//
+// Each residual reads every cell's pressure and sound speed from a cache
+// refreshed once per cell slot (flux.hpp), not once per incident edge.
+// Parts step one after another, so one scratch sized to the largest part
+// serves them all; a slot is refreshed only once its state is current
+// (ghost slots after the halo lands, see set_overlap).
 
 #include <array>
 #include <cstdint>
@@ -53,10 +59,15 @@ class DistributedSolver {
   /// One explicit timestep across all ranks: halo exchange, per-rank flux
   /// residual and update, residual allreduce. Returns the global residual
   /// norm (as the allreduce would deliver it: deterministic rank-order
-  /// combine of per-rank partial sums).
+  /// combine of per-rank partial sums). Divergence is a defined outcome:
+  /// a step whose update leaves a non-finite density returns NaN, and so
+  /// does a step that finds one when it refreshes a part's primitives; it
+  /// evaluates no flux on that part or any later one, and an overlapped
+  /// step still closes its halo window.
   double step();
 
-  /// Runs `steps` timesteps; returns the last residual norm.
+  /// Runs `steps` timesteps; returns the last residual norm, or NaN after
+  /// stopping at the first step that diverged.
   double run(int steps);
 
   /// Solution gathered back to global cell order.
@@ -85,7 +96,9 @@ class DistributedSolver {
   /// same two edge-scatter passes (interior cells, then boundary cells),
   /// and every cell accumulates its edges in ascending edge order, so the
   /// overlapped and synchronous solutions are bitwise identical; only the
-  /// co-simulated timing differs (Cluster::comm_hidden_seconds).
+  /// co-simulated timing differs (Cluster::comm_hidden_seconds). Inside
+  /// the window only the owned slots' primitives are refreshed; the ghost
+  /// slots' are refreshed after finish(), with the owned ones again.
   void set_overlap(bool on) { overlap_ = on; }
   bool overlap() const { return overlap_; }
 
@@ -126,6 +139,9 @@ class DistributedSolver {
   void exchange_halos();
   double compute_and_update();
   double step_overlapped();
+  /// primitives_[i] = primitives(ps.u[i]) for the first `slots` slots;
+  /// false as soon as a slot holds a non-finite density.
+  bool refresh_primitives(const PartState& ps, std::size_t slots);
   void scatter_residuals(PartState& ps, Phase target) const;
   double finalize_part(PartState& ps);
 
@@ -140,6 +156,10 @@ class DistributedSolver {
   comm::Communicator comm_;             // cpx-lint: allow(ckpt)
   comm::ExchangePlan halo_plan_;        // cpx-lint: allow(ckpt)
   std::vector<double> norm_partials_;   // cpx-lint: allow(ckpt)
+  /// Pressure and sound speed of the first slots of the part being
+  /// stepped, refreshed from its states before each pass that reads them.
+  /// One scratch sized to the largest part serves every part.
+  std::vector<Primitives> primitives_;  // cpx-lint: allow(ckpt)
   std::vector<sim::Message> message_scratch_;  // cpx-lint: allow(ckpt)
   std::vector<sim::Message> halo_messages_;    // cpx-lint: allow(ckpt)
   sim::Cluster* cluster_ = nullptr;     // cpx-lint: allow(ckpt)

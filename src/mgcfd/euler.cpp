@@ -16,11 +16,7 @@ double pressure(const State& u) {
   return (kGamma - 1.0) * (u[4] - ke);
 }
 
-double sound_speed(const State& u) {
-  const double p = pressure(u);
-  CPX_DCHECK(u[0] > 0.0);
-  return std::sqrt(kGamma * std::max(p, 1e-300) / u[0]);
-}
+double sound_speed(const State& u) { return primitives(u).c; }
 
 State freestream(double mach, double rho, double p,
                  const mesh::Vec3& direction) {
@@ -53,11 +49,13 @@ EulerSolver::EulerSolver(const mesh::UnstructuredMesh& mesh,
   states_.resize(meshes_.size());
   restricted_.resize(meshes_.size());
   residuals_.resize(meshes_.size());
+  primitives_.resize(meshes_.size());
   for (std::size_t l = 0; l < meshes_.size(); ++l) {
     const auto n = static_cast<std::size_t>(meshes_[l].num_cells());
     states_[l].assign(n, State{1.0, 0.0, 0.0, 0.0, 2.5});
     restricted_[l].assign(n, State{});
     residuals_[l].assign(n, State{});
+    primitives_[l].assign(n, Primitives{});
   }
   build_closures();
 }
@@ -88,13 +86,18 @@ void EulerSolver::set_uniform(const State& u) {
 }
 
 void EulerSolver::compute_residual(int level,
-                                   std::vector<State>& residual) const {
+                                   std::vector<State>& residual) {
   const mesh::UnstructuredMesh& m = meshes_[static_cast<std::size_t>(level)];
   const auto& u = states_[static_cast<std::size_t>(level)];
+  auto& w = primitives_[static_cast<std::size_t>(level)];
+  for (std::size_t c = 0; c < u.size(); ++c) {
+    w[c] = primitives(u[c]);
+  }
   residual.assign(static_cast<std::size_t>(m.num_cells()), State{});
   for (const mesh::Edge& e : m.edges()) {
-    const State f = rusanov_flux(u[static_cast<std::size_t>(e.a)],
-                                 u[static_cast<std::size_t>(e.b)], e.normal,
+    const auto a = static_cast<std::size_t>(e.a);
+    const auto b = static_cast<std::size_t>(e.b);
+    const State f = rusanov_flux(u[a], w[a], u[b], w[b], e.normal,
                                  options_.dissipation);
     for (int k = 0; k < 5; ++k) {
       const double contrib = e.area * f[k];
@@ -113,7 +116,8 @@ void EulerSolver::compute_residual(int level,
     }
     // Outward boundary area vector is -d; by linearity of the flux,
     // -F(u, -d) = +F(u, d).
-    const State f = physical_flux(u[static_cast<std::size_t>(c)], d);
+    const State f = physical_flux(u[static_cast<std::size_t>(c)],
+                                  w[static_cast<std::size_t>(c)], d);
     for (int k = 0; k < 5; ++k) {
       residual[static_cast<std::size_t>(c)][k] += f[k];
     }
@@ -129,7 +133,7 @@ std::vector<double> EulerSolver::compute_time_steps(int level) const {
   // face area from volume^(2/3)).
   for (std::int64_t c = 0; c < m.num_cells(); ++c) {
     const State& uc = u[static_cast<std::size_t>(c)];
-    const double wave = normal_speed(uc, {1.0, 0.0, 0.0});
+    const double wave = normal_speed(uc, primitives(uc), {1.0, 0.0, 0.0});
     const double vol = m.volumes()[static_cast<std::size_t>(c)];
     const double face_area =
         std::max(static_cast<double>(m.degree(c)), 1.0) *

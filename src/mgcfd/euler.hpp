@@ -28,6 +28,13 @@ constexpr double kGamma = 1.4;
 double pressure(const State& u);
 double sound_speed(const State& u);
 
+/// A cell's pressure and sound speed, cached once per residual so every
+/// incident edge reads them (mgcfd::primitives in flux.hpp fills one).
+struct Primitives {
+  double p;  ///< pressure(u)
+  double c;  ///< sound_speed(u)
+};
+
 /// Free-stream state from Mach number, direction and static conditions.
 State freestream(double mach, double rho = 1.0, double p = 1.0,
                  const mesh::Vec3& direction = {1.0, 0.0, 0.0});
@@ -87,7 +94,7 @@ class EulerSolver {
   double total_mass() const;
 
   /// Flux residual R(U) on a level, as used by smooth_level.
-  void compute_residual(int level, std::vector<State>& residual) const;
+  void compute_residual(int level, std::vector<State>& residual);
 
  private:
   /// Per-cell time steps for one step on `level` (from the current state).
@@ -107,6 +114,9 @@ class EulerSolver {
   std::vector<std::vector<State>> states_;
   std::vector<std::vector<State>> restricted_;  ///< pre-recursion snapshot
   std::vector<std::vector<State>> residuals_;   ///< scratch per level
+  /// Scratch per level: each cell's pressure and sound speed, refreshed
+  /// once per residual and read by every incident edge (flux.hpp).
+  std::vector<std::vector<Primitives>> primitives_;
   /// Per-level, per-cell geometric closure deficit: the outward area
   /// vector a *boundary* face would need for the cell's faces to sum to
   /// zero. Cells on the domain boundary get a transmissive boundary flux

@@ -11,6 +11,7 @@
 #include "mesh/partition.hpp"
 #include "mgcfd/distributed.hpp"
 #include "mgcfd/euler.hpp"
+#include "mgcfd/flux.hpp"
 #include "mgcfd/instance.hpp"
 #include "perfmodel/sweep.hpp"
 #include "sim/cluster.hpp"
@@ -24,6 +25,77 @@ TEST(Euler, PressureAndSoundSpeed) {
   const State u = freestream(0.5, 1.0, 1.0);
   EXPECT_NEAR(pressure(u), 1.0, 1e-12);
   EXPECT_NEAR(sound_speed(u), std::sqrt(1.4), 1e-12);
+}
+
+std::size_t differing_bits(const State& a, const State& b) {
+  std::size_t n = 0;
+  for (int k = 0; k < 5; ++k) {
+    n += std::bit_cast<std::uint64_t>(a[k]) !=
+         std::bit_cast<std::uint64_t>(b[k]);
+  }
+  return n;
+}
+
+TEST(Flux, PrimitiveFormMatchesStateForm) {
+  // The kernel reads cached primitives; built instead from pressure() and
+  // sound_speed() per call (the state form), every flux must carry the
+  // same bits. A third of the states have p <= 0, which exercises the
+  // sound speed's max(p, 1e-300) clamp.
+  const auto ref_physical_flux = [](const State& u, const mesh::Vec3& n) {
+    const double rho = u[0];
+    const double vn = (u[1] * n.x + u[2] * n.y + u[3] * n.z) / rho;
+    const double p = pressure(u);
+    return State{rho * vn, u[1] * vn + p * n.x, u[2] * vn + p * n.y,
+                 u[3] * vn + p * n.z, (u[4] + p) * vn};
+  };
+  const auto ref_normal_speed = [](const State& u, const mesh::Vec3& n) {
+    const double vn = (u[1] * n.x + u[2] * n.y + u[3] * n.z) / u[0];
+    return std::abs(vn) + sound_speed(u);
+  };
+  Rng rng(17);
+  const auto random_state = [&rng](bool nonpositive_pressure) {
+    State u;
+    u[0] = rng.uniform(0.1, 3.0);
+    for (int k = 1; k < 4; ++k) {
+      u[k] = rng.uniform(-2.0, 2.0);
+    }
+    const double ke = 0.5 * (u[1] * u[1] + u[2] * u[2] + u[3] * u[3]) / u[0];
+    u[4] = nonpositive_pressure ? ke * rng.uniform(0.0, 1.0)
+                                : ke + rng.uniform(0.1, 5.0);
+    return u;
+  };
+  int clamped = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const State ua = random_state(i % 3 == 0);
+    const State ub = random_state(i % 5 == 0);
+    const mesh::Vec3 n{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                       rng.uniform(-1.0, 1.0)};
+    const double dissipation = rng.uniform(0.5, 1.5);
+    const Primitives wa = primitives(ua);
+    const Primitives wb = primitives(ub);
+    clamped += pressure(ua) <= 0.0;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(wa.p),
+              std::bit_cast<std::uint64_t>(pressure(ua)));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(wa.c),
+              std::bit_cast<std::uint64_t>(sound_speed(ua)));
+    const State fa = ref_physical_flux(ua, n);
+    const State fb = ref_physical_flux(ub, n);
+    ASSERT_EQ(differing_bits(physical_flux(ua, wa, n), fa), 0U);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(normal_speed(ua, wa, n)),
+              std::bit_cast<std::uint64_t>(ref_normal_speed(ua, n)));
+    const double smax = std::max(ref_normal_speed(ua, n),
+                                 ref_normal_speed(ub, n));
+    State want;
+    for (int k = 0; k < 5; ++k) {
+      want[k] = 0.5 * (fa[k] + fb[k]) -
+                0.5 * dissipation * smax * (ub[k] - ua[k]);
+    }
+    ASSERT_EQ(differing_bits(rusanov_flux(ua, wa, ub, wb, n, dissipation),
+                             want),
+              0U)
+        << "state " << i;
+  }
+  EXPECT_EQ(clamped, 1000);
 }
 
 TEST(Euler, FreestreamIsExactFixedPoint) {
@@ -239,10 +311,12 @@ class DistributedVsSequential : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistributedVsSequential, SameSolutionAsSequential) {
   // The partitioned solver with real halo exchange must reproduce the
-  // sequential solver's solution bit for bit: both evaluate the shared
-  // flux kernel (mgcfd/flux.hpp) and every cell sums its edges in
-  // ascending edge order. The returned norms are not compared: the
-  // allreduce combines per-rank partial sums.
+  // sequential solver's solution bit for bit in both step modes: both
+  // solvers evaluate the shared flux kernel (mgcfd/flux.hpp) and every
+  // cell sums its edges in ascending edge order. The overlapped step is
+  // where a ghost slot's cached primitives could be refreshed before the
+  // halo lands. The returned norms are not compared: the allreduce
+  // combines per-rank partial sums.
   const int parts = GetParam();
   const mesh::UnstructuredMesh m = mesh::make_box_mesh(8, 8, 8);
   EulerOptions opt;
@@ -250,31 +324,73 @@ TEST_P(DistributedVsSequential, SameSolutionAsSequential) {
   opt.cfl = 0.5;
 
   EulerSolver seq(m, opt);
-  DistributedSolver dist(m, parts, opt);
   const State inf = freestream(0.4);
   seq.set_uniform(inf);
-  dist.set_uniform(inf);
-  // Same perturbation on both.
   State bump = inf;
   bump[0] *= 1.05;
   seq.mutable_solution()[100] = bump;
-  dist.set_cell(100, bump);
-
   seq.run(15);
-  dist.run(15);
-  const auto got = dist.gather_solution();
   const auto& want = seq.solution();
-  ASSERT_EQ(got.size(), want.size());
-  std::size_t differing = 0;
-  for (std::size_t c = 0; c < want.size(); ++c) {
-    for (int k = 0; k < 5; ++k) {
-      if (std::bit_cast<std::uint64_t>(got[c][k]) !=
-          std::bit_cast<std::uint64_t>(want[c][k])) {
-        ++differing;
-      }
+
+  for (const bool overlap : {false, true}) {
+    DistributedSolver dist(m, parts, opt);
+    dist.set_overlap(overlap);
+    dist.set_uniform(inf);
+    dist.set_cell(100, bump);  // the same perturbation
+    dist.run(15);
+    const auto got = dist.gather_solution();
+    ASSERT_EQ(got.size(), want.size());
+    std::size_t differing = 0;
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      differing += differing_bits(got[c], want[c]);
     }
+    EXPECT_EQ(differing, 0U) << "parts=" << parts << " overlap=" << overlap;
   }
-  EXPECT_EQ(differing, 0U) << "parts=" << parts;
+}
+
+TEST_P(DistributedVsSequential, DivergenceReturnsNaN) {
+  // Divergence is a defined outcome of the distributed step too: the step
+  // whose update leaves a non-finite density returns NaN (the same step
+  // as the sequential solver's), run() stops there, and a further step's
+  // primitive refresh flags the state and returns NaN before a flux reads
+  // it, with no DCHECK tripped. The overlapped step still closes its halo
+  // window, so stepping again does not throw. Forward Euler at CFL 3
+  // diverges (Euler.Rk3StableWhereForwardEulerIsNot).
+  const int parts = GetParam();
+  const mesh::UnstructuredMesh m = mesh::make_box_mesh(8, 8, 8);
+  EulerOptions opt;
+  opt.mg_levels = 1;
+  opt.cfl = 3.0;
+  const State inf = freestream(0.5);
+  EulerSolver seq(m, opt);
+  seq.set_uniform(inf);
+  for (std::size_t c = 0; c < seq.solution().size(); c += 5) {
+    seq.mutable_solution()[c][0] *= 1.02;
+  }
+  const State start = seq.solution()[0];
+  int seq_steps = 0;
+  while (seq_steps < 200 && !std::isnan(seq.run(1))) {
+    ++seq_steps;
+  }
+  ASSERT_LT(seq_steps, 200) << "the sequential run did not diverge";
+
+  for (const bool overlap : {false, true}) {
+    DistributedSolver dist(m, parts, opt);
+    dist.set_overlap(overlap);
+    dist.set_uniform(inf);
+    for (mesh::CellId c = 0; c < m.num_cells(); c += 5) {
+      dist.set_cell(c, start);
+    }
+    int steps = 0;
+    while (steps < 200 && !std::isnan(dist.step())) {
+      ++steps;
+    }
+    EXPECT_EQ(steps, seq_steps) << "parts=" << parts << " overlap=" << overlap;
+    for (int again = 0; again < 2; ++again) {
+      EXPECT_TRUE(std::isnan(dist.step()));
+    }
+    EXPECT_TRUE(std::isnan(dist.run(3)));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PartCounts, DistributedVsSequential,
