@@ -59,17 +59,20 @@ DistributedPic::DistributedPic(const PicOptions& options, int parts)
   ghost_from_left_.assign(p, 0.0);
   ghost_from_right_.assign(p, 0.0);
   migr_pack_.resize(p);
-  // Per-rank right-hand-side staging for the Thomas solve (rho * h^2 per
-  // unknown), sized once so the overlapped prep is allocation-free.
+  // Per-rank Thomas-solve staging, sized once so the field solve is
+  // allocation-free: the right-hand side (rho * h^2 per unknown, then
+  // eliminated in place) and the eliminated superdiagonal.
   rhs_scratch_.resize(p);
+  elim_c_.resize(p);
   for (int r = 0; r < parts; ++r) {
     const RankState& rs = ranks_[static_cast<std::size_t>(r)];
     const std::int64_t lo = std::max<std::int64_t>(rs.node_begin + 1, 1);
     const std::int64_t hi =
         std::min<std::int64_t>(rs.node_end, options.cells - 1);
-    rhs_scratch_[static_cast<std::size_t>(r)].assign(
-        static_cast<std::size_t>(std::max<std::int64_t>(hi - lo + 1, 0)),
-        0.0);
+    const auto unknowns =
+        static_cast<std::size_t>(std::max<std::int64_t>(hi - lo + 1, 0));
+    rhs_scratch_[static_cast<std::size_t>(r)].assign(unknowns, 0.0);
+    elim_c_[static_cast<std::size_t>(r)].assign(unknowns, 0.0);
   }
 }
 
@@ -186,13 +189,6 @@ void DistributedPic::solve_field() {
   const std::int64_t n_nodes = options_.cells;  // unknowns 1..n_nodes-1
   const double h2 = dx_ * dx_;
 
-  struct Elim {
-    std::vector<double> c;
-    std::vector<double> d;
-    std::int64_t first = 0;  ///< global index of first unknown handled
-  };
-  std::vector<Elim> elim(static_cast<std::size_t>(num_parts()));
-
   // --- forward pass (rank r waits for rank r-1) ---
   // The elimination carry (c_prev, d_prev) travels one hop per rank; each
   // rank blocks on its left neighbour's carry before eliminating — the
@@ -203,7 +199,6 @@ void DistributedPic::solve_field() {
   double carry[2] = {0.0, 0.0};
   for (int r = 0; r < parts; ++r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    Elim& el = elim[static_cast<std::size_t>(r)];
     const std::int64_t lo = std::max<std::int64_t>(rs.node_begin + 1, 1);
     const std::int64_t hi = std::min<std::int64_t>(rs.node_end, n_nodes - 1);
     const std::int64_t unknowns = std::max<std::int64_t>(hi - lo + 1, 0);
@@ -243,10 +238,11 @@ void DistributedPic::solve_field() {
       // both modes charge identical totals, placed differently.
       cluster_->compute(r, prep, region_field_);
     }
+    // The eliminated rhs d overwrites rhs in place; c goes to elim_c_.
+    std::vector<double>& c = elim_c_[static_cast<std::size_t>(r)];
     double c_prev = carry[0];
     double d_prev = carry[1];
     bool have_prev = r > 0;
-    el.first = lo;
     for (std::int64_t i = lo; i <= hi; ++i) {
       const double rhs_i = rhs[static_cast<std::size_t>(i - lo)];
       double ci;
@@ -260,8 +256,8 @@ void DistributedPic::solve_field() {
         ci = -1.0 / denom;
         di = (rhs_i + d_prev) / denom;
       }
-      el.c.push_back(ci);
-      el.d.push_back(di);
+      c[static_cast<std::size_t>(i - lo)] = ci;
+      rhs[static_cast<std::size_t>(i - lo)] = di;
       c_prev = ci;
       d_prev = di;
     }
@@ -283,7 +279,9 @@ void DistributedPic::solve_field() {
   double phi_next = 0.0;  // phi[n_nodes] = 0 wall
   for (int r = parts - 1; r >= 0; --r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const Elim& el = elim[static_cast<std::size_t>(r)];
+    const std::vector<double>& c = elim_c_[static_cast<std::size_t>(r)];
+    const std::vector<double>& d = rhs_scratch_[static_cast<std::size_t>(r)];
+    const std::int64_t first = std::max<std::int64_t>(rs.node_begin + 1, 1);
     if (r + 1 < parts) {
       comm_.irecv_value(r, r + 1, kTagPhiBack, &phi_next);
       comm_.wait_all();
@@ -291,15 +289,15 @@ void DistributedPic::solve_field() {
         cluster_->send(r + 1, r, sizeof(double), region_field_);
       }
     }
-    for (std::int64_t k = static_cast<std::int64_t>(el.c.size()) - 1;
-         k >= 0; --k) {
-      const std::int64_t i = el.first + k;
+    for (std::int64_t k = static_cast<std::int64_t>(c.size()) - 1; k >= 0;
+         --k) {
+      const std::int64_t i = first + k;
       double phi_i;
       if (i == n_nodes - 1) {
-        phi_i = el.d[static_cast<std::size_t>(k)];
+        phi_i = d[static_cast<std::size_t>(k)];
       } else {
-        phi_i = el.d[static_cast<std::size_t>(k)] -
-                el.c[static_cast<std::size_t>(k)] * phi_next;
+        phi_i = d[static_cast<std::size_t>(k)] -
+                c[static_cast<std::size_t>(k)] * phi_next;
       }
       rs.phi[static_cast<std::size_t>(i - rs.node_begin)] = phi_i;
       phi_next = phi_i;
@@ -313,10 +311,8 @@ void DistributedPic::solve_field() {
     }
     if (cluster_ != nullptr) {
       sim::Work back;
-      back.flops =
-          4.0 * static_cast<double>(el.c.size());
-      back.bytes =
-          24.0 * static_cast<double>(el.c.size());
+      back.flops = 4.0 * static_cast<double>(c.size());
+      back.bytes = 24.0 * static_cast<double>(c.size());
       cluster_->compute(r, back, region_field_);
     }
     if (r > 0) {

@@ -130,6 +130,7 @@ class DistributedPic {
   std::vector<double> ghost_from_right_; // cpx-lint: allow(ckpt)
   std::vector<std::vector<double>> migr_pack_;    // cpx-lint: allow(ckpt)
   std::vector<std::vector<double>> rhs_scratch_;  // cpx-lint: allow(ckpt)
+  std::vector<std::vector<double>> elim_c_;       // cpx-lint: allow(ckpt)
   std::vector<sim::Message> message_scratch_;     // cpx-lint: allow(ckpt)
   std::int64_t last_migrations_ = 0;
   bool overlap_ = false;

@@ -9,7 +9,6 @@
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 
 namespace cpx::simpic {
 namespace {
@@ -27,6 +26,7 @@ Pic::Pic(const PicOptions& options)
   rho_.assign(nodes, 0.0);
   phi_.assign(nodes, 0.0);
   e_.assign(nodes, 0.0);
+  thomas_c_.assign(nodes - 2, 0.0);
   background_ = 0.0;
 }
 
@@ -75,10 +75,6 @@ void Pic::set_background(double density) {
   background_ = density;
 }
 
-double Pic::cell_of(double x) const {
-  return x / dx_;
-}
-
 void Pic::deposit() {
   CPX_METRICS_SCOPE("simpic/deposit");
   const auto nodes = static_cast<std::size_t>(num_nodes());
@@ -90,71 +86,57 @@ void Pic::deposit() {
     support::metrics::counter_add("simpic/deposit_bytes", 48 * np);
   }
 
-  support::simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    // Linear (CIC) weighting; divide by dx to convert charge to density.
-    // The cell/fraction/charge arithmetic runs on packs; the scatter
-    // itself stays serial IN ELEMENT ORDER inside the block, so the grid
-    // accumulation order — and every bit of rho — is identical to the
-    // scalar kernel at every pack width.
-    const auto scatter_range = [&](std::int64_t i0, std::int64_t i1,
-                                   std::span<double> rho) {
-      const double* px = x_.data();
-      const double* pw = w_.data();
-      double* prho = rho.data();
-      const auto vdx = support::simd::pack<W>::broadcast(dx_);
-      const auto deposit_one = [&](double c, double q) {
-        auto left = static_cast<std::int64_t>(c);
-        left = std::clamp<std::int64_t>(left, 0, options_.cells - 1);
-        const double frac = c - static_cast<double>(left);
-        prho[left] += q * (1.0 - frac);
-        prho[left + 1] += q * frac;
-      };
-      std::int64_t i = i0;
-      for (; i + W <= i1; i += W) {
-        const auto cv = support::simd::pack<W>::load(px + i) / vdx;
-        const auto qv = support::simd::pack<W>::load(pw + i) / vdx;
-        for (int j = 0; j < W; ++j) {
-          deposit_one(cv[j], qv[j]);
-        }
-      }
-      for (; i < i1; ++i) {
-        deposit_one(cell_of(px[i]), pw[i] / dx_);
-      }
-    };
+  // Linear (CIC) weighting; divide by dx to convert charge to density.
+  // One plain loop in element order: the scatter is serial per chunk, so a
+  // pack path could only vectorise the two divisions, and the lane
+  // round-trips through memory cost more than that saves.
+  const double dx = dx_;
+  const std::int64_t last_cell = options_.cells - 1;
+  const double* px = x_.data();
+  const double* pw = w_.data();
+  const auto scatter_range = [=](std::int64_t i0, std::int64_t i1,
+                                 double* prho) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const double c = px[i] / dx;
+      const double q = pw[i] / dx;
+      auto left = static_cast<std::int64_t>(c);
+      left = std::clamp<std::int64_t>(left, 0, last_cell);
+      const double frac = c - static_cast<double>(left);
+      prho[left] += q * (1.0 - frac);
+      prho[left + 1] += q * frac;
+    }
+  };
 
-    const std::int64_t nchunks = support::num_chunks(0, np, kParticleGrain);
-    if (nchunks <= 1) {
-      // Single chunk: the plain serial scatter (bitwise identical to the
-      // pre-threaded implementation).
-      std::fill(rho_.begin(), rho_.end(), background_);
-      scatter_range(0, np, rho_);
-    } else {
-      // Scatter-reduction: each chunk deposits into its own partial grid,
-      // partials are combined in chunk order. The chunk decomposition is
-      // fixed by the grain, so the summation order — and the result — is
-      // independent of the thread count.
-      deposit_partials_.assign(static_cast<std::size_t>(nchunks) * nodes,
-                               0.0);
-      support::parallel_chunks(
-          0, np, kParticleGrain,
-          [&](std::int64_t chunk, std::int64_t i0, std::int64_t i1, int) {
-            scatter_range(
-                i0, i1,
-                std::span<double>(deposit_partials_.data() +
-                                      static_cast<std::size_t>(chunk) * nodes,
-                                  nodes));
-          });
-      std::fill(rho_.begin(), rho_.end(), background_);
-      for (std::int64_t chunk = 0; chunk < nchunks; ++chunk) {
-        const double* partial =
-            deposit_partials_.data() + static_cast<std::size_t>(chunk) * nodes;
-        for (std::size_t nidx = 0; nidx < nodes; ++nidx) {
-          rho_[nidx] += partial[nidx];
-        }
+  const std::int64_t nchunks = support::num_chunks(0, np, kParticleGrain);
+  if (nchunks <= 1) {
+    // Single chunk: the plain serial scatter (bitwise identical to the
+    // pre-threaded implementation).
+    std::fill(rho_.begin(), rho_.end(), background_);
+    scatter_range(0, np, rho_.data());
+  } else {
+    // Scatter-reduction: each chunk deposits into its own partial grid,
+    // partials are combined in chunk order. The chunk decomposition is
+    // fixed by the grain, so the summation order — and the result — is
+    // independent of the thread count. A step never adds particles, so a
+    // warm assign reuses its storage.
+    // cpx-lint: allow(solve-alloc) — same size when warm (SolverAllocations.WarmPicStepAllocatesNothing)
+    deposit_partials_.assign(static_cast<std::size_t>(nchunks) * nodes, 0.0);
+    double* partials = deposit_partials_.data();
+    support::parallel_chunks(
+        0, np, kParticleGrain,
+        [&](std::int64_t chunk, std::int64_t i0, std::int64_t i1, int) {
+          scatter_range(i0, i1,
+                        partials + static_cast<std::size_t>(chunk) * nodes);
+        });
+    std::fill(rho_.begin(), rho_.end(), background_);
+    for (std::int64_t chunk = 0; chunk < nchunks; ++chunk) {
+      const double* partial =
+          partials + static_cast<std::size_t>(chunk) * nodes;
+      for (std::size_t nidx = 0; nidx < nodes; ++nidx) {
+        rho_[nidx] += partial[nidx];
       }
     }
-  });
+  }
 
   if (options_.boundary == Boundary::kPeriodic) {
     // Wrap the two wall nodes onto each other.
@@ -173,75 +155,84 @@ void Pic::deposit() {
   }
 }
 
+namespace {
+
+/// Thomas algorithm for -phi'' = rho with phi = 0 at both ends, n nodes,
+/// interior unknowns 1..n-2. The eliminated rhs d[i-1] is staged in phi[i]
+/// and overwritten in place by the back substitution, so the only scratch
+/// is the eliminated superdiagonal `c` (n - 2 entries).
+void thomas_dirichlet(std::span<const double> rho, double dx,
+                      std::span<double> phi, std::span<double> c) {
+  const std::size_t n = rho.size();
+  // Interior unknowns 1..n-2; -(phi[i-1] - 2 phi[i] + phi[i+1])/dx^2 = rho[i].
+  const std::size_t m = n - 2;
+  const double h2 = dx * dx;
+  double b = 2.0;
+  c[0] = -1.0 / b;
+  phi[1] = rho[1] * h2 / b;
+  for (std::size_t i = 1; i < m; ++i) {
+    const double denom = 2.0 + c[i - 1];
+    c[i] = -1.0 / denom;
+    phi[i + 1] = (rho[i + 1] * h2 + phi[i]) / denom;
+  }
+  for (std::size_t i = m - 1; i >= 1; --i) {
+    phi[i] = phi[i] - c[i - 1] * phi[i + 1];
+  }
+  phi[0] = 0.0;
+  phi[n - 1] = 0.0;
+}
+
+}  // namespace
+
 std::vector<double> Pic::solve_poisson_dirichlet(
     std::span<const double> rho, double dx) {
   const std::size_t n = rho.size();
   CPX_REQUIRE(n >= 3, "solve_poisson_dirichlet: need >= 3 nodes");
   std::vector<double> phi(n, 0.0);
-  // Interior unknowns 1..n-2; -(phi[i-1] - 2 phi[i] + phi[i+1])/dx^2 = rho[i].
-  const std::size_t m = n - 2;
-  std::vector<double> c(m, 0.0);  // superdiagonal after elimination
-  std::vector<double> d(m, 0.0);  // rhs after elimination
-  const double h2 = dx * dx;
-  double b = 2.0;
-  c[0] = -1.0 / b;
-  d[0] = rho[1] * h2 / b;
-  for (std::size_t i = 1; i < m; ++i) {
-    const double denom = 2.0 + c[i - 1];
-    c[i] = -1.0 / denom;
-    d[i] = (rho[i + 1] * h2 + d[i - 1]) / denom;
-  }
-  phi[m] = d[m - 1];
-  for (std::size_t i = m - 1; i >= 1; --i) {
-    phi[i] = d[i - 1] - c[i - 1] * phi[i + 1];
-  }
+  std::vector<double> c(n - 2, 0.0);
+  thomas_dirichlet(rho, dx, phi, c);
   return phi;
 }
 
 void Pic::solve_field() {
   CPX_METRICS_SCOPE("simpic/field");
+  const std::size_t n = rho_.size();
   if (options_.boundary == Boundary::kPeriodic) {
     // Periodic Poisson solve via cyclic reduction is overkill in 1-D; use
     // the standard trick: subtract the mean charge (solvability), then
-    // solve with pinned phi[0] = 0 by integrating twice.
-    const std::size_t n = rho_.size();
-    std::vector<double> rho0(rho_.begin(), rho_.end() - 1);
+    // solve with pinned phi[0] = 0 by integrating twice. The wall node
+    // n-1 duplicates node 0, so the mean runs over the first n-1 nodes.
+    const std::size_t m = n - 1;
     double mean = 0.0;
-    for (double r : rho0) {
-      mean += r;
+    for (std::size_t i = 0; i < m; ++i) {
+      mean += rho_[i];
     }
-    mean /= static_cast<double>(rho0.size());
-    for (double& r : rho0) {
-      r -= mean;
-    }
-    // E' = rho  ->  integrate; then remove mean E so the periodic integral
-    // of phi' vanishes.
-    std::vector<double> e(rho0.size() + 1, 0.0);
-    for (std::size_t i = 1; i < e.size(); ++i) {
-      e[i] = e[i - 1] + dx_ * 0.5 * (rho0[i - 1] +
-                                     rho0[i % rho0.size()]);
+    mean /= static_cast<double>(m);
+    // E' = rho - mean  ->  integrate; then remove mean E so the periodic
+    // integral of phi' vanishes.
+    e_[0] = 0.0;
+    for (std::size_t i = 1; i < n; ++i) {
+      e_[i] = e_[i - 1] +
+              dx_ * 0.5 * ((rho_[i - 1] - mean) + (rho_[i % m] - mean));
     }
     double e_mean = 0.0;
-    for (std::size_t i = 0; i < e.size() - 1; ++i) {
-      e_mean += e[i];
+    for (std::size_t i = 0; i < m; ++i) {
+      e_mean += e_[i];
     }
-    e_mean /= static_cast<double>(e.size() - 1);
-    for (double& v : e) {
+    e_mean /= static_cast<double>(m);
+    for (double& v : e_) {
       v -= e_mean;
     }
-    e_.assign(e.begin(), e.end());
     // phi from E (for diagnostics only): phi' = -E.
-    phi_.assign(n, 0.0);
+    phi_[0] = 0.0;
     for (std::size_t i = 1; i < n; ++i) {
       phi_[i] = phi_[i - 1] - dx_ * 0.5 * (e_[i - 1] + e_[i]);
     }
     return;
   }
 
-  const std::vector<double> phi = solve_poisson_dirichlet(rho_, dx_);
-  phi_.assign(phi.begin(), phi.end());
+  thomas_dirichlet(rho_, dx_, phi_, thomas_c_);
   // E = -dphi/dx, one-sided at the walls.
-  const std::size_t n = phi_.size();
   e_[0] = -(phi_[1] - phi_[0]) / dx_;
   for (std::size_t i = 1; i + 1 < n; ++i) {
     e_[i] = -(phi_[i + 1] - phi_[i - 1]) / (2.0 * dx_);
@@ -260,97 +251,71 @@ void Pic::push() {
     support::metrics::counter_add("simpic/push_flops", 10 * np);
     support::metrics::counter_add("simpic/push_bytes", 49 * np);
   }
-  push_x_.resize(static_cast<std::size_t>(np));
-  push_v_.resize(static_cast<std::size_t>(np));
-  push_keep_.resize(static_cast<std::size_t>(np));
+  const bool periodic = options_.boundary == Boundary::kPeriodic;
+  unsigned char* keep = nullptr;
+  if (!periodic) {
+    // cpx-lint: allow(solve-alloc) — never grows when warm (SolverAllocations.WarmPicStepAllocatesNothing)
+    push_keep_.resize(static_cast<std::size_t>(np));
+    keep = push_keep_.data();
+  }
 
-  // Gather + leapfrog advance, parallel over particles: each particle
-  // writes its own slot, so the push is bitwise identical at any thread
-  // count. The cell/interpolation/leapfrog arithmetic runs on packs with
-  // the same per-element expressions as the scalar tail, so it is also
-  // bitwise identical at every pack width; the clamp/gather and the
-  // boundary fix-up are per-lane scalar.
-  const double* pxv = x_.data();
-  const double* pvv = v_.data();
+  // Gather + leapfrog advance in place, parallel over particles: each
+  // particle reads and writes only its own x/v slot (E is read-only), so
+  // the push is race-free and bitwise identical at any thread count.
+  const double dx = dx_;
+  const double dt = options_.dt;
+  const double length = options_.length;
+  const std::int64_t last_cell = options_.cells - 1;
+  double* px = x_.data();
+  double* pv = v_.data();
   const double* pe = e_.data();
-  double* pox = push_x_.data();
-  double* pov = push_v_.data();
-  unsigned char* pok = push_keep_.data();
-  support::simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    support::parallel_for(0, np, kParticleGrain, [&](std::int64_t i0,
-                                                     std::int64_t i1) {
-      const auto vdx = support::simd::pack<W>::broadcast(dx_);
-      const auto vone = support::simd::pack<W>::broadcast(1.0);
-      const auto vdtqm =
-          support::simd::pack<W>::broadcast(options_.dt * qm);
-      const auto vdt = support::simd::pack<W>::broadcast(options_.dt);
-      const auto settle = [&](std::int64_t i, double v, double x) {
-        bool keep = true;
-        if (options_.boundary == Boundary::kPeriodic) {
-          x = std::fmod(x, options_.length);
+  support::parallel_for(0, np, kParticleGrain, [=](std::int64_t i0,
+                                                   std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const double c = px[i] / dx;
+      auto left = static_cast<std::int64_t>(c);
+      left = std::clamp<std::int64_t>(left, 0, last_cell);
+      const double frac = c - static_cast<double>(left);
+      const double e_here = pe[left] * (1.0 - frac) + pe[left + 1] * frac;
+      const double v = pv[i] + dt * qm * e_here;
+      double x = px[i] + dt * v;
+      if (periodic) {
+        // fmod(x, L) returns x exactly for 0 <= x < L (and -0.0), so only
+        // particles that left the domain (or NaN) need the call.
+        if (!(x >= 0.0 && x < length)) {
+          x = std::fmod(x, length);
           if (x < 0.0) {
-            x += options_.length;
+            x += length;
           }
-        } else if (x < 0.0 || x > options_.length) {
-          keep = false;  // absorbed at the wall
         }
-        pox[i] = x;
-        pov[i] = v;
-        pok[i] = keep ? 1 : 0;
-      };
-      std::int64_t ii = i0;
-      for (; ii + W <= i1; ii += W) {
-        const auto xv = support::simd::pack<W>::load(pxv + ii);
-        const auto cv = xv / vdx;
-        std::int64_t left[W];
-        std::int64_t right[W];
-        support::simd::pack<W> fracp;
-        for (int j = 0; j < W; ++j) {
-          auto l = static_cast<std::int64_t>(cv[j]);
-          l = std::clamp<std::int64_t>(l, 0, options_.cells - 1);
-          left[j] = l;
-          right[j] = l + 1;
-          fracp.v[j] = cv[j] - static_cast<double>(l);
-        }
-        const auto ehere =
-            support::simd::pack<W>::gather(pe, left) * (vone - fracp) +
-            support::simd::pack<W>::gather(pe, right) * fracp;
-        const auto vnew =
-            support::simd::pack<W>::load(pvv + ii) + vdtqm * ehere;
-        const auto xnew = xv + vdt * vnew;
-        for (int j = 0; j < W; ++j) {
-          settle(ii + j, vnew[j], xnew[j]);
-        }
+      } else {
+        keep[i] = x < 0.0 || x > length ? 0 : 1;  // absorbed at the wall
       }
-      for (; ii < i1; ++ii) {
-        const double c = cell_of(pxv[ii]);
-        auto left = static_cast<std::int64_t>(c);
-        left = std::clamp<std::int64_t>(left, 0, options_.cells - 1);
-        const double frac = c - static_cast<double>(left);
-        const double e_here =
-            pe[left] * (1.0 - frac) + pe[left + 1] * frac;
-        const double v = pvv[ii] + options_.dt * qm * e_here;
-        const double x = pxv[ii] + options_.dt * v;
-        settle(ii, v, x);
-      }
-    });
+      px[i] = x;
+      pv[i] = v;
+    }
   });
+  if (periodic) {
+    return;
+  }
 
-  // Order-preserving compaction of the survivors (serial: it is a trivial
-  // copy, and keeping the original particle order makes the result
-  // independent of the execution schedule).
+  // Order-preserving compaction of the survivors, in place (alive <= i).
+  // Serial: it is a trivial copy, and keeping the original particle order
+  // makes the result independent of the execution schedule.
   std::size_t alive = 0;
   for (std::size_t i = 0; i < static_cast<std::size_t>(np); ++i) {
-    if (push_keep_[i] != 0) {
-      x_[alive] = push_x_[i];
-      v_[alive] = push_v_[i];
+    if (keep[i] != 0) {
+      x_[alive] = x_[i];
+      v_[alive] = v_[i];
       w_[alive] = w_[i];
       ++alive;
     }
   }
+  // cpx-lint: allow(solve-alloc) — shrink only (SolverAllocations.WarmPicStepAllocatesNothing)
   x_.resize(alive);
+  // cpx-lint: allow(solve-alloc) — shrink only (SolverAllocations.WarmPicStepAllocatesNothing)
   v_.resize(alive);
+  // cpx-lint: allow(solve-alloc) — shrink only (SolverAllocations.WarmPicStepAllocatesNothing)
   w_.resize(alive);
 }
 

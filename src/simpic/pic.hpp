@@ -72,6 +72,7 @@ class Pic {
 
   const support::aligned_vector<double>& positions() const { return x_; }
   const support::aligned_vector<double>& velocities() const { return v_; }
+  const support::aligned_vector<double>& weights() const { return w_; }
   const support::aligned_vector<double>& rho() const { return rho_; }
   const support::aligned_vector<double>& phi() const { return phi_; }
   const support::aligned_vector<double>& efield() const { return e_; }
@@ -112,14 +113,11 @@ class Pic {
       std::span<const double> rho, double dx);
 
  private:
-  double cell_of(double x) const;
-
   PicOptions options_;
   double dx_;  ///< derived from options, rebuilt // cpx-lint: allow(ckpt)
   CounterRng rng_;
 
-  // Particle storage (structure-of-arrays, as in SIMPIC). 64-byte-aligned
-  // so the simd::pack block loads in push/deposit start on cache lines.
+  // Particle storage (structure-of-arrays, as in SIMPIC), 64-byte-aligned.
   support::aligned_vector<double> x_;
   support::aligned_vector<double> v_;
   support::aligned_vector<double> w_;  ///< per-particle charge weight
@@ -131,14 +129,15 @@ class Pic {
 
   double background_;  ///< neutralising ion background density
 
-  // Scratch for the threaded deposit/push stages (docs/parallelism.md):
-  // per-chunk charge partials combined in chunk order, and the pushed
-  // particle state before the order-preserving compaction. Resized per
-  // step, so the snapshot deliberately omits it.
+  // Step scratch (docs/parallelism.md), so a warm step allocates nothing:
+  // per-chunk charge partials combined in chunk order, the absorbing
+  // push's keep flags for the in-place order-preserving compaction (the
+  // push itself updates x/v in place), and the Dirichlet Thomas solve's
+  // eliminated superdiagonal (sized by the constructor). Rebuilt by the
+  // next step, so the snapshot deliberately omits it.
   support::aligned_vector<double> deposit_partials_;  // cpx-lint: allow(ckpt)
-  support::aligned_vector<double> push_x_;            // cpx-lint: allow(ckpt)
-  support::aligned_vector<double> push_v_;            // cpx-lint: allow(ckpt)
   std::vector<unsigned char> push_keep_;              // cpx-lint: allow(ckpt)
+  std::vector<double> thomas_c_;                      // cpx-lint: allow(ckpt)
 };
 
 /// Checks every position lies in [0, length] and is finite. Free function

@@ -1,6 +1,9 @@
 #pragma once
 // Portable fixed-width SIMD shim for the hot kernel layers (blas1, sparse
-// SpMV, AMG smoothers, SIMPIC push/deposit, coupler IDW). Dependency-free:
+// SpMV, AMG smoothers, coupler IDW). The SIMPIC push and deposit are plain
+// scalar loops: a per-particle gather/scatter leaves a pack only a few
+// elementwise operations, and the lane round-trips made them slower than
+// the scalar loop (docs/parallelism.md). Dependency-free:
 // pack<W> maps to GCC/Clang vector extensions where available and to a
 // plain array + loops everywhere else, so the scalar fallback compiles on
 // any C++20 compiler. No intrinsics headers, no -march requirements.

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "perfmodel/sweep.hpp"
 #include "sim/cluster.hpp"
@@ -15,6 +19,7 @@
 #include "simpic/pic.hpp"
 #include "simpic/stc.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace cpx::simpic {
 namespace {
@@ -199,6 +204,136 @@ TEST(Pic, PeriodicBoundaryKeepsParticles) {
   for (double x : pic.positions()) {
     EXPECT_GE(x, 0.0);
     EXPECT_LT(x, opt.length);
+  }
+}
+
+/// Particle state for the out-of-place reference push below.
+struct ParticleState {
+  std::vector<double> x;
+  std::vector<double> v;
+  std::vector<double> w;
+};
+
+ParticleState state_of(const Pic& pic) {
+  return {{pic.positions().begin(), pic.positions().end()},
+          {pic.velocities().begin(), pic.velocities().end()},
+          {pic.weights().begin(), pic.weights().end()}};
+}
+
+/// The out-of-place push Pic::push replaced: gather + leapfrog into
+/// separate output arrays with an unconditional fmod wrap (periodic) or a
+/// keep flag (absorbing), then an order-preserving compaction.
+ParticleState reference_push(const ParticleState& in,
+                             const std::vector<double>& e,
+                             const PicOptions& opt) {
+  const double qm = -1.0;
+  const double dx = opt.length / static_cast<double>(opt.cells);
+  const std::size_t np = in.x.size();
+  std::vector<double> out_x(np);
+  std::vector<double> out_v(np);
+  std::vector<unsigned char> keep(np);
+  for (std::size_t i = 0; i < np; ++i) {
+    const double c = in.x[i] / dx;
+    auto left = static_cast<std::int64_t>(c);
+    left = std::clamp<std::int64_t>(left, 0, opt.cells - 1);
+    const double frac = c - static_cast<double>(left);
+    const double e_here = e[static_cast<std::size_t>(left)] * (1.0 - frac) +
+                          e[static_cast<std::size_t>(left) + 1] * frac;
+    const double v = in.v[i] + opt.dt * qm * e_here;
+    double x = in.x[i] + opt.dt * v;
+    bool kept = true;
+    if (opt.boundary == Boundary::kPeriodic) {
+      x = std::fmod(x, opt.length);
+      if (x < 0.0) {
+        x += opt.length;
+      }
+    } else if (x < 0.0 || x > opt.length) {
+      kept = false;
+    }
+    out_x[i] = x;
+    out_v[i] = v;
+    keep[i] = kept ? 1 : 0;
+  }
+  ParticleState out;
+  for (std::size_t i = 0; i < np; ++i) {
+    if (keep[i] != 0) {
+      out.x.push_back(out_x[i]);
+      out.v.push_back(out_v[i]);
+      out.w.push_back(in.w[i]);
+    }
+  }
+  return out;
+}
+
+/// Number of differing bits between two equally long arrays.
+int differing_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  int bits = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    bits += std::popcount(std::bit_cast<std::uint64_t>(a[i]) ^
+                          std::bit_cast<std::uint64_t>(b[i]));
+  }
+  return bits;
+}
+
+TEST(Pic, PushMatchesOutOfPlaceReference) {
+  // The in-place push with the fmod fast path must reproduce the
+  // out-of-place, always-fmod kernel bit for bit, and keep the survivors
+  // in their original order. dt = 1/16 makes dt * v exact, so particles
+  // land exactly on the walls; with the zero field of a fresh Pic the
+  // first push moves every particle by exactly dt * v.
+  const double top = std::nextafter(1.0, 0.0);  // L - ulp
+  const std::vector<std::vector<double>> placed = {
+      {0.0, 0.0},    {-0.0, -0.0},  // on the left wall (+0.0 and -0.0)
+      {top, 0.0},                   // one ulp inside the right wall
+      {0.01, -1.0},  {0.99, 1.0},   // cross the left / right wall
+      {0.25, -4.0},  {0.75, 4.0},   // land exactly on 0 / on L
+      {0.5, 40.0},   {0.5, -40.0},  // leave by whole periods (-2 -> -0.0)
+      {top, 1e-3},   {0.5, 0.0},
+  };
+  for (const Boundary boundary : {Boundary::kPeriodic, Boundary::kAbsorbing}) {
+    PicOptions opt;
+    opt.cells = 16;
+    opt.dt = 0.0625;
+    opt.boundary = boundary;
+    Pic pic(opt);
+    for (std::size_t i = 0; i < placed.size(); ++i) {
+      pic.add_particle(placed[i][0], placed[i][1],
+                       -1e-3 * static_cast<double>(i + 1));
+    }
+    // Bulk particles spanning several push chunks, many crossing a wall.
+    Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+      pic.add_particle(rng.uniform(), rng.uniform(-2.0, 2.0),
+                       -1e-5 * rng.uniform(0.5, 1.5));
+    }
+    pic.set_background(1.0);
+
+    // Push twice: once in the zero field, once in a solved field.
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) {
+        pic.deposit();
+        pic.solve_field();
+      }
+      const ParticleState before = state_of(pic);
+      const std::vector<double> e(pic.efield().begin(), pic.efield().end());
+      const ParticleState want = reference_push(before, e, opt);
+      pic.push();
+      const ParticleState got = state_of(pic);
+      const bool absorbing = boundary == Boundary::kAbsorbing;
+      ASSERT_EQ(got.x.size(), want.x.size())
+          << "pass " << pass << " absorbing=" << absorbing;
+      EXPECT_EQ(differing_bits(got.x, want.x), 0)
+          << "pass " << pass << " absorbing=" << absorbing;
+      EXPECT_EQ(differing_bits(got.v, want.v), 0)
+          << "pass " << pass << " absorbing=" << absorbing;
+      EXPECT_EQ(differing_bits(got.w, want.w), 0)
+          << "pass " << pass << " absorbing=" << absorbing;
+      if (absorbing) {
+        EXPECT_LT(got.x.size(), before.x.size());
+      } else {
+        EXPECT_EQ(got.x.size(), before.x.size());
+      }
+    }
   }
 }
 

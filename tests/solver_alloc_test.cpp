@@ -25,6 +25,7 @@
 #include "mgcfd/distributed.hpp"
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
+#include "simpic/pic.hpp"
 #include "sparse/generators.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
@@ -300,6 +301,39 @@ TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
             << "warm DistributedSolver::step made " << allocs
             << " heap allocations (threads=" << threads
             << " overlap=" << overlap << " cluster=" << with_cluster << ")";
+      }
+    }
+  }
+  support::set_max_threads(width);
+}
+
+TEST(SolverAllocations, WarmPicStepAllocatesNothing) {
+  // A warm simpic::Pic::step() — chunked deposit with its partial grids,
+  // field solve, in-place push and, with absorbing walls, the keep flags
+  // and in-place compaction — touches no heap, for both boundaries at
+  // pool widths 1 and 4. 16,384 particles span two deposit chunks.
+  const int width = support::max_threads();
+  for (const int threads : {1, 4}) {
+    support::set_max_threads(threads);
+    for (const auto boundary : {cpx::simpic::Boundary::kPeriodic,
+                                cpx::simpic::Boundary::kAbsorbing}) {
+      cpx::simpic::PicOptions opts;
+      opts.cells = 64;
+      opts.boundary = boundary;
+      cpx::simpic::Pic pic(opts);
+      pic.load_uniform(256, 0.1, 0.05);
+      const std::int64_t loaded = pic.num_particles();
+      pic.run(2);  // warm-up: deposit partials and keep flags
+      const std::size_t allocs = allocations_during([&] { pic.run(4); });
+      EXPECT_EQ(allocs, 0u)
+          << "warm Pic::step made " << allocs << " heap allocations (threads="
+          << threads << " absorbing="
+          << (boundary == cpx::simpic::Boundary::kAbsorbing) << ")";
+      if (boundary == cpx::simpic::Boundary::kAbsorbing) {
+        EXPECT_LT(pic.num_particles(), loaded)
+            << "no particle was absorbed, so the compaction never ran";
+      } else {
+        EXPECT_EQ(pic.num_particles(), loaded);
       }
     }
   }

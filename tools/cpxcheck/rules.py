@@ -109,7 +109,10 @@ CLOCK_IDENTS = frozenset({"system_clock", "high_resolution_clock"})
 SOLVE_ENTRY_SUFFIXES = ("amg::pcg", "AmgHierarchy::solve",
                         "AmgHierarchy::cycle", "AmgHierarchy::reset_values",
                         "SpgemmPlan::fill_values",
-                        "DistributedSolver::step")
+                        "DistributedSolver::step",
+                        # The `simpic::` qualifier keeps DistributedPic::step
+                        # (variable-size migration appends) off the list.
+                        "simpic::Pic::step")
 RNG_HOME = "src/support/rng.hpp"
 # The only homes of raw parallel_reduce calls (rule `reduce`).
 REDUCE_HOMES = frozenset({"src/support/blas1.cpp", "src/support/parallel.hpp",
