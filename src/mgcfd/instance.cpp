@@ -60,14 +60,16 @@ Instance::Instance(std::string name, const mesh::UnstructuredMesh& mesh,
                                             << " parts but rank range has "
                                             << ranks.size());
   const auto locals = mesh::extract_local_meshes(mesh, partitioning);
-  loads_.resize(static_cast<std::size_t>(ranks.size()));
-  for (const mesh::LocalMesh& lm : locals) {
-    RankLoad& load = loads_[static_cast<std::size_t>(lm.part)];
-    load.owned = lm.num_owned();
+  owned_.reserve(locals.size());
+  nbr_begin_.reserve(locals.size() + 1);
+  nbr_begin_.push_back(0);
+  for (const mesh::LocalMesh& lm : locals) {  // in part order
+    owned_.push_back(lm.num_owned());
     for (const auto& send : lm.sends) {
-      load.neighbors.push_back(ranks_.begin + send.neighbor);
-      load.halo_cells.push_back(static_cast<std::int64_t>(send.cells.size()));
+      nbr_rank_.push_back(ranks_.begin + send.neighbor);
+      nbr_halo_.push_back(static_cast<std::int64_t>(send.cells.size()));
     }
+    nbr_begin_.push_back(nbr_rank_.size());
   }
 }
 
@@ -79,18 +81,30 @@ void Instance::build_analytic(std::int64_t global_cells) {
   const int px = dims[0];
   const int py = dims[1];
   const int pz = dims[2];
+  // Spread the analytic mean halo over the mean neighbour count: every
+  // face of every rank carries the same per-face halo.
+  const std::int64_t per_face = std::max<std::int64_t>(
+      static_cast<std::int64_t>(stats.halo_mean /
+                                std::max(stats.neighbors_mean, 1.0)),
+      1);
+  // Directed neighbour pairs of the px x py x pz grid.
+  const auto faces = static_cast<std::size_t>(
+      2 * ((px - 1) * py * pz + px * (py - 1) * pz + px * py * (pz - 1)));
 
-  loads_.resize(static_cast<std::size_t>(p));
+  owned_.reserve(static_cast<std::size_t>(p));
+  nbr_begin_.reserve(static_cast<std::size_t>(p) + 1);
+  nbr_rank_.reserve(faces);
+  nbr_begin_.push_back(0);
   for (int l = 0; l < p; ++l) {
-    RankLoad& load = loads_[static_cast<std::size_t>(l)];
     // Deterministic +-3% load jitter around the mean (production
     // partitioners are imbalanced at about this level).
     const double jitter =
         0.03 * (2.0 * (static_cast<double>(hash_mix(17, static_cast<std::uint64_t>(l)) >> 11) *
                        0x1.0p-53) -
                 1.0);
-    load.owned = static_cast<std::int64_t>(stats.owned_mean * (1.0 + jitter));
-    load.owned = std::max<std::int64_t>(load.owned, 1);
+    const auto owned =
+        static_cast<std::int64_t>(stats.owned_mean * (1.0 + jitter));
+    owned_.push_back(std::max<std::int64_t>(owned, 1));
 
     const int iz = l / (px * py);
     const int iy = (l / px) % py;
@@ -99,7 +113,7 @@ void Instance::build_analytic(std::int64_t global_cells) {
       if (jx < 0 || jx >= px || jy < 0 || jy >= py || jz < 0 || jz >= pz) {
         return;
       }
-      load.neighbors.push_back(ranks_.begin + (jz * py + jy) * px + jx);
+      nbr_rank_.push_back(ranks_.begin + (jz * py + jy) * px + jx);
     };
     add_neighbor(ix - 1, iy, iz);
     add_neighbor(ix + 1, iy, iz);
@@ -107,22 +121,18 @@ void Instance::build_analytic(std::int64_t global_cells) {
     add_neighbor(ix, iy + 1, iz);
     add_neighbor(ix, iy, iz - 1);
     add_neighbor(ix, iy, iz + 1);
-    // Spread the analytic mean halo over the mean neighbour count: every
-    // face of every rank carries the same per-face halo.
-    const std::int64_t per_face = static_cast<std::int64_t>(
-        stats.halo_mean / std::max(stats.neighbors_mean, 1.0));
-    for (std::size_t k = 0; k < load.neighbors.size(); ++k) {
-      load.halo_cells.push_back(std::max<std::int64_t>(per_face, 1));
-    }
+    nbr_begin_.push_back(nbr_rank_.size());
   }
+  CPX_DCHECK(nbr_rank_.size() == faces);
+  nbr_halo_.assign(nbr_rank_.size(), per_face);
 }
 
 double Instance::mean_owned() const {
   double sum = 0.0;
-  for (const RankLoad& l : loads_) {
-    sum += static_cast<double>(l.owned);
+  for (const std::int64_t owned : owned_) {
+    sum += static_cast<double>(owned);
   }
-  return sum / static_cast<double>(loads_.size());
+  return sum / static_cast<double>(owned_.size());
 }
 
 void Instance::bind(sim::Cluster& cluster) {
@@ -145,8 +155,8 @@ void Instance::bind(sim::Cluster& cluster) {
       static_cast<double>(work_.smooth_steps) * level_work;
 
   // Per-rank sweep work of the whole V-cycle.
-  const auto sweep_work = [&](const RankLoad& load) {
-    const double cells = static_cast<double>(load.owned);
+  const auto sweep_work = [&](std::int64_t owned) {
+    const double cells = static_cast<double>(owned);
     const double edges = cells * work_.edges_per_cell;
     sim::Work w;
     w.flops = sweeps_per_cycle *
@@ -170,29 +180,30 @@ void Instance::bind(sim::Cluster& cluster) {
   boundary_s_.resize(p);
   delay_s_.resize(p);
   std::vector<sim::Message> messages;
+  messages.reserve(nbr_rank_.size());
   for (std::size_t l = 0; l < p; ++l) {
-    const RankLoad& load = loads_[l];
+    const std::int64_t owned = owned_[l];
     std::int64_t halo_total = 0;
-    for (std::size_t k = 0; k < load.neighbors.size(); ++k) {
+    for (std::size_t k = nbr_begin_[l]; k < nbr_begin_[l + 1]; ++k) {
       const std::size_t bytes =
-          static_cast<std::size_t>(load.halo_cells[k]) *
-          work_.bytes_per_halo_cell * static_cast<std::size_t>(fine_rounds);
-      messages.push_back({ranks_.begin + static_cast<sim::Rank>(l),
-                          load.neighbors[k], bytes});
-      halo_total += load.halo_cells[k];
+          static_cast<std::size_t>(nbr_halo_[k]) * work_.bytes_per_halo_cell *
+          static_cast<std::size_t>(fine_rounds);
+      messages.push_back(
+          {ranks_.begin + static_cast<sim::Rank>(l), nbr_rank_[k], bytes});
+      halo_total += nbr_halo_[k];
     }
 
-    sweep_s_[l] = m.compute_time(sweep_work(load));
+    sweep_s_[l] = m.compute_time(sweep_work(owned));
     // Split-phase placement: the interior-cell share of the sweeps runs
     // inside the halo window, the boundary share after the data lands.
     const double boundary_frac = std::min(
         1.0, static_cast<double>(halo_total) /
-                 static_cast<double>(std::max<std::int64_t>(load.owned, 1)));
-    sim::Work interior = sweep_work(load);
+                 static_cast<double>(std::max<std::int64_t>(owned, 1)));
+    sim::Work interior = sweep_work(owned);
     interior.flops *= 1.0 - boundary_frac;
     interior.bytes *= 1.0 - boundary_frac;
     interior_s_[l] = m.compute_time(interior);
-    sim::Work boundary = sweep_work(load);
+    sim::Work boundary = sweep_work(owned);
     boundary.flops *= boundary_frac;
     boundary.bytes *= boundary_frac;
     boundary.launches = 0.0;  // same kernels, already counted in the window
@@ -200,7 +211,7 @@ void Instance::bind(sim::Cluster& cluster) {
 
     // Each extra round exchanges with every neighbour.
     const auto n_nbrs = static_cast<double>(
-        std::max<std::size_t>(load.neighbors.size(), 1));
+        std::max<std::size_t>(nbr_begin_[l + 1] - nbr_begin_[l], 1));
     delay_s_[l] = (fine_rounds - 1 + coarse_rounds) * per_round * n_nbrs;
   }
   halo_ = cluster.make_schedule(messages);
@@ -210,14 +221,6 @@ void Instance::step(sim::Cluster& cluster) {
   if (needs_bind(cluster)) {
     bind(cluster);
   }
-  // One loop charges every sweep share, from the cached per-rank seconds.
-  const auto charge_sweeps = [&](const std::vector<double>& seconds) {
-    for (int l = 0; l < ranks_.size(); ++l) {
-      cluster.compute_seconds(ranks_.begin + l,
-                              seconds[static_cast<std::size_t>(l)],
-                              region_flux_);
-    }
-  };
   if (overlap_) {
     // Split-phase: the halo payload (previous step's boundary state) is
     // ready when the step starts, so the round is posted first; the
@@ -225,19 +228,16 @@ void Instance::step(sim::Cluster& cluster) {
     // boundary share after the data lands. Totals match the synchronous
     // schedule; only placement differs.
     const int pending = cluster.exchange_begin(halo_, region_halo_);
-    charge_sweeps(interior_s_);
+    cluster.compute_seconds(ranks_, interior_s_, region_flux_);
     cluster.exchange_finish(pending);
-    charge_sweeps(boundary_s_);
+    cluster.compute_seconds(ranks_, boundary_s_, region_flux_);
   } else {
-    charge_sweeps(sweep_s_);
+    cluster.compute_seconds(ranks_, sweep_s_, region_flux_);
     cluster.exchange(halo_, region_halo_);
   }
 
   // Latency of the remaining fine rounds and the coarse-level rounds.
-  for (int l = 0; l < ranks_.size(); ++l) {
-    cluster.comm_delay(ranks_.begin + l, delay_s_[static_cast<std::size_t>(l)],
-                       region_mg_);
-  }
+  cluster.comm_delay(ranks_, delay_s_, region_mg_);
 
   // Residual allreduce closing the timestep.
   cluster.allreduce(ranks_, 5 * sizeof(double), region_reduce_);

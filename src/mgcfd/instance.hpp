@@ -68,13 +68,6 @@ class Instance final : public sim::App {
   void set_overlap(bool on) override { overlap_ = on; }
 
  private:
-  struct RankLoad {
-    std::int64_t owned = 0;
-    /// Neighbour ranks (cluster-global ids) and halo cells sent to each.
-    std::vector<sim::Rank> neighbors;
-    std::vector<std::int64_t> halo_cells;
-  };
-
   void build_analytic(std::int64_t global_cells);
   /// Interns the regions and caches everything step() charges that
   /// depends only on the cluster (sim::App::needs_bind).
@@ -85,7 +78,13 @@ class Instance final : public sim::App {
   std::int64_t global_cells_ = 0;
   WorkModel work_;
   bool overlap_ = false;
-  std::vector<RankLoad> loads_;  ///< indexed by rank - ranks_.begin
+  // Per-rank loads, indexed by rank - ranks_.begin: owned cells, and in
+  // CSR form the neighbour ranks (cluster-global ids) and the halo cells
+  // sent to each, rank l's in [nbr_begin_[l], nbr_begin_[l + 1]).
+  std::vector<std::int64_t> owned_;
+  std::vector<std::size_t> nbr_begin_;
+  std::vector<sim::Rank> nbr_rank_;
+  std::vector<std::int64_t> nbr_halo_;
 
   // Bound to one cluster by bind().
   sim::RegionId region_flux_ = -1;

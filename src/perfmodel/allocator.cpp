@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/check.hpp"
+#include "support/metrics.hpp"
 
 namespace cpx::perfmodel {
 
@@ -25,36 +26,78 @@ InstanceModel InstanceModel::make(std::string name, ScalingCurve curve,
 
 namespace {
 
-/// Index of the slowest component at the current allocation, or -1 when
-/// the list is empty.
-int slowest(std::span<const InstanceModel> models,
-            const std::vector<int>& ranks) {
-  int worst = -1;
-  double worst_time = -1.0;
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    const double t = models[i].time(ranks[i]);
-    if (t > worst_time) {
-      worst_time = t;
-      worst = static_cast<int>(i);
+/// One class of components (applications or coupler units) under Alg 1,
+/// with each component's curve time at its current rank count r cached,
+/// and its gain time(r) - time(r + 1) (zero at its rank cap). time() is a
+/// pure function of the model and the core count, so the cache holds the
+/// bits a fresh evaluation would give; only the component that was just
+/// granted a core is re-evaluated.
+class GreedyClass {
+ public:
+  GreedyClass(std::span<const InstanceModel> models, std::vector<int>& ranks)
+      : models_(models), ranks_(ranks) {
+    now_.resize(models.size());
+    gain_.resize(models.size());
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      refresh(i);
     }
   }
-  return worst;
-}
 
-/// Runtime reduction from granting one more core to component `i`
-/// (zero when the component is at its rank cap).
-double gain(const InstanceModel& m, int cores) {
-  if (cores + 1 > m.max_ranks) {
-    return 0.0;
+  /// Index of the slowest component at the current allocation, or -1 when
+  /// the class is empty.
+  int slowest() const {
+    int worst = -1;
+    double worst_time = -1.0;
+    for (std::size_t i = 0; i < now_.size(); ++i) {
+      if (now_[i] > worst_time) {
+        worst_time = now_[i];
+        worst = static_cast<int>(i);
+      }
+    }
+    return worst;
   }
-  return m.time(cores) - m.time(cores + 1);
-}
+
+  /// Runtime reduction from granting one more core to component `i`
+  /// (zero when the component is at its rank cap, or for i = -1).
+  double gain(int i) const {
+    return i < 0 ? 0.0 : gain_[static_cast<std::size_t>(i)];
+  }
+
+  void grant(int i) {
+    const auto k = static_cast<std::size_t>(i);
+    ++ranks_[k];
+    refresh(k);
+  }
+
+  /// Time of the slowest component (0 for an empty class).
+  double max_time() const {
+    double worst = 0.0;
+    for (const double t : now_) {
+      worst = std::max(worst, t);
+    }
+    return worst;
+  }
+
+ private:
+  void refresh(std::size_t k) {
+    const InstanceModel& m = models_[k];
+    now_[k] = m.time(ranks_[k]);
+    gain_[k] = ranks_[k] + 1 > m.max_ranks ? 0.0
+                                           : now_[k] - m.time(ranks_[k] + 1);
+  }
+
+  std::span<const InstanceModel> models_;
+  std::vector<int>& ranks_;
+  std::vector<double> now_;   ///< time at ranks_[i]
+  std::vector<double> gain_;  ///< time at ranks_[i] minus time at + 1
+};
 
 }  // namespace
 
 Allocation distribute_ranks(std::span<const InstanceModel> apps,
                             std::span<const InstanceModel> cus,
                             int total_ranks) {
+  CPX_METRICS_SCOPE("perfmodel/distribute_ranks");
   CPX_REQUIRE(!apps.empty(), "distribute_ranks: no application instances");
   Allocation alloc;
   alloc.app_ranks.reserve(apps.size());
@@ -77,23 +120,19 @@ Allocation distribute_ranks(std::span<const InstanceModel> apps,
               "distribute_ranks: budget " << total_ranks
                                           << " below the minima " << used);
 
+  GreedyClass app_class(apps, alloc.app_ranks);
+  GreedyClass cu_class(cus, alloc.cu_ranks);
   for (int remaining = total_ranks - used; remaining > 0; --remaining) {
-    const int app_i = slowest(apps, alloc.app_ranks);
-    const int cu_i = cus.empty() ? -1 : slowest(cus, alloc.cu_ranks);
-    const double app_gain =
-        app_i >= 0 ? gain(apps[static_cast<std::size_t>(app_i)],
-                          alloc.app_ranks[static_cast<std::size_t>(app_i)])
-                   : 0.0;
-    const double cu_gain =
-        cu_i >= 0 ? gain(cus[static_cast<std::size_t>(cu_i)],
-                         alloc.cu_ranks[static_cast<std::size_t>(cu_i)])
-                  : 0.0;
+    const int app_i = app_class.slowest();
+    const int cu_i = cu_class.slowest();
+    const double app_gain = app_class.gain(app_i);
+    const double cu_gain = cu_class.gain(cu_i);
     if (cu_i >= 0 && cu_gain > app_gain && cu_gain > 0.0) {
-      ++alloc.cu_ranks[static_cast<std::size_t>(cu_i)];
+      cu_class.grant(cu_i);
     } else if (app_gain > 0.0) {
-      ++alloc.app_ranks[static_cast<std::size_t>(app_i)];
+      app_class.grant(app_i);
     } else if (cu_i >= 0 && cu_gain > 0.0) {
-      ++alloc.cu_ranks[static_cast<std::size_t>(cu_i)];
+      cu_class.grant(cu_i);
     } else {
       // Every component is at its cap or past its scaling optimum; the
       // leftover budget has nowhere useful to go (the paper observes the
@@ -102,15 +141,8 @@ Allocation distribute_ranks(std::span<const InstanceModel> apps,
     }
   }
 
-  alloc.app_time = 0.0;
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    alloc.app_time =
-        std::max(alloc.app_time, apps[i].time(alloc.app_ranks[i]));
-  }
-  alloc.cu_time = 0.0;
-  for (std::size_t i = 0; i < cus.size(); ++i) {
-    alloc.cu_time = std::max(alloc.cu_time, cus[i].time(alloc.cu_ranks[i]));
-  }
+  alloc.app_time = app_class.max_time();
+  alloc.cu_time = cu_class.max_time();
   alloc.predicted_runtime = alloc.app_time + alloc.cu_time;
   alloc.total_ranks = total_ranks;
   if (check::deep()) {

@@ -2,6 +2,7 @@
 
 #include "sim/cluster.hpp"
 #include "support/check.hpp"
+#include "support/metrics.hpp"
 
 namespace cpx::perfmodel {
 
@@ -36,6 +37,7 @@ std::vector<ScalingPoint> measure_scaling(const AppFactory& factory,
                                           const sim::MachineModel& machine,
                                           std::span<const int> core_counts,
                                           int steps) {
+  CPX_METRICS_SCOPE("perfmodel/measure_scaling");
   std::vector<ScalingPoint> points;
   points.reserve(core_counts.size());
   for (int cores : core_counts) {
@@ -59,6 +61,7 @@ OverlapVariants fit_overlap_variants(const AppFactory& factory,
                                      const sim::MachineModel& machine,
                                      std::span<const int> core_counts,
                                      int steps) {
+  CPX_METRICS_SCOPE("perfmodel/measure_scaling");
   CPX_REQUIRE(!core_counts.empty(), "fit_overlap_variants: no core counts");
   OverlapVariants variants;
   for (const bool overlapped : {false, true}) {

@@ -88,6 +88,33 @@ void Cluster::compute_seconds(Rank rank, double seconds, RegionId region) {
   profile_.add_compute(rank, region, seconds);
 }
 
+void Cluster::compute_seconds(RankRange range,
+                              std::span<const double> seconds,
+                              RegionId region) {
+  check_range_charge(range, seconds);
+  double* clocks = clocks_.data();
+  double* row = profile_.compute_row(region);
+  for (Rank r = range.begin; r < range.end; ++r) {
+    const double s = seconds[static_cast<std::size_t>(r - range.begin)];
+    CPX_DCHECK(s >= 0.0);
+    maybe_fail(r);
+    const auto i = static_cast<std::size_t>(r);
+    const double start = clocks[i];
+    record(r, region, TraceKind::kCompute, start, start + s);
+    clocks[i] = start + s;
+    row[i] += s;
+  }
+}
+
+void Cluster::check_range_charge(RankRange range,
+                                 std::span<const double> seconds) const {
+  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
+              "Cluster: bad rank range");
+  CPX_REQUIRE(seconds.size() == static_cast<std::size_t>(range.size()),
+              "Cluster: " << seconds.size() << " charges for "
+                          << range.size() << " ranks");
+}
+
 void Cluster::account_traffic(Rank src, std::size_t bytes,
                               std::int64_t messages) {
   comm_bytes_[static_cast<std::size_t>(src)] += bytes;
@@ -142,34 +169,44 @@ ExchangeSchedule Cluster::make_schedule(std::span<const Message> messages) {
 void Cluster::build_schedule(std::span<const Message> messages,
                              ExchangeSchedule& out) {
   out.cluster_id_ = id_;
-  out.entries_.clear();
+  out.entries_.resize(messages.size());
   out.senders_.clear();
 
   // Count inter-node messages per sending node for injection-bandwidth
   // sharing. A rank may send several messages; each message occupies the
   // NIC, so contention scales with message concurrency, not with distinct
-  // senders.
+  // senders. Each message's sender node (-1 when both ends share a node)
+  // is kept for the second pass, so every message divides by
+  // cores_per_node only twice.
+  const int cores_per_node = machine_.cores_per_node;
   senders_per_node_.assign(static_cast<std::size_t>(num_nodes_), 0);
-  for (const Message& m : messages) {
+  message_node_.resize(messages.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const Message& m = messages[i];
     CPX_DCHECK(m.src >= 0 && m.src < num_ranks_);
     CPX_DCHECK(m.dst >= 0 && m.dst < num_ranks_);
-    if (node_of(m.src) != node_of(m.dst)) {
-      ++senders_per_node_[static_cast<std::size_t>(node_of(m.src))];
+    const int src_node = m.src / cores_per_node;
+    const bool same_node = src_node == m.dst / cores_per_node;
+    message_node_[i] = same_node ? -1 : src_node;
+    if (!same_node) {
+      ++senders_per_node_[static_cast<std::size_t>(src_node)];
     }
   }
 
-  for (const Message& m : messages) {
-    const bool same_node = node_of(m.src) == node_of(m.dst);
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const Message& m = messages[i];
+    const int src_node = message_node_[i];
+    const bool same_node = src_node < 0;
     double bw = machine_.bandwidth(same_node);
     if (!same_node) {
       const int concurrent =
-          senders_per_node_[static_cast<std::size_t>(node_of(m.src))];
+          senders_per_node_[static_cast<std::size_t>(src_node)];
       const double nic_share =
           machine_.node_injection_bw / std::max(1, concurrent);
       bw = std::min(bw, nic_share);
     }
-    out.entries_.push_back({m.src, m.dst, machine_.latency(same_node),
-                            static_cast<double>(m.bytes) / bw});
+    out.entries_[i] = {m.src, m.dst, machine_.latency(same_node),
+                       static_cast<double>(m.bytes) / bw};
 
     int& slot = sender_slot_[static_cast<std::size_t>(m.src)];
     if (slot < 0) {
@@ -204,6 +241,11 @@ void Cluster::post(const ExchangeSchedule& schedule, RegionId region,
                    std::vector<PendingMessage>& arrivals) {
   CPX_REQUIRE(schedule.cluster_id_ == id_,
               "Cluster: exchange schedule was built by another cluster");
+  const std::size_t n = schedule.entries_.size();
+  support::metrics::counter_add("sim/messages",
+                                static_cast<std::int64_t>(n));
+  // Every sender is checked and its traffic counted before any clock
+  // moves, so a failing sender leaves every clock untouched.
   for (const ExchangeSchedule::Sender& sender : schedule.senders_) {
     maybe_fail(sender.rank);
     account_traffic(sender.rank, sender.bytes, sender.messages);
@@ -212,12 +254,19 @@ void Cluster::post(const ExchangeSchedule& schedule, RegionId region,
   // one rank serialise because its clock advances in place. Arrivals are
   // fixed here — compute issued before the receive cannot make the wire
   // faster.
-  arrivals.clear();
-  for (const ExchangeSchedule::Entry& e : schedule.entries_) {
-    double& src_clock = clocks_[static_cast<std::size_t>(e.src)];
-    src_clock += machine_.msg_overhead;
-    profile_.add_comm(e.src, region, machine_.msg_overhead);
-    arrivals.push_back({e.dst, (src_clock + e.latency) + e.transfer});
+  arrivals.resize(n);
+  PendingMessage* out = arrivals.data();
+  const ExchangeSchedule::Entry* entries = schedule.entries_.data();
+  double* clocks = clocks_.data();
+  double* comm = profile_.comm_row(region);
+  const double overhead = machine_.msg_overhead;
+  for (std::size_t i = 0; i < n; ++i) {
+    const ExchangeSchedule::Entry& e = entries[i];
+    const auto src = static_cast<std::size_t>(e.src);
+    const double sent = clocks[src] + overhead;
+    clocks[src] = sent;
+    comm[src] += overhead;
+    out[i] = {e.dst, (sent + e.latency) + e.transfer};
   }
 }
 
@@ -227,21 +276,29 @@ double Cluster::receive(std::span<const PendingMessage> arrivals,
   // replay advances the synchronous counterfactual from the begin
   // snapshot with the same recurrence, so the hidden time of a message is
   // its sync wait minus its real wait.
+  double* clocks = clocks_.data();
+  double* comm = profile_.comm_row(region);
+  const double overhead = machine_.msg_overhead;
   double hidden_total = 0.0;
   for (const PendingMessage& pm : arrivals) {
     const auto dst = static_cast<std::size_t>(pm.dst);
+    double clock = clocks[dst];
     if (replay) {
       double& sync_clock = sync_clock_scratch_[dst];
       const double sync_wait = std::max(0.0, pm.arrival - sync_clock);
-      const double real_wait = std::max(0.0, pm.arrival - clocks_[dst]);
-      sync_clock = std::max(sync_clock, pm.arrival) + machine_.msg_overhead;
+      const double real_wait = std::max(0.0, pm.arrival - clock);
+      sync_clock = std::max(sync_clock, pm.arrival) + overhead;
       const double hidden = std::max(0.0, sync_wait - real_wait);
       comm_hidden_[dst] += hidden;
       hidden_total += hidden;
     }
-    bump_to(pm.dst, pm.arrival, region);
-    clocks_[dst] += machine_.msg_overhead;
-    profile_.add_comm(pm.dst, region, machine_.msg_overhead);
+    if (pm.arrival > clock) {
+      record(pm.dst, region, TraceKind::kComm, clock, pm.arrival);
+      comm[dst] += pm.arrival - clock;
+      clock = pm.arrival;
+    }
+    clocks[dst] = clock + overhead;
+    comm[dst] += overhead;
   }
   return hidden_total;
 }
@@ -277,9 +334,10 @@ int Cluster::exchange_begin(const ExchangeSchedule& schedule,
 
   // Snapshot every destination's clock after all senders have been
   // charged: the synchronous counterfactual would start waiting here.
-  pe.begin_clocks.clear();
-  for (const PendingMessage& pm : pe.messages) {
-    pe.begin_clocks.push_back(clocks_[static_cast<std::size_t>(pm.dst)]);
+  pe.begin_clocks.resize(pe.messages.size());
+  for (std::size_t i = 0; i < pe.messages.size(); ++i) {
+    pe.begin_clocks[i] =
+        clocks_[static_cast<std::size_t>(pe.messages[i].dst)];
   }
   return slot;
 }
@@ -487,6 +545,22 @@ void Cluster::comm_delay(Rank rank, double seconds, RegionId region) {
   profile_.add_comm(rank, region, seconds);
 }
 
+void Cluster::comm_delay(RankRange range, std::span<const double> seconds,
+                         RegionId region) {
+  check_range_charge(range, seconds);
+  double* clocks = clocks_.data();
+  double* row = profile_.comm_row(region);
+  for (Rank r = range.begin; r < range.end; ++r) {
+    const double s = seconds[static_cast<std::size_t>(r - range.begin)];
+    CPX_DCHECK(s >= 0.0);
+    const auto i = static_cast<std::size_t>(r);
+    const double start = clocks[i];
+    record(r, region, TraceKind::kComm, start, start + s);
+    clocks[i] = start + s;
+    row[i] += s;
+  }
+}
+
 void Cluster::reset() {
   reset_clocks();
   profile_.reset();
@@ -565,13 +639,6 @@ void Cluster::restore(ckpt::Reader& r) {
 
 void Cluster::enable_tracing(std::size_t max_events) {
   trace_ = std::make_unique<Trace>(max_events);
-}
-
-void Cluster::record(Rank rank, RegionId region, TraceKind kind,
-                     double start, double end) {
-  if (trace_ != nullptr && end > start) {
-    trace_->record(rank, region, kind, start, end);
-  }
 }
 
 }  // namespace cpx::sim

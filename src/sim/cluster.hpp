@@ -141,6 +141,12 @@ class Cluster {
   // --- Compute ---
   void compute(Rank rank, const Work& work, RegionId region);
   void compute_seconds(Rank rank, double seconds, RegionId region);
+  /// Range charge: rank range.begin + i computes seconds[i]. Charges
+  /// exactly what compute_seconds(rank, seconds[i], region) would, rank by
+  /// rank in ascending order, in one loop (a failing rank throws after the
+  /// ranks before it were charged).
+  void compute_seconds(RankRange range, std::span<const double> seconds,
+                       RegionId region);
 
   // --- Point-to-point ---
   /// Resolves a message list into a reusable schedule: per message the
@@ -206,6 +212,11 @@ class Cluster {
   /// individual messages — used for latency-bound exchange rounds (e.g.
   /// multigrid coarse levels) where per-message simulation would be wasteful.
   void comm_delay(Rank rank, double seconds, RegionId region);
+  /// Range form of comm_delay: rank range.begin + i is charged seconds[i],
+  /// in ascending rank order. Like the per-rank form, it models no
+  /// failure.
+  void comm_delay(RankRange range, std::span<const double> seconds,
+                  RegionId region);
 
   // --- Traffic accounting (docs/communication.md) ---
   /// Bytes rank `rank` has injected into the network: message payloads
@@ -260,8 +271,17 @@ class Cluster {
  private:
   void bump_to(Rank rank, double time, RegionId region);
 
+  /// Records one interval when tracing is on (inline: every charging loop
+  /// calls it, and with tracing off it is one pointer test).
   void record(Rank rank, RegionId region, TraceKind kind, double start,
-              double end);
+              double end) {
+    if (trace_ != nullptr && end > start) {
+      trace_->record(rank, region, kind, start, end);
+    }
+  }
+  /// Validates the arguments of a range charge.
+  void check_range_charge(RankRange range,
+                          std::span<const double> seconds) const;
 
   /// Throws RankFailure when `rank` is armed and past its failure step.
   void maybe_fail(Rank rank) const {
@@ -312,10 +332,12 @@ class Cluster {
   // Scratch of the message-list adapters and of the synchronous
   // exchange(), reused so warm calls allocate nothing. sender_slot_ maps a
   // rank to its entry in a schedule's sender list while one is built (-1
-  // otherwise).
+  // otherwise); message_node_ holds each message's sender node (-1 for an
+  // intra-node message) between the two passes of a build.
   ExchangeSchedule schedule_scratch_;          // cpx-lint: allow(ckpt)
   std::vector<int> senders_per_node_;          // cpx-lint: allow(ckpt)
   std::vector<int> sender_slot_;               // cpx-lint: allow(ckpt)
+  std::vector<int> message_node_;              // cpx-lint: allow(ckpt)
   std::vector<PendingMessage> arrival_scratch_;  // cpx-lint: allow(ckpt)
 
   // In-flight split-phase exchanges. Slots (and their message storage) are

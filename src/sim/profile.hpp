@@ -69,6 +69,19 @@ class Profile {
         seconds;
   }
 
+  /// One region's per-rank compute / comm seconds, indexed by rank, for
+  /// charging loops that hoist the row out of the loop. The pointer stays
+  /// valid while regions are interned (rows never move).
+  double* compute_row(RegionId region) {
+    CPX_DCHECK(region >= 0 &&
+               static_cast<std::size_t>(region) < compute_.size());
+    return compute_[static_cast<std::size_t>(region)].data();
+  }
+  double* comm_row(RegionId region) {
+    CPX_DCHECK(region >= 0 && static_cast<std::size_t>(region) < comm_.size());
+    return comm_[static_cast<std::size_t>(region)].data();
+  }
+
   /// Time recorded for one rank in one region.
   RegionTimes rank_region(Rank rank, RegionId region) const;
 

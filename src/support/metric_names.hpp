@@ -24,6 +24,10 @@ inline constexpr const char* kCouplerInterpolate = "coupler/interpolate";
 inline constexpr const char* kCouplerMapBuild = "coupler/map_build";
 inline constexpr const char* kCouplerRemap = "coupler/remap";
 inline constexpr const char* kCouplerSearch = "coupler/search";
+inline constexpr const char* kPerfmodelDistributeRanks =
+    "perfmodel/distribute_ranks";
+inline constexpr const char* kPerfmodelMeasureScaling =
+    "perfmodel/measure_scaling";
 inline constexpr const char* kSimpicDeposit = "simpic/deposit";
 inline constexpr const char* kSimpicField = "simpic/field";
 inline constexpr const char* kSimpicPush = "simpic/push";
@@ -64,6 +68,9 @@ inline constexpr const char* kCouplerSearchQueries = "coupler/search_queries";
 inline constexpr const char* kCouplerSearchVisited = "coupler/search_visited";
 inline constexpr const char* kPoolQueueWaitNs = "pool/queue_wait_ns";
 inline constexpr const char* kPoolTasks = "pool/tasks";
+// Messages charged by bulk exchanges: bumped once per exchange call by the
+// schedule size, never inside the per-message loop.
+inline constexpr const char* kSimMessages = "sim/messages";
 inline constexpr const char* kSimpicDepositBytes = "simpic/deposit_bytes";
 inline constexpr const char* kSimpicDepositFlops = "simpic/deposit_flops";
 inline constexpr const char* kSimpicParticlesPushed =

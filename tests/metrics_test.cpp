@@ -22,6 +22,8 @@
 #include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/parallel.hpp"
+#include "workflow/engine_case.hpp"
+#include "workflow/models.hpp"
 
 namespace cpx::support::metrics {
 namespace {
@@ -310,6 +312,34 @@ TEST_F(MetricsTest, SnapshotHelpersMatchAndSum) {
   const double total = snap.seconds_matching("test/");
   EXPECT_GE(total, snap.find("test/a")->seconds);
   EXPECT_EQ(snap.counter("test/never_set"), 0);
+}
+
+TEST_F(MetricsTest, ModelSweepsReportTheirRegionsAndSimulatedMessages) {
+  // The perfmodel layer is visible to the host metrics: each fitted curve
+  // is one measure_scaling region, Alg 1 is one distribute_ranks region,
+  // and the virtual cluster counts the messages its exchanges charged.
+  workflow::ModelOptions options;
+  options.app_sweep = {100, 250, 640};
+  options.cu_sweep = {2, 8};
+  options.bench_steps = 1;
+  set_enabled(true);
+  const workflow::CaseModels models = workflow::build_case_models(
+      workflow::small_validation_case(), sim::MachineModel::archer2(),
+      options);
+  perfmodel::distribute_ranks(models.apps, models.cus, 2000);
+  set_enabled(false);
+
+  const Snapshot snap = snapshot();
+  const RegionSnapshot* sweeps = snap.find("perfmodel/measure_scaling");
+  const RegionSnapshot* alg1 = snap.find("perfmodel/distribute_ranks");
+  ASSERT_NE(sweeps, nullptr);
+  ASSERT_NE(alg1, nullptr);
+  // One sweep per distinct app configuration and one per coupler unit.
+  EXPECT_GT(sweeps->calls, static_cast<std::int64_t>(models.cus.size()));
+  EXPECT_LE(sweeps->calls, static_cast<std::int64_t>(models.apps.size() +
+                                                      models.cus.size()));
+  EXPECT_EQ(alg1->calls, 1);
+  EXPECT_GT(snap.counter("sim/messages"), 0);
 }
 
 }  // namespace

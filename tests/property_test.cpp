@@ -16,6 +16,7 @@
 #include <string>
 #include <tuple>
 
+#include "cpx/unit.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/partition.hpp"
 #include "mesh/stats.hpp"
@@ -28,6 +29,8 @@
 #include "support/check.hpp"
 #include "support/options.hpp"
 #include "workflow/case_io.hpp"
+#include "workflow/engine_case.hpp"
+#include "workflow/models.hpp"
 #include "support/rng.hpp"
 
 namespace cpx {
@@ -229,6 +232,99 @@ TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
   EXPECT_EQ(by_schedule.comm_hidden_seconds({0, p}), 0.0);
 }
 
+TEST_P(ScheduleEquivalence, RangeChargesMatchThePerRankLoop) {
+  // compute_seconds / comm_delay over a rank range charge exactly what the
+  // per-rank calls charge, in the same order: clocks, profile rows and
+  // the recorded trace events.
+  const auto [seed, slow] = GetParam();
+  const sim::MachineModel machine =
+      slow ? sim::MachineModel::slow_network() : sim::MachineModel::archer2();
+  Rng rng(static_cast<std::uint64_t>(seed) * 15485863);
+  const int p = 8 + static_cast<int>(rng.uniform_index(200));
+  const sim::RankRange range{
+      static_cast<sim::Rank>(rng.uniform_index(4)),
+      p - static_cast<sim::Rank>(rng.uniform_index(4))};
+  std::vector<double> seconds(static_cast<std::size_t>(range.size()));
+  sim::Cluster by_range(machine, p);
+  sim::Cluster by_rank(machine, p);
+  by_range.enable_tracing();
+  by_rank.enable_tracing();
+  for (int round = 0; round < 3; ++round) {
+    for (double& s : seconds) {
+      s = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 1e-3);
+    }
+    by_range.compute_seconds(range, seconds, by_range.region("work"));
+    for (sim::Rank r = range.begin; r < range.end; ++r) {
+      by_rank.compute_seconds(
+          r, seconds[static_cast<std::size_t>(r - range.begin)],
+          by_rank.region("work"));
+    }
+    by_range.comm_delay(range, seconds, by_range.region("delay"));
+    for (sim::Rank r = range.begin; r < range.end; ++r) {
+      by_rank.comm_delay(r, seconds[static_cast<std::size_t>(r - range.begin)],
+                         by_rank.region("delay"));
+    }
+  }
+  expect_same_state(by_range, by_rank, "range vs per-rank charges");
+  const auto& ea = by_range.trace()->events();
+  const auto& eb = by_rank.trace()->events();
+  ASSERT_EQ(ea.size(), eb.size());
+  for (std::size_t i = 0; i < ea.size(); ++i) {
+    EXPECT_EQ(ea[i].rank, eb[i].rank);
+    EXPECT_EQ(ea[i].region, eb[i].region);
+    EXPECT_EQ(ea[i].kind, eb[i].kind);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ea[i].start),
+              std::bit_cast<std::uint64_t>(eb[i].start));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ea[i].end),
+              std::bit_cast<std::uint64_t>(eb[i].end));
+  }
+
+  // A failure armed at a middle rank: the range charge throws there,
+  // after charging exactly the ranks before it, like the per-rank loop.
+  // comm_delay does not model a failure (per rank or over a range).
+  const sim::Rank victim = range.begin + range.size() / 2;
+  for (sim::Cluster* c : {&by_range, &by_rank}) {
+    c->inject_failure(victim, 2);
+    c->begin_step(2);
+  }
+  bool range_threw = false;
+  try {
+    by_range.compute_seconds(range, seconds, by_range.region("work"));
+  } catch (const sim::RankFailure& failure) {
+    range_threw = true;
+    EXPECT_EQ(failure.rank(), victim);
+  }
+  bool rank_threw = false;
+  try {
+    for (sim::Rank r = range.begin; r < range.end; ++r) {
+      by_rank.compute_seconds(
+          r, seconds[static_cast<std::size_t>(r - range.begin)],
+          by_rank.region("work"));
+    }
+  } catch (const sim::RankFailure& failure) {
+    rank_threw = true;
+    EXPECT_EQ(failure.rank(), victim);
+  }
+  EXPECT_TRUE(range_threw);
+  EXPECT_TRUE(rank_threw);
+  by_range.comm_delay(range, seconds, by_range.region("delay"));
+  for (sim::Rank r = range.begin; r < range.end; ++r) {
+    by_rank.comm_delay(r, seconds[static_cast<std::size_t>(r - range.begin)],
+                       by_rank.region("delay"));
+  }
+  expect_same_state(by_range, by_rank, "range vs per-rank, failure armed");
+  EXPECT_EQ(by_range.trace()->events().size(),
+            by_rank.trace()->events().size());
+}
+
+TEST(ExchangeSchedules, RangeChargeRejectsAMismatchedSpan) {
+  sim::Cluster cluster(sim::MachineModel::archer2(), 8);
+  const std::vector<double> seconds(3, 1e-3);
+  const sim::RegionId region = cluster.region("work");
+  EXPECT_THROW(cluster.compute_seconds({0, 4}, seconds, region), CheckError);
+  EXPECT_THROW(cluster.comm_delay({6, 9}, seconds, region), CheckError);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ScheduleEquivalence,
                          ::testing::Combine(::testing::Range(1, 9),
                                             ::testing::Bool()));
@@ -320,6 +416,78 @@ TEST(BoundInstances, SimpicRebindsPerCluster) {
       410);
 }
 
+/// Steps `step` on a plain cluster, a traced one and one with a failure
+/// armed for a later step; all three must charge the same bits.
+template <typename Step>
+void expect_traced_armed_and_plain_agree(const Step& step, int p,
+                                         const std::string& what) {
+  for (const sim::MachineModel& machine :
+       {sim::MachineModel::archer2(), sim::MachineModel::slow_network()}) {
+    sim::Cluster plain(machine, p);
+    sim::Cluster traced(machine, p);
+    sim::Cluster armed(machine, p);
+    traced.enable_tracing();
+    armed.inject_failure(p / 2, 1000);
+    for (sim::Cluster* c : {&plain, &traced, &armed}) {
+      step(*c);
+    }
+    expect_same_state(plain, traced, what + ": traced");
+    expect_same_state(plain, armed, what + ": failure armed");
+    EXPECT_FALSE(traced.trace()->events().empty()) << what;
+  }
+}
+
+TEST(BoundInstances, TracedArmedAndPlainClustersChargeTheSameBits) {
+  for (const bool overlap : {false, true}) {
+    mgcfd::Instance row("row", 3'000'000, sim::RankRange{2, 2 + 250});
+    row.set_overlap(overlap);
+    expect_traced_armed_and_plain_agree(
+        [&](sim::Cluster& c) {
+          for (int s = 0; s < 3; ++s) {
+            row.step(c);
+          }
+        },
+        260, std::string("mgcfd analytic overlap=") + (overlap ? "1" : "0"));
+  }
+
+  const mesh::UnstructuredMesh box = mesh::make_box_mesh(10, 10, 10);
+  mgcfd::Instance measured("measured", box, mesh::partition_rcb(box, 12),
+                           sim::RankRange{1, 13});
+  expect_traced_armed_and_plain_agree(
+      [&](sim::Cluster& c) {
+        for (int s = 0; s < 3; ++s) {
+          measured.step(c);
+        }
+      },
+      14, "mgcfd measured");
+
+  simpic::Instance pic("pic", simpic::base_stc_28m(),
+                       sim::RankRange{3, 3 + 300}, simpic::WorkModel{}, 2.5);
+  expect_traced_armed_and_plain_agree(
+      [&](sim::Cluster& c) {
+        for (int s = 0; s < 3; ++s) {
+          pic.step(c);
+        }
+      },
+      310, "simpic");
+
+  mgcfd::Instance side_a("side_a", 400'000, sim::RankRange{0, 40});
+  mgcfd::Instance side_b("side_b", 300'000, sim::RankRange{48, 80});
+  coupler::UnitConfig config;
+  config.interface_cells = 20'000;
+  coupler::CouplerUnit unit("cu", config, sim::RankRange{40, 48}, side_a,
+                            side_b);
+  expect_traced_armed_and_plain_agree(
+      [&](sim::Cluster& c) {
+        for (int s = 0; s < 2; ++s) {
+          side_a.step(c);
+          side_b.step(c);
+          unit.exchange(c);
+        }
+      },
+      80, "coupler unit");
+}
+
 // --- Allocator feasibility and quality ----------------------------------
 
 class AllocatorProperties : public ::testing::TestWithParam<int> {};
@@ -383,6 +551,160 @@ TEST_P(AllocatorProperties, FeasibleBalancedAndBeatsEqualSplit) {
     equal_worst = std::max(equal_worst, m.time(r));
   }
   EXPECT_LE(alloc.app_time, equal_worst * (1.0 + 1e-9));
+}
+
+/// Alg 1 as it was written before distribute_ranks cached the curve
+/// times: every iteration re-evaluates every component's time() at its
+/// current rank count. The cached loop must give the same plan, bitwise.
+perfmodel::Allocation reference_greedy(
+    std::span<const perfmodel::InstanceModel> apps,
+    std::span<const perfmodel::InstanceModel> cus, int total_ranks) {
+  const auto slowest = [](std::span<const perfmodel::InstanceModel> models,
+                          const std::vector<int>& ranks) {
+    int worst = -1;
+    double worst_time = -1.0;
+    for (std::size_t i = 0; i < models.size(); ++i) {
+      const double t = models[i].time(ranks[i]);
+      if (t > worst_time) {
+        worst_time = t;
+        worst = static_cast<int>(i);
+      }
+    }
+    return worst;
+  };
+  const auto gain = [](const perfmodel::InstanceModel& m, int cores) {
+    if (cores + 1 > m.max_ranks) {
+      return 0.0;
+    }
+    return m.time(cores) - m.time(cores + 1);
+  };
+  perfmodel::Allocation alloc;
+  int used = 0;
+  for (const auto& m : apps) {
+    alloc.app_ranks.push_back(m.min_ranks);
+    used += m.min_ranks;
+  }
+  for (const auto& m : cus) {
+    alloc.cu_ranks.push_back(m.min_ranks);
+    used += m.min_ranks;
+  }
+  for (int remaining = total_ranks - used; remaining > 0; --remaining) {
+    const int app_i = slowest(apps, alloc.app_ranks);
+    const int cu_i = cus.empty() ? -1 : slowest(cus, alloc.cu_ranks);
+    const double app_gain =
+        app_i >= 0 ? gain(apps[static_cast<std::size_t>(app_i)],
+                          alloc.app_ranks[static_cast<std::size_t>(app_i)])
+                   : 0.0;
+    const double cu_gain =
+        cu_i >= 0 ? gain(cus[static_cast<std::size_t>(cu_i)],
+                         alloc.cu_ranks[static_cast<std::size_t>(cu_i)])
+                  : 0.0;
+    if (cu_i >= 0 && cu_gain > app_gain && cu_gain > 0.0) {
+      ++alloc.cu_ranks[static_cast<std::size_t>(cu_i)];
+    } else if (app_gain > 0.0) {
+      ++alloc.app_ranks[static_cast<std::size_t>(app_i)];
+    } else if (cu_i >= 0 && cu_gain > 0.0) {
+      ++alloc.cu_ranks[static_cast<std::size_t>(cu_i)];
+    } else {
+      break;
+    }
+  }
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    alloc.app_time = std::max(alloc.app_time, apps[i].time(alloc.app_ranks[i]));
+  }
+  for (std::size_t i = 0; i < cus.size(); ++i) {
+    alloc.cu_time = std::max(alloc.cu_time, cus[i].time(alloc.cu_ranks[i]));
+  }
+  alloc.predicted_runtime = alloc.app_time + alloc.cu_time;
+  alloc.total_ranks = total_ranks;
+  return alloc;
+}
+
+void expect_same_plan(std::span<const perfmodel::InstanceModel> apps,
+                      std::span<const perfmodel::InstanceModel> cus,
+                      int budget, const std::string& what) {
+  const perfmodel::Allocation got =
+      perfmodel::distribute_ranks(apps, cus, budget);
+  const perfmodel::Allocation want = reference_greedy(apps, cus, budget);
+  EXPECT_EQ(got.app_ranks, want.app_ranks) << what;
+  EXPECT_EQ(got.cu_ranks, want.cu_ranks) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.app_time),
+            std::bit_cast<std::uint64_t>(want.app_time))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.cu_time),
+            std::bit_cast<std::uint64_t>(want.cu_time))
+      << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.predicted_runtime),
+            std::bit_cast<std::uint64_t>(want.predicted_runtime))
+      << what;
+}
+
+/// The Fig 8 (5,000 cores) and Fig 9 Base / Optimized (40,000 cores)
+/// model sets, built once for every seed.
+struct PaperModels {
+  workflow::CaseModels models;
+  int budget = 0;
+  std::string name;
+};
+
+const std::vector<PaperModels>& paper_models() {
+  static const std::vector<PaperModels> cases = [] {
+    const auto machine = sim::MachineModel::archer2();
+    workflow::ModelOptions fig8;
+    fig8.app_sweep = {100, 200, 400, 800, 1600, 3200, 5000};
+    std::vector<PaperModels> out;
+    out.push_back({workflow::build_case_models(
+                       workflow::small_validation_case(), machine, fig8),
+                   5000, "fig8"});
+    for (const bool optimized : {false, true}) {
+      out.push_back({workflow::build_case_models(
+                         workflow::hpc_combustor_hpt(optimized), machine),
+                     40000, optimized ? "fig9-optimized" : "fig9-base"});
+    }
+    return out;
+  }();
+  return cases;
+}
+
+TEST_P(AllocatorProperties, CachedGreedyMatchesReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104723);
+  // Random classes: caps that bind, coupler units that dominate the
+  // apps (scaled up), and budgets beyond what the caps can absorb.
+  std::vector<perfmodel::InstanceModel> apps;
+  std::vector<perfmodel::InstanceModel> cus;
+  const int n_apps = 1 + static_cast<int>(rng.uniform_index(8));
+  const int n_cus = static_cast<int>(rng.uniform_index(5));
+  for (int i = 0; i < n_apps; ++i) {
+    apps.push_back(random_model(rng, "app" + std::to_string(i)));
+    if (rng.uniform() < 0.4) {
+      apps.back().max_ranks =
+          apps.back().min_ranks + static_cast<int>(rng.uniform_index(400));
+    }
+  }
+  for (int i = 0; i < n_cus; ++i) {
+    cus.push_back(random_model(rng, "cu" + std::to_string(i)));
+    cus.back().scale *= rng.uniform() < 0.5 ? 100.0 : 1.0;
+    cus.back().max_ranks =
+        cus.back().min_ranks + static_cast<int>(rng.uniform_index(300));
+  }
+  int minima = 0;
+  for (const auto* group : {&apps, &cus}) {
+    for (const auto& m : *group) {
+      minima += m.min_ranks;
+    }
+  }
+  for (const int extra : {0, 1, 37, 5000, 30000}) {
+    expect_same_plan(apps, cus, minima + extra,
+                     "random budget +" + std::to_string(extra));
+  }
+
+  // The paper's cases at their own budget and at a seeded other one.
+  for (const PaperModels& pm : paper_models()) {
+    expect_same_plan(pm.models.apps, pm.models.cus, pm.budget, pm.name);
+    const int budget = 2000 + static_cast<int>(rng.uniform_index(60000));
+    expect_same_plan(pm.models.apps, pm.models.cus, budget,
+                     pm.name + " at " + std::to_string(budget));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorProperties,

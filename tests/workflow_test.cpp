@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "perfmodel/allocator.hpp"
 #include "support/check.hpp"
@@ -187,6 +188,49 @@ TEST(Models, SimpicCanUseManyMoreRanksThanItsCells) {
       build_case_models(c, sim::MachineModel::archer2(), fast_options());
   // 512k 1-D cells must allow >> 512000/2000 ranks.
   EXPECT_GT(models.apps[13].max_ranks, 10'000);
+}
+
+TEST(Models, Fig9PlanIsPinnedBitwise) {
+  // The Fig 9 what-if plan is an output that must never move: the default
+  // model sweeps of HPC-Combustor-HPT and Alg 1 at 40,000 cores give these
+  // rank vectors and this predicted runtime, bit for bit. Base leaves part
+  // of the budget unused (every component is at its cap or past its
+  // scaling optimum); Optimized spends it on the pressure solver.
+  struct Plan {
+    bool optimized;
+    std::vector<int> app_ranks;
+    std::vector<int> cu_ranks;
+    std::uint64_t runtime_bits;
+  };
+  const std::vector<int> cu_base = {1, 3, 3, 3, 3, 3, 3, 3,
+                                    3, 3, 3, 3, 4, 4, 40};
+  const std::vector<int> cu_optimized = {1, 3, 3, 3, 3, 3, 3, 3,
+                                         3, 3, 3, 3, 4, 4, 38};
+  const Plan plans[] = {
+      {false,
+       {100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 180,
+        12768, 180, 357},
+       cu_base,
+       0x40ac4c79a8704e5fULL},
+      {true,
+       {100, 198, 197, 197, 197, 197, 197, 197, 197, 197, 197, 197, 1245,
+        32676, 1245, 2486},
+       cu_optimized,
+       0x4080ed0f41435811ULL},
+  };
+  const auto machine = sim::MachineModel::archer2();
+  for (const Plan& plan : plans) {
+    const CaseModels models =
+        build_case_models(hpc_combustor_hpt(plan.optimized), machine);
+    const perfmodel::Allocation alloc =
+        perfmodel::distribute_ranks(models.apps, models.cus, 40000);
+    EXPECT_EQ(alloc.app_ranks, plan.app_ranks) << "optimized=" << plan.optimized;
+    EXPECT_EQ(alloc.cu_ranks, plan.cu_ranks) << "optimized=" << plan.optimized;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(alloc.predicted_runtime),
+              plan.runtime_bits)
+        << "optimized=" << plan.optimized << ": predicted runtime "
+        << std::hexfloat << alloc.predicted_runtime;
+  }
 }
 
 TEST(Coupled, RunsAtTheBottlenecksPace) {
