@@ -3,7 +3,8 @@
 // Measures machine ceilings with micro-kernels (a multi-accumulator
 // multiply-add loop for compute, a large-array triad for bandwidth), then
 // times every flop/byte-counted kernel single-threaded at the build's
-// native simd width and again at width 1 (the CPX_SIMD=off behaviour).
+// native simd width and at width 1 (the CPX_SIMD=off behaviour), as five
+// alternating native/scalar samples reported as a median speedup and IQR.
 // Work sizes default to cache-resident vectors so the kernels express
 // instruction throughput rather than DRAM limits, which is where the
 // pack-vs-scalar contrast lives. Emits the `cpx-roofline-v1` JSON with
@@ -12,6 +13,7 @@
 //
 //   ./roofline [--n=16384] [--reps=400] [--out=roofline.json]
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -75,7 +77,9 @@ double measure_peak_gflops() {
   const double elapsed = seconds_since(t0);
   double sink = 0.0;
   for (int i = 0; i < kAcc; ++i) {
-    sink += simd::hsum(acc[i]);
+    for (int j = 0; j < simd::kMaxWidth; ++j) {
+      sink += acc[i][j];
+    }
   }
   // 2 flops (mul + add) per lane per accumulator per iteration; the sink
   // keeps the loop from being optimised away.
@@ -135,23 +139,62 @@ Measurement measure(int width, int reps, const char* flop_counter,
   return m;
 }
 
+/// Linear-interpolated quantile of an ascending sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (pos - static_cast<double>(lo)) *
+                          (sorted[hi] - sorted[lo]);
+}
+
+/// A kernel's roofline sample plus the spread of its scalar/native ratio.
+struct KernelTiming {
+  cpx::perfmodel::KernelSample sample;
+  double speedup_iqr = 0.0;
+};
+
+/// Times `fn` as kSamples native/scalar pairs, alternating which width
+/// runs first so slow drift cancels. The sample keeps the pair with the
+/// median scalar/native ratio, so its speedup_vs_scalar is that median.
 template <typename Fn>
-cpx::perfmodel::KernelSample sample_kernel(const std::string& name,
-                                           int native_width, int reps,
-                                           const char* flop_counter,
-                                           const char* byte_counter,
-                                           Fn&& fn) {
-  const Measurement vec =
-      measure(native_width, reps, flop_counter, byte_counter, fn);
-  const Measurement scalar =
-      measure(1, reps, flop_counter, byte_counter, fn);
-  cpx::perfmodel::KernelSample s;
-  s.name = name;
-  s.flops = vec.flops;
-  s.bytes = vec.bytes;
-  s.seconds = vec.seconds;
-  s.scalar_seconds = scalar.seconds;
-  return s;
+KernelTiming sample_kernel(const std::string& name, int native_width,
+                           int reps, const char* flop_counter,
+                           const char* byte_counter, Fn&& fn) {
+  constexpr int kSamples = 5;  // odd, so the median is one measured pair
+  struct Pair {
+    double ratio;  // scalar seconds / native seconds
+    Measurement native;
+    double scalar_seconds;
+  };
+  std::vector<Pair> pairs;
+  for (int i = 0; i < kSamples; ++i) {
+    Measurement vec;
+    Measurement scalar;
+    if (i % 2 == 0) {
+      vec = measure(native_width, reps, flop_counter, byte_counter, fn);
+      scalar = measure(1, reps, flop_counter, byte_counter, fn);
+    } else {
+      scalar = measure(1, reps, flop_counter, byte_counter, fn);
+      vec = measure(native_width, reps, flop_counter, byte_counter, fn);
+    }
+    pairs.push_back({scalar.seconds / vec.seconds, vec, scalar.seconds});
+  }
+  std::sort(pairs.begin(), pairs.end(),
+            [](const Pair& x, const Pair& y) { return x.ratio < y.ratio; });
+  std::vector<double> ratios;
+  for (const Pair& p : pairs) {
+    ratios.push_back(p.ratio);
+  }
+  const Pair& mid = pairs[kSamples / 2];
+  KernelTiming t;
+  t.sample.name = name;
+  t.sample.flops = mid.native.flops;
+  t.sample.bytes = mid.native.bytes;
+  t.sample.seconds = mid.native.seconds;
+  t.sample.scalar_seconds = mid.scalar_seconds;
+  t.speedup_iqr = quantile(ratios, 0.75) - quantile(ratios, 0.25);
+  return t;
 }
 
 }  // namespace
@@ -185,43 +228,43 @@ int main(int argc, char** argv) {
             << machine.peak_gbs << " GB/s, ridge "
             << machine.ridge_intensity() << " flop/byte\n";
 
-  std::vector<perfmodel::KernelSample> samples;
+  std::vector<KernelTiming> timings;
 
   // --- blas1 ---
   const aligned_vector<double> a = random_vector(n, 1);
   const aligned_vector<double> b = random_vector(n, 2);
   double sink = 0.0;
-  samples.push_back(sample_kernel(
+  timings.push_back(sample_kernel(
       "blas1/dot", native, reps, support::metric_names::kBlas1Flops,
       support::metric_names::kBlas1Bytes,
       [&] { sink += support::blas1::dot(a, b); }));
 
   aligned_vector<double> x = random_vector(n, 3);
   aligned_vector<double> r = random_vector(n, 4);
-  samples.push_back(sample_kernel(
+  timings.push_back(sample_kernel(
       "blas1/axpy2_norm2", native, reps, support::metric_names::kBlas1Flops,
       support::metric_names::kBlas1Bytes,
       [&] { sink += support::blas1::axpy2_norm2(1e-6, a, b, x, r); }));
 
-  // --- sparse SpMV (3-D Poisson operator, 7-point rows) ---
-  const sparse::CsrMatrix mat = sparse::laplacian_3d(24, 24, 24);
+  // --- sparse SpMV and AMG Jacobi smoother: rows of 16+ entries, long
+  // enough (>= simd::kReduceLanes) to run the pack gather tree; 7-point
+  // stencil rows would time the scalar chain at both widths ---
+  const sparse::CsrMatrix spd = sparse::random_spd(8192, 16, 21);
   const aligned_vector<double> mx =
-      random_vector(static_cast<std::size_t>(mat.cols()), 5);
-  aligned_vector<double> my(static_cast<std::size_t>(mat.rows()), 0.0);
-  samples.push_back(sample_kernel(
+      random_vector(static_cast<std::size_t>(spd.cols()), 5);
+  aligned_vector<double> my(static_cast<std::size_t>(spd.rows()), 0.0);
+  timings.push_back(sample_kernel(
       "sparse/spmv", native, reps, support::metric_names::kSparseSpmvFlops,
       support::metric_names::kSparseSpmvBytes,
-      [&] { sparse::spmv(mat, mx, my); }));
+      [&] { sparse::spmv(spd, mx, my); }));
 
-  // --- AMG Jacobi smoother (long rows exercise the gather tree) ---
-  const sparse::CsrMatrix spd = sparse::random_spd(8192, 16, 21);
   aligned_vector<double> sx(static_cast<std::size_t>(spd.rows()), 0.0);
   const aligned_vector<double> sb =
       random_vector(static_cast<std::size_t>(spd.rows()), 6);
   aligned_vector<double> scratch(static_cast<std::size_t>(spd.rows()), 0.0);
   amg::SmootherOptions sopts;
   sopts.kind = amg::SmootherKind::kJacobi;
-  samples.push_back(sample_kernel(
+  timings.push_back(sample_kernel(
       "amg/jacobi_smooth", native, reps,
       support::metric_names::kAmgSmoothFlops,
       support::metric_names::kAmgSmoothBytes,
@@ -235,10 +278,10 @@ int main(int argc, char** argv) {
   pic.load_uniform(64, 0.1, 0.05);  // 16384 particles
   pic.deposit();
   pic.solve_field();
-  samples.push_back(sample_kernel(
+  timings.push_back(sample_kernel(
       "simpic/push", native, reps, support::metric_names::kSimpicPushFlops,
       support::metric_names::kSimpicPushBytes, [&] { pic.push(); }));
-  samples.push_back(sample_kernel(
+  timings.push_back(sample_kernel(
       "simpic/deposit", native, reps,
       support::metric_names::kSimpicDepositFlops,
       support::metric_names::kSimpicDepositBytes, [&] { pic.deposit(); }));
@@ -257,7 +300,7 @@ int main(int argc, char** argv) {
   aligned_vector<double> donor_field =
       random_vector(donors.size(), 7);
   aligned_vector<double> target_field(targets.size(), 0.0);
-  samples.push_back(sample_kernel(
+  timings.push_back(sample_kernel(
       "coupler/interpolate", native, reps,
       support::metric_names::kCouplerInterpolateFlops,
       support::metric_names::kCouplerInterpolateBytes,
@@ -265,13 +308,16 @@ int main(int argc, char** argv) {
 
   simd::set_width(native);
 
-  Table table({"kernel", "flop/byte", "GFLOP/s", "GB/s",
-                        "% roof", "speedup vs scalar"});
-  for (const auto& s : samples) {
+  Table table({"kernel", "flop/byte", "GFLOP/s", "GB/s", "% roof",
+               "speedup vs scalar (median)", "speedup IQR"});
+  std::vector<perfmodel::KernelSample> samples;
+  for (const auto& t : timings) {
+    const perfmodel::KernelSample& s = t.sample;
     const perfmodel::RooflinePoint p = perfmodel::classify(s, machine);
     table.add_row({s.name, p.intensity, p.gflops, p.gbs,
                    100.0 * p.fraction_of_roof,
-                   s.scalar_seconds / s.seconds});
+                   s.scalar_seconds / s.seconds, t.speedup_iqr});
+    samples.push_back(s);
   }
   table.print(std::cout);
   if (sink == 0.0) {

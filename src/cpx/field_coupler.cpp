@@ -23,12 +23,12 @@ std::vector<mesh::CellId> extract_plane_cells(
   // chunk order — same cell ordering as the serial scan.
   const std::int64_t nc = mesh.num_cells();
   const std::int64_t nchunks = support::num_chunks(0, nc, kInterfaceGrain);
-  std::vector<std::vector<mesh::CellId>> found(
+  std::vector<support::Padded<std::vector<mesh::CellId>>> found(
       static_cast<std::size_t>(nchunks));
   support::parallel_chunks(0, nc, kInterfaceGrain, [&](std::int64_t chunk,
                                                        std::int64_t c0,
                                                        std::int64_t c1, int) {
-    auto& hits = found[static_cast<std::size_t>(chunk)];
+    auto& hits = found[static_cast<std::size_t>(chunk)].value;
     for (mesh::CellId c = c0; c < c1; ++c) {
       if (std::abs(mesh.centroids()[static_cast<std::size_t>(c)].z -
                    z_plane) <= tolerance) {
@@ -38,7 +38,7 @@ std::vector<mesh::CellId> extract_plane_cells(
   });
   std::vector<mesh::CellId> cells;
   for (const auto& hits : found) {
-    cells.insert(cells.end(), hits.begin(), hits.end());
+    cells.insert(cells.end(), hits.value.begin(), hits.value.end());
   }
   return cells;
 }

@@ -165,7 +165,8 @@ std::vector<std::int64_t> KdTree::nearest_batch(
   const auto nq = static_cast<std::int64_t>(queries.size());
   std::vector<std::int64_t> out(queries.size(), -1);
   const std::int64_t nchunks = support::num_chunks(0, nq, kQueryGrain);
-  std::vector<std::int64_t> visited(static_cast<std::size_t>(nchunks), 0);
+  std::vector<support::Padded<std::int64_t>> visited(
+      static_cast<std::size_t>(nchunks));
   support::parallel_chunks(0, nq, kQueryGrain, [&](std::int64_t chunk,
                                                    std::int64_t q0,
                                                    std::int64_t q1, int) {
@@ -176,11 +177,11 @@ std::vector<std::int64_t> KdTree::nearest_batch(
       search(root_, queries[static_cast<std::size_t>(q)], best, best_d2, v);
       out[static_cast<std::size_t>(q)] = best;
     }
-    visited[static_cast<std::size_t>(chunk)] = v;
+    visited[static_cast<std::size_t>(chunk)].value = v;
   });
   std::int64_t total = 0;
-  for (std::int64_t v : visited) {
-    total += v;
+  for (const auto& v : visited) {
+    total += v.value;
   }
   visited_ = total;
   if (support::metrics::enabled()) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "support/aligned.hpp"
+#include "support/parallel.hpp"
 
 namespace cpx::sparse {
 
@@ -157,7 +158,9 @@ class SpgemmPlan {
  public:
   SpgemmPlan() = default;
 
-  /// Symbolic pass over A·B (counts and records the output structure).
+  /// Plans A·B from the structure of spgemm_spa(a, b): one SPA pass, its
+  /// values discarded. Off the hot path (tests, traced probes); AMG set-up
+  /// adopts structures it has computed anyway through the form below.
   SpgemmPlan(const CsrMatrix& a, const CsrMatrix& b);
 
   /// Adopts the structure of an already-computed product C = A·B (no
@@ -194,14 +197,15 @@ class SpgemmPlan {
   std::int64_t flops_ = 0;
   std::vector<std::int64_t> row_offsets_;
   std::vector<std::int32_t> col_indices_;
-  // Per-lane dense accumulators (one double per output column). The
-  // numeric pass accumulates each row into the dense array with a single
-  // indirection, then gathers/clears exactly the planned columns — no
-  // marker branch, no sort, no compaction. A lane runs one chunk at a time
-  // (support::parallel_chunks), so lane-indexed scratch needs no locking;
-  // mutable because reusing it is an implementation detail of the const
-  // numeric passes.
-  mutable std::vector<support::aligned_vector<double>> lane_acc_;
+  // Per-lane dense accumulators (one double per output column), one
+  // cache-line-padded slot per lane, sized serially for max_threads() lanes
+  // on the first numeric pass at a pool width and reused (allocation-free)
+  // after. The numeric pass accumulates each row into the dense array with
+  // a single indirection, then gathers/clears exactly the planned columns —
+  // no marker branch, no sort, no compaction. Mutable because reusing it
+  // is an implementation detail of the const numeric passes.
+  mutable std::vector<support::Padded<support::aligned_vector<double>>>
+      lane_acc_;
 };
 
 /// Reference SpGEMM: symbolic pass sizes the output, numeric pass fills it

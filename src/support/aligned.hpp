@@ -1,6 +1,6 @@
 #pragma once
 // 64-byte-aligned storage for the SIMD kernel layer (docs/parallelism.md,
-// "Determinism tiers"). Hot SoA arrays — SIMPIC particle/field arrays,
+// "SIMD determinism"). Hot SoA arrays — SIMPIC particle/field arrays,
 // spray positions, CSR value arrays, blas1/PCG workspaces — are held in
 // aligned_vector<T> so simd::pack loads start on cache-line boundaries and
 // never straddle a line for any supported lane width. The kernels

@@ -33,7 +33,6 @@ inline constexpr const char* kSimpicField = "simpic/field";
 inline constexpr const char* kSimpicPush = "simpic/push";
 inline constexpr const char* kSparseSpgemmNumeric = "sparse/spgemm_numeric";
 inline constexpr const char* kSparseSpgemmSpa = "sparse/spgemm_spa";
-inline constexpr const char* kSparseSpgemmSymbolic = "sparse/spgemm_symbolic";
 inline constexpr const char* kSparseSpgemmTwopass = "sparse/spgemm_twopass";
 inline constexpr const char* kSparseSpmv = "sparse/spmv";
 inline constexpr const char* kSparseTranspose = "sparse/transpose";

@@ -16,6 +16,7 @@
 // inline on the caller with zero synchronisation. Nested parallel calls
 // from inside a chunk run inline on the calling worker's lane.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -86,6 +87,17 @@ std::pair<std::int64_t, std::int64_t> chunk_bounds(std::int64_t begin,
                                                    std::int64_t end,
                                                    std::int64_t grain,
                                                    std::int64_t chunk);
+
+/// One cache line per slot: the element type of every per-lane scratch and
+/// per-chunk output array. Unpadded, neighbouring slots (vector headers,
+/// counters) share a line, and each write on one lane invalidates the line
+/// another lane is reading — the false sharing that made the threaded
+/// SpGEMM slower than serial (docs/parallelism.md, "Per-lane scratch").
+inline constexpr std::size_t kCacheLine = 64;
+template <typename T>
+struct alignas(kCacheLine) Padded {
+  T value{};
+};
 
 /// fn(chunk, chunk_begin, chunk_end, lane): called once per chunk, on any
 /// lane in [0, max_threads()). A lane executes at most one chunk at a time,

@@ -18,23 +18,18 @@
 // what lets tests/simd_test.cpp prove bitwise equality across widths and
 // lets bench/roofline measure the scalar/vector speedup in-process.
 //
-// Determinism tiers (docs/parallelism.md, "Determinism tiers")
-// ------------------------------------------------------------
-// Tier "exact": elementwise kernels may vectorize freely inside the
-// existing fixed-grain chunks — IEEE arithmetic is elementwise, so lane
-// grouping cannot change bits. Reductions MUST go through tree_reduce /
+// Determinism (docs/parallelism.md, "SIMD determinism")
+// ------------------------------------------------------
+// Elementwise kernels may vectorize freely inside the existing
+// fixed-grain chunks — IEEE arithmetic is elementwise, so lane grouping
+// cannot change bits. Reductions MUST go through tree_reduce /
 // tree_combine below: partial sums are accumulated into kReduceLanes
 // virtual lanes (element i of a chunk goes to lane (i - lo) % kReduceLanes
 // in ascending order) and combined with one fixed binary tree. Because
 // every supported width divides kReduceLanes, the per-lane addition
 // chains and the final combine are IDENTICAL for every width — including
-// width 1 — at every CPX_THREADS setting.
-//
-// Tier "relaxed": hsum() is a lane-order horizontal sum whose rounding
-// depends on the pack width. It exists for throughput experiments in
-// bench/ and must not appear in src/ kernels; the cpxcheck rule
-// `simd-tier` enforces exactly that (allow(simd-tier) documents an
-// exception).
+// width 1 — at every CPX_THREADS setting. There is deliberately no
+// lane-order horizontal sum: its rounding would change with the width.
 //
 // FP contract note: fma() and all kernel code spell multiply-add as
 // `a * b + c` in both the pack and the scalar paths. The default build
@@ -222,18 +217,6 @@ inline pack<W> abs(const pack<W>& a) {
 template <int W>
 inline pack<W> fma(const pack<W>& a, const pack<W>& b, const pack<W>& c) {
   return a * b + c;
-}
-
-/// RELAXED tier: lane-order horizontal sum. Rounding depends on W, so
-/// calling this from a src/ kernel breaks the width-invariance contract —
-/// the cpxcheck `simd-tier` rule flags it outside bench/tests.
-template <int W>
-inline double hsum(const pack<W>& a) {
-  double s = a[0];
-  for (int j = 1; j < W; ++j) {
-    s += a[j];
-  }
-  return s;
 }
 
 /// The one fixed combine tree of the deterministic reduction tier:

@@ -287,6 +287,52 @@ TEST(KernelDeterminism, SpgemmSpa) {
   support::set_max_threads(1);
 }
 
+/// rows x cols with up to `per_row` random entries per row; every 7th row
+/// and the column band [band_lo, band_hi) stay empty.
+sparse::CsrMatrix random_rect(std::int64_t rows, std::int64_t cols,
+                              int per_row, std::int64_t band_lo,
+                              std::int64_t band_hi, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<sparse::Triplet> t;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (int k = 0; r % 7 != 0 && k < per_row; ++k) {
+      const auto c = static_cast<std::int64_t>(
+          rng.uniform(0.0, static_cast<double>(cols)));
+      if (c < band_lo || c >= band_hi) {
+        t.push_back({r, c, rng.uniform(-1.0, 1.0)});
+      }
+    }
+  }
+  return sparse::csr_from_triplets(rows, cols, t);
+}
+
+TEST(KernelDeterminism, SpgemmPlanSymbolic) {
+  const sparse::CsrMatrix a = random_rect(2000, 600, 5, 0, 0, 61);
+  const sparse::CsrMatrix b = random_rect(600, 900, 4, 300, 600, 62);
+  const sparse::CsrMatrix b_no_cols(600, 0, std::vector<std::int64_t>(601, 0),
+                                    {}, support::aligned_vector<double>{});
+  for (const sparse::CsrMatrix* rhs : {&b, &b_no_cols}) {
+    const auto plan_product = [&] {
+      return sparse::SpgemmPlan(a, *rhs).numeric(a, *rhs);
+    };
+    const auto [serial, threaded] = at_both_thread_counts(plan_product);
+    expect_same_matrix(serial, threaded);
+    expect_same_matrix(serial, sparse::spgemm_spa(a, *rhs));
+  }
+}
+
+TEST(Padded, SlotsStartOnCacheLines) {
+  static_assert(sizeof(support::Padded<std::vector<int>>) %
+                    support::kCacheLine ==
+                0);
+  static_assert(sizeof(support::Padded<std::int64_t>) == support::kCacheLine);
+  const std::vector<support::Padded<std::vector<int>>> slots(5);
+  for (const auto& slot : slots) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&slot) % support::kCacheLine,
+              0u);
+  }
+}
+
 TEST(KernelDeterminism, GalerkinProduct) {
   const sparse::CsrMatrix a = sparse::laplacian_2d(50, 50);
   const sparse::CsrMatrix p = sparse::random_spd(a.rows(), 4, 77);

@@ -1,5 +1,5 @@
 // Bitwise-determinism matrix for the SIMD kernel layer (docs/parallelism.md,
-// "Determinism tiers"): every vectorized kernel must produce IDENTICAL bits
+// "SIMD determinism"): every vectorized kernel must produce IDENTICAL bits
 // at every simd width {1, 2, 4, 8} x thread count {1, 4, 16} combination,
 // because reductions go through the fixed-lane tree (simd::tree_reduce /
 // tree_combine) and elementwise work is IEEE-elementwise. Width 1 with one

@@ -59,12 +59,6 @@ RULES = (
         "SpgemmPlan::fill_values, DistributedSolver::step) via the call "
         "graph."),
     RuleInfo(
-        "simd-tier",
-        "Horizontal SIMD reductions in kernel code go through the "
-        "fixed-lane tree helpers (tree_reduce/tree_combine, exact tier); "
-        "direct hsum() calls are relaxed-tier — lane-order rounding "
-        "changes with the simd width — and need allow(simd-tier)."),
-    RuleInfo(
         "naked-new",
         "No naked new/delete expressions in src/; ownership goes through "
         "containers or smart pointers."),
@@ -162,7 +156,6 @@ def run_rules(project: Project) -> list[Finding]:
     findings += check_split_phase(project)
     findings += check_deterministic(project)
     findings += check_solve_alloc(project)
-    findings += check_simd_tier(project)
     findings += check_naked_new(project)
     findings += check_reduce(project)
     findings += check_raw_comm(project)
@@ -688,43 +681,6 @@ def _resolve_call(project, facts, fn, call: CallSite, by_name):
 def _namespace(fn: FunctionInfo) -> list[str]:
     parts = fn.qualname.split("::")[:-1]
     return parts[:-1] if fn.class_name else parts
-
-
-# ---------------------------------------------------------------------------
-# simd-tier
-# ---------------------------------------------------------------------------
-
-def check_simd_tier(project: Project) -> list[Finding]:
-    """hsum() is the relaxed determinism tier: it sums lanes in order, so
-    its rounding depends on the active simd width. Kernel code must reduce
-    through tree_reduce/tree_combine (fixed kReduceLanes virtual lanes,
-    width-invariant tree) — see docs/parallelism.md. Direct hsum() call
-    sites outside the helper's home (support/simd.hpp) need an explicit
-    allow(simd-tier) marker."""
-    rule = rule_by_name("simd-tier")
-    findings: list[Finding] = []
-    for facts in project.files:
-        if facts.path.endswith("support/simd.hpp"):
-            continue
-        for fn in facts.functions:
-            for s in walk_stmts(fn.body):
-                toks = list(s.tokens) + list(s.range_tokens)
-                n = len(toks)
-                for k, t in enumerate(toks):
-                    if t.kind != lex.ID or t.text != "hsum":
-                        continue
-                    nxt = toks[k + 1].text if k + 1 < n else ""
-                    if nxt != "(":
-                        continue
-                    if project.allowed(facts, t.line, rule):
-                        continue
-                    findings.append(Finding(
-                        rule.name, facts.path, t.line,
-                        "hsum() is a relaxed-tier lane-order reduction "
-                        "whose rounding changes with the simd width; use "
-                        "tree_reduce/tree_combine for bit-stable results "
-                        "or mark the site allow(simd-tier)"))
-    return findings
 
 
 # ---------------------------------------------------------------------------
