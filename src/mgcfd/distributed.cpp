@@ -7,7 +7,6 @@
 
 #include "ckpt/snapshot.hpp"
 #include "mgcfd/flux.hpp"
-#include "sim/comm_bridge.hpp"
 #include "support/check.hpp"
 
 namespace cpx::mgcfd {
@@ -84,27 +83,14 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
           std::pow(vol, 2.0 / 3.0));
     }
 
+    // The interior/boundary split sets only where an overlapped step
+    // charges the flux work (set_overlap); every step computes all edges.
     const mesh::CellSplit split = mesh::split_interior_boundary(lm);
-    ps.phase.assign(total, kGhost);
     for (const std::int32_t c : split.interior) {
-      ps.phase[static_cast<std::size_t>(c)] = kInterior;
       ps.interior_incidence += degree[static_cast<std::size_t>(c)];
     }
     for (const std::int32_t c : split.boundary) {
-      ps.phase[static_cast<std::size_t>(c)] = kBoundary;
       ps.boundary_incidence += degree[static_cast<std::size_t>(c)];
-    }
-    // Each pass visits, in ascending order, every edge with an endpoint in
-    // its phase. An interior-boundary edge lies on both lists, so each
-    // cell still sums all of its edges in ascending edge order.
-    for (std::size_t idx = 0; idx < lm.edges.size(); ++idx) {
-      const auto& e = lm.edges[idx];
-      for (const Phase p : {kInterior, kBoundary}) {
-        if (ps.phase[static_cast<std::size_t>(e.a)] == p ||
-            ps.phase[static_cast<std::size_t>(e.b)] == p) {
-          ps.pass_edges[p].push_back(static_cast<std::int32_t>(idx));
-        }
-      }
     }
 
     if (check::deep()) {
@@ -137,8 +123,9 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
     parts_.push_back(std::move(ps));
   }
 
-  // Static message list of one halo round (src, dst, channel payload) for
-  // Cluster::exchange_begin in overlapped steps.
+  // Static message list of one halo round (src, dst, channel payload), in
+  // channel order: the transfers every plan execution records, so both
+  // step modes charge the cluster from it.
   halo_messages_.reserve(halo_plan_.channels().size());
   for (const comm::ExchangePlan::Channel& ch : halo_plan_.channels()) {
     halo_messages_.push_back(
@@ -172,25 +159,8 @@ void DistributedSolver::attach_cluster(sim::Cluster* cluster) {
   }
 }
 
-void DistributedSolver::exchange_halos() {
-  // One plan execution per step: pack each send list, move the bytes
-  // through the communicator, scatter into the neighbours' ghost slots.
-  halo_plan_.execute(comm_, [this](comm::Rank r) {
-    return std::as_writable_bytes(
-        std::span<State>(parts_[static_cast<std::size_t>(r)].u));
-  });
-  if (cluster_ != nullptr) {
-    // Charge the co-simulated cluster with the transfers that actually
-    // moved — same message list the hand-rolled exchange used to build.
-    sim::flush_exchange(comm_, *cluster_, region_halo_, 0, message_scratch_);
-  } else {
-    comm_.clear_transfers();
-  }
-}
-
-bool DistributedSolver::refresh_primitives(const PartState& ps,
-                                           std::size_t slots) {
-  for (std::size_t i = 0; i < slots; ++i) {
+bool DistributedSolver::refresh_primitives(const PartState& ps) {
+  for (std::size_t i = 0; i < ps.u.size(); ++i) {
     if (!std::isfinite(ps.u[i][0])) {
       return false;  // diverged; primitives() needs a positive density
     }
@@ -199,29 +169,26 @@ bool DistributedSolver::refresh_primitives(const PartState& ps,
   return true;
 }
 
-void DistributedSolver::scatter_residuals(PartState& ps, Phase target) const {
-  // Edge-centric residual of the cells in phase `target`: one flux per
-  // edge of the pass list, added into each endpoint of that phase. The
-  // list ascends, so every cell accumulates its contributions in
-  // ascending edge order whichever pass serves it. Both endpoints of an
-  // interior-pass edge are owned, so that pass may run inside the halo
-  // window. The flux is applied on the fly, not stored: a per-edge flux
-  // buffer would add 40 bytes per edge to the working set to save only
-  // the interior-boundary edges' second evaluation.
-  for (const std::int32_t idx : ps.pass_edges[target]) {
-    const auto& e = ps.local.edges[static_cast<std::size_t>(idx)];
+void DistributedSolver::scatter_residuals(PartState& ps) const {
+  // Edge-centric residual: one flux per local edge, in ascending edge
+  // order, added into each owned endpoint, so every owned cell sums its
+  // edges in the sequential solver's order. Ghost slots are read, never
+  // written. The flux is applied on the fly, not stored: a per-edge flux
+  // buffer would add 40 bytes per edge to the working set.
+  const auto owned = ps.local.num_owned();
+  for (const auto& e : ps.local.edges) {
     const auto a = static_cast<std::size_t>(e.a);
     const auto b = static_cast<std::size_t>(e.b);
     const State f = rusanov_flux(ps.u[a], primitives_[a], ps.u[b],
                                  primitives_[b], e.normal,
                                  options_.dissipation);
-    if (ps.phase[a] == target) {
+    if (e.a < owned) {
       State& r = ps.residual[a];
       for (int j = 0; j < 5; ++j) {
         r[j] -= e.area * f[j];
       }
     }
-    if (ps.phase[b] == target) {
+    if (e.b < owned) {
       State& r = ps.residual[b];
       for (int j = 0; j < 5; ++j) {
         r[j] += e.area * f[j];
@@ -266,24 +233,75 @@ double DistributedSolver::finalize_part(PartState& ps) {
   return finite ? part_norm_sq : kDiverged;
 }
 
-double DistributedSolver::compute_and_update() {
+double DistributedSolver::edge_share(const PartState& ps, bool interior) {
+  const double total =
+      static_cast<double>(ps.interior_incidence + ps.boundary_incidence);
+  if (total <= 0.0) {
+    return interior ? 0.0 : 1.0;  // no edges: nothing to place in the window
+  }
+  return static_cast<double>(interior ? ps.interior_incidence
+                                      : ps.boundary_incidence) /
+         total;
+}
+
+sim::Work DistributedSolver::flux_work(const PartState& ps, double share,
+                                       bool update) {
+  const auto edges = static_cast<double>(ps.local.edges.size());
+  sim::Work w;
+  w.flops = edges * 120.0 * share;
+  w.bytes = edges * 160.0 * share;
+  if (update) {
+    const auto owned = static_cast<double>(ps.local.num_owned());
+    w.flops += owned * 60.0;
+    w.bytes += owned * 100.0;
+  }
+  return w;
+}
+
+double DistributedSolver::step() {
+  // The halo lands before any flux: one plan execution packs each send
+  // list, moves the bytes through the communicator and scatters them into
+  // the neighbours' ghost slots. The cluster is charged from the plan's
+  // static message list, which equals the recorded transfers.
+  halo_plan_.execute(comm_, [this](comm::Rank r) {
+    return std::as_writable_bytes(
+        std::span<State>(parts_[static_cast<std::size_t>(r)].u));
+  });
+  comm_.clear_transfers();
+  if (cluster_ != nullptr) {
+    if (overlap_) {
+      // Virtual time only: the interior cells never read a ghost slot, so
+      // their share of the flux work is charged inside the halo window.
+      const int pending =
+          cluster_->exchange_begin(halo_messages_, region_halo_);
+      for (const PartState& ps : parts_) {
+        cluster_->compute(ps.local.part,
+                          flux_work(ps, edge_share(ps, true), false),
+                          region_flux_);
+      }
+      cluster_->exchange_finish(pending);
+    } else {
+      cluster_->exchange(halo_messages_, region_halo_);
+    }
+  }
+
   for (PartState& ps : parts_) {
-    // The halo has landed: every slot of the part is current.
-    if (!refresh_primitives(ps, ps.u.size())) {
+    if (!refresh_primitives(ps)) {
       return kDiverged;
     }
     std::fill(ps.residual.begin(), ps.residual.end(), State{});
-    scatter_residuals(ps, kInterior);
-    scatter_residuals(ps, kBoundary);
+    scatter_residuals(ps);
     norm_partials_[static_cast<std::size_t>(ps.local.part)] =
         finalize_part(ps);
     if (cluster_ != nullptr) {
-      const auto owned = static_cast<double>(ps.local.num_owned());
-      sim::Work w;
-      w.flops =
-          static_cast<double>(ps.local.edges.size()) * 120.0 + owned * 60.0;
-      w.bytes =
-          static_cast<double>(ps.local.edges.size()) * 160.0 + owned * 100.0;
+      // The rest of the work: all of it, or, when overlapped, the
+      // boundary share plus the update, with the step's launch already
+      // charged inside the window. Both modes charge the same total.
+      sim::Work w =
+          flux_work(ps, overlap_ ? edge_share(ps, false) : 1.0, true);
+      if (overlap_) {
+        w.launches = 0.0;
+      }
       cluster_->compute(ps.local.part, w, region_flux_);
     }
   }
@@ -294,103 +312,6 @@ double DistributedSolver::compute_and_update() {
     cluster_->allreduce({0, num_parts()}, sizeof(double), region_reduce_);
   }
   return std::sqrt(norm_sq);
-}
-
-double DistributedSolver::step_overlapped() {
-  // Same data movement and numerics as the synchronous step — the halo
-  // payload is gathered from the identical pre-step states and interior
-  // cells never read a slot the plan fills — only phased so interior flux
-  // work sits inside the exchange window.
-  const auto rank_data = [this](comm::Rank r) {
-    return std::as_writable_bytes(
-        std::span<State>(parts_[static_cast<std::size_t>(r)].u));
-  };
-  halo_plan_.begin(comm_, rank_data);
-  int pending = -1;
-  // The simulated-time window opens and closes under the same
-  // `cluster_ != nullptr` guard; the branches are correlated, which the
-  // path merge in cpxcheck's split-phase rule cannot see.
-  // cpx-lint: allow(split-phase)
-  if (cluster_ != nullptr) {
-    pending = cluster_->exchange_begin(halo_messages_, region_halo_);
-  }
-
-  // Inside the window only the owned slots are current; a diverged part
-  // stops the interior passes, but the window is still closed below.
-  bool finite = true;
-  for (PartState& ps : parts_) {
-    finite = refresh_primitives(
-        ps, static_cast<std::size_t>(ps.local.num_owned()));
-    if (!finite) {
-      break;
-    }
-    std::fill(ps.residual.begin(), ps.residual.end(), State{});
-    scatter_residuals(ps, kInterior);
-    if (cluster_ != nullptr) {
-      const double total_incid = static_cast<double>(
-          ps.interior_incidence + ps.boundary_incidence);
-      const double frac =
-          total_incid > 0.0
-              ? static_cast<double>(ps.interior_incidence) / total_incid
-              : 0.0;
-      sim::Work w;
-      w.flops = static_cast<double>(ps.local.edges.size()) * 120.0 * frac;
-      w.bytes = static_cast<double>(ps.local.edges.size()) * 160.0 * frac;
-      cluster_->compute(ps.local.part, w, region_flux_);
-    }
-  }
-
-  halo_plan_.finish(comm_, rank_data);
-  comm_.clear_transfers();  // charged via exchange_begin, not the bridge
-  if (cluster_ != nullptr) {
-    cluster_->exchange_finish(pending);
-  }
-  if (!finite) {
-    return kDiverged;
-  }
-
-  for (PartState& ps : parts_) {
-    // The scratch is shared by the parts, so the owned slots are refreshed
-    // again together with the ghost slots the halo just filled.
-    if (!refresh_primitives(ps, ps.u.size())) {
-      return kDiverged;
-    }
-    scatter_residuals(ps, kBoundary);
-    norm_partials_[static_cast<std::size_t>(ps.local.part)] =
-        finalize_part(ps);
-    if (cluster_ != nullptr) {
-      const auto owned = static_cast<double>(ps.local.num_owned());
-      const double total_incid = static_cast<double>(
-          ps.interior_incidence + ps.boundary_incidence);
-      const double frac =
-          total_incid > 0.0
-              ? static_cast<double>(ps.boundary_incidence) / total_incid
-              : 1.0;
-      // Complements the interior charge: overlapped and synchronous steps
-      // account the same total compute, placed differently.
-      sim::Work w;
-      w.flops = static_cast<double>(ps.local.edges.size()) * 120.0 * frac +
-                owned * 60.0;
-      w.bytes = static_cast<double>(ps.local.edges.size()) * 160.0 * frac +
-                owned * 100.0;
-      w.launches = 0.0;  // the step's launch is charged with the interior
-      cluster_->compute(ps.local.part, w, region_flux_);
-    }
-  }
-
-  const double norm_sq = comm_.allreduce_sum(norm_partials_);
-  if (cluster_ != nullptr && num_parts() > 1) {
-    cluster_->allreduce({0, num_parts()}, sizeof(double), region_reduce_);
-  }
-  return std::sqrt(norm_sq);
-}
-
-double DistributedSolver::step() {
-  if (overlap_) {
-    return step_overlapped();
-  }
-  exchange_halos();
-  return compute_and_update();
 }
 
 double DistributedSolver::run(int steps) {

@@ -17,13 +17,12 @@
 // timing from the same execution, charged with the real message sizes
 // recorded by the communicator.
 //
-// Each residual reads every cell's pressure and sound speed from a cache
-// refreshed once per cell slot (flux.hpp), not once per incident edge.
-// Parts step one after another, so one scratch sized to the largest part
-// serves them all; a slot is refreshed only once its state is current
-// (ghost slots after the halo lands, see set_overlap).
+// Each step exchanges the halo first, then makes one ascending pass over
+// each part's edges. Every residual reads each cell's pressure and sound
+// speed from a cache refreshed once per cell slot (flux.hpp), not once per
+// incident edge. Parts step one after another, so one scratch sized to the
+// largest part serves them all.
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -62,8 +61,8 @@ class DistributedSolver {
   /// combine of per-rank partial sums). Divergence is a defined outcome:
   /// a step whose update leaves a non-finite density returns NaN, and so
   /// does a step that finds one when it refreshes a part's primitives; it
-  /// evaluates no flux on that part or any later one, and an overlapped
-  /// step still closes its halo window.
+  /// evaluates no flux on that part or any later one. Any virtual halo
+  /// window is closed before the first flux, so it never stays open.
   double step();
 
   /// Runs `steps` timesteps; returns the last residual norm, or NaN after
@@ -90,15 +89,15 @@ class DistributedSolver {
   /// [0, num_parts). Pass nullptr to detach.
   void attach_cluster(sim::Cluster* cluster);
 
-  /// Split-phase halo overlap (docs/communication.md): step() begins the
-  /// halo exchange, computes interior-cell residuals inside the window,
-  /// finishes, then computes boundary-cell residuals. Both modes run the
-  /// same two edge-scatter passes (interior cells, then boundary cells),
-  /// and every cell accumulates its edges in ascending edge order, so the
-  /// overlapped and synchronous solutions are bitwise identical; only the
-  /// co-simulated timing differs (Cluster::comm_hidden_seconds). Inside
-  /// the window only the owned slots' primitives are refreshed; the ghost
-  /// slots' are refreshed after finish(), with the owned ones again.
+  /// Split-phase halo overlap (docs/communication.md), on the co-simulated
+  /// clock only. The host always lands the halo before the flux pass, so
+  /// both modes compute the same bits. With overlap on, step() opens a
+  /// Cluster::exchange_begin window, charges each part's interior-cell
+  /// share of the flux work inside it, and charges the boundary share and
+  /// the update after exchange_finish; the total compute is the same as
+  /// the synchronous charge, only placed differently
+  /// (Cluster::comm_hidden_seconds). Without a cluster the flag has no
+  /// effect.
   void set_overlap(bool on) { overlap_ = on; }
   bool overlap() const { return overlap_; }
 
@@ -111,11 +110,6 @@ class DistributedSolver {
   void restore(ckpt::Reader& r);
 
  private:
-  /// The residual pass that accumulates a cell slot: interior cells (no
-  /// ghost neighbour) may run inside the halo window, boundary cells after
-  /// it; ghost slots are read but never written.
-  enum Phase : std::uint8_t { kInterior = 0, kBoundary = 1, kGhost = 2 };
-
   struct PartState {
     mesh::LocalMesh local;
     std::vector<State> u;         ///< owned + ghost states
@@ -125,25 +119,24 @@ class DistributedSolver {
     /// owned only: max(incident edges, 1) * vol^(2/3), the step-invariant
     /// face-area scale of the local time step
     std::vector<double> face_area;
-    std::vector<Phase> phase;  ///< owned + ghost
-    /// Per pass (kInterior, kBoundary): ascending indices of the local
-    /// edges with an endpoint in that phase. Interior-boundary edges are
-    /// on both lists, so each is evaluated twice.
-    std::array<std::vector<std::int32_t>, 2> pass_edges;
     /// Summed incident-edge counts of the interior / boundary cells: the
     /// split of the flux work charged to the co-simulated clock.
     std::int64_t interior_incidence = 0;
     std::int64_t boundary_incidence = 0;
   };
 
-  void exchange_halos();
-  double compute_and_update();
-  double step_overlapped();
-  /// primitives_[i] = primitives(ps.u[i]) for the first `slots` slots;
+  /// primitives_[i] = primitives(ps.u[i]) for every slot of the part;
   /// false as soon as a slot holds a non-finite density.
-  bool refresh_primitives(const PartState& ps, std::size_t slots);
-  void scatter_residuals(PartState& ps, Phase target) const;
+  bool refresh_primitives(const PartState& ps);
+  void scatter_residuals(PartState& ps) const;
   double finalize_part(PartState& ps);
+  /// Share of the part's edge fluxes charged with its interior cells (or
+  /// boundary cells): their summed incidence over both sets'.
+  static double edge_share(const PartState& ps, bool interior);
+  /// Flux work charged to the co-simulated clock: `share` of the
+  /// part's edge fluxes, plus the update of its owned cells if `update`.
+  static sim::Work flux_work(const PartState& ps, double share,
+                             bool update);
 
   // Everything below except parts_[].u and overlap_ is rebuilt by the
   // constructor from (mesh, parts, options); the snapshot stores only the
@@ -156,12 +149,11 @@ class DistributedSolver {
   comm::Communicator comm_;             // cpx-lint: allow(ckpt)
   comm::ExchangePlan halo_plan_;        // cpx-lint: allow(ckpt)
   std::vector<double> norm_partials_;   // cpx-lint: allow(ckpt)
-  /// Pressure and sound speed of the first slots of the part being
-  /// stepped, refreshed from its states before each pass that reads them.
-  /// One scratch sized to the largest part serves every part.
+  /// Pressure and sound speed of the slots of the part being stepped,
+  /// refreshed from its states before its edge pass. One scratch sized to
+  /// the largest part serves every part.
   std::vector<Primitives> primitives_;  // cpx-lint: allow(ckpt)
-  std::vector<sim::Message> message_scratch_;  // cpx-lint: allow(ckpt)
-  std::vector<sim::Message> halo_messages_;    // cpx-lint: allow(ckpt)
+  std::vector<sim::Message> halo_messages_;  // cpx-lint: allow(ckpt)
   sim::Cluster* cluster_ = nullptr;     // cpx-lint: allow(ckpt)
   bool overlap_ = false;
   sim::RegionId region_flux_ = -1;      // cpx-lint: allow(ckpt)

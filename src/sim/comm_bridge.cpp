@@ -9,14 +9,12 @@ void flush_exchange(comm::Communicator& comm, Cluster& cluster,
                     std::vector<Message>& scratch) {
   const std::span<const comm::Transfer> transfers = comm.transfers();
   scratch.clear();
-  // cpx-lint: allow(solve-alloc) — caller-owned scratch, sized by the first step (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
   scratch.reserve(transfers.size());
   for (const comm::Transfer& t : transfers) {
     const Rank src = base_rank + t.src;
     const Rank dst = base_rank + t.dst;
     CPX_DCHECK(src >= 0 && src < cluster.num_ranks());
     CPX_DCHECK(dst >= 0 && dst < cluster.num_ranks());
-    // cpx-lint: allow(solve-alloc) — within the capacity reserved above (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
     scratch.push_back({src, dst, t.bytes});
   }
   if (!scratch.empty()) {

@@ -353,8 +353,9 @@ TEST_P(DistributedVsSequential, DivergenceReturnsNaN) {
   // whose update leaves a non-finite density returns NaN (the same step
   // as the sequential solver's), run() stops there, and a further step's
   // primitive refresh flags the state and returns NaN before a flux reads
-  // it, with no DCHECK tripped. The overlapped step still closes its halo
-  // window, so stepping again does not throw. Forward Euler at CFL 3
+  // it, with no DCHECK tripped. An overlapped step with a cluster closes
+  // its virtual halo window before any flux, so a diverged step leaves no
+  // exchange pending and stepping again does not throw. Forward Euler at CFL 3
   // diverges (Euler.Rk3StableWhereForwardEulerIsNot).
   const int parts = GetParam();
   const mesh::UnstructuredMesh m = mesh::make_box_mesh(8, 8, 8);
@@ -374,9 +375,18 @@ TEST_P(DistributedVsSequential, DivergenceReturnsNaN) {
   }
   ASSERT_LT(seq_steps, 200) << "the sequential run did not diverge";
 
-  for (const bool overlap : {false, true}) {
+  struct Mode {
+    bool overlap;
+    bool with_cluster;
+  };
+  for (const Mode mode : {Mode{false, false}, Mode{true, false},
+                          Mode{true, true}}) {
     DistributedSolver dist(m, parts, opt);
-    dist.set_overlap(overlap);
+    sim::Cluster cluster(sim::MachineModel::archer2(), parts);
+    if (mode.with_cluster) {
+      dist.attach_cluster(&cluster);
+    }
+    dist.set_overlap(mode.overlap);
     dist.set_uniform(inf);
     for (mesh::CellId c = 0; c < m.num_cells(); c += 5) {
       dist.set_cell(c, start);
@@ -385,11 +395,16 @@ TEST_P(DistributedVsSequential, DivergenceReturnsNaN) {
     while (steps < 200 && !std::isnan(dist.step())) {
       ++steps;
     }
-    EXPECT_EQ(steps, seq_steps) << "parts=" << parts << " overlap=" << overlap;
+    EXPECT_EQ(steps, seq_steps)
+        << "parts=" << parts << " overlap=" << mode.overlap
+        << " cluster=" << mode.with_cluster;
+    // No halo window is left open on the cluster: stepping again neither
+    // throws nor leaves a non-finite clock.
     for (int again = 0; again < 2; ++again) {
       EXPECT_TRUE(std::isnan(dist.step()));
     }
     EXPECT_TRUE(std::isnan(dist.run(3)));
+    EXPECT_TRUE(std::isfinite(cluster.max_clock()));
   }
 }
 

@@ -273,10 +273,10 @@ TEST(SolverAllocations, WideParallelReduceAllocatesNothingWhenWarm) {
 }
 
 TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
-  // A warm DistributedSolver::step() — halo exchange, interior scatter,
-  // boundary gather, update, residual allreduce — touches no heap, in
-  // both step modes, with and without a co-simulating cluster, at pool
-  // widths 1 and 4.
+  // A warm DistributedSolver::step() — halo exchange, one ascending edge
+  // pass per part, update, residual allreduce — touches no heap, in both
+  // step modes (they differ only in where the cluster charges land), with
+  // and without a co-simulating cluster, at pool widths 1 and 4.
   const cpx::mesh::UnstructuredMesh m =
       cpx::mesh::make_annulus_mesh(6, 24, 8, 1.0, 2.0, 30.0, 1.0);
   cpx::mgcfd::EulerOptions opt;
