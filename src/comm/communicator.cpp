@@ -291,19 +291,23 @@ void Communicator::deliver(Rank dst, int tag, DeliverFn sink) {
   QueueWaitTimer timer;
   State& s = *state_;
   s.check_rank(dst);
-  // Sources ascending, FIFO per source: the stable sort keeps posting
-  // order within a source, so delivery order is fixed by program order.
+  // Sources ascending, FIFO per source: ordering by (source, posting
+  // index) fixes delivery order by program order. Unlike a stable sort,
+  // std::sort needs no temporary buffer, so a warm call allocates nothing.
   s.deliver_scratch.clear();
   for (std::size_t i = 0; i < s.sends.size(); ++i) {
     const State::Send& send = s.sends[i];
     if (!send.matched && send.dst == dst && send.tag == tag) {
+      // cpx-lint: allow(solve-alloc) — capacity kept across rounds (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
       s.deliver_scratch.push_back(i);
     }
   }
-  std::stable_sort(s.deliver_scratch.begin(), s.deliver_scratch.end(),
-                   [&s](std::size_t a, std::size_t b) {
-                     return s.sends[a].src < s.sends[b].src;
-                   });
+  std::sort(s.deliver_scratch.begin(), s.deliver_scratch.end(),
+            [&s](std::size_t a, std::size_t b) {
+              const Rank src_a = s.sends[a].src;
+              const Rank src_b = s.sends[b].src;
+              return src_a < src_b || (src_a == src_b && a < b);
+            });
   for (const std::size_t i : s.deliver_scratch) {
     State::Send& send = s.sends[i];
     sink(send.src,
@@ -312,6 +316,7 @@ void Communicator::deliver(Rank dst, int tag, DeliverFn sink) {
              send.bytes));
     send.matched = true;
     s.release_buffer(send.buffer);
+    // cpx-lint: allow(solve-alloc) — capacity kept across rounds (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
     s.transfers.push_back({send.src, send.dst, send.bytes});
     s.count_message(send.bytes);
   }

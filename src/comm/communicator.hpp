@@ -39,9 +39,11 @@
 // (sim/comm_bridge.hpp).
 //
 // Steady-state exchanges are allocation-free: send payloads go through a
-// buffer pool and the pending-operation vectors keep their capacity, so
-// once a communicator is warm no call allocates (tests/comm_test.cpp
-// checks the pool stops growing).
+// buffer pool, the pending-operation vectors keep their capacity and
+// deliver() orders its matches in place, so once a communicator is warm
+// no call allocates (tests/comm_test.cpp checks the pool stops growing;
+// tests/solver_alloc_test.cpp counts allocations of warm distributed
+// steps, migration included).
 //
 // Not thread-safe: a communicator is driven by the single thread that
 // executes the rank loop, exactly like the distributed solvers it serves.

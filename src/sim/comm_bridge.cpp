@@ -9,12 +9,14 @@ void flush_exchange(comm::Communicator& comm, Cluster& cluster,
                     std::vector<Message>& scratch) {
   const std::span<const comm::Transfer> transfers = comm.transfers();
   scratch.clear();
+  // cpx-lint: allow(solve-alloc) — capacity kept across rounds (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
   scratch.reserve(transfers.size());
   for (const comm::Transfer& t : transfers) {
     const Rank src = base_rank + t.src;
     const Rank dst = base_rank + t.dst;
     CPX_DCHECK(src >= 0 && src < cluster.num_ranks());
     CPX_DCHECK(dst >= 0 && dst < cluster.num_ranks());
+    // cpx-lint: allow(solve-alloc) — within the reserved capacity (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
     scratch.push_back({src, dst, t.bytes});
   }
   if (!scratch.empty()) {

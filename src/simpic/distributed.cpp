@@ -8,7 +8,6 @@
 #include "ckpt/snapshot.hpp"
 #include "sim/comm_bridge.hpp"
 #include "support/check.hpp"
-#include "support/rng.hpp"
 
 namespace cpx::simpic {
 namespace {
@@ -36,98 +35,62 @@ DistributedPic::DistributedPic(const PicOptions& options, int parts)
               "DistributedPic: only absorbing walls are supported");
   dx_ = options.length / static_cast<double>(options.cells);
 
-  ranks_.resize(static_cast<std::size_t>(parts));
-  for (int r = 0; r < parts; ++r) {
-    RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const std::int64_t cell_begin = options.cells * r / parts;
-    const std::int64_t cell_end = options.cells * (r + 1) / parts;
-    rs.node_begin = cell_begin;
-    rs.node_end = cell_end;  // shared with the right neighbour
-    rs.x_lo = static_cast<double>(cell_begin) * dx_;
-    rs.x_hi = static_cast<double>(cell_end) * dx_;
-    const auto nodes = static_cast<std::size_t>(rs.node_end - rs.node_begin + 1);
-    rs.rho.assign(nodes, 0.0);
-    rs.phi.assign(nodes, 0.0);
-    rs.e.assign(nodes, 0.0);
-  }
-
   comm_ = comm::Communicator::world(parts, "simpic");
   const auto p = static_cast<std::size_t>(parts);
+  ranks_.resize(p);
   rho_from_left_.assign(p, 0.0);
   rho_from_right_.assign(p, 0.0);
   phi_shared_recv_.assign(p, 0.0);
   ghost_from_left_.assign(p, 0.0);
   ghost_from_right_.assign(p, 0.0);
   migr_pack_.resize(p);
-  // Per-rank Thomas-solve staging, sized once so the field solve is
-  // allocation-free: the right-hand side (rho * h^2 per unknown, then
-  // eliminated in place) and the eliminated superdiagonal.
-  rhs_scratch_.resize(p);
-  elim_c_.resize(p);
   for (int r = 0; r < parts; ++r) {
-    const RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const std::int64_t lo = std::max<std::int64_t>(rs.node_begin + 1, 1);
-    const std::int64_t hi =
-        std::min<std::int64_t>(rs.node_end, options.cells - 1);
-    const auto unknowns =
-        static_cast<std::size_t>(std::max<std::int64_t>(hi - lo + 1, 0));
-    rhs_scratch_[static_cast<std::size_t>(r)].assign(unknowns, 0.0);
-    elim_c_[static_cast<std::size_t>(r)].assign(unknowns, 0.0);
+    RankState& rs = ranks_[static_cast<std::size_t>(r)];
+    rs.cell_begin = options.cells * r / parts;
+    rs.cell_end = options.cells * (r + 1) / parts;
+    rs.rho.assign(rs.nodes(), 0.0);
+    rs.phi.assign(rs.nodes(), 0.0);
+    rs.e.assign(rs.nodes(), 0.0);
+    // The Thomas unknowns are the interior nodes 1..cells-1; a rank solves
+    // those in (cell_begin, cell_end], so a shared node is its left rank's.
+    rs.c.assign(static_cast<std::size_t>(
+                    std::min(rs.cell_end, options.cells - 1) - rs.cell_begin),
+                0.0);
   }
 }
 
-int DistributedPic::owner_of(double x) const {
-  // Slices are near-uniform; start from the proportional guess and walk.
-  int r = std::clamp(
-      static_cast<int>(x / options_.length * num_parts()), 0,
-      num_parts() - 1);
-  while (r > 0 && x < ranks_[static_cast<std::size_t>(r)].x_lo) {
-    --r;
-  }
-  while (r + 1 < num_parts() && x >= ranks_[static_cast<std::size_t>(r)].x_hi) {
-    ++r;
-  }
-  return r;
+int DistributedPic::owner_of(std::int64_t cell) const {
+  // Rank r owns cells [floor(C r / P), floor(C (r + 1) / P)), so the owner
+  // is the largest r with C r < P (cell + 1).
+  const std::int64_t parts = num_parts();
+  return static_cast<int>((parts * (cell + 1) - 1) / options_.cells);
 }
 
 void DistributedPic::load_uniform(int per_cell, double v_thermal,
                                   double perturbation) {
   CPX_REQUIRE(per_cell >= 1, "load_uniform: bad per_cell");
-  // Generate the exact global particle sequence of Pic::load_uniform (same
-  // RNG stream and order), routing each particle to its owner, so the
-  // distributed initial condition matches the sequential one bit-for-bit.
+  // Pic::load_uniform's particle sequence, each particle routed to the
+  // rank owning its cell.
   const std::int64_t total = options_.cells * per_cell;
   const double weight = -options_.length / static_cast<double>(total);
-  constexpr double kTwoPi = 6.28318530717958647692;
-  for (std::int64_t i = 0; i < total; ++i) {
-    const double x0 = (static_cast<double>(i) + 0.5) /
-                      static_cast<double>(total) * options_.length;
-    const double dx_pert = perturbation * options_.length / kTwoPi *
-                           std::sin(kTwoPi * x0 / options_.length);
-    const double x = std::clamp(x0 + dx_pert, 0.0, options_.length);
-    const double v = v_thermal > 0.0 ? rng_.normal(0.0, v_thermal) : 0.0;
-    RankState& rs = ranks_[static_cast<std::size_t>(owner_of(x))];
-    rs.x.push_back(x);
-    rs.v.push_back(v);
-    rs.w.push_back(weight);
-  }
+  uniform_load(total, options_.length, v_thermal, perturbation, rng_,
+               [&](double x, double v) {
+                 x = std::clamp(x, 0.0, options_.length);
+                 RankState& rs =
+                     ranks_[static_cast<std::size_t>(owner_of(cell_of(x)))];
+                 rs.x.push_back(x);
+                 rs.v.push_back(v);
+                 rs.w.push_back(weight);
+               });
   background_ = 1.0;
 }
 
 void DistributedPic::deposit() {
   for (RankState& rs : ranks_) {
     std::fill(rs.rho.begin(), rs.rho.end(), background_);
-    for (std::size_t i = 0; i < rs.x.size(); ++i) {
-      const double c = rs.x[i] / dx_;
-      auto left = static_cast<std::int64_t>(c);
-      left = std::clamp<std::int64_t>(left, 0, options_.cells - 1);
-      const double frac = c - static_cast<double>(left);
-      const double q = rs.w[i] / dx_;
-      const auto l0 = static_cast<std::size_t>(left - rs.node_begin);
-      CPX_DCHECK(left >= rs.node_begin && left + 1 <= rs.node_end);
-      rs.rho[l0] += q * (1.0 - frac);
-      rs.rho[l0 + 1] += q * frac;
-    }
+    deposit_charge(rs.x.data(), rs.w.data(), 0,
+                   static_cast<std::int64_t>(rs.x.size()),
+                   {dx_, options_.cells - 1, rs.cell_begin}, rs.rho.data());
   }
   // Merge the shared boundary nodes: both neighbours hold the node and
   // each contributed its own particles (plus the background once each).
@@ -163,6 +126,19 @@ void DistributedPic::deposit() {
           background_;
     }
   }
+  if (check::deep()) {
+    // The charge audit runs here, where rho and the particles agree (the
+    // push may absorb some); the scratch keeps a warm step allocation-free.
+    gather(&RankState::rho, rho_audit_);
+    double total_weight = 0.0;
+    for (const RankState& rs : ranks_) {
+      for (const double w : rs.w) {
+        total_weight += w;
+      }
+    }
+    validate_charge_conservation(rho_audit_, background_, dx_,
+                                 options_.boundary, total_weight);
+  }
   if (cluster_ != nullptr) {
     sim::flush_sends(comm_, *cluster_, region_deposit_, 0);
   } else {
@@ -181,49 +157,43 @@ void DistributedPic::deposit() {
 }
 
 void DistributedPic::solve_field() {
-  // Distributed Thomas algorithm on -phi'' = rho, Dirichlet walls.
-  // Unknowns are interior nodes 1..N-1; rank r handles the unknowns in
-  // (node_begin, node_end] (clipped to the interior). The elimination
-  // recurrence continues across rank boundaries — the forward pass ripples
-  // left to right, the back substitution right to left: the pipeline.
+  // Distributed Thomas algorithm on -phi'' = rho, Dirichlet walls: each
+  // rank runs the Thomas segments of simpic/particle.hpp over its unknowns
+  // (nodes cell_begin + 1 onwards), staged in its phi slice, and the
+  // carries continue the recurrence across rank boundaries — the forward
+  // pass ripples left to right, the back substitution right to left: the
+  // pipeline the performance instance charges.
   const std::int64_t n_nodes = options_.cells;  // unknowns 1..n_nodes-1
   const double h2 = dx_ * dx_;
 
-  // --- forward pass (rank r waits for rank r-1) ---
-  // The elimination carry (c_prev, d_prev) travels one hop per rank; each
-  // rank blocks on its left neighbour's carry before eliminating — the
-  // pipeline the performance instance charges. Rank 0 always handles at
-  // least one unknown when there are >= 2 parts, so a received carry is
-  // always live (have_prev below).
+  // --- forward pass (rank r waits for rank r-1's carry) ---
+  // Rank 0 always handles at least one unknown when there are >= 2 parts,
+  // so a received carry is always live.
   const int parts = num_parts();
-  double carry[2] = {0.0, 0.0};
+  EliminationCarry elim;
   for (int r = 0; r < parts; ++r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const std::int64_t lo = std::max<std::int64_t>(rs.node_begin + 1, 1);
-    const std::int64_t hi = std::min<std::int64_t>(rs.node_end, n_nodes - 1);
-    const std::int64_t unknowns = std::max<std::int64_t>(hi - lo + 1, 0);
-
+    const std::size_t count = rs.c.size();
     // Right-hand-side prep (rho * h^2 per unknown) needs no carry — it is
     // the local work a rank can do while its left neighbour's carry is in
-    // flight. Exact code motion: the recurrence below consumes the same
-    // products it used to compute inline, so phi is bitwise unchanged.
-    std::vector<double>& rhs = rhs_scratch_[static_cast<std::size_t>(r)];
-    for (std::int64_t i = lo; i <= hi; ++i) {
-      rhs[static_cast<std::size_t>(i - lo)] =
-          rs.rho[static_cast<std::size_t>(i - rs.node_begin)] * h2;
+    // flight.
+    for (std::size_t k = 1; k <= count; ++k) {
+      rs.phi[k] = rs.rho[k] * h2;
     }
     const double prep_clock =
         cluster_ != nullptr ? cluster_->clock(r) : 0.0;
     sim::Work prep;
-    prep.flops = 2.0 * static_cast<double>(unknowns);
-    prep.bytes = 16.0 * static_cast<double>(unknowns);
+    prep.flops = 2.0 * static_cast<double>(count);
+    prep.bytes = 16.0 * static_cast<double>(count);
     if (cluster_ != nullptr && overlap_) {
       // Overlap mode: prep is charged inside the carry's flight window.
       cluster_->compute(r, prep, region_field_);
     }
     if (r > 0) {
+      double carry[2] = {0.0, 0.0};
       comm_.irecv_span(r, r - 1, kTagElim, std::span<double>(carry));
       comm_.wait_all();
+      elim = {carry[0], carry[1], true};
       if (cluster_ != nullptr) {
         if (overlap_) {
           cluster_->send_overlapped(r - 1, r, 2 * sizeof(double),
@@ -238,40 +208,17 @@ void DistributedPic::solve_field() {
       // both modes charge identical totals, placed differently.
       cluster_->compute(r, prep, region_field_);
     }
-    // The eliminated rhs d overwrites rhs in place; c goes to elim_c_.
-    std::vector<double>& c = elim_c_[static_cast<std::size_t>(r)];
-    double c_prev = carry[0];
-    double d_prev = carry[1];
-    bool have_prev = r > 0;
-    for (std::int64_t i = lo; i <= hi; ++i) {
-      const double rhs_i = rhs[static_cast<std::size_t>(i - lo)];
-      double ci;
-      double di;
-      if (!have_prev) {
-        ci = -1.0 / 2.0;
-        di = rhs_i / 2.0;
-        have_prev = true;
-      } else {
-        const double denom = 2.0 + c_prev;
-        ci = -1.0 / denom;
-        di = (rhs_i + d_prev) / denom;
-      }
-      c[static_cast<std::size_t>(i - lo)] = ci;
-      rhs[static_cast<std::size_t>(i - lo)] = di;
-      c_prev = ci;
-      d_prev = di;
-    }
+    eliminate_forward(std::span<double>(rs.phi).subspan(1, count), rs.c,
+                      elim);
     if (cluster_ != nullptr) {
       sim::Work elim_work;
-      elim_work.flops = 8.0 * static_cast<double>(unknowns);
-      elim_work.bytes = 48.0 * static_cast<double>(unknowns);
+      elim_work.flops = 8.0 * static_cast<double>(count);
+      elim_work.bytes = 48.0 * static_cast<double>(count);
       cluster_->compute(r, elim_work, region_field_);
     }
     if (r + 1 < parts) {
-      carry[0] = c_prev;
-      carry[1] = d_prev;
-      comm_.isend_span(r, r + 1, kTagElim,
-                       std::span<const double>(carry, 2));
+      const double carry[2] = {elim.c, elim.d};
+      comm_.isend_span(r, r + 1, kTagElim, std::span<const double>(carry));
     }
   }
 
@@ -279,9 +226,6 @@ void DistributedPic::solve_field() {
   double phi_next = 0.0;  // phi[n_nodes] = 0 wall
   for (int r = parts - 1; r >= 0; --r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const std::vector<double>& c = elim_c_[static_cast<std::size_t>(r)];
-    const std::vector<double>& d = rhs_scratch_[static_cast<std::size_t>(r)];
-    const std::int64_t first = std::max<std::int64_t>(rs.node_begin + 1, 1);
     if (r + 1 < parts) {
       comm_.irecv_value(r, r + 1, kTagPhiBack, &phi_next);
       comm_.wait_all();
@@ -289,30 +233,21 @@ void DistributedPic::solve_field() {
         cluster_->send(r + 1, r, sizeof(double), region_field_);
       }
     }
-    for (std::int64_t k = static_cast<std::int64_t>(c.size()) - 1; k >= 0;
-         --k) {
-      const std::int64_t i = first + k;
-      double phi_i;
-      if (i == n_nodes - 1) {
-        phi_i = d[static_cast<std::size_t>(k)];
-      } else {
-        phi_i = d[static_cast<std::size_t>(k)] -
-                c[static_cast<std::size_t>(k)] * phi_next;
-      }
-      rs.phi[static_cast<std::size_t>(i - rs.node_begin)] = phi_i;
-      phi_next = phi_i;
-    }
+    // The rank holding unknown n_nodes - 1 borders the right wall (a last
+    // rank of one cell has no unknowns).
+    substitute_back(std::span<double>(rs.phi).subspan(1, rs.c.size()), rs.c,
+                    /*ends_at_wall=*/rs.cell_end >= n_nodes - 1, phi_next);
     // Walls stay zero; shared nodes are filled on both sides below.
-    if (rs.node_begin == 0) {
+    if (rs.cell_begin == 0) {
       rs.phi.front() = 0.0;
     }
-    if (rs.node_end == n_nodes) {
+    if (rs.cell_end == n_nodes) {
       rs.phi.back() = 0.0;
     }
     if (cluster_ != nullptr) {
       sim::Work back;
-      back.flops = 4.0 * static_cast<double>(c.size());
-      back.bytes = 24.0 * static_cast<double>(c.size());
+      back.flops = 4.0 * static_cast<double>(rs.c.size());
+      back.bytes = 24.0 * static_cast<double>(rs.c.size());
       cluster_->compute(r, back, region_field_);
     }
     if (r > 0) {
@@ -324,7 +259,7 @@ void DistributedPic::solve_field() {
   comm_.clear_transfers();
 
   // Shared node phi values: the *left* rank computes the shared node (its
-  // unknown range is (node_begin, node_end]); send to the right
+  // unknown range is (cell_begin, cell_end]); send to the right
   // neighbour's first node. Like the ghost exchange below, this is part
   // of the field compute's memory traffic, not a charged message.
   for (int r = 0; r + 1 < parts; ++r) {
@@ -369,25 +304,9 @@ void DistributedPic::solve_field() {
   for (int r = 0; r < parts; ++r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
     const auto nodes = rs.phi.size();
-    const double phi_left_ghost =
-        rs.node_begin == 0 ? 0.0
-                           : ghost_from_left_[static_cast<std::size_t>(r)];
-    const double phi_right_ghost =
-        rs.node_end == n_nodes
-            ? 0.0
-            : ghost_from_right_[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < nodes; ++i) {
-      const std::int64_t g = rs.node_begin + static_cast<std::int64_t>(i);
-      if (g == 0) {
-        rs.e[i] = -(rs.phi[1] - rs.phi[0]) / dx_;
-      } else if (g == n_nodes) {
-        rs.e[i] = -(rs.phi[nodes - 1] - rs.phi[nodes - 2]) / dx_;
-      } else {
-        const double phi_m = i == 0 ? phi_left_ghost : rs.phi[i - 1];
-        const double phi_p = i + 1 == nodes ? phi_right_ghost : rs.phi[i + 1];
-        rs.e[i] = -(phi_p - phi_m) / (2.0 * dx_);
-      }
-    }
+    difference_field(rs.phi, ghost_from_left_[static_cast<std::size_t>(r)],
+                     ghost_from_right_[static_cast<std::size_t>(r)],
+                     rs.cell_begin == 0, rs.cell_end == n_nodes, dx_, rs.e);
     if (cluster_ != nullptr) {
       sim::Work w;
       w.flops = 16.0 * static_cast<double>(nodes);
@@ -399,7 +318,6 @@ void DistributedPic::solve_field() {
 
 void DistributedPic::push_and_migrate() {
   last_migrations_ = 0;
-  const double qm = -1.0;
   const int parts = num_parts();
 
   for (int r = 0; r < parts; ++r) {
@@ -407,20 +325,21 @@ void DistributedPic::push_and_migrate() {
     for (std::vector<double>& pack : migr_pack_) {
       pack.clear();
     }
+    const GridView grid{dx_, options_.cells - 1, rs.cell_begin};
+    // A particle more than half a cell inside the rank's edges is in one
+    // of its cells whatever the rounding of x / dx, so only the others pay
+    // for cell_of's division.
+    const double inner_lo = (static_cast<double>(rs.cell_begin) + 0.5) * dx_;
+    const double inner_hi = (static_cast<double>(rs.cell_end) - 0.5) * dx_;
     std::size_t alive = 0;
     for (std::size_t i = 0; i < rs.x.size(); ++i) {
-      const double c = rs.x[i] / dx_;
-      auto left = static_cast<std::int64_t>(c);
-      left = std::clamp<std::int64_t>(left, 0, options_.cells - 1);
-      const double frac = c - static_cast<double>(left);
-      const auto l0 = static_cast<std::size_t>(left - rs.node_begin);
-      const double e_here = rs.e[l0] * (1.0 - frac) + rs.e[l0 + 1] * frac;
-      const double v = rs.v[i] + options_.dt * qm * e_here;
-      const double x = rs.x[i] + options_.dt * v;
+      double x = rs.x[i];
+      double v = rs.v[i];
+      advance(x, v, rs.e.data(), grid, options_.dt);
       if (x < 0.0 || x > options_.length) {
         continue;  // absorbed at the wall
       }
-      if (x >= rs.x_lo && x < rs.x_hi) {
+      if ((x > inner_lo && x < inner_hi) || rs.owns(cell_of(x))) {
         rs.x[alive] = x;
         rs.v[alive] = v;
         rs.w[alive] = rs.w[i];
@@ -428,14 +347,16 @@ void DistributedPic::push_and_migrate() {
       } else {
         // Pack (x, v, w) for the new owner; one message per destination.
         std::vector<double>& pack =
-            migr_pack_[static_cast<std::size_t>(owner_of(x))];
-        pack.push_back(x);
-        pack.push_back(v);
-        pack.push_back(rs.w[i]);
+            migr_pack_[static_cast<std::size_t>(owner_of(cell_of(x)))];
+        // cpx-lint: allow(solve-alloc) — grow-only (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
+        pack.insert(pack.end(), {x, v, rs.w[i]});
       }
     }
+    // cpx-lint: allow(solve-alloc) — shrink only (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
     rs.x.resize(alive);
+    // cpx-lint: allow(solve-alloc) — shrink only (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
     rs.v.resize(alive);
+    // cpx-lint: allow(solve-alloc) — shrink only (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
     rs.w.resize(alive);
     for (int dst = 0; dst < parts; ++dst) {
       const std::vector<double>& pack =
@@ -454,7 +375,8 @@ void DistributedPic::push_and_migrate() {
   }
 
   // Deliver: sources ascending per destination, particles in push order —
-  // the append order the single-array implementation produced.
+  // the append order the single-array implementation produced. A rank's
+  // arrays grow only past their largest population so far.
   for (int r = 0; r < parts; ++r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
     comm_.deliver(r, kTagMigrate,
@@ -464,8 +386,11 @@ void DistributedPic::push_and_migrate() {
                     for (std::size_t off = 0; off < payload.size();
                          off += sizeof(p)) {
                       std::memcpy(p, payload.data() + off, sizeof(p));
+                      // cpx-lint: allow(solve-alloc) — grow-only (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
                       rs.x.push_back(p[0]);
+                      // cpx-lint: allow(solve-alloc) — grow-only (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
                       rs.v.push_back(p[1]);
+                      // cpx-lint: allow(solve-alloc) — grow-only (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
                       rs.w.push_back(p[2]);
                     }
                   });
@@ -482,6 +407,44 @@ void DistributedPic::step() {
   deposit();
   solve_field();
   push_and_migrate();
+  if (check::deep()) {
+    validate();
+  }
+}
+
+void DistributedPic::validate() const {
+  const RankState* left = nullptr;  // shares node cell_begin with rank r
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const RankState& rs = ranks_[r];
+    CPX_CHECK_MSG(rs.v.size() == rs.x.size() && rs.w.size() == rs.x.size(),
+                  "rank " << r << " particle arrays out of sync: "
+                          << rs.x.size() << "/" << rs.v.size() << "/"
+                          << rs.w.size());
+    const std::size_t nodes = rs.nodes();
+    CPX_CHECK_MSG(rs.rho.size() == nodes && rs.phi.size() == nodes &&
+                      rs.e.size() == nodes,
+                  "rank " << r << " grid arrays not sized to " << nodes
+                          << " nodes");
+    // Every step leaves both copies of a shared node equal.
+    CPX_CHECK_MSG(left == nullptr || (left->rho.back() == rs.rho.front() &&
+                                      left->phi.back() == rs.phi.front() &&
+                                      left->e.back() == rs.e.front()),
+                  "ranks " << r - 1 << " and " << r
+                           << " disagree on their shared node "
+                           << rs.cell_begin);
+    left = &rs;
+    validate_particles(rs.x, options_.length);
+    for (std::size_t i = 0; i < rs.x.size(); ++i) {
+      CPX_CHECK_MSG(std::isfinite(rs.v[i]) && std::isfinite(rs.w[i]),
+                    "rank " << r << " particle " << i
+                            << " has non-finite velocity or weight");
+      CPX_CHECK_MSG(rs.owns(cell_of(rs.x[i])),
+                    "rank " << r << " holds particle " << i << " at x = "
+                            << rs.x[i] << " in cell " << cell_of(rs.x[i])
+                            << ", outside its cells [" << rs.cell_begin
+                            << ", " << rs.cell_end << ")");
+    }
+  }
 }
 
 void DistributedPic::run(int steps) {
@@ -507,7 +470,7 @@ PicDiagnostics DistributedPic::diagnostics() const {
       d.kinetic_energy += 0.5 * std::abs(rs.w[i]) * rs.v[i] * rs.v[i];
       d.total_charge += rs.w[i];
     }
-    // Field energy over this rank's cells (nodes node_begin..node_end).
+    // Field energy over this rank's cells (nodes cell_begin..cell_end).
     for (std::size_t i = 0; i + 1 < rs.e.size(); ++i) {
       const double em = 0.5 * (rs.e[i] + rs.e[i + 1]);
       d.field_energy += 0.5 * em * em * dx_;
@@ -516,33 +479,30 @@ PicDiagnostics DistributedPic::diagnostics() const {
   return d;
 }
 
-std::vector<double> DistributedPic::gather_rho() const {
-  std::vector<double> out(static_cast<std::size_t>(options_.cells) + 1, 0.0);
+void DistributedPic::gather(std::vector<double> RankState::*field,
+                            std::vector<double>& out) const {
+  out.resize(static_cast<std::size_t>(options_.cells) + 1);
   for (const RankState& rs : ranks_) {
-    for (std::size_t i = 0; i < rs.rho.size(); ++i) {
-      out[static_cast<std::size_t>(rs.node_begin) + i] = rs.rho[i];
-    }
+    std::copy((rs.*field).begin(), (rs.*field).end(),
+              out.begin() + rs.cell_begin);
   }
+}
+
+std::vector<double> DistributedPic::gather_rho() const {
+  std::vector<double> out;
+  gather(&RankState::rho, out);
   return out;
 }
 
 std::vector<double> DistributedPic::gather_phi() const {
-  std::vector<double> out(static_cast<std::size_t>(options_.cells) + 1, 0.0);
-  for (const RankState& rs : ranks_) {
-    for (std::size_t i = 0; i < rs.phi.size(); ++i) {
-      out[static_cast<std::size_t>(rs.node_begin) + i] = rs.phi[i];
-    }
-  }
+  std::vector<double> out;
+  gather(&RankState::phi, out);
   return out;
 }
 
 std::vector<double> DistributedPic::gather_efield() const {
-  std::vector<double> out(static_cast<std::size_t>(options_.cells) + 1, 0.0);
-  for (const RankState& rs : ranks_) {
-    for (std::size_t i = 0; i < rs.e.size(); ++i) {
-      out[static_cast<std::size_t>(rs.node_begin) + i] = rs.e[i];
-    }
-  }
+  std::vector<double> out;
+  gather(&RankState::e, out);
   return out;
 }
 
@@ -611,8 +571,15 @@ void DistributedPic::restore(ckpt::Reader& r) {
     r.get_f64_vec(rs.w);
     CPX_CHECK_MSG(rs.v.size() == rs.x.size() && rs.w.size() == rs.x.size(),
                   "DistributedPic::restore: particle arrays out of sync");
-    const auto nodes =
-        static_cast<std::size_t>(rs.node_end - rs.node_begin + 1);
+    // A particle outside its rank's cells would deposit past the rank's
+    // node slice, so ownership is checked at every check level.
+    for (const double x : rs.x) {
+      CPX_CHECK_MSG(x >= 0.0 && x <= length && rs.owns(cell_of(x)),
+                    "DistributedPic::restore: particle at x = "
+                        << x << " lies outside its rank's cells ["
+                        << rs.cell_begin << ", " << rs.cell_end << ")");
+    }
+    const std::size_t nodes = rs.nodes();
     r.get_f64_vec(rs.rho);
     r.get_f64_vec(rs.phi);
     r.get_f64_vec(rs.e);
@@ -622,6 +589,9 @@ void DistributedPic::restore(ckpt::Reader& r) {
                   "local node slice");
   }
   r.end_section();
+  if (check::deep()) {
+    validate();
+  }
 }
 
 }  // namespace cpx::simpic

@@ -9,17 +9,18 @@
 // pipeline carries are isend/irecv pairs, migrated particles travel as
 // packed triplets matched by Communicator::deliver.
 //
-// The distributed field solve continues the sequential algorithm's
-// elimination recurrence across rank boundaries, so given identical rho
-// it matches Pic::solve_poisson_dirichlet exactly. The whole run does not:
-// the deposit sums each node's particles in per-rank order, and once a
-// particle migrates the receiving rank appends it, so the summation order
-// differs from the sequential solver's and sheet crossings amplify the
-// round-off. DistributedPicVsSequential therefore checks the fields to
-// 1e-13 after one step, and after 40 steps equal particle count and
-// charge with the kinetic and field energies within 2% and 5%. A shared
-// canonical particle order that makes the two bitwise equal is ROADMAP
-// item 2.
+// It runs the kernels of simpic/particle.hpp over each rank's cells. A
+// rank owns a range of cells, and a particle lives on the rank owning its
+// locate() cell, the index its deposit and gather use, so a rank only
+// touches its own node slice.
+//
+// Bitwise equal to Pic: at one part, the whole run while Pic deposits in
+// one chunk (at most 8192 particles); at any part count, the field solve
+// given the same rho. At more parts the runs drift apart: a migrant is
+// appended on its new rank, which changes the deposit's summation order,
+// and sheet crossings amplify the round-off (DistributedPicVsSequential
+// bounds the drift). A canonical cell order of the particles that makes
+// them bitwise equal is ROADMAP item 2(b).
 //
 // Restricted to absorbing (Dirichlet) walls: the periodic variant needs a
 // cyclic solve that the production-relevant pipeline discussion does not
@@ -30,6 +31,7 @@
 
 #include "comm/communicator.hpp"
 #include "sim/cluster.hpp"
+#include "simpic/particle.hpp"
 #include "simpic/pic.hpp"
 
 namespace cpx::ckpt {
@@ -47,13 +49,20 @@ class DistributedPic {
 
   int num_parts() const { return static_cast<int>(ranks_.size()); }
 
-  /// Loads the same initial condition as Pic::load_uniform (particles are
-  /// assigned to the rank owning their position).
+  /// Loads the same initial condition as Pic::load_uniform (each particle
+  /// is assigned to the rank owning its cell).
   void load_uniform(int per_cell, double v_thermal = 0.0,
                     double perturbation = 0.0);
 
   void step();
   void run(int steps);
+
+  /// Deep invariant walk (tier 2, support/check.hpp), as Pic::validate
+  /// per rank, plus: neighbours' copies of a shared node are equal, and
+  /// every particle lies in a cell its rank owns. Runs after every step
+  /// when check::deep() is on; the charge audit of the gathered rho runs
+  /// inside the deposit. Throws CheckError.
+  void validate() const;
 
   std::int64_t num_particles() const;
   PicDiagnostics diagnostics() const;
@@ -78,12 +87,11 @@ class DistributedPic {
   void attach_cluster(sim::Cluster* cluster);
 
   /// Split-phase overlap of the Thomas pipeline (docs/communication.md):
-  /// each rank precomputes its right-hand side (rho * h^2 per unknown)
-  /// while the elimination carry from its left neighbour is in flight, so
-  /// the co-simulated cluster hides that prep time behind the hop
-  /// (Cluster::send_overlapped). Pure code motion on the host: the same
-  /// products feed the same recurrence, so the fields are bitwise
-  /// identical in both modes.
+  /// each rank stages its right-hand side (rho * h^2 per unknown) while
+  /// the elimination carry from its left neighbour is in flight, so the
+  /// co-simulated cluster hides that prep time behind the hop
+  /// (Cluster::send_overlapped). The host computes the same bits in both
+  /// modes; only the virtual-time charges move.
   void set_overlap(bool on) { overlap_ = on; }
   bool overlap() const { return overlap_; }
 
@@ -94,32 +102,44 @@ class DistributedPic {
   /// particle and field arrays, the ion background, the migration counter,
   /// and the RNG stream position. The decomposition, communicator, and all
   /// exchange scratch are rebuilt by the constructor, so restore only
-  /// validates them. Throws CheckError on option mismatch or corruption.
+  /// validates them. Throws CheckError on option mismatch or corruption,
+  /// and on a particle outside its rank's cells.
   void serialize(ckpt::Writer& w) const;
   void restore(ckpt::Reader& r);
 
  private:
   struct RankState {
-    // Node slice [node_begin, node_end] inclusive; interior ranks share
-    // their boundary nodes with their neighbours.
-    std::int64_t node_begin = 0;
-    std::int64_t node_end = 0;
-    double x_lo = 0.0;  ///< owned particle interval [x_lo, x_hi)
-    double x_hi = 0.0;
+    // Owns cells [cell_begin, cell_end) and holds their nodes, sharing
+    // the boundary nodes with its neighbours.
+    std::int64_t cell_begin = 0;
+    std::int64_t cell_end = 0;
+    std::size_t nodes() const {
+      return static_cast<std::size_t>(cell_end - cell_begin + 1);
+    }
+    bool owns(std::int64_t cell) const {
+      return cell >= cell_begin && cell < cell_end;
+    }
 
     std::vector<double> x;
     std::vector<double> v;
     std::vector<double> w;
 
-    std::vector<double> rho;  ///< local nodes (node_end - node_begin + 1)
+    std::vector<double> rho;  ///< the nodes() local nodes
     std::vector<double> phi;
     std::vector<double> e;
+    std::vector<double> c;  ///< Thomas scratch, not in the snapshot
   };
 
-  int owner_of(double x) const;
+  std::int64_t cell_of(double x) const {
+    return locate(x, dx_, options_.cells - 1).cell;
+  }
+  int owner_of(std::int64_t cell) const;
   void deposit();
   void solve_field();
   void push_and_migrate();
+  /// The field in global node order (each rank's slice copied into out).
+  void gather(std::vector<double> RankState::*field,
+              std::vector<double>& out) const;
 
   PicOptions options_;
   double dx_;  ///< derived from options, rebuilt // cpx-lint: allow(ckpt)
@@ -136,9 +156,8 @@ class DistributedPic {
   std::vector<double> ghost_from_left_;  // cpx-lint: allow(ckpt)
   std::vector<double> ghost_from_right_; // cpx-lint: allow(ckpt)
   std::vector<std::vector<double>> migr_pack_;    // cpx-lint: allow(ckpt)
-  std::vector<std::vector<double>> rhs_scratch_;  // cpx-lint: allow(ckpt)
-  std::vector<std::vector<double>> elim_c_;       // cpx-lint: allow(ckpt)
   std::vector<sim::Message> message_scratch_;     // cpx-lint: allow(ckpt)
+  std::vector<double> rho_audit_;  ///< deep-check scratch // cpx-lint: allow(ckpt)
   std::int64_t last_migrations_ = 0;
   bool overlap_ = false;
   sim::Cluster* cluster_ = nullptr;  // attached // cpx-lint: allow(ckpt)

@@ -5,15 +5,33 @@
 #include <span>
 
 #include "ckpt/snapshot.hpp"
+#include "simpic/particle.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
-#include "support/rng.hpp"
 
 namespace cpx::simpic {
 namespace {
 
 constexpr std::int64_t kParticleGrain = 8192;  ///< particles per task
+
+/// -phi'' = rho with phi = 0 at both ends, the interior nodes as one Thomas
+/// segment solved in place in phi; `c` is scratch (n - 2 entries).
+void solve_dirichlet(std::span<const double> rho, double dx,
+                     std::span<double> phi, std::span<double> c) {
+  const std::size_t n = rho.size();
+  const double h2 = dx * dx;
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    phi[i] = rho[i] * h2;
+  }
+  const std::span<double> unknowns = phi.subspan(1, n - 2);
+  EliminationCarry carry;
+  eliminate_forward(unknowns, c, carry);
+  double phi_next = 0.0;
+  substitute_back(unknowns, c, /*ends_at_wall=*/true, phi_next);
+  phi[0] = 0.0;
+  phi[n - 1] = 0.0;
+}
 
 }  // namespace
 
@@ -42,23 +60,15 @@ void Pic::load_uniform(int per_cell, double v_thermal, double perturbation) {
 
   // Weight so that the mean electron density is 1 (omega_p = 1); electrons
   // carry negative charge, neutralised by a uniform ion background.
-  const double weight =
-      -options_.length / static_cast<double>(total);
-  constexpr double kTwoPi = 6.28318530717958647692;
-  for (std::int64_t i = 0; i < total; ++i) {
-    const double x0 = (static_cast<double>(i) + 0.5) /
-                      static_cast<double>(total) * options_.length;
-    const double dx_pert = perturbation * options_.length / kTwoPi *
-                           std::sin(kTwoPi * x0 / options_.length);
-    double x = x0 + dx_pert;
-    if (options_.boundary == Boundary::kPeriodic) {
-      x = std::fmod(x + options_.length, options_.length);
-    } else {
-      x = std::clamp(x, 0.0, options_.length);
-    }
-    const double v = v_thermal > 0.0 ? rng_.normal(0.0, v_thermal) : 0.0;
-    add_particle(x, v, weight);
-  }
+  const double weight = -options_.length / static_cast<double>(total);
+  const double length = options_.length;
+  const bool periodic = options_.boundary == Boundary::kPeriodic;
+  uniform_load(total, length, v_thermal, perturbation, rng_,
+               [&](double x, double v) {
+                 x = periodic ? std::fmod(x + length, length)
+                              : std::clamp(x, 0.0, length);
+                 add_particle(x, v, weight);
+               });
   background_ = 1.0;  // uniform neutralising background of density 1
 }
 
@@ -86,33 +96,15 @@ void Pic::deposit() {
     support::metrics::counter_add("simpic/deposit_bytes", 48 * np);
   }
 
-  // Linear (CIC) weighting; divide by dx to convert charge to density.
-  // One plain loop in element order: the scatter is serial per chunk, so a
-  // pack path could only vectorise the two divisions, and the lane
-  // round-trips through memory cost more than that saves.
-  const double dx = dx_;
-  const std::int64_t last_cell = options_.cells - 1;
-  const double* px = x_.data();
-  const double* pw = w_.data();
-  const auto scatter_range = [=](std::int64_t i0, std::int64_t i1,
-                                 double* prho) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const double c = px[i] / dx;
-      const double q = pw[i] / dx;
-      auto left = static_cast<std::int64_t>(c);
-      left = std::clamp<std::int64_t>(left, 0, last_cell);
-      const double frac = c - static_cast<double>(left);
-      prho[left] += q * (1.0 - frac);
-      prho[left + 1] += q * frac;
-    }
-  };
-
+  // CIC weighting in element order: the scatter is serial per chunk, so a
+  // pack path could only vectorise the two divisions, and costs more.
+  const GridView grid{dx_, options_.cells - 1, 0};
   const std::int64_t nchunks = support::num_chunks(0, np, kParticleGrain);
   if (nchunks <= 1) {
     // Single chunk: the plain serial scatter (bitwise identical to the
     // pre-threaded implementation).
     std::fill(rho_.begin(), rho_.end(), background_);
-    scatter_range(0, np, rho_.data());
+    deposit_charge(x_.data(), w_.data(), 0, np, grid, rho_.data());
   } else {
     // Scatter-reduction: each chunk deposits into its own partial grid,
     // partials are combined in chunk order. The chunk decomposition is
@@ -125,8 +117,8 @@ void Pic::deposit() {
     support::parallel_chunks(
         0, np, kParticleGrain,
         [&](std::int64_t chunk, std::int64_t i0, std::int64_t i1, int) {
-          scatter_range(i0, i1,
-                        partials + static_cast<std::size_t>(chunk) * nodes);
+          deposit_charge(x_.data(), w_.data(), i0, i1, grid,
+                         partials + static_cast<std::size_t>(chunk) * nodes);
         });
     std::fill(rho_.begin(), rho_.end(), background_);
     for (std::int64_t chunk = 0; chunk < nchunks; ++chunk) {
@@ -155,42 +147,13 @@ void Pic::deposit() {
   }
 }
 
-namespace {
-
-/// Thomas algorithm for -phi'' = rho with phi = 0 at both ends, n nodes,
-/// interior unknowns 1..n-2. The eliminated rhs d[i-1] is staged in phi[i]
-/// and overwritten in place by the back substitution, so the only scratch
-/// is the eliminated superdiagonal `c` (n - 2 entries).
-void thomas_dirichlet(std::span<const double> rho, double dx,
-                      std::span<double> phi, std::span<double> c) {
-  const std::size_t n = rho.size();
-  // Interior unknowns 1..n-2; -(phi[i-1] - 2 phi[i] + phi[i+1])/dx^2 = rho[i].
-  const std::size_t m = n - 2;
-  const double h2 = dx * dx;
-  double b = 2.0;
-  c[0] = -1.0 / b;
-  phi[1] = rho[1] * h2 / b;
-  for (std::size_t i = 1; i < m; ++i) {
-    const double denom = 2.0 + c[i - 1];
-    c[i] = -1.0 / denom;
-    phi[i + 1] = (rho[i + 1] * h2 + phi[i]) / denom;
-  }
-  for (std::size_t i = m - 1; i >= 1; --i) {
-    phi[i] = phi[i] - c[i - 1] * phi[i + 1];
-  }
-  phi[0] = 0.0;
-  phi[n - 1] = 0.0;
-}
-
-}  // namespace
-
 std::vector<double> Pic::solve_poisson_dirichlet(
     std::span<const double> rho, double dx) {
   const std::size_t n = rho.size();
   CPX_REQUIRE(n >= 3, "solve_poisson_dirichlet: need >= 3 nodes");
   std::vector<double> phi(n, 0.0);
   std::vector<double> c(n - 2, 0.0);
-  thomas_dirichlet(rho, dx, phi, c);
+  solve_dirichlet(rho, dx, phi, c);
   return phi;
 }
 
@@ -231,18 +194,12 @@ void Pic::solve_field() {
     return;
   }
 
-  thomas_dirichlet(rho_, dx_, phi_, thomas_c_);
-  // E = -dphi/dx, one-sided at the walls.
-  e_[0] = -(phi_[1] - phi_[0]) / dx_;
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    e_[i] = -(phi_[i + 1] - phi_[i - 1]) / (2.0 * dx_);
-  }
-  e_[n - 1] = -(phi_[n - 1] - phi_[n - 2]) / dx_;
+  solve_dirichlet(rho_, dx_, phi_, thomas_c_);
+  difference_field(phi_, 0.0, 0.0, true, true, dx_, e_);
 }
 
 void Pic::push() {
   CPX_METRICS_SCOPE("simpic/push");
-  const double qm = -1.0;  // electron charge-to-mass in normalised units
   const auto np = static_cast<std::int64_t>(x_.size());
   if (support::metrics::enabled()) {
     support::metrics::counter_add("simpic/particles_pushed", np);
@@ -263,22 +220,20 @@ void Pic::push() {
   // particle reads and writes only its own x/v slot (E is read-only), so
   // the push is race-free and bitwise identical at any thread count.
   const double dx = dx_;
+  const std::int64_t last_cell = options_.cells - 1;
   const double dt = options_.dt;
   const double length = options_.length;
-  const std::int64_t last_cell = options_.cells - 1;
   double* px = x_.data();
   double* pv = v_.data();
   const double* pe = e_.data();
   support::parallel_for(0, np, kParticleGrain, [=](std::int64_t i0,
                                                    std::int64_t i1) {
+    // Built here, not captured, so the loop keeps it in registers.
+    const GridView grid{dx, last_cell, 0};
     for (std::int64_t i = i0; i < i1; ++i) {
-      const double c = px[i] / dx;
-      auto left = static_cast<std::int64_t>(c);
-      left = std::clamp<std::int64_t>(left, 0, last_cell);
-      const double frac = c - static_cast<double>(left);
-      const double e_here = pe[left] * (1.0 - frac) + pe[left + 1] * frac;
-      const double v = pv[i] + dt * qm * e_here;
-      double x = px[i] + dt * v;
+      double x = px[i];
+      double v = pv[i];
+      advance(x, v, pe, grid, dt);
       if (periodic) {
         // fmod(x, L) returns x exactly for 0 <= x < L (and -0.0), so only
         // particles that left the domain (or NaN) need the call.

@@ -132,9 +132,10 @@ class Pic {
   // Step scratch (docs/parallelism.md), so a warm step allocates nothing:
   // per-chunk charge partials combined in chunk order, the absorbing
   // push's keep flags for the in-place order-preserving compaction (the
-  // push itself updates x/v in place), and the Dirichlet Thomas solve's
-  // eliminated superdiagonal (sized by the constructor). Rebuilt by the
-  // next step, so the snapshot deliberately omits it.
+  // push itself updates x/v in place), and the eliminated superdiagonal of
+  // the Dirichlet Thomas solve (sized by the constructor), which stages
+  // rho * h^2 in phi_ and back-substitutes over it in place. Rebuilt by
+  // the next step, so the snapshot deliberately omits it.
   support::aligned_vector<double> deposit_partials_;  // cpx-lint: allow(ckpt)
   std::vector<unsigned char> push_keep_;              // cpx-lint: allow(ckpt)
   std::vector<double> thomas_c_;                      // cpx-lint: allow(ckpt)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <sstream>
@@ -240,6 +241,56 @@ TEST(CkptSections, DistributedPicRoundTripsByteIdentically) {
   a.step();
   b.step();
   EXPECT_EQ(snapshot_of(a), snapshot_of(b));
+}
+
+TEST(CkptSections, DistributedPicRestoreRejectsParticleOutsideItsRanksCells) {
+  // 96 cells on 4 parts: rank 0 owns cells [0, 24). Just below x = 0.25,
+  // x / dx rounds up into cell 24, which rank 1 owns; a particle stored
+  // there on rank 0 would deposit one node past rank 0's 25-node slice.
+  simpic::PicOptions opts;
+  opts.cells = 96;
+  opts.boundary = simpic::Boundary::kAbsorbing;
+  const double below_quarter = std::nextafter(0.25, 0.0);
+  ASSERT_EQ(simpic::locate(below_quarter, opts.length / 96.0, 95).cell, 24);
+
+  // A "simpic/distributed" section in DistributedPic::serialize's layout
+  // with one particle on rank 0 at `x`.
+  const auto snapshot_with_particle_at = [&](double x) {
+    ckpt::Writer w;
+    w.begin();
+    w.begin_section("simpic/distributed");
+    w.put_i64(opts.cells);
+    w.put_f64(opts.length);
+    w.put_f64(opts.dt);
+    w.put_u64(opts.seed);
+    w.put_u32(4);
+    w.put_u64(0);    // RNG counter
+    w.put_f64(1.0);  // background
+    w.put_i64(0);    // last migrations
+    w.put_u8(0);     // overlap
+    const std::vector<double> nodes(25, 1.0);
+    for (int r = 0; r < 4; ++r) {
+      const std::vector<double> one =
+          r == 0 ? std::vector<double>{x} : std::vector<double>{};
+      const std::vector<double> zero(one.size(), 0.0);
+      const std::vector<double> weight(one.size(), -1.0 / 96.0);
+      w.put_f64_span(one);
+      w.put_f64_span(zero);
+      w.put_f64_span(weight);
+      w.put_f64_span(nodes);
+      w.put_f64_span(nodes);
+      w.put_f64_span(nodes);
+    }
+    w.end_section();
+    w.finish();
+    return to_vec(w.bytes());
+  };
+
+  simpic::DistributedPic dist(opts, 4);
+  restore_from(dist, snapshot_with_particle_at(0.2));  // inside cell 19
+  EXPECT_EQ(dist.num_particles(), 1);
+  EXPECT_THROW(restore_from(dist, snapshot_with_particle_at(below_quarter)),
+               CheckError);
 }
 
 TEST(CkptSections, ClusterAndProfileRoundTripByteIdentically) {

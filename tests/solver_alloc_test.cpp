@@ -25,6 +25,7 @@
 #include "mgcfd/distributed.hpp"
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
+#include "simpic/distributed.hpp"
 #include "simpic/pic.hpp"
 #include "sparse/generators.hpp"
 #include "support/parallel.hpp"
@@ -338,6 +339,38 @@ TEST(SolverAllocations, WarmPicStepAllocatesNothing) {
     }
   }
   support::set_max_threads(width);
+}
+
+TEST(SolverAllocations, WarmDistributedPicStepAllocatesNothing) {
+  // A warm simpic::DistributedPic::step() — deposit and boundary merge,
+  // the pipelined Thomas solve, the push and the particle migration that
+  // Communicator::deliver hands to each rank — touches no heap, with and
+  // without a co-simulated cluster. A hot plasma migrates particles on
+  // every step, so the warm-up already sized the migration packs, the
+  // comm buffer pool and the rank arrays.
+  for (const bool with_cluster : {false, true}) {
+    cpx::simpic::PicOptions opts;
+    opts.cells = 64;
+    opts.boundary = cpx::simpic::Boundary::kAbsorbing;
+    cpx::simpic::DistributedPic dist(opts, 4);
+    cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), 4);
+    if (with_cluster) {
+      dist.attach_cluster(&cluster);
+    }
+    dist.load_uniform(64, /*v_thermal=*/1.5);
+    dist.run(4);  // warm-up, migrating on every step
+    std::int64_t migrations = 0;
+    const std::size_t allocs = allocations_during([&] {
+      for (int s = 0; s < 4; ++s) {
+        dist.step();
+        migrations += dist.last_migrations();
+      }
+    });
+    EXPECT_GT(migrations, 0) << "no particle migrated while measured";
+    EXPECT_EQ(allocs, 0u)
+        << "warm DistributedPic::step made " << allocs
+        << " heap allocations (cluster=" << with_cluster << ")";
+  }
 }
 
 }  // namespace

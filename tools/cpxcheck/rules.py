@@ -54,10 +54,11 @@ RULES = (
     RuleInfo(
         "solve-alloc",
         "No allocating expressions (container growth, new, make_unique, "
-        "malloc) in any function reachable from the solve-path entry "
-        "points (amg::pcg, AmgHierarchy::solve/cycle/reset_values, "
-        "SpgemmPlan::fill_values, DistributedSolver::step) via the call "
-        "graph."),
+        "malloc, the buffered stable_sort/stable_partition/inplace_merge) "
+        "in any function reachable from the solve-path entry points "
+        "(amg::pcg, AmgHierarchy::solve/cycle/reset_values, "
+        "SpgemmPlan::fill_values, DistributedSolver::step, simpic::Pic::step, "
+        "simpic::DistributedPic::step) via the call graph."),
     RuleInfo(
         "naked-new",
         "No naked new/delete expressions in src/; ownership goes through "
@@ -90,8 +91,10 @@ GROWTH_CALLS = frozenset({
     "push_back", "emplace_back", "emplace", "resize", "reserve",
     "assign", "insert", "append",
 })
+# The stable algorithms allocate a temporary buffer per call.
 ALLOC_CALLS = frozenset({"make_unique", "make_shared", "malloc", "calloc",
-                         "realloc"})
+                         "realloc", "stable_sort", "stable_partition",
+                         "inplace_merge"})
 
 RANDOM_IDENTS = frozenset({
     "random_device", "mt19937", "mt19937_64", "minstd_rand",
@@ -104,9 +107,7 @@ SOLVE_ENTRY_SUFFIXES = ("amg::pcg", "AmgHierarchy::solve",
                         "AmgHierarchy::cycle", "AmgHierarchy::reset_values",
                         "SpgemmPlan::fill_values",
                         "DistributedSolver::step",
-                        # The `simpic::` qualifier keeps DistributedPic::step
-                        # (variable-size migration appends) off the list.
-                        "simpic::Pic::step")
+                        "simpic::Pic::step", "simpic::DistributedPic::step")
 RNG_HOME = "src/support/rng.hpp"
 # The only homes of raw parallel_reduce calls (rule `reduce`).
 REDUCE_HOMES = frozenset({"src/support/blas1.cpp", "src/support/parallel.hpp",
