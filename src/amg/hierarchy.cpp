@@ -421,9 +421,8 @@ void AmgHierarchy::cycle_at(int level, std::span<double> x,
     }
   }
 
-  // x += P xc
-  sparse::spmv(lv.p, sc.xc, sc.tmp);
-  support::blas1::xpby(sc.tmp, 1.0, x);
+  // x += P xc in one pass.
+  sparse::spmv_add(lv.p, sc.xc, x, 1.0);
   for (int s = 0; s < options_.post_sweeps; ++s) {
     smooth(lv.a, x, b, options_.smoother, sc.tmp);
   }

@@ -86,29 +86,35 @@ void jacobi_sweep(const sparse::CsrMatrix& a, std::span<double> x,
   });
 }
 
-/// Gauss-Seidel restricted to rows [row_begin, row_end): uses updated x
-/// inside the block. When the off-block coupling should be Jacobi-style,
-/// callers pass a frozen copy of x in `x_old` for columns outside the block.
+/// Gauss-Seidel over rows [row_begin, row_end), split at the diagonal as
+/// smoothers.hpp describes. Hybrid GS passes the sweep's frozen copy of x
+/// as `frozen`; plain GS passes x itself with row_begin = 0. Rows are
+/// column-sorted (CsrMatrix::validate), so the two loops add the terms in
+/// column order.
 void gs_block(const sparse::CsrMatrix& a, std::span<double> x,
               std::span<const double> b, std::int64_t row_begin,
-              std::int64_t row_end, std::span<const double> x_old) {
+              std::int64_t row_end, const double* frozen) {
+  const std::int64_t* offsets = a.row_offsets().data();
+  const std::int32_t* cols = a.col_indices().data();
+  const double* vals = a.values().data();
+  double* px = x.data();
+  const double* pb = b.data();
   for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const auto cols = a.row_cols(r);
-    const auto vals = a.row_values(r);
-    double diag = 0.0;
+    const std::int64_t k1 = offsets[r + 1];
+    std::int64_t k = offsets[r];
     double sum = 0.0;
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      const std::int64_t c = cols[i];
-      if (c == r) {
-        diag = vals[i];
-      } else if (x_old.empty() || (c >= row_begin && c < row_end)) {
-        sum += vals[i] * x[static_cast<std::size_t>(c)];
-      } else {
-        sum += vals[i] * x_old[static_cast<std::size_t>(c)];
-      }
+    for (; k < k1 && cols[k] < r; ++k) {
+      const std::int64_t c = cols[k];
+      const double* src = c >= row_begin ? px : frozen;
+      sum += vals[k] * src[c];
     }
-    CPX_CHECK_MSG(diag != 0.0, "gauss-seidel: zero diagonal at row " << r);
-    x[static_cast<std::size_t>(r)] = (b[static_cast<std::size_t>(r)] - sum) / diag;
+    CPX_CHECK_MSG(k < k1 && cols[k] == r && vals[k] != 0.0,
+                  "gauss-seidel: zero or missing diagonal at row " << r);
+    const double diag = vals[k];
+    for (++k; k < k1; ++k) {
+      sum += vals[k] * frozen[cols[k]];
+    }
+    px[r] = (pb[r] - sum) / diag;
   }
 }
 
@@ -150,7 +156,7 @@ void smooth(const sparse::CsrMatrix& a, std::span<double> x,
       });
       return;
     case SmootherKind::kGaussSeidel:
-      gs_block(a, x, b, 0, n, {});
+      gs_block(a, x, b, 0, n, x.data());
       return;
     case SmootherKind::kHybridGs: {
       // Freeze x for the inter-block (Jacobi) coupling, then sweep each
@@ -161,8 +167,7 @@ void smooth(const sparse::CsrMatrix& a, std::span<double> x,
       // the block decomposition depends on hybrid_blocks alone.
       CPX_REQUIRE(options.hybrid_blocks >= 1, "smooth: bad hybrid_blocks");
       std::copy(x.begin(), x.begin() + n, scratch.begin());
-      const std::span<const double> frozen(scratch.data(),
-                                           static_cast<std::size_t>(n));
+      const double* frozen = scratch.data();
       const std::int64_t blocks =
           std::min<std::int64_t>(options.hybrid_blocks, std::max<std::int64_t>(n, 1));
       support::parallel_for(0, blocks, 1, [&](std::int64_t blk0,

@@ -10,6 +10,14 @@
 // The Jacobi variants and the hybrid blocks run on support::parallel_for;
 // all smoothers are bitwise deterministic at any thread count
 // (docs/parallelism.md).
+//
+// Gauss-Seidel rows are swept as two loops split at the diagonal. Left of
+// it, an in-block column reads the updated x and a column before the block
+// reads the sweep's frozen copy of x; right of it, every column reads the
+// frozen copy (plain GS: x itself). An in-block column right of the
+// diagonal is not yet written in the sweep, so its frozen value is its x
+// value, and the terms are added in column order: the bits are those of a
+// loop that picks the copy entry by entry.
 
 #include <span>
 
@@ -26,7 +34,8 @@ struct SmootherOptions {
 };
 
 /// One in-place smoothing sweep on A x = b.
-/// `scratch` must have size >= A.rows() (used by the Jacobi variants).
+/// `scratch` must have size >= A.rows() (the Jacobi variants' output,
+/// hybrid GS's frozen copy of x).
 void smooth(const sparse::CsrMatrix& a, std::span<double> x,
             std::span<const double> b, const SmootherOptions& options,
             std::span<double> scratch);

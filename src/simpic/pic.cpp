@@ -369,6 +369,9 @@ void Pic::restore(ckpt::Reader& r) {
   r.get_f64_vec(w_);
   CPX_CHECK_MSG(v_.size() == x_.size() && w_.size() == x_.size(),
                 "Pic::restore: particle arrays out of sync in snapshot");
+  // A non-finite or out-of-domain position would reach locate's integer
+  // cast on the next step, so positions are checked at every check level.
+  validate_particles(x_, options_.length);
   const auto nodes = static_cast<std::size_t>(num_nodes());
   r.get_f64_vec(rho_);
   r.get_f64_vec(phi_);

@@ -17,22 +17,14 @@ namespace {
 constexpr std::int64_t kRowGrain = 2048;     ///< SpMV-class row loops
 constexpr std::int64_t kSpgemmGrain = 256;   ///< SpGEMM row passes
 
-/// Width-invariant row dot product (docs/parallelism.md, determinism
-/// tiers). Rows shorter than simd::kReduceLanes keep the plain serial
-/// chain — bitwise identical to the historical kernel for common stencil
-/// widths; longer rows use the fixed-lane tree, whose bits are identical
-/// at every pack width. The branch depends on the row length alone,
-/// never on the active width, so results are width-invariant either way.
+/// Fixed-lane tree dot of a row with at least simd::kReduceLanes entries,
+/// bitwise identical at every pack width. Kept out of line so row_dot's
+/// short-row chain stays small enough to inline into every row loop.
 template <int W>
-double row_dot(const double* vals, const std::int32_t* cols, const double* x,
-               std::int64_t k0, std::int64_t k1) {
-  if (k1 - k0 < support::simd::kReduceLanes) {
-    double sum = 0.0;
-    for (std::int64_t k = k0; k < k1; ++k) {
-      sum += vals[k] * x[cols[k]];
-    }
-    return sum;
-  }
+[[gnu::noinline]] double long_row_dot(const double* vals,
+                                      const std::int32_t* cols,
+                                      const double* x, std::int64_t k0,
+                                      std::int64_t k1) {
   return support::simd::tree_reduce<W>(
       k0, k1,
       [&](std::int64_t k) {
@@ -40,6 +32,47 @@ double row_dot(const double* vals, const std::int32_t* cols, const double* x,
                support::simd::pack<W>::gather(x, cols + k);
       },
       [&](std::int64_t k) { return vals[k] * x[cols[k]]; });
+}
+
+/// Width-invariant row dot product (docs/parallelism.md, determinism
+/// tiers). Rows shorter than simd::kReduceLanes (the 7-point rows of the
+/// fine pressure operator, the finest interpolation P) run the plain
+/// serial chain inline in the caller's row loop, with no call; longer rows
+/// (the coarse Galerkin operators) call long_row_dot. The branch depends
+/// on the row length alone, never on the active width, so results are
+/// width-invariant either way.
+template <int W>
+inline double row_dot(const double* vals, const std::int32_t* cols,
+                      const double* x, std::int64_t k0, std::int64_t k1) {
+  if (k1 - k0 < support::simd::kReduceLanes) {
+    double sum = 0.0;
+    for (std::int64_t k = k0; k < k1; ++k) {
+      sum += vals[k] * x[cols[k]];
+    }
+    return sum;
+  }
+  return long_row_dot<W>(vals, cols, x, k0, k1);
+}
+
+/// Roofline accounting shared by every SpMV variant: 2 flops per nonzero
+/// plus `row_flops` per row; streamed bytes are values + column indices +
+/// x gathers per nonzero plus `row_streams` dense vectors read or written
+/// once per row (y for spmv; y read and written for spmv_add; b read and r
+/// written for the residual kernels).
+void account_spmv(const CsrMatrix& a, std::int64_t row_flops,
+                  std::int64_t row_streams) {
+  if (!support::metrics::enabled()) {
+    return;
+  }
+  support::metrics::counter_add("sparse/spmv_nnz", a.nnz());
+  support::metrics::counter_add("sparse/spmv_flops",
+                                2 * a.nnz() + row_flops * a.rows());
+  support::metrics::counter_add(
+      "sparse/spmv_bytes",
+      a.nnz() * static_cast<std::int64_t>(sizeof(double) +
+                                          sizeof(std::int32_t) +
+                                          sizeof(double)) +
+          row_streams * a.rows() * static_cast<std::int64_t>(sizeof(double)));
 }
 
 }  // namespace
@@ -210,17 +243,7 @@ void spmv(const CsrMatrix& a, std::span<const double> x,
   CPX_REQUIRE(y.size() == static_cast<std::size_t>(a.rows()),
               "spmv: y size mismatch");
   CPX_METRICS_SCOPE("sparse/spmv");
-  if (support::metrics::enabled()) {
-    support::metrics::counter_add("sparse/spmv_nnz", a.nnz());
-    support::metrics::counter_add("sparse/spmv_flops", 2 * a.nnz());
-    // Streaming estimate: values + column indices + x gathers + y stores.
-    support::metrics::counter_add(
-        "sparse/spmv_bytes",
-        a.nnz() * static_cast<std::int64_t>(sizeof(double) +
-                                            sizeof(std::int32_t) +
-                                            sizeof(double)) +
-            a.rows() * static_cast<std::int64_t>(sizeof(double)));
-  }
+  account_spmv(a, 0, 1);
   const std::int64_t* offsets = a.row_offsets().data();
   const std::int32_t* cols = a.col_indices().data();
   const double* vals = a.values().data();
@@ -244,11 +267,7 @@ void spmv_add(const CsrMatrix& a, std::span<const double> x,
   CPX_REQUIRE(y.size() == static_cast<std::size_t>(a.rows()),
               "spmv_add: y size mismatch");
   CPX_METRICS_SCOPE("sparse/spmv");
-  if (support::metrics::enabled()) {
-    support::metrics::counter_add("sparse/spmv_nnz", a.nnz());
-    support::metrics::counter_add("sparse/spmv_flops",
-                                  2 * a.nnz() + 2 * a.rows());
-  }
+  account_spmv(a, 2, 2);
   const std::int64_t* offsets = a.row_offsets().data();
   const std::int32_t* cols = a.col_indices().data();
   const double* vals = a.values().data();
@@ -275,11 +294,7 @@ void spmv_residual(const CsrMatrix& a, std::span<const double> x,
                   r.size() == b.size(),
               "spmv_residual: b/r size mismatch");
   CPX_METRICS_SCOPE("sparse/spmv");
-  if (support::metrics::enabled()) {
-    support::metrics::counter_add("sparse/spmv_nnz", a.nnz());
-    support::metrics::counter_add("sparse/spmv_flops",
-                                  2 * a.nnz() + a.rows());
-  }
+  account_spmv(a, 1, 2);
   const std::int64_t* offsets = a.row_offsets().data();
   const std::int32_t* cols = a.col_indices().data();
   const double* vals = a.values().data();
@@ -307,11 +322,7 @@ double spmv_residual_norm2(const CsrMatrix& a, std::span<const double> x,
                   r.size() == b.size(),
               "spmv_residual_norm2: b/r size mismatch");
   CPX_METRICS_SCOPE("sparse/spmv");
-  if (support::metrics::enabled()) {
-    support::metrics::counter_add("sparse/spmv_nnz", a.nnz());
-    support::metrics::counter_add("sparse/spmv_flops",
-                                  2 * a.nnz() + 3 * a.rows());
-  }
+  account_spmv(a, 3, 2);
   const std::int64_t* offsets = a.row_offsets().data();
   const std::int32_t* cols = a.col_indices().data();
   const double* vals = a.values().data();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "amg/hierarchy.hpp"
 #include "amg/pcg.hpp"
 #include "amg/smoothers.hpp"
+#include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
@@ -98,6 +100,105 @@ TEST(Smoother, HybridGsBetweenJacobiAndGs) {
   smooth(a, x_hyb1, b, hyb1, scratch);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(x_gs[i], x_hyb1[i], 1e-14);
+  }
+}
+
+/// Gauss-Seidel over rows [row_begin, row_end) as one branch per entry:
+/// diagonal, in-block column (updated x) or any other column (the frozen
+/// copy; x itself for plain GS). The split-triangle library kernel must
+/// reproduce it bit for bit.
+void reference_gs_block(const sparse::CsrMatrix& a, std::span<double> x,
+                        std::span<const double> b, std::int64_t row_begin,
+                        std::int64_t row_end, std::span<const double> x_old) {
+  for (std::int64_t r = row_begin; r < row_end; ++r) {
+    const auto cols = a.row_cols(r);
+    const auto vals = a.row_values(r);
+    double diag = 0.0;
+    double sum = 0.0;
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      const std::int64_t c = cols[i];
+      if (c == r) {
+        diag = vals[i];
+      } else if (x_old.empty() || (c >= row_begin && c < row_end)) {
+        sum += vals[i] * x[static_cast<std::size_t>(c)];
+      } else {
+        sum += vals[i] * x_old[static_cast<std::size_t>(c)];
+      }
+    }
+    x[static_cast<std::size_t>(r)] =
+        (b[static_cast<std::size_t>(r)] - sum) / diag;
+  }
+}
+
+/// One reference sweep of kGaussSeidel or kHybridGs (frozen copy, then the
+/// same block decomposition as the library).
+void reference_smooth(const sparse::CsrMatrix& a, std::span<double> x,
+                      std::span<const double> b, const SmootherOptions& opt) {
+  const std::int64_t n = a.rows();
+  if (opt.kind == SmootherKind::kGaussSeidel) {
+    reference_gs_block(a, x, b, 0, n, {});
+    return;
+  }
+  const std::vector<double> frozen(x.begin(), x.end());
+  const std::int64_t blocks = std::min<std::int64_t>(opt.hybrid_blocks, n);
+  for (std::int64_t blk = 0; blk < blocks; ++blk) {
+    reference_gs_block(a, x, b, n * blk / blocks, n * (blk + 1) / blocks,
+                       frozen);
+  }
+}
+
+TEST(Smoother, HybridGsMatchesPerEntryReference) {
+  const AmgHierarchy h(sparse::laplacian_3d(24, 24, 24), AmgOptions{});
+  ASSERT_GE(h.num_levels(), 3);
+  std::vector<sparse::CsrMatrix> mats;
+  for (int l = 0; l < 3; ++l) {
+    mats.push_back(h.level(l).a);
+  }
+  mats.push_back(sparse::random_spd(700, 5, 31));
+  for (std::size_t m = 0; m < mats.size(); ++m) {
+    const sparse::CsrMatrix& a = mats[m];
+    const auto n = static_cast<std::size_t>(a.rows());
+    const std::vector<double> b = random_vector(n, 40 + m);
+    const std::vector<double> x0 = random_vector(n, 50 + m);
+    std::vector<SmootherOptions> configs = {
+        {SmootherKind::kGaussSeidel, 0.7, 8}};
+    for (const int blocks : {1, 3, 8, static_cast<int>(n)}) {
+      configs.push_back({SmootherKind::kHybridGs, 0.7, blocks});
+    }
+    std::vector<double> scratch(n);
+    for (const SmootherOptions& opt : configs) {
+      std::vector<double> x = x0;
+      std::vector<double> x_ref = x0;
+      for (int sweep = 0; sweep < 3; ++sweep) {
+        smooth(a, x, b, opt, scratch);
+        reference_smooth(a, x_ref, b, opt);
+      }
+      EXPECT_EQ(x, x_ref) << "matrix " << m << " kind "
+                          << static_cast<int>(opt.kind) << " blocks "
+                          << opt.hybrid_blocks;
+    }
+  }
+}
+
+TEST(Smoother, GaussSeidelRejectsMissingOrZeroDiagonal) {
+  // Row 1 lacks its diagonal between two stored columns; row 2 stores
+  // only a column left of it; row 1 of the last matrix stores a zero.
+  const sparse::CsrMatrix gap(3, 3, {0, 2, 4, 5}, {0, 1, 0, 2, 2},
+                              {2.0, -1.0, -1.0, -1.0, 2.0});
+  const sparse::CsrMatrix short_row(3, 3, {0, 1, 3, 4}, {0, 1, 2, 1},
+                                    {2.0, 2.0, -1.0, -1.0});
+  const sparse::CsrMatrix zero(3, 3, {0, 1, 2, 3}, {0, 1, 2},
+                               {2.0, 0.0, 2.0});
+  const std::vector<double> b(3, 1.0);
+  std::vector<double> scratch(3);
+  for (const sparse::CsrMatrix* a : {&gap, &short_row, &zero}) {
+    for (const SmootherOptions opt :
+         {SmootherOptions{SmootherKind::kGaussSeidel, 0.7, 1},
+          SmootherOptions{SmootherKind::kHybridGs, 0.7, 1},
+          SmootherOptions{SmootherKind::kHybridGs, 0.7, 3}}) {
+      std::vector<double> x(3, 0.0);
+      EXPECT_THROW(smooth(*a, x, b, opt, scratch), CheckError);
+    }
   }
 }
 
@@ -506,6 +607,51 @@ TEST(Pcg, JacobiPreconditionerHelpsScaledSystem) {
       pcg(a, x1, b, 1e-10, 500, make_jacobi_preconditioner(a));
   EXPECT_TRUE(jac.converged);
   EXPECT_LE(jac.iterations, plain.iterations);
+}
+
+TEST(Pcg, PressureSolveIsPinnedBitwise) {
+  // The pressure-resetup step on the 24^3 Poisson operator: a numeric
+  // re-setup per coefficient set (every diagonal scaled by 1 + 0.2u),
+  // then AMG-PCG to 1e-8 from a zero guess. Iteration counts and solution
+  // bits were recorded before the V-cycle kernels were rewritten, and must
+  // not move at any pool width or SIMD width.
+  constexpr int kIterations[] = {10, 10, 10};
+  constexpr std::uint64_t kDigest[] = {
+      0x932e88a1f9a43782ULL, 0xd8c63d354b2ecde0ULL, 0x689f4715d4e79dbeULL};
+  const sparse::CsrMatrix base = sparse::laplacian_3d(24, 24, 24);
+  const auto n = static_cast<std::size_t>(base.rows());
+  AmgHierarchy h(base, AmgOptions{});
+  const Preconditioner precond = make_amg_preconditioner(h);
+  PcgWorkspace workspace;
+  workspace.resize(n);
+  Rng rng(23);
+  for (int k = 0; k < 3; ++k) {
+    sparse::CsrMatrix a = base;
+    auto& vals = a.mutable_values();
+    for (std::int64_t r = 0; r < a.rows(); ++r) {
+      for (std::int64_t e = a.row_offsets()[static_cast<std::size_t>(r)];
+           e < a.row_offsets()[static_cast<std::size_t>(r) + 1]; ++e) {
+        if (a.col_indices()[static_cast<std::size_t>(e)] == r) {
+          vals[static_cast<std::size_t>(e)] *= 1.0 + 0.2 * rng.uniform();
+        }
+      }
+    }
+    std::vector<double> b(n);
+    for (double& v : b) {
+      v = rng.uniform() - 0.5;
+    }
+    h.reset_values(a);
+    std::vector<double> x(n, 0.0);
+    const PcgResult res =
+        pcg(h.level(0).a, x, b, 1e-8, 200, precond, workspace);
+    ASSERT_TRUE(res.converged) << "set " << k;
+    std::uint64_t digest = 0;
+    for (const double v : x) {
+      digest = hash_mix(digest, std::bit_cast<std::uint64_t>(v));
+    }
+    EXPECT_EQ(res.iterations, kIterations[k]) << "set " << k;
+    EXPECT_EQ(digest, kDigest[k]) << "set " << k << std::hex << " 0x" << digest;
+  }
 }
 
 TEST(Pcg, ZeroRhsReturnsImmediately) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -220,6 +221,47 @@ TEST(CkptSections, PicRoundTripsByteIdentically) {
   EXPECT_EQ(a.positions(), b.positions());
   EXPECT_EQ(a.velocities(), b.velocities());
   EXPECT_EQ(a.efield(), b.efield());
+}
+
+TEST(CkptSections, PicRestoreRejectsNonFiniteOrOutOfDomainPosition) {
+  simpic::PicOptions opts;
+  opts.cells = 16;
+  const std::size_t nodes = 17;
+
+  // A "simpic/pic" section in Pic::serialize's layout with one particle
+  // at `x`.
+  const auto snapshot_with_particle_at = [&](double x) {
+    ckpt::Writer w;
+    w.begin();
+    w.begin_section("simpic/pic");
+    w.put_i64(opts.cells);
+    w.put_f64(opts.length);
+    w.put_f64(opts.dt);
+    w.put_u8(0);  // periodic
+    w.put_u64(opts.seed);
+    w.put_u64(0);    // RNG counter
+    w.put_f64(1.0);  // background
+    w.put_f64_span(std::vector<double>{x});
+    w.put_f64_span(std::vector<double>{0.0});
+    w.put_f64_span(std::vector<double>{-1.0 / 16.0});
+    const std::vector<double> grid(nodes, 0.0);
+    w.put_f64_span(grid);
+    w.put_f64_span(grid);
+    w.put_f64_span(grid);
+    w.end_section();
+    w.finish();
+    return to_vec(w.bytes());
+  };
+
+  simpic::Pic pic(opts);
+  restore_from(pic, snapshot_with_particle_at(0.5 * opts.length));
+  EXPECT_EQ(pic.num_particles(), 1);
+  for (const double bad : {std::nan(""), -0.25, 2.0 * opts.length,
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(restore_from(pic, snapshot_with_particle_at(bad)),
+                 CheckError)
+        << "x = " << bad;
+  }
 }
 
 TEST(CkptSections, DistributedPicRoundTripsByteIdentically) {

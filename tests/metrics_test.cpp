@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -129,6 +130,44 @@ TEST_F(MetricsTest, CountersSumExactlyAcrossPoolThreads) {
   EXPECT_EQ(snap.counter("test/elements"), kN);
   // The pooled run also accounts its own queue/exec overhead.
   EXPECT_GT(snap.counter("pool/tasks"), 0);
+}
+
+TEST_F(MetricsTest, EverySpmvVariantCountsFlopsAndBytes) {
+  // kernel.spmv_flops_per_byte divides the flops of every SpMV variant by
+  // their bytes, so each variant adds to both counters: 20 B per nonzero
+  // (value, column index, x gather) plus 8 B per row for each dense
+  // vector it streams.
+  const sparse::CsrMatrix a = sparse::laplacian_2d(16, 16);
+  const auto n = static_cast<std::size_t>(a.rows());
+  const std::int64_t rows = a.rows();
+  const std::int64_t nnz = a.nnz();
+  const std::vector<double> x(n, 1.0);
+  const std::vector<double> b(n, 2.0);
+  std::vector<double> y(n, 0.0);
+  struct Case {
+    const char* name;
+    std::function<void()> run;
+    std::int64_t flops;
+    std::int64_t bytes;
+  };
+  const std::vector<Case> cases = {
+      {"spmv", [&] { sparse::spmv(a, x, y); }, 2 * nnz, 20 * nnz + 8 * rows},
+      {"spmv_add", [&] { sparse::spmv_add(a, x, y, 1.0); },
+       2 * nnz + 2 * rows, 20 * nnz + 16 * rows},
+      {"spmv_residual", [&] { sparse::spmv_residual(a, x, b, y); },
+       2 * nnz + rows, 20 * nnz + 16 * rows},
+      {"spmv_residual_norm2",
+       [&] { (void)sparse::spmv_residual_norm2(a, x, b, y); },
+       2 * nnz + 3 * rows, 20 * nnz + 16 * rows},
+  };
+  set_enabled(true);
+  for (const Case& c : cases) {
+    reset();
+    c.run();
+    const Snapshot snap = snapshot();
+    EXPECT_EQ(snap.counter("sparse/spmv_flops"), c.flops) << c.name;
+    EXPECT_EQ(snap.counter("sparse/spmv_bytes"), c.bytes) << c.name;
+  }
 }
 
 TEST_F(MetricsTest, JsonReportParsesAndCoversAllModules) {

@@ -577,24 +577,29 @@ def _det_scan(project, facts, rule, s: Stmt, unordered: set,
 
 def check_solve_alloc(project: Project) -> list[Finding]:
     rule = rule_by_name("solve-alloc")
+    # Overloads, or a helper defined in two files, share one qualified
+    # name. Calls resolve to a qualified name (by_name holds one
+    # representative per name), and every definition of it is checked.
     by_name: dict = {}
-    by_qual: dict = {}
+    by_qual: dict = {}  # qualname -> every definition of it
     fn_facts: dict = {}
     for facts in project.files:
         for fn in facts.functions:
-            by_name.setdefault(fn.name, []).append(fn)
-            by_qual[fn.qualname] = fn
+            if fn.qualname not in by_qual:
+                by_name.setdefault(fn.name, []).append(fn)
+            by_qual.setdefault(fn.qualname, []).append(fn)
             fn_facts[id(fn)] = facts
 
-    entries = [fn for fn in by_qual.values()
+    entries = [fn for defs in by_qual.values() for fn in defs
                if any(fn.qualname.endswith(sfx)
                       for sfx in SOLVE_ENTRY_SUFFIXES)]
     findings: list[Finding] = []
-    visited: dict = {}  # qualname -> entry description (for messages)
+    # id(definition) -> (definition, entry description for messages)
+    visited: dict = {}
 
     stack = [(fn, fn.qualname.split("::")[-1]) for fn in entries]
-    for fn, _ in stack:
-        visited[fn.qualname] = fn.qualname.split("::")[-1]
+    for fn, entry in stack:
+        visited[id(fn)] = (fn, entry)
     while stack:
         fn, entry = stack.pop()
         for call in fn.calls:
@@ -602,13 +607,14 @@ def check_solve_alloc(project: Project) -> list[Finding]:
                 continue
             callee = _resolve_call(project, fn_facts[id(fn)], fn, call,
                                    by_name)
-            if callee is None or callee.qualname in visited:
+            if callee is None:
                 continue
-            visited[callee.qualname] = entry
-            stack.append((callee, entry))
+            for definition in by_qual[callee.qualname]:
+                if id(definition) not in visited:
+                    visited[id(definition)] = (definition, entry)
+                    stack.append((definition, entry))
 
-    for qual, entry in visited.items():
-        fn = by_qual[qual]
+    for fn, entry in visited.values():
         facts = fn_facts[id(fn)]
         for call in fn.calls:
             if call.in_debug_gate:
