@@ -52,8 +52,9 @@ std::size_t ExchangePlan::bytes_per_exchange() const {
   return total;
 }
 
-void ExchangePlan::post_phase(Communicator& comm, RankDataFn rank_data,
-                              int tag) {
+void ExchangePlan::execute(Communicator& comm, RankDataFn rank_data,
+                           int tag) {
+  CPX_CHECK(finalized());
   // Gather and post each channel's payload. isend copies into the
   // communicator's pool immediately, so one scratch area serves every
   // channel.
@@ -76,9 +77,8 @@ void ExchangePlan::post_phase(Communicator& comm, RankDataFn rank_data,
     comm.irecv(ch.dst, ch.src, tag, recv_buffers_[c].data(),
                recv_buffers_[c].size());
   }
-}
-
-void ExchangePlan::scatter_phase(RankDataFn rank_data) {
+  comm.wait_all();
+  // Scatter each channel's payload into its receive slots.
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     const Channel& ch = channels_[c];
     const std::span<std::byte> dst = rank_data(ch.dst);
@@ -91,39 +91,6 @@ void ExchangePlan::scatter_phase(RankDataFn rank_data) {
       in += elem_bytes_;
     }
   }
-}
-
-void ExchangePlan::execute(Communicator& comm, RankDataFn rank_data,
-                           int tag) {
-  CPX_CHECK(finalized());
-  CPX_REQUIRE(!in_flight_, "execute while a split-phase exchange is in "
-                           "flight; finish() it first");
-  post_phase(comm, rank_data, tag);
-  comm.wait_all();
-  scatter_phase(rank_data);
-}
-
-void ExchangePlan::begin(Communicator& comm, RankDataFn rank_data, int tag) {
-  CPX_CHECK(finalized());
-  CPX_REQUIRE(!in_flight_,
-              "begin while an exchange is already in flight on this plan");
-  post_phase(comm, rank_data, tag);
-  in_flight_ = true;
-}
-
-bool ExchangePlan::test() const {
-  CPX_REQUIRE(in_flight_, "test without an exchange in flight");
-  // The in-process transport buffers every isend eagerly, so the data of a
-  // begun exchange is always deliverable; an MPI transport would poll its
-  // requests here.
-  return true;
-}
-
-void ExchangePlan::finish(Communicator& comm, RankDataFn rank_data) {
-  CPX_REQUIRE(in_flight_, "finish without a matching begin");
-  comm.wait_all();
-  scatter_phase(rank_data);
-  in_flight_ = false;
 }
 
 void validate_plan(const ExchangePlan& plan, const PlanShape& shape) {
@@ -194,82 +161,6 @@ void validate_plan(const ExchangePlan& plan, const PlanShape& shape) {
                                      << recv_hits[r][static_cast<
                                             std::size_t>(slot)]
                                      << " times");
-    }
-  }
-}
-
-void validate_split(const ExchangePlan& plan, const RankSplit& split) {
-  CPX_REQUIRE(split.num_owned >= 0, "validate_split: negative owned count");
-  CPX_REQUIRE(split.stencil_offsets.size() ==
-                  static_cast<std::size_t>(split.num_owned) + 1,
-              "validate_split: stencil_offsets must have num_owned + 1 "
-              "entries");
-
-  // Every owned cell in exactly one of interior/boundary.
-  std::vector<std::int8_t> where(static_cast<std::size_t>(split.num_owned),
-                                 0);
-  const auto mark = [&](std::span<const std::int32_t> cells,
-                        std::int8_t tag, const char* set_name) {
-    for (const std::int32_t c : cells) {
-      CPX_CHECK_MSG(c >= 0 && c < split.num_owned,
-                    set_name << " cell " << c << " outside owned range of "
-                             << "rank " << split.rank);
-      CPX_CHECK_MSG(where[static_cast<std::size_t>(c)] == 0,
-                    "cell " << c << " on rank " << split.rank
-                            << " listed in both interior and boundary "
-                            << "(or twice)");
-      where[static_cast<std::size_t>(c)] = tag;
-    }
-  };
-  mark(split.interior, 1, "interior");
-  mark(split.boundary, 2, "boundary");
-  for (std::size_t c = 0; c < where.size(); ++c) {
-    CPX_CHECK_MSG(where[c] != 0, "cell " << c << " on rank " << split.rank
-                                         << " in neither interior nor "
-                                         << "boundary set");
-  }
-
-  // Ghost slots the plan fills on this rank.
-  std::vector<std::int8_t> filled;
-  for (const ExchangePlan::Channel& ch : plan.channels()) {
-    if (ch.dst != split.rank) {
-      continue;
-    }
-    for (const std::int32_t slot : ch.recv_indices) {
-      if (static_cast<std::size_t>(slot) >= filled.size()) {
-        filled.resize(static_cast<std::size_t>(slot) + 1, 0);
-      }
-      filled[static_cast<std::size_t>(slot)] = 1;
-    }
-  }
-
-  // Interior purity and boundary ghost coverage over the stencil.
-  for (std::int64_t c = 0; c < split.num_owned; ++c) {
-    const std::int32_t lo =
-        split.stencil_offsets[static_cast<std::size_t>(c)];
-    const std::int32_t hi =
-        split.stencil_offsets[static_cast<std::size_t>(c) + 1];
-    CPX_CHECK_MSG(lo >= 0 && hi >= lo &&
-                      static_cast<std::size_t>(hi) <=
-                          split.stencil_cells.size(),
-                  "malformed stencil row for cell " << c << " on rank "
-                                                    << split.rank);
-    for (std::int32_t k = lo; k < hi; ++k) {
-      const std::int32_t nbr =
-          split.stencil_cells[static_cast<std::size_t>(k)];
-      if (nbr < split.num_owned) {
-        continue;
-      }
-      CPX_CHECK_MSG(where[static_cast<std::size_t>(c)] == 2,
-                    "interior cell " << c << " on rank " << split.rank
-                                     << " reads ghost slot " << nbr
-                                     << " — unsafe inside a begin/finish "
-                                     << "window");
-      CPX_CHECK_MSG(static_cast<std::size_t>(nbr) < filled.size() &&
-                        filled[static_cast<std::size_t>(nbr)] != 0,
-                    "boundary cell " << c << " on rank " << split.rank
-                                     << " reads ghost slot " << nbr
-                                     << " that no plan channel fills");
     }
   }
 }

@@ -19,17 +19,9 @@
 // receive slot targeted exactly once — the transport-level generalisation
 // of the halo checks in mesh::validate_local_meshes.
 //
-// Split-phase variant (docs/communication.md, "Split-phase exchange"):
-// begin() runs the gather/post half and returns with the exchange in
-// flight; finish() waits and scatters. Between the two the caller may
-// compute on any slot the plan does not fill (interior cells) — reading a
-// ghost slot in the window is a data race in the MPI realisation this
-// transport models, and tools/cpxcheck's `split-phase` rule flags it.
-// isend copies the gathered payload immediately, so the caller may also
-// overwrite *source* slots inside the window. execute() is exactly
-// begin() + finish(); both paths are allocation-free once warm and
-// bitwise identical at any CPX_THREADS. validate_split() audits the
-// interior/boundary partition a call site overlaps with.
+// Communication/computation overlap is modelled, not executed: it is
+// charged on sim::Cluster (exchange_begin/exchange_finish), and the host
+// transport has this one blocking exchange (docs/communication.md).
 
 #include <cstddef>
 #include <cstdint>
@@ -78,34 +70,10 @@ class ExchangePlan {
   /// wait_all, then per channel scatter. Allocation-free once warm.
   void execute(Communicator& comm, RankDataFn rank_data, int tag = 0);
 
-  // --- Split-phase API -------------------------------------------------
-  /// Posts the exchange (gather + isend per channel, then all irecvs) and
-  /// returns with it in flight. Throws CheckError if an exchange is
-  /// already in flight on this plan. Source slots may be overwritten once
-  /// begin() returns; slots the plan fills must not be read until
-  /// finish().
-  void begin(Communicator& comm, RankDataFn rank_data, int tag = 0);
-
-  /// Completion poll. The in-process transport buffers sends eagerly, so a
-  /// begun exchange is always complete — the call exists for API parity
-  /// with MPI_Test-shaped code and throws CheckError when no exchange is
-  /// in flight.
-  bool test() const;
-
-  /// Waits for the in-flight exchange and scatters into the receive
-  /// slots. Throws CheckError without a matching begin().
-  void finish(Communicator& comm, RankDataFn rank_data);
-
-  bool in_flight() const { return in_flight_; }
-
  private:
-  void post_phase(Communicator& comm, RankDataFn rank_data, int tag);
-  void scatter_phase(RankDataFn rank_data);
-
   std::vector<Channel> channels_;
   std::size_t elem_bytes_ = 0;
   std::size_t max_channel_bytes_ = 0;
-  bool in_flight_ = false;
   std::vector<std::byte> send_scratch_;                ///< reused per channel
   std::vector<std::vector<std::byte>> recv_buffers_;   ///< one per channel
 };
@@ -128,29 +96,5 @@ struct PlanShape {
 /// receive slot targeted more than once, or (when dst_required_begin is
 /// given) a required slot never targeted.
 void validate_plan(const ExchangePlan& plan, const PlanShape& shape);
-
-/// One destination rank's interior/boundary cell partition, audited by
-/// validate_split against the plan that fills the rank's ghost slots.
-/// Local indices [0, num_owned) are owned cells; indices >= num_owned are
-/// ghost slots (the layout of mesh::LocalMesh and the halo plan).
-struct RankSplit {
-  Rank rank = 0;
-  std::int64_t num_owned = 0;
-  std::span<const std::int32_t> interior;  ///< owned cells, overlap-safe
-  std::span<const std::int32_t> boundary;  ///< owned cells reading ghosts
-  /// CSR stencil: cell i reads stencil_cells[stencil_offsets[i] ..
-  /// stencil_offsets[i+1]) (local indices, ghosts included).
-  std::span<const std::int32_t> stencil_offsets;  ///< num_owned + 1 entries
-  std::span<const std::int32_t> stencil_cells;
-};
-
-/// Tier-2 deep validator of a split-phase call site (the synchronous-path
-/// audit is validate_plan). Throws CheckError unless: every owned cell of
-/// `split.rank` appears in exactly one of interior/boundary, no interior
-/// cell's stencil touches a slot >= num_owned, and every ghost slot any
-/// boundary cell reads is filled by one of the plan's channels into that
-/// rank — i.e. computing interior cells inside the begin()/finish() window
-/// and boundary cells after finish() is race-free and complete.
-void validate_split(const ExchangePlan& plan, const RankSplit& split);
 
 }  // namespace cpx::comm

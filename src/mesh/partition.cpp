@@ -203,28 +203,6 @@ std::vector<LocalMesh> extract_local_meshes(const UnstructuredMesh& mesh,
   return locals;
 }
 
-CellSplit split_interior_boundary(const LocalMesh& lm) {
-  const auto num_owned = lm.num_owned();
-  std::vector<std::int8_t> touches_ghost(static_cast<std::size_t>(num_owned),
-                                         0);
-  for (const LocalMesh::LocalEdge& e : lm.edges) {
-    if (e.a < num_owned && e.b >= num_owned) {
-      touches_ghost[static_cast<std::size_t>(e.a)] = 1;
-    }
-    if (e.b < num_owned && e.a >= num_owned) {
-      touches_ghost[static_cast<std::size_t>(e.b)] = 1;
-    }
-  }
-  CellSplit split;
-  for (std::int64_t c = 0; c < num_owned; ++c) {
-    auto& list = touches_ghost[static_cast<std::size_t>(c)] != 0
-                     ? split.boundary
-                     : split.interior;
-    list.push_back(static_cast<std::int32_t>(c));
-  }
-  return split;
-}
-
 comm::ExchangePlan build_halo_plan(std::span<const LocalMesh> locals) {
   // Global id -> local ghost slot, per part.
   std::vector<std::unordered_map<CellId, std::int32_t>> ghost_slot(

@@ -72,17 +72,6 @@ struct LocalMesh {
 std::vector<LocalMesh> extract_local_meshes(const UnstructuredMesh& mesh,
                                             const Partitioning& partitioning);
 
-/// Owned-cell partition for split-phase halo overlap: `boundary` holds
-/// every owned cell with an incident local edge whose other endpoint is a
-/// ghost, `interior` the rest. Both lists ascend, so iterating interior
-/// then boundary visits each owned cell exactly once and any per-cell
-/// (gather-form) kernel is order-independent between the two phasings.
-struct CellSplit {
-  std::vector<std::int32_t> interior;
-  std::vector<std::int32_t> boundary;
-};
-CellSplit split_interior_boundary(const LocalMesh& lm);
-
 /// Builds the halo-exchange schedule of a set of local meshes: one comm
 /// channel per directed neighbour pair, send indices the owner's send-list
 /// cells, receive indices the matching ghost slots on the destination

@@ -51,9 +51,15 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
     ps.u.assign(total, State{1.0, 0.0, 0.0, 0.0, 2.5});
     ps.residual.assign(owned, State{});
     // Geometric closure and incident-edge count of each owned cell (every
-    // global edge touching an owned cell appears in the local edge list).
+    // global edge touching an owned cell appears in the local edge list),
+    // and whether the cell has an edge to a ghost slot (a boundary cell).
+    // The kept per-cell arrays are sized before the temporaries, so
+    // freeing those leaves no heap hole under live data.
     ps.closure.assign(owned, mesh::Vec3{0.0, 0.0, 0.0});
+    ps.volumes.reserve(owned);
+    ps.face_area.reserve(owned);
     std::vector<std::int32_t> degree(owned, 0);
+    std::vector<std::int8_t> reads_ghost(owned, 0);
     for (const auto& e : lm.edges) {
       if (e.a < lm.num_owned()) {
         auto& c = ps.closure[static_cast<std::size_t>(e.a)];
@@ -61,6 +67,9 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
         c.y += e.area * e.normal.y;
         c.z += e.area * e.normal.z;
         ++degree[static_cast<std::size_t>(e.a)];
+        if (e.b >= lm.num_owned()) {
+          reads_ghost[static_cast<std::size_t>(e.a)] = 1;
+        }
       }
       if (e.b < lm.num_owned()) {
         auto& c = ps.closure[static_cast<std::size_t>(e.b)];
@@ -68,12 +77,16 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
         c.y -= e.area * e.normal.y;
         c.z -= e.area * e.normal.z;
         ++degree[static_cast<std::size_t>(e.b)];
+        if (e.a >= lm.num_owned()) {
+          reads_ghost[static_cast<std::size_t>(e.b)] = 1;
+        }
       }
     }
     // Step-invariant face-area scale of the local time step: the incident
-    // edge count times vol^(2/3).
-    ps.volumes.reserve(owned);
-    ps.face_area.reserve(owned);
+    // edge count times vol^(2/3). The same counts, summed over boundary
+    // and interior cells, set only where an overlapped step charges the
+    // flux work (set_overlap); every step computes all edges. Interior
+    // cells read no ghost slot by construction: one flag defines both sets.
     for (std::size_t i = 0; i < owned; ++i) {
       const double vol =
           mesh.volumes()[static_cast<std::size_t>(lm.owned[i])];
@@ -81,42 +94,8 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
       ps.face_area.push_back(
           std::max(static_cast<double>(degree[i]), 1.0) *
           std::pow(vol, 2.0 / 3.0));
-    }
-
-    // The interior/boundary split sets only where an overlapped step
-    // charges the flux work (set_overlap); every step computes all edges.
-    const mesh::CellSplit split = mesh::split_interior_boundary(lm);
-    for (const std::int32_t c : split.interior) {
-      ps.interior_incidence += degree[static_cast<std::size_t>(c)];
-    }
-    for (const std::int32_t c : split.boundary) {
-      ps.boundary_incidence += degree[static_cast<std::size_t>(c)];
-    }
-
-    if (check::deep()) {
-      // Tier-2 audit of the overlap partition: interior rows never reach
-      // a ghost slot, and every ghost slot a boundary row reads is filled
-      // by a plan channel. Stencil rows are the cell-neighbour CSR.
-      std::vector<std::int32_t> offsets(owned + 1, 0);
-      for (std::size_t i = 0; i < owned; ++i) {
-        offsets[i + 1] = offsets[i] + degree[i];
-      }
-      std::vector<std::int32_t> cursor(offsets.begin(), offsets.end() - 1);
-      std::vector<std::int32_t> stencil_cells(
-          static_cast<std::size_t>(offsets.back()));
-      for (const auto& e : lm.edges) {
-        if (e.a < lm.num_owned()) {
-          stencil_cells[static_cast<std::size_t>(
-              cursor[static_cast<std::size_t>(e.a)]++)] = e.b;
-        }
-        if (e.b < lm.num_owned()) {
-          stencil_cells[static_cast<std::size_t>(
-              cursor[static_cast<std::size_t>(e.b)]++)] = e.a;
-        }
-      }
-      comm::validate_split(halo_plan_,
-                           {lm.part, lm.num_owned(), split.interior,
-                            split.boundary, offsets, stencil_cells});
+      (reads_ghost[i] != 0 ? ps.boundary_incidence
+                           : ps.interior_incidence) += degree[i];
     }
 
     ps.local = std::move(lm);

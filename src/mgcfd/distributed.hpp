@@ -85,7 +85,8 @@ class DistributedSolver {
 
   /// Attaches a virtual cluster for performance co-simulation: subsequent
   /// steps charge compute (from real kernel work counts) and communication
-  /// (from the communicator's recorded transfers) to `cluster` on ranks
+  /// (from the halo plan's static per-channel message list; the
+  /// communicator's recorded transfers are cleared) to `cluster` on ranks
   /// [0, num_parts). Pass nullptr to detach.
   void attach_cluster(sim::Cluster* cluster);
 
@@ -119,8 +120,9 @@ class DistributedSolver {
     /// owned only: max(incident edges, 1) * vol^(2/3), the step-invariant
     /// face-area scale of the local time step
     std::vector<double> face_area;
-    /// Summed incident-edge counts of the interior / boundary cells: the
-    /// split of the flux work charged to the co-simulated clock.
+    /// Summed incident-edge counts of the interior cells (no edge to a
+    /// ghost slot) and the boundary cells: the split of the flux work
+    /// charged to the co-simulated clock.
     std::int64_t interior_incidence = 0;
     std::int64_t boundary_incidence = 0;
   };

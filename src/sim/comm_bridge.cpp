@@ -4,9 +4,13 @@
 
 namespace cpx::sim {
 
-void flush_exchange(comm::Communicator& comm, Cluster& cluster,
-                    RegionId region, Rank base_rank,
-                    std::vector<Message>& scratch) {
+namespace {
+
+// Maps the recorded transfers onto cluster messages in `scratch`
+// (`cluster` only bounds-checks the mapped ranks).
+void to_messages(const comm::Communicator& comm,
+                 [[maybe_unused]] const Cluster& cluster, Rank base_rank,
+                 std::vector<Message>& scratch) {
   const std::span<const comm::Transfer> transfers = comm.transfers();
   scratch.clear();
   // cpx-lint: allow(solve-alloc) — capacity kept across rounds (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
@@ -19,6 +23,14 @@ void flush_exchange(comm::Communicator& comm, Cluster& cluster,
     // cpx-lint: allow(solve-alloc) — within the reserved capacity (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
     scratch.push_back({src, dst, t.bytes});
   }
+}
+
+}  // namespace
+
+void flush_exchange(comm::Communicator& comm, Cluster& cluster,
+                    RegionId region, Rank base_rank,
+                    std::vector<Message>& scratch) {
+  to_messages(comm, cluster, base_rank, scratch);
   if (!scratch.empty()) {
     cluster.exchange(scratch, region);
   }
@@ -28,16 +40,7 @@ void flush_exchange(comm::Communicator& comm, Cluster& cluster,
 int begin_exchange(comm::Communicator& comm, Cluster& cluster,
                    RegionId region, Rank base_rank,
                    std::vector<Message>& scratch) {
-  const std::span<const comm::Transfer> transfers = comm.transfers();
-  scratch.clear();
-  scratch.reserve(transfers.size());
-  for (const comm::Transfer& t : transfers) {
-    const Rank src = base_rank + t.src;
-    const Rank dst = base_rank + t.dst;
-    CPX_DCHECK(src >= 0 && src < cluster.num_ranks());
-    CPX_DCHECK(dst >= 0 && dst < cluster.num_ranks());
-    scratch.push_back({src, dst, t.bytes});
-  }
+  to_messages(comm, cluster, base_rank, scratch);
   const int handle = cluster.exchange_begin(scratch, region);
   comm.clear_transfers();
   return handle;

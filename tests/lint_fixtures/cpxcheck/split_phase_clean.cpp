@@ -1,26 +1,8 @@
 // cpxcheck fixture — split-phase rule, CLEAN cases. Zero findings.
 
-#include "comm/exchange_plan.hpp"
+#include "sim/cluster.hpp"
 
 namespace fix {
-
-// Well-formed window with compute inside it.
-double balanced(comm::Communicator& comm, double acc) {
-  comm::ExchangePlan plan;
-  plan.begin(comm, nullptr);
-  acc += 1.0;  // interior work, no ghost reads
-  plan.finish(comm, nullptr);
-  return acc;
-}
-
-// Container begin() with arguments is NOT a window: the receiver's
-// declared type resolves to a non-plan class (a per-line regex would
-// have to rely on argument count here).
-int container_begin(std::vector<int>& v) {
-  auto it = v.begin();
-  std::advance(it, 1);
-  return *it;
-}
 
 // Returning the handle transfers window ownership to the caller (the
 // sim::begin_exchange wrapper pattern): not a leak.

@@ -2,43 +2,44 @@
 // Never compiled; consumed by tests/lint_fixtures/run_fixtures.py, which
 // asserts the exact file:line:rule findings below.
 
-#include "comm/exchange_plan.hpp"
+#include "sim/cluster.hpp"
 
 namespace fix {
 
-// Early return inside an open plan window (finding at the return).
-double early_return(comm::Communicator& comm, bool err) {
-  comm::ExchangePlan plan;
-  plan.begin(comm, nullptr);
+// Early return inside an open window (finding at the return).
+double early_return(sim::Cluster& cluster, std::vector<Message>& msgs,
+                    bool err) {
+  const int h = cluster.exchange_begin(msgs, 0);
   if (err) {
     return -1.0;  // EXPECT split-phase: leaves the open window
   }
-  plan.finish(comm, nullptr);
+  cluster.exchange_finish(h);
   return 0.0;
 }
 
-// Ghost-slot read inside the window (finding at the read).
-double ghost_read(comm::Communicator& comm, const double* ghost_vals) {
-  comm::ExchangePlan plan;
-  plan.begin(comm, nullptr);
-  const double v = ghost_vals[0];  // EXPECT split-phase: ghost read
-  plan.finish(comm, nullptr);
-  return v;
-}
-
-// Cluster window handle that is never finished (finding at the begin).
+// Window handle that is never finished (finding at the begin).
 void leaked_handle(sim::Cluster& cluster, std::vector<Message>& msgs) {
   const int h = cluster.exchange_begin(msgs, 0);  // EXPECT split-phase
   (void)h;
 }
 
 // Window finished on only one branch (finding at the if).
-void one_branch(comm::Communicator& comm, bool flip) {
-  comm::ExchangePlan plan;
-  plan.begin(comm, nullptr);
+void one_branch(sim::Cluster& cluster, std::vector<Message>& msgs,
+                bool flip) {
+  const int h = cluster.exchange_begin(msgs, 0);
   if (flip) {  // EXPECT split-phase: branch divergence
-    plan.finish(comm, nullptr);
+    cluster.exchange_finish(h);
   }
+}
+
+// Window opened in every iteration but finished only after the loop
+// (finding at the loop).
+void unbalanced_loop(sim::Cluster& cluster, std::vector<Message>& msgs) {
+  int h = -1;
+  for (int i = 0; i < 4; ++i) {  // EXPECT split-phase: loop imbalance
+    h = cluster.exchange_begin(msgs, 0);
+  }
+  cluster.exchange_finish(h);
 }
 
 }  // namespace fix

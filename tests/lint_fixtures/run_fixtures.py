@@ -5,7 +5,8 @@ Runs cpxcheck (lite engine, no baseline) over tests/lint_fixtures/cpxcheck
 and asserts the EXACT `path:line:rule` finding set recorded in
 expected_cpxcheck.txt: trigger fixtures must fire on their marked lines,
 clean fixtures must stay silent. Also unit-tests the lexer's literal
-handling and the `--list --json` rule inventory.
+handling and the `--list --json` rule inventory, which must give every
+rule at least one expected finding.
 
 Registered as a ctest (label `lint`); runs standalone too:
 
@@ -112,8 +113,20 @@ def check_inventory() -> None:
     if code != 0 or not rules or not all(
             r.get("name") and r.get("summary") for r in rules):
         fail("cpxcheck --list --json: empty or incomplete inventory")
-    else:
-        ok(f"cpxcheck --list --json: {len(rules)} rules")
+        return
+    ok(f"cpxcheck --list --json: {len(rules)} rules")
+    # Every rule keeps at least one trigger fixture, so none can silently
+    # lose its last one.
+    expected = (HERE / "expected_cpxcheck.txt").read_text().splitlines()
+    triggered = {line.strip().rsplit(":", 1)[-1] for line in expected
+                 if line.strip()}
+    untested = sorted(r["name"] for r in rules
+                      if r["name"] not in triggered)
+    for name in untested:
+        fail(f"rule `{name}` has no finding in expected_cpxcheck.txt; "
+             f"add a trigger fixture")
+    if not untested:
+        ok("every rule has a trigger fixture")
 
 
 def main() -> int:

@@ -176,7 +176,7 @@ TEST(SolverAllocations, WAndKCyclesAllocateNothingAfterSetup) {
   }
 }
 
-TEST(SolverAllocations, WarmSplitPhaseExchangeAllocatesNothing) {
+TEST(SolverAllocations, WarmExchangePlanExecuteAllocatesNothing) {
   constexpr int kRanks = 8;
   constexpr std::int32_t kSlots = 6;
   auto comm = cpx::comm::Communicator::world(kRanks);
@@ -199,19 +199,15 @@ TEST(SolverAllocations, WarmSplitPhaseExchangeAllocatesNothing) {
   // pool, and the transfer log's capacity.
   plan.execute(comm, rank_data);
   comm.clear_transfers();
-  plan.begin(comm, rank_data);
-  plan.finish(comm, rank_data);
-  comm.clear_transfers();
 
   const std::size_t allocs = allocations_during([&] {
     for (int i = 0; i < 16; ++i) {
-      plan.begin(comm, rank_data);
-      plan.finish(comm, rank_data);
+      plan.execute(comm, rank_data);
       comm.clear_transfers();
     }
   });
   EXPECT_EQ(allocs, 0u)
-      << "warm split-phase exchange made " << allocs << " heap allocations";
+      << "warm plan exchange made " << allocs << " heap allocations";
 }
 
 TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {

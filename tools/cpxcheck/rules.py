@@ -42,10 +42,10 @@ RULES = (
         "is threaded through BOTH bodies or carries allow(ckpt)."),
     RuleInfo(
         "split-phase",
-        "Every exchange window — ExchangePlan begin()/finish() and "
-        "Cluster exchange_begin()/exchange_finish() — must close on every "
-        "control path (early returns, throws, diverging branches, loop "
-        "bodies), with no ghost-slot reads inside the window."),
+        "Every Cluster exchange_begin()/exchange_finish() window (the "
+        "only split-phase exchange; overlap is modelled on the virtual "
+        "clock) must close on every control path: early returns, throws, "
+        "diverging branches, loop bodies."),
     RuleInfo(
         "deterministic-kernels",
         "No ambient randomness or wall-clock reads outside their sanctioned "
@@ -91,6 +91,10 @@ GROWTH_CALLS = frozenset({
     "push_back", "emplace_back", "emplace", "resize", "reserve",
     "assign", "insert", "append",
 })
+# Members every standard container has: on a receiver of unknown type
+# they name a library call, not an analysed method of the same name.
+CONTAINER_MEMBERS = frozenset({"begin", "end", "cbegin", "cend", "rbegin",
+                               "rend", "data", "size", "empty"})
 # The stable algorithms allocate a temporary buffer per call.
 ALLOC_CALLS = frozenset({"make_unique", "make_shared", "malloc", "calloc",
                          "realloc", "stable_sort", "stable_partition",
@@ -269,55 +273,34 @@ def check_split_phase(project: Project) -> list[Finding]:
     rule = rule_by_name("split-phase")
     findings: list[Finding] = []
     for facts in project.files:
-        plan_rules = not facts.path.startswith("src/comm/")
-        cluster_rules = facts.path != "src/sim/cluster.cpp" \
-            and not facts.path.endswith("/cluster.cpp")
-        if not plan_rules and not cluster_rules:
+        if facts.path.endswith("/cluster.cpp"):
             continue
         for fn in facts.functions:
-            ctx = _SplitPhaseCtx(project, facts, fn, rule,
-                                 plan_rules, cluster_rules, findings)
+            ctx = _SplitPhaseCtx(project, facts, fn, rule, findings)
             out = ctx.eval_stmts(fn.body, {})
             for key, line in sorted(out.items()):
                 findings.append(Finding(
                     rule.name, facts.path, line,
                     f"`{_window_label(key)}` has no matching "
-                    f"{_closer_label(key)} before the end of "
+                    f"exchange_finish() before the end of "
                     f"`{fn.qualname}`"))
     return findings
 
 
 def _window_label(key: str) -> str:
-    kind, name = key.split(":", 1)
-    if kind == "plan":
-        return f"{name}.begin(...)"
-    return f"{name} = ...exchange_begin(...)"
-
-
-def _closer_label(key: str) -> str:
-    return "finish()" if key.startswith("plan:") else "exchange_finish()"
+    return f"{key} = ...exchange_begin(...)"
 
 
 class _SplitPhaseCtx:
-    def __init__(self, project, facts, fn, rule, plan_rules, cluster_rules,
-                 findings) -> None:
+    def __init__(self, project, facts, fn, rule, findings) -> None:
         self.project = project
         self.facts = facts
         self.fn = fn
         self.rule = rule
-        self.plan_rules = plan_rules
-        self.cluster_rules = cluster_rules
         self.findings = findings
 
     def _allowed(self, line: int) -> bool:
         return self.project.allowed(self.facts, line, self.rule)
-
-    def _receiver_is_plan(self, name: str):
-        """True / False / None(unknown) for `name` being an ExchangePlan."""
-        ty = _receiver_type(self.project, self.facts, self.fn, name)
-        if ty is None:
-            return None
-        return "ExchangePlan" in ty
 
     def eval_stmts(self, stmts: list[Stmt], state: dict) -> dict:
         for s in stmts:
@@ -334,8 +317,7 @@ class _SplitPhaseCtx:
                 # to the caller (the sim::begin_exchange wrapper pattern):
                 # the window is the return value, not a leak.
                 returned = {t.text for t in s.tokens if t.kind == lex.ID}
-                for key in [k for k in state if k.startswith("win:")
-                            and k[4:] in returned]:
+                for key in [k for k in state if k in returned]:
                     state.pop(key)
             if state and not self._allowed(s.line):
                 names = ", ".join(_window_label(k) for k in sorted(state))
@@ -364,7 +346,6 @@ class _SplitPhaseCtx:
         if s.kind in (S_LOOP, S_SWITCH):
             entry = self._scan_tokens(
                 list(s.tokens) + list(s.range_tokens), dict(state))
-            self._check_ghost(s.range_tokens, entry)
             body_out = self.eval_stmts(s.children, dict(entry))
             if set(body_out) != set(entry) and not self._allowed(s.line):
                 diverged = sorted(set(body_out) ^ set(entry))
@@ -386,28 +367,12 @@ class _SplitPhaseCtx:
     def _scan_tokens(self, toks, state: dict) -> dict:
         n = len(toks)
         # A window both opened and closed inside one statement (e.g.
-        # `finish(begin(...))`) is balanced: scan sequentially.
+        # `exchange_finish(exchange_begin(...))`) is balanced.
         for k, t in enumerate(toks):
-            if t.kind != lex.ID:
+            if t.kind != lex.ID or k + 1 >= n or toks[k + 1].text != "(":
                 continue
-            nxt = toks[k + 1].text if k + 1 < n else ""
-            prev = toks[k - 1].text if k > 0 else ""
-            if self.plan_rules and nxt == "(" and prev in (".", "->"):
-                recv = toks[k - 2].text if k >= 2 \
-                    and toks[k - 2].kind == lex.ID else ""
-                if t.text == "begin" and recv:
-                    has_args = k + 2 < n and toks[k + 2].text != ")"
-                    is_plan = self._receiver_is_plan(recv)
-                    if is_plan or (is_plan is None and has_args):
-                        if not self._allowed(t.line):
-                            state["plan:" + recv] = t.line
-                elif t.text == "finish" and recv:
-                    state.pop("plan:" + recv, None)
-            if self.cluster_rules and nxt == "(" \
-                    and t.text == "exchange_begin":
-                if any(x.text == "exchange_finish" for x in toks[:k]):
-                    continue  # closed earlier in this statement? unusual
-                if any(x.text == "exchange_finish" for x in toks[k:]):
+            if t.text == "exchange_begin":
+                if any(x.text == "exchange_finish" for x in toks):
                     continue  # balanced within the statement
                 var = ""
                 for m in range(k - 1, 0, -1):
@@ -415,33 +380,15 @@ class _SplitPhaseCtx:
                         var = toks[m - 1].text
                         break
                 if not self._allowed(t.line):
-                    state["win:" + (var or "?")] = t.line
-            if self.cluster_rules and nxt == "(" \
-                    and t.text == "exchange_finish":
+                    state[var or "?"] = t.line
+            elif t.text == "exchange_finish":
                 args = _call_arg_idents(toks, k + 1)
-                closed = [key for key in state
-                          if key.startswith("win:") and key[4:] in args]
-                if closed:
-                    for key in closed:
-                        state.pop(key)
-                else:
-                    wins = [key for key in state if key.startswith("win:")]
-                    if len(wins) == 1:
-                        state.pop(wins[0])
-            if t.text.startswith("ghost") and not self._allowed(t.line):
-                plans = sorted(k for k in state if k.startswith("plan:"))
-                if plans:
-                    names = ", ".join(_window_label(k) for k in plans)
-                    self.findings.append(Finding(
-                        self.rule.name, self.facts.path, t.line,
-                        f"`{t.text}` read inside the begin()/finish() "
-                        f"window of {names}; slots the plan fills are not "
-                        f"valid until finish()"))
+                closed = [key for key in state if key in args]
+                if not closed and len(state) == 1:
+                    closed = list(state)
+                for key in closed:
+                    state.pop(key)
         return state
-
-    def _check_ghost(self, toks, state: dict) -> None:
-        self._scan_tokens([t for t in toks if t.kind == lex.ID
-                           and t.text.startswith("ghost")], state)
 
 
 def _call_arg_idents(toks, open_idx: int) -> set:
@@ -660,7 +607,10 @@ def _resolve_call(project, facts, fn, call: CallSite, by_name):
             if len(typed) == 1:
                 return typed[0]
             return None
-        # Unknown receiver type: traverse only an unambiguous method.
+        # Unknown receiver type: traverse only an unambiguous method
+        # whose name is not a standard-container member.
+        if call.name in CONTAINER_MEMBERS:
+            return None
         methods = [c for c in candidates if c.class_name]
         return methods[0] if len(methods) == 1 else None
     if call.qualifier:
