@@ -12,8 +12,9 @@
 //      (docs/CALIBRATION.md) instead of extrapolating it. The modelled PE
 //      gain at 2048 cores must be strictly positive.
 //  (3) The full coupled HPC-combustor case with
-//      CoupledSimulation::set_overlap_enabled off/on — halo, Thomas
-//      pipeline, and coupler-gather windows all active at once.
+//      CoupledSimulation::set_overlap_enabled off/on — the MG-CFD halo
+//      and coupler-gather windows active at once (the SIMPIC Thomas
+//      pipeline has no overlap window).
 
 #include <iostream>
 #include <vector>

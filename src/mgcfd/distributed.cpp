@@ -51,15 +51,13 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
     ps.u.assign(total, State{1.0, 0.0, 0.0, 0.0, 2.5});
     ps.residual.assign(owned, State{});
     // Geometric closure and incident-edge count of each owned cell (every
-    // global edge touching an owned cell appears in the local edge list),
-    // and whether the cell has an edge to a ghost slot (a boundary cell).
-    // The kept per-cell arrays are sized before the temporaries, so
-    // freeing those leaves no heap hole under live data.
+    // global edge touching an owned cell appears in the local edge list).
+    // The kept per-cell arrays are sized before the temporary, so freeing
+    // it leaves no heap hole under live data.
     ps.closure.assign(owned, mesh::Vec3{0.0, 0.0, 0.0});
     ps.volumes.reserve(owned);
     ps.face_area.reserve(owned);
     std::vector<std::int32_t> degree(owned, 0);
-    std::vector<std::int8_t> reads_ghost(owned, 0);
     for (const auto& e : lm.edges) {
       if (e.a < lm.num_owned()) {
         auto& c = ps.closure[static_cast<std::size_t>(e.a)];
@@ -67,9 +65,6 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
         c.y += e.area * e.normal.y;
         c.z += e.area * e.normal.z;
         ++degree[static_cast<std::size_t>(e.a)];
-        if (e.b >= lm.num_owned()) {
-          reads_ghost[static_cast<std::size_t>(e.a)] = 1;
-        }
       }
       if (e.b < lm.num_owned()) {
         auto& c = ps.closure[static_cast<std::size_t>(e.b)];
@@ -77,16 +72,10 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
         c.y -= e.area * e.normal.y;
         c.z -= e.area * e.normal.z;
         ++degree[static_cast<std::size_t>(e.b)];
-        if (e.a >= lm.num_owned()) {
-          reads_ghost[static_cast<std::size_t>(e.b)] = 1;
-        }
       }
     }
     // Step-invariant face-area scale of the local time step: the incident
-    // edge count times vol^(2/3). The same counts, summed over boundary
-    // and interior cells, set only where an overlapped step charges the
-    // flux work (set_overlap); every step computes all edges. Interior
-    // cells read no ghost slot by construction: one flag defines both sets.
+    // edge count times vol^(2/3).
     for (std::size_t i = 0; i < owned; ++i) {
       const double vol =
           mesh.volumes()[static_cast<std::size_t>(lm.owned[i])];
@@ -94,8 +83,6 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
       ps.face_area.push_back(
           std::max(static_cast<double>(degree[i]), 1.0) *
           std::pow(vol, 2.0 / 3.0));
-      (reads_ghost[i] != 0 ? ps.boundary_incidence
-                           : ps.interior_incidence) += degree[i];
     }
 
     ps.local = std::move(lm);
@@ -103,8 +90,8 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
   }
 
   // Static message list of one halo round (src, dst, channel payload), in
-  // channel order: the transfers every plan execution records, so both
-  // step modes charge the cluster from it.
+  // channel order: the transfers every plan execution records, so the
+  // cluster is charged from it.
   halo_messages_.reserve(halo_plan_.channels().size());
   for (const comm::ExchangePlan::Channel& ch : halo_plan_.channels()) {
     halo_messages_.push_back(
@@ -212,28 +199,12 @@ double DistributedSolver::finalize_part(PartState& ps) {
   return finite ? part_norm_sq : kDiverged;
 }
 
-double DistributedSolver::edge_share(const PartState& ps, bool interior) {
-  const double total =
-      static_cast<double>(ps.interior_incidence + ps.boundary_incidence);
-  if (total <= 0.0) {
-    return interior ? 0.0 : 1.0;  // no edges: nothing to place in the window
-  }
-  return static_cast<double>(interior ? ps.interior_incidence
-                                      : ps.boundary_incidence) /
-         total;
-}
-
-sim::Work DistributedSolver::flux_work(const PartState& ps, double share,
-                                       bool update) {
+sim::Work DistributedSolver::flux_work(const PartState& ps) {
   const auto edges = static_cast<double>(ps.local.edges.size());
+  const auto owned = static_cast<double>(ps.local.num_owned());
   sim::Work w;
-  w.flops = edges * 120.0 * share;
-  w.bytes = edges * 160.0 * share;
-  if (update) {
-    const auto owned = static_cast<double>(ps.local.num_owned());
-    w.flops += owned * 60.0;
-    w.bytes += owned * 100.0;
-  }
+  w.flops = edges * 120.0 + owned * 60.0;
+  w.bytes = edges * 160.0 + owned * 100.0;
   return w;
 }
 
@@ -248,20 +219,7 @@ double DistributedSolver::step() {
   });
   comm_.clear_transfers();
   if (cluster_ != nullptr) {
-    if (overlap_) {
-      // Virtual time only: the interior cells never read a ghost slot, so
-      // their share of the flux work is charged inside the halo window.
-      const int pending =
-          cluster_->exchange_begin(halo_messages_, region_halo_);
-      for (const PartState& ps : parts_) {
-        cluster_->compute(ps.local.part,
-                          flux_work(ps, edge_share(ps, true), false),
-                          region_flux_);
-      }
-      cluster_->exchange_finish(pending);
-    } else {
-      cluster_->exchange(halo_messages_, region_halo_);
-    }
+    cluster_->exchange(halo_messages_, region_halo_);
   }
 
   for (PartState& ps : parts_) {
@@ -273,15 +231,7 @@ double DistributedSolver::step() {
     norm_partials_[static_cast<std::size_t>(ps.local.part)] =
         finalize_part(ps);
     if (cluster_ != nullptr) {
-      // The rest of the work: all of it, or, when overlapped, the
-      // boundary share plus the update, with the step's launch already
-      // charged inside the window. Both modes charge the same total.
-      sim::Work w =
-          flux_work(ps, overlap_ ? edge_share(ps, false) : 1.0, true);
-      if (overlap_) {
-        w.launches = 0.0;
-      }
-      cluster_->compute(ps.local.part, w, region_flux_);
+      cluster_->compute(ps.local.part, flux_work(ps), region_flux_);
     }
   }
   // Deterministic allreduce of the per-rank partials (what an MPI run
@@ -319,7 +269,6 @@ void DistributedSolver::serialize(ckpt::Writer& w) const {
   w.begin_section("mgcfd/distributed");
   w.put_i64(global_cells_);
   w.put_u32(static_cast<std::uint32_t>(num_parts()));
-  w.put_u8(overlap_ ? 1 : 0);
   for (const PartState& ps : parts_) {
     // Owned + ghost states, flattened: 5 doubles per cell slot. The ghost
     // tail is included so a restored solver can step without a priming
@@ -343,7 +292,6 @@ void DistributedSolver::restore(ckpt::Reader& r) {
                 "different decomposition ("
                     << cells << " cells / " << parts << " parts, expected "
                     << global_cells_ << " / " << num_parts() << ")");
-  overlap_ = r.get_u8() != 0;
   for (PartState& ps : parts_) {
     const std::uint64_t slots = r.get_u64();
     CPX_CHECK_MSG(slots == ps.u.size(),

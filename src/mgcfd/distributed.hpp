@@ -14,8 +14,10 @@
 // — per-neighbour pack/send/unpack plus a residual allreduce — is
 // precisely what the performance instance charges to the virtual cluster.
 // Passing a Cluster lets one run co-simulate: real physics and virtual
-// timing from the same execution, charged with the real message sizes
-// recorded by the communicator.
+// timing from the same execution, charged with the halo plan's real
+// message sizes. The co-simulated step is synchronous; comm/compute
+// overlap is modelled once, on the performance instance (instance.hpp,
+// docs/communication.md).
 //
 // Each step exchanges the halo first, then makes one ascending pass over
 // each part's edges. Every residual reads each cell's pressure and sound
@@ -61,8 +63,9 @@ class DistributedSolver {
   /// combine of per-rank partial sums). Divergence is a defined outcome:
   /// a step whose update leaves a non-finite density returns NaN, and so
   /// does a step that finds one when it refreshes a part's primitives; it
-  /// evaluates no flux on that part or any later one. Any virtual halo
-  /// window is closed before the first flux, so it never stays open.
+  /// evaluates no flux on that part or any later one. With a cluster
+  /// attached, the step charges one synchronous schedule: the halo
+  /// exchange, each part's flux work and update, and the allreduce.
   double step();
 
   /// Runs `steps` timesteps; returns the last residual norm, or NaN after
@@ -90,18 +93,6 @@ class DistributedSolver {
   /// [0, num_parts). Pass nullptr to detach.
   void attach_cluster(sim::Cluster* cluster);
 
-  /// Split-phase halo overlap (docs/communication.md), on the co-simulated
-  /// clock only. The host always lands the halo before the flux pass, so
-  /// both modes compute the same bits. With overlap on, step() opens a
-  /// Cluster::exchange_begin window, charges each part's interior-cell
-  /// share of the flux work inside it, and charges the boundary share and
-  /// the update after exchange_finish; the total compute is the same as
-  /// the synchronous charge, only placed differently
-  /// (Cluster::comm_hidden_seconds). Without a cluster the flag has no
-  /// effect.
-  void set_overlap(bool on) { overlap_ = on; }
-  bool overlap() const { return overlap_; }
-
   /// Snapshot section "mgcfd/distributed" (docs/checkpoint.md): per-part
   /// solution states including the halo ghost slots, so a restored solver
   /// can step without a priming exchange. Partitioning, exchange plan, and
@@ -120,11 +111,6 @@ class DistributedSolver {
     /// owned only: max(incident edges, 1) * vol^(2/3), the step-invariant
     /// face-area scale of the local time step
     std::vector<double> face_area;
-    /// Summed incident-edge counts of the interior cells (no edge to a
-    /// ghost slot) and the boundary cells: the split of the flux work
-    /// charged to the co-simulated clock.
-    std::int64_t interior_incidence = 0;
-    std::int64_t boundary_incidence = 0;
   };
 
   /// primitives_[i] = primitives(ps.u[i]) for every slot of the part;
@@ -132,15 +118,11 @@ class DistributedSolver {
   bool refresh_primitives(const PartState& ps);
   void scatter_residuals(PartState& ps) const;
   double finalize_part(PartState& ps);
-  /// Share of the part's edge fluxes charged with its interior cells (or
-  /// boundary cells): their summed incidence over both sets'.
-  static double edge_share(const PartState& ps, bool interior);
-  /// Flux work charged to the co-simulated clock: `share` of the
-  /// part's edge fluxes, plus the update of its owned cells if `update`.
-  static sim::Work flux_work(const PartState& ps, double share,
-                             bool update);
+  /// Flux work charged to the co-simulated clock: the part's edge fluxes
+  /// plus the update of its owned cells.
+  static sim::Work flux_work(const PartState& ps);
 
-  // Everything below except parts_[].u and overlap_ is rebuilt by the
+  // Everything below except parts_[].u is rebuilt by the
   // constructor from (mesh, parts, options); the snapshot stores only the
   // states plus enough shape to validate the decomposition matches.
   EulerOptions options_;     // validated on restore // cpx-lint: allow(ckpt)
@@ -157,7 +139,6 @@ class DistributedSolver {
   std::vector<Primitives> primitives_;  // cpx-lint: allow(ckpt)
   std::vector<sim::Message> halo_messages_;  // cpx-lint: allow(ckpt)
   sim::Cluster* cluster_ = nullptr;     // cpx-lint: allow(ckpt)
-  bool overlap_ = false;
   sim::RegionId region_flux_ = -1;      // cpx-lint: allow(ckpt)
   sim::RegionId region_halo_ = -1;      // cpx-lint: allow(ckpt)
   sim::RegionId region_reduce_ = -1;    // cpx-lint: allow(ckpt)

@@ -329,7 +329,6 @@ int Cluster::exchange_begin(const ExchangeSchedule& schedule,
     }
   }
   if (slot < 0) {
-    // cpx-lint: allow(solve-alloc) — grows only while in-flight exchanges are first seen (SolverAllocations.WarmClusterOverlapWindowAllocatesNothing)
     pending_exchanges_.emplace_back();
     slot = static_cast<int>(pending_exchanges_.size()) - 1;
   }
@@ -340,7 +339,6 @@ int Cluster::exchange_begin(const ExchangeSchedule& schedule,
 
   // Snapshot every destination's clock after all senders have been
   // charged: the synchronous counterfactual would start waiting here.
-  // cpx-lint: allow(solve-alloc) — same size when warm (SolverAllocations.WarmClusterOverlapWindowAllocatesNothing)
   pe.begin_clocks.resize(pe.messages.size());
   for (std::size_t i = 0; i < pe.messages.size(); ++i) {
     pe.begin_clocks[i] =
@@ -382,40 +380,6 @@ void Cluster::exchange_finish(int exchange) {
         static_cast<std::int64_t>(hidden_total * 1e9));
   }
   pe.active = false;  // storage kept for reuse
-}
-
-void Cluster::send_overlapped(Rank src, Rank dst, std::size_t bytes,
-                              double recv_posted_clock, RegionId region) {
-  CPX_DCHECK(src >= 0 && src < num_ranks_);
-  CPX_DCHECK(dst >= 0 && dst < num_ranks_);
-  maybe_fail(src);
-  const bool same_node = node_of(src) == node_of(dst);
-  double& src_clock = clocks_[static_cast<std::size_t>(src)];
-  src_clock += machine_.msg_overhead;
-  profile_.add_comm(src, region, machine_.msg_overhead);
-  account_traffic(src, bytes);
-  const double arrival = src_clock + machine_.wire_time(bytes, same_node);
-
-  // Receiver credited with having posted at recv_posted_clock: compute
-  // charged since then (the overlap window) hides the flight; only the
-  // remaining wait is real, the rest is the hidden-time channel.
-  double& dst_clock = clocks_[static_cast<std::size_t>(dst)];
-  const double window = std::max(0.0, dst_clock - recv_posted_clock);
-  const double sync_wait = std::max(0.0, arrival - recv_posted_clock);
-  const double real_wait = std::max(0.0, arrival - dst_clock);
-  const double hidden = std::max(0.0, sync_wait - real_wait);
-  comm_hidden_[static_cast<std::size_t>(dst)] += hidden;
-
-  bump_to(dst, arrival, region);
-  dst_clock += machine_.msg_overhead;
-  profile_.add_comm(dst, region, machine_.msg_overhead);
-
-  if (support::metrics::enabled()) {
-    support::metrics::counter_add(
-        "comm/overlap_window_ns", static_cast<std::int64_t>(window * 1e9));
-    support::metrics::counter_add(
-        "comm/overlap_hidden_ns", static_cast<std::int64_t>(hidden * 1e9));
-  }
 }
 
 double Cluster::comm_hidden_seconds(Rank rank) const {

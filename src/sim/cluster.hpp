@@ -179,12 +179,6 @@ class Cluster {
   /// host metrics are enabled, the "comm/overlap_hidden_ns" /
   /// "comm/overlap_window_ns" counters).
   void exchange_finish(int exchange);
-  /// Overlapped eager message: like send(), but the receiver is credited
-  /// with having posted its receive at `recv_posted_clock` (its clock when
-  /// the overlap window opened); compute charged since then hides the
-  /// flight. Used by the pipelined Thomas carry.
-  void send_overlapped(Rank src, Rank dst, std::size_t bytes,
-                       double recv_posted_clock, RegionId region);
 
   /// Virtual comm seconds hidden behind concurrent compute on `rank` —
   /// the honesty channel of the overlap model: clock(r) + nothing, but

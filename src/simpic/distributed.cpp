@@ -174,20 +174,9 @@ void DistributedPic::solve_field() {
   for (int r = 0; r < parts; ++r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
     const std::size_t count = rs.c.size();
-    // Right-hand-side prep (rho * h^2 per unknown) needs no carry — it is
-    // the local work a rank can do while its left neighbour's carry is in
-    // flight.
+    // Right-hand-side prep (rho * h^2 per unknown) needs no carry.
     for (std::size_t k = 1; k <= count; ++k) {
       rs.phi[k] = rs.rho[k] * h2;
-    }
-    const double prep_clock =
-        cluster_ != nullptr ? cluster_->clock(r) : 0.0;
-    sim::Work prep;
-    prep.flops = 2.0 * static_cast<double>(count);
-    prep.bytes = 16.0 * static_cast<double>(count);
-    if (cluster_ != nullptr && overlap_) {
-      // Overlap mode: prep is charged inside the carry's flight window.
-      cluster_->compute(r, prep, region_field_);
     }
     if (r > 0) {
       double carry[2] = {0.0, 0.0};
@@ -195,17 +184,13 @@ void DistributedPic::solve_field() {
       comm_.wait_all();
       elim = {carry[0], carry[1], true};
       if (cluster_ != nullptr) {
-        if (overlap_) {
-          cluster_->send_overlapped(r - 1, r, 2 * sizeof(double),
-                                    prep_clock, region_field_);
-        } else {
-          cluster_->send(r - 1, r, 2 * sizeof(double), region_field_);
-        }
+        cluster_->send(r - 1, r, 2 * sizeof(double), region_field_);
       }
     }
-    if (cluster_ != nullptr && !overlap_) {
-      // Synchronous mode: the same prep cost lands after the carry wait —
-      // both modes charge identical totals, placed differently.
+    if (cluster_ != nullptr) {
+      sim::Work prep;
+      prep.flops = 2.0 * static_cast<double>(count);
+      prep.bytes = 16.0 * static_cast<double>(count);
       cluster_->compute(r, prep, region_field_);
     }
     eliminate_forward(std::span<double>(rs.phi).subspan(1, count), rs.c,
@@ -254,8 +239,8 @@ void DistributedPic::solve_field() {
       comm_.isend_value(r, r - 1, kTagPhiBack, phi_next);
     }
   }
-  // Pipeline hops are charged inline above (send / send_overlapped at
-  // each receive), so the recorded transfers are accounting duplicates.
+  // Pipeline hops are charged inline above (one send at each receive),
+  // so the recorded transfers are accounting duplicates.
   comm_.clear_transfers();
 
   // Shared node phi values: the *left* rank computes the shared node (its
@@ -537,7 +522,6 @@ void DistributedPic::serialize(ckpt::Writer& w) const {
   w.put_u64(rng_.counter());
   w.put_f64(background_);
   w.put_i64(last_migrations_);
-  w.put_u8(overlap_ ? 1 : 0);
   for (const RankState& rs : ranks_) {
     w.put_f64_span(rs.x);
     w.put_f64_span(rs.v);
@@ -564,7 +548,6 @@ void DistributedPic::restore(ckpt::Reader& r) {
   rng_.restore_state(seed, r.get_u64());
   background_ = r.get_f64();
   last_migrations_ = r.get_i64();
-  overlap_ = r.get_u8() != 0;
   for (RankState& rs : ranks_) {
     r.get_f64_vec(rs.x);
     r.get_f64_vec(rs.v);

@@ -22,6 +22,9 @@
 // bounds the drift). A canonical cell order of the particles that makes
 // them bitwise equal is ROADMAP item 2(b).
 //
+// The co-simulated clock charges each step synchronously; the performance
+// instance (simpic::Instance) models no overlap either.
+//
 // Restricted to absorbing (Dirichlet) walls: the periodic variant needs a
 // cyclic solve that the production-relevant pipeline discussion does not
 // depend on.
@@ -54,6 +57,11 @@ class DistributedPic {
   void load_uniform(int per_cell, double v_thermal = 0.0,
                     double perturbation = 0.0);
 
+  /// One step: deposit with boundary-node merging, the pipelined Thomas
+  /// field solve, push and particle migration. With a cluster attached,
+  /// every pipeline hop is one Cluster::send and each rank's
+  /// right-hand-side prep is charged after its carry wait: one synchronous
+  /// schedule.
   void step();
   void run(int steps);
 
@@ -85,15 +93,6 @@ class DistributedPic {
 
   /// Optional performance co-simulation on ranks [0, num_parts).
   void attach_cluster(sim::Cluster* cluster);
-
-  /// Split-phase overlap of the Thomas pipeline (docs/communication.md):
-  /// each rank stages its right-hand side (rho * h^2 per unknown) while
-  /// the elimination carry from its left neighbour is in flight, so the
-  /// co-simulated cluster hides that prep time behind the hop
-  /// (Cluster::send_overlapped). The host computes the same bits in both
-  /// modes; only the virtual-time charges move.
-  void set_overlap(bool on) { overlap_ = on; }
-  bool overlap() const { return overlap_; }
 
   /// The persisted RNG stream position (mirrors Pic::rng_counter).
   std::uint64_t rng_counter() const { return rng_.counter(); }
@@ -159,7 +158,6 @@ class DistributedPic {
   std::vector<sim::Message> message_scratch_;     // cpx-lint: allow(ckpt)
   std::vector<double> rho_audit_;  ///< deep-check scratch // cpx-lint: allow(ckpt)
   std::int64_t last_migrations_ = 0;
-  bool overlap_ = false;
   sim::Cluster* cluster_ = nullptr;  // attached // cpx-lint: allow(ckpt)
   sim::RegionId region_deposit_ = -1;  // cpx-lint: allow(ckpt)
   sim::RegionId region_field_ = -1;    // cpx-lint: allow(ckpt)

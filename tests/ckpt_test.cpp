@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
+#include "mesh/mesh.hpp"
+#include "mgcfd/distributed.hpp"
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
 #include "simpic/distributed.hpp"
@@ -309,7 +311,6 @@ TEST(CkptSections, DistributedPicRestoreRejectsParticleOutsideItsRanksCells) {
     w.put_u64(0);    // RNG counter
     w.put_f64(1.0);  // background
     w.put_i64(0);    // last migrations
-    w.put_u8(0);     // overlap
     const std::vector<double> nodes(25, 1.0);
     for (int r = 0; r < 4; ++r) {
       const std::vector<double> one =
@@ -332,6 +333,123 @@ TEST(CkptSections, DistributedPicRestoreRejectsParticleOutsideItsRanksCells) {
   restore_from(dist, snapshot_with_particle_at(0.2));  // inside cell 19
   EXPECT_EQ(dist.num_particles(), 1);
   EXPECT_THROW(restore_from(dist, snapshot_with_particle_at(below_quarter)),
+               CheckError);
+}
+
+TEST(CkptSections, DistributedSolverRoundTripsByteIdentically) {
+  const mesh::UnstructuredMesh m = mesh::make_box_mesh(6, 6, 6);
+  mgcfd::EulerOptions opt;
+  mgcfd::DistributedSolver a(m, 4, opt);
+  a.set_uniform(mgcfd::freestream(0.4));
+  a.set_cell(0, {1.2, 0.1, 0.0, 0.0, 2.8});
+  a.run(3);
+  const auto bytes = snapshot_of(a);
+
+  mgcfd::DistributedSolver b(m, 4, opt);
+  restore_from(b, bytes);
+  EXPECT_EQ(snapshot_of(b), bytes);
+
+  a.step();
+  b.step();
+  EXPECT_EQ(snapshot_of(a), snapshot_of(b));
+}
+
+// The distributed solvers' sections once stored a one-byte step-mode
+// flag after their header fields. The layout changed with no shim and no
+// version bump: the bounds and end-of-section checks reject a section
+// written with that byte instead of misreading it. Each helper re-encodes
+// a current snapshot, with or without the byte; without it, the copy must
+// restore and re-serialize to the same bytes, so the rejection is the
+// byte's doing alone.
+
+std::vector<std::byte> distributed_solver_section(
+    const std::vector<std::byte>& current, bool flag_byte) {
+  ckpt::Reader r(current);
+  r.open_section("mgcfd/distributed");
+  ckpt::Writer w;
+  w.begin();
+  w.begin_section("mgcfd/distributed");
+  w.put_i64(r.get_i64());  // cells
+  const std::uint32_t parts = r.get_u32();
+  w.put_u32(parts);
+  if (flag_byte) {
+    w.put_u8(0);
+  }
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    const std::uint64_t slots = r.get_u64();
+    w.put_u64(slots);
+    for (std::uint64_t k = 0; k < 5 * slots; ++k) {
+      w.put_f64(r.get_f64());
+    }
+  }
+  r.end_section();
+  w.end_section();
+  w.finish();
+  return to_vec(w.bytes());
+}
+
+TEST(CkptSections, DistributedSolverRestoreRejectsParentLayout) {
+  const mesh::UnstructuredMesh m = mesh::make_box_mesh(6, 6, 6);
+  mgcfd::EulerOptions opt;
+  mgcfd::DistributedSolver a(m, 4, opt);
+  a.set_uniform(mgcfd::freestream(0.4));
+  a.set_cell(0, {1.2, 0.1, 0.0, 0.0, 2.8});
+  a.run(3);
+  const auto bytes = snapshot_of(a);
+
+  mgcfd::DistributedSolver b(m, 4, opt);
+  restore_from(b, distributed_solver_section(bytes, false));
+  EXPECT_EQ(snapshot_of(b), bytes);
+  EXPECT_THROW(restore_from(b, distributed_solver_section(bytes, true)),
+               CheckError);
+}
+
+std::vector<std::byte> distributed_pic_section(
+    const std::vector<std::byte>& current, bool flag_byte) {
+  ckpt::Reader r(current);
+  r.open_section("simpic/distributed");
+  ckpt::Writer w;
+  w.begin();
+  w.begin_section("simpic/distributed");
+  w.put_i64(r.get_i64());  // cells
+  w.put_f64(r.get_f64());  // length
+  w.put_f64(r.get_f64());  // dt
+  w.put_u64(r.get_u64());  // seed
+  const std::uint32_t parts = r.get_u32();
+  w.put_u32(parts);
+  w.put_u64(r.get_u64());  // RNG counter
+  w.put_f64(r.get_f64());  // background
+  w.put_i64(r.get_i64());  // last migrations
+  if (flag_byte) {
+    w.put_u8(0);
+  }
+  std::vector<double> field;
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    for (int k = 0; k < 6; ++k) {  // x, v, w, rho, phi, e
+      r.get_f64_vec(field);
+      w.put_f64_span(field);
+    }
+  }
+  r.end_section();
+  w.end_section();
+  w.finish();
+  return to_vec(w.bytes());
+}
+
+TEST(CkptSections, DistributedPicRestoreRejectsParentLayout) {
+  simpic::PicOptions opts;
+  opts.cells = 64;
+  opts.seed = 42;
+  opts.boundary = simpic::Boundary::kAbsorbing;
+  simpic::DistributedPic a(opts, 4);
+  a.load_uniform(10, 0.05, 0.01);
+  a.run(3);
+  const auto bytes = snapshot_of(a);
+
+  simpic::DistributedPic b(opts, 4);
+  restore_from(b, distributed_pic_section(bytes, false));
+  EXPECT_EQ(snapshot_of(b), bytes);
+  EXPECT_THROW(restore_from(b, distributed_pic_section(bytes, true)),
                CheckError);
 }
 

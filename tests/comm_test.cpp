@@ -525,91 +525,5 @@ TEST(CommRegression, DistributedPicBitwiseAcrossThreadCounts) {
   });
 }
 
-TEST(CommRegression, OverlappedMgcfdBitwiseMatchesSynchronous) {
-  const mesh::UnstructuredMesh m = mesh::make_box_mesh(6, 6, 6);
-  const auto machine = sim::MachineModel::archer2();
-  // Overlapped solve, repeated at every thread count, must match the
-  // synchronous solve bitwise — the interior/boundary split changes only
-  // when work happens, never what it computes.
-  expect_bitwise_across_thread_counts([&] {
-    mgcfd::EulerOptions opt;
-
-    mgcfd::DistributedSolver sync(m, 4, opt);
-    sim::Cluster sync_cluster(machine, 4);
-    sync.attach_cluster(&sync_cluster);
-    sync.set_cell(0, {1.2, 0.1, 0.0, 0.0, 2.8});
-    sync.run(5);
-
-    mgcfd::DistributedSolver over(m, 4, opt);
-    sim::Cluster over_cluster(machine, 4);
-    over.attach_cluster(&over_cluster);
-    over.set_overlap(true);
-    over.set_cell(0, {1.2, 0.1, 0.0, 0.0, 2.8});
-    over.run(5);
-
-    std::vector<double> sync_flat;
-    for (const mgcfd::State& s : sync.gather_solution()) {
-      sync_flat.insert(sync_flat.end(), s.begin(), s.end());
-    }
-    std::vector<double> over_flat;
-    for (const mgcfd::State& s : over.gather_solution()) {
-      over_flat.insert(over_flat.end(), s.begin(), s.end());
-    }
-    EXPECT_TRUE(bitwise_equal(sync_flat, over_flat));
-
-    // The synchronous path hides nothing; the overlapped path hides some
-    // halo time behind the interior flux charge, and its schedule is never
-    // slower than the synchronous one.
-    const sim::RankRange ranks{0, 4};
-    EXPECT_EQ(sync_cluster.comm_hidden_seconds(ranks), 0.0);
-    EXPECT_GT(over_cluster.comm_hidden_seconds(ranks), 0.0);
-    EXPECT_LE(over_cluster.max_clock(), sync_cluster.max_clock() + 1e-12);
-    // The flag moves only where the flux work lands: each rank is charged
-    // the same total compute in both modes.
-    const sim::RegionId sync_flux =
-        sync_cluster.profile().find_region("dist_mgcfd/flux");
-    const sim::RegionId over_flux =
-        over_cluster.profile().find_region("dist_mgcfd/flux");
-    for (sim::Rank r = 0; r < 4; ++r) {
-      const double want =
-          sync_cluster.profile().rank_region(r, sync_flux).compute;
-      const double got =
-          over_cluster.profile().rank_region(r, over_flux).compute;
-      EXPECT_GT(want, 0.0) << "rank " << r;
-      EXPECT_NEAR(got, want, 1e-12 * want) << "rank " << r;
-    }
-    return over_flat;
-  });
-}
-
-TEST(CommRegression, OverlappedPicBitwiseMatchesSynchronous) {
-  const auto machine = sim::MachineModel::archer2();
-  expect_bitwise_across_thread_counts([&] {
-    simpic::PicOptions opt;
-    opt.cells = 64;
-    opt.boundary = simpic::Boundary::kAbsorbing;
-    opt.dt = 0.1;
-
-    auto run_one = [&](bool overlap) {
-      simpic::DistributedPic dist(opt, 4);
-      sim::Cluster cluster(machine, 4);
-      dist.attach_cluster(&cluster);
-      dist.set_overlap(overlap);
-      dist.load_uniform(10, 0.3, 0.05);
-      dist.run(10);
-      std::vector<double> flat = dist.gather_phi();
-      const std::vector<double> rho = dist.gather_rho();
-      const std::vector<double> pos = dist.gather_positions();
-      flat.insert(flat.end(), rho.begin(), rho.end());
-      flat.insert(flat.end(), pos.begin(), pos.end());
-      return flat;
-    };
-    const std::vector<double> sync_flat = run_one(false);
-    std::vector<double> over_flat = run_one(true);
-    EXPECT_TRUE(bitwise_equal(sync_flat, over_flat));
-    return over_flat;
-  });
-}
-
 }  // namespace
 }  // namespace cpx

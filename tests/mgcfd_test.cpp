@@ -1,12 +1,13 @@
 // Tests for the MG-CFD proxy: real Euler finite-volume numerics (free-
 // stream preservation, conservation, positivity, multigrid convergence)
 // and the performance instance (measured-vs-analytic agreement, scaling
-// shape on the virtual cluster).
+// shape on the virtual cluster, the charges of its halo-overlap mode).
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <string>
 
 #include "mesh/partition.hpp"
 #include "mgcfd/distributed.hpp"
@@ -264,6 +265,54 @@ TEST(Instance, ProfileSplitsComputeAndComm) {
   EXPECT_GT(c.profile().mean_over_ranks(halo, 0, 64).comm, 0.0);
 }
 
+TEST(Instance, OverlapPlacesTheSameFluxComputeAndNeverSlowsTheStep) {
+  // Overlap is modelled on the performance instance alone: the split-phase
+  // step charges each rank's interior share of the sweeps inside the halo
+  // window and the boundary share after it. Both modes charge each rank
+  // the same flux compute; only the overlapped one hides comm time, and
+  // its schedule is never slower than the synchronous one.
+  struct Machine {
+    const char* label;
+    sim::MachineModel model;
+  };
+  for (const Machine& machine :
+       {Machine{"archer2", sim::MachineModel::archer2()},
+        Machine{"slow_network", sim::MachineModel::slow_network()}}) {
+    for (const std::int64_t cells :
+         {std::int64_t{2'000'000}, std::int64_t{24'000'000},
+          std::int64_t{150'000'000}}) {
+      for (const int p : {16, 128, 512, 2048}) {
+        sim::Cluster sync(machine.model, p);
+        sim::Cluster over(machine.model, p);
+        Instance sync_row("row", cells, {0, p});
+        Instance over_row("row", cells, {0, p});
+        over_row.set_overlap(true);
+        for (int s = 0; s < 2; ++s) {
+          sync_row.step(sync);
+          over_row.step(over);
+        }
+        const std::string where = std::string(machine.label) + " cells=" +
+                                  std::to_string(cells) +
+                                  " ranks=" + std::to_string(p);
+        const sim::RegionId sync_flux = sync.profile().find_region("row/flux");
+        const sim::RegionId over_flux = over.profile().find_region("row/flux");
+        ASSERT_GE(sync_flux, 0);
+        ASSERT_GE(over_flux, 0);
+        for (sim::Rank r = 0; r < p; ++r) {
+          const double want = sync.profile().rank_region(r, sync_flux).compute;
+          const double got = over.profile().rank_region(r, over_flux).compute;
+          ASSERT_GT(want, 0.0) << where << " rank " << r;
+          ASSERT_NEAR(got, want, 1e-12 * want) << where << " rank " << r;
+        }
+        const sim::RankRange ranks{0, p};
+        EXPECT_EQ(sync.comm_hidden_seconds(ranks), 0.0) << where;
+        EXPECT_GT(over.comm_hidden_seconds(ranks), 0.0) << where;
+        EXPECT_LE(over.max_clock(), sync.max_clock()) << where;
+      }
+    }
+  }
+}
+
 TEST(Euler, Rk3StableWhereForwardEulerIsNot) {
   // SSP-RK3's stability region covers CFL numbers where the single-stage
   // scheme diverges: after the same number of steps from a perturbed
@@ -311,12 +360,10 @@ class DistributedVsSequential : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistributedVsSequential, SameSolutionAsSequential) {
   // The partitioned solver with real halo exchange must reproduce the
-  // sequential solver's solution bit for bit in both step modes: both
-  // solvers evaluate the shared flux kernel (mgcfd/flux.hpp) and every
-  // cell sums its edges in ascending edge order. The overlapped step is
-  // where a ghost slot's cached primitives could be refreshed before the
-  // halo lands. The returned norms are not compared: the allreduce
-  // combines per-rank partial sums.
+  // sequential solver's solution bit for bit: both solvers evaluate the
+  // shared flux kernel (mgcfd/flux.hpp) and every cell sums its edges in
+  // ascending edge order. The returned norms are not compared: the
+  // allreduce combines per-rank partial sums.
   const int parts = GetParam();
   const mesh::UnstructuredMesh m = mesh::make_box_mesh(8, 8, 8);
   EulerOptions opt;
@@ -332,20 +379,17 @@ TEST_P(DistributedVsSequential, SameSolutionAsSequential) {
   seq.run(15);
   const auto& want = seq.solution();
 
-  for (const bool overlap : {false, true}) {
-    DistributedSolver dist(m, parts, opt);
-    dist.set_overlap(overlap);
-    dist.set_uniform(inf);
-    dist.set_cell(100, bump);  // the same perturbation
-    dist.run(15);
-    const auto got = dist.gather_solution();
-    ASSERT_EQ(got.size(), want.size());
-    std::size_t differing = 0;
-    for (std::size_t c = 0; c < want.size(); ++c) {
-      differing += differing_bits(got[c], want[c]);
-    }
-    EXPECT_EQ(differing, 0U) << "parts=" << parts << " overlap=" << overlap;
+  DistributedSolver dist(m, parts, opt);
+  dist.set_uniform(inf);
+  dist.set_cell(100, bump);  // the same perturbation
+  dist.run(15);
+  const auto got = dist.gather_solution();
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t differing = 0;
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    differing += differing_bits(got[c], want[c]);
   }
+  EXPECT_EQ(differing, 0U) << "parts=" << parts;
 }
 
 TEST_P(DistributedVsSequential, DivergenceReturnsNaN) {
@@ -353,10 +397,9 @@ TEST_P(DistributedVsSequential, DivergenceReturnsNaN) {
   // whose update leaves a non-finite density returns NaN (the same step
   // as the sequential solver's), run() stops there, and a further step's
   // primitive refresh flags the state and returns NaN before a flux reads
-  // it, with no DCHECK tripped. An overlapped step with a cluster closes
-  // its virtual halo window before any flux, so a diverged step leaves no
-  // exchange pending and stepping again does not throw. Forward Euler at CFL 3
-  // diverges (Euler.Rk3StableWhereForwardEulerIsNot).
+  // it, with no DCHECK tripped. With a cluster attached, a diverged step
+  // leaves the virtual clock finite and stepping again does not throw.
+  // Forward Euler at CFL 3 diverges (Euler.Rk3StableWhereForwardEulerIsNot).
   const int parts = GetParam();
   const mesh::UnstructuredMesh m = mesh::make_box_mesh(8, 8, 8);
   EulerOptions opt;
@@ -375,18 +418,12 @@ TEST_P(DistributedVsSequential, DivergenceReturnsNaN) {
   }
   ASSERT_LT(seq_steps, 200) << "the sequential run did not diverge";
 
-  struct Mode {
-    bool overlap;
-    bool with_cluster;
-  };
-  for (const Mode mode : {Mode{false, false}, Mode{true, false},
-                          Mode{true, true}}) {
+  for (const bool with_cluster : {false, true}) {
     DistributedSolver dist(m, parts, opt);
     sim::Cluster cluster(sim::MachineModel::archer2(), parts);
-    if (mode.with_cluster) {
+    if (with_cluster) {
       dist.attach_cluster(&cluster);
     }
-    dist.set_overlap(mode.overlap);
     dist.set_uniform(inf);
     for (mesh::CellId c = 0; c < m.num_cells(); c += 5) {
       dist.set_cell(c, start);
@@ -396,10 +433,8 @@ TEST_P(DistributedVsSequential, DivergenceReturnsNaN) {
       ++steps;
     }
     EXPECT_EQ(steps, seq_steps)
-        << "parts=" << parts << " overlap=" << mode.overlap
-        << " cluster=" << mode.with_cluster;
-    // No halo window is left open on the cluster: stepping again neither
-    // throws nor leaves a non-finite clock.
+        << "parts=" << parts << " cluster=" << with_cluster;
+    // Stepping again neither throws nor leaves a non-finite clock.
     for (int again = 0; again < 2; ++again) {
       EXPECT_TRUE(std::isnan(dist.step()));
     }
@@ -463,8 +498,7 @@ TEST(Distributed, FreestreamFixedPointSurvivesPartitioning) {
 TEST(Distributed, SolutionIsPinnedBitwise) {
   // The distributed solution is an output that must never move: a density
   // and energy pulse on a small annulus row, 4 parts, 10 steps, with a
-  // co-simulating cluster attached. Both step modes must produce the same
-  // solution bits; each mode pins its own virtual clock.
+  // co-simulating cluster attached, which pins the virtual clock too.
   const mesh::UnstructuredMesh m =
       mesh::make_annulus_mesh(6, 24, 8, 1.0, 2.0, 30.0, 1.0, 5);
   EulerOptions opt;
@@ -472,32 +506,26 @@ TEST(Distributed, SolutionIsPinnedBitwise) {
   opt.cfl = 0.4;
   const State inf = freestream(0.4, 1.0, 1.0, {0, 0, 1});
   constexpr std::uint64_t kSolutionDigest = 0x7557f84be2e41fbfULL;
-  constexpr std::uint64_t kClockBits[] = {0x3f46f7212a5c02d3ULL,
-                                           0x3f46f3a6443bb2f4ULL};
-  for (const bool overlap : {false, true}) {
-    DistributedSolver dist(m, 4, opt);
-    sim::Cluster cluster(sim::MachineModel::archer2(), 4);
-    dist.attach_cluster(&cluster);
-    dist.set_overlap(overlap);
-    dist.set_uniform(inf);
-    for (mesh::CellId c = 0; c < m.num_cells(); c += 7) {
-      State bumped = inf;
-      bumped[0] *= 1.08;
-      bumped[4] *= 1.08;
-      dist.set_cell(c, bumped);
-    }
-    dist.run(10);
-    std::uint64_t h = 0;
-    for (const State& u : dist.gather_solution()) {
-      for (const double v : u) {
-        h = hash_mix(h, std::bit_cast<std::uint64_t>(v));
-      }
-    }
-    EXPECT_EQ(h, kSolutionDigest) << "overlap=" << overlap;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(cluster.max_clock()),
-              kClockBits[overlap ? 1 : 0])
-        << "overlap=" << overlap;
+  constexpr std::uint64_t kClockBits = 0x3f46f7212a5c02d3ULL;
+  DistributedSolver dist(m, 4, opt);
+  sim::Cluster cluster(sim::MachineModel::archer2(), 4);
+  dist.attach_cluster(&cluster);
+  dist.set_uniform(inf);
+  for (mesh::CellId c = 0; c < m.num_cells(); c += 7) {
+    State bumped = inf;
+    bumped[0] *= 1.08;
+    bumped[4] *= 1.08;
+    dist.set_cell(c, bumped);
   }
+  dist.run(10);
+  std::uint64_t h = 0;
+  for (const State& u : dist.gather_solution()) {
+    for (const double v : u) {
+      h = hash_mix(h, std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  EXPECT_EQ(h, kSolutionDigest);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cluster.max_clock()), kClockBits);
 }
 
 TEST(Instance, RejectsBadConstruction) {

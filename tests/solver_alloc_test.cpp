@@ -226,7 +226,6 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
       const int h = cluster.exchange_begin(msgs, region);
       cluster.compute_seconds(0, 1e-6, region);
       cluster.exchange_finish(h);
-      cluster.send_overlapped(0, 1, 64, cluster.clock(1), region);
     }
   });
   EXPECT_EQ(allocs, 0u)
@@ -271,9 +270,8 @@ TEST(SolverAllocations, WideParallelReduceAllocatesNothingWhenWarm) {
 
 TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
   // A warm DistributedSolver::step() — halo exchange, one ascending edge
-  // pass per part, update, residual allreduce — touches no heap, in both
-  // step modes (they differ only in where the cluster charges land), with
-  // and without a co-simulating cluster, at pool widths 1 and 4.
+  // pass per part, update, residual allreduce — touches no heap, with and
+  // without a co-simulating cluster, at pool widths 1 and 4.
   const cpx::mesh::UnstructuredMesh m =
       cpx::mesh::make_annulus_mesh(6, 24, 8, 1.0, 2.0, 30.0, 1.0);
   cpx::mgcfd::EulerOptions opt;
@@ -282,23 +280,19 @@ TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
   const int width = support::max_threads();
   for (const int threads : {1, 4}) {
     support::set_max_threads(threads);
-    for (const bool overlap : {false, true}) {
-      for (const bool with_cluster : {false, true}) {
-        cpx::mgcfd::DistributedSolver dist(m, 4, opt);
-        cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), 4);
-        if (with_cluster) {
-          dist.attach_cluster(&cluster);
-        }
-        dist.set_overlap(overlap);
-        dist.set_uniform(cpx::mgcfd::freestream(0.4, 1.0, 1.0, {0, 0, 1}));
-        dist.run(2);  // warm-up: comm buffer pool, transfer log, cluster
-        const std::size_t allocs =
-            allocations_during([&] { dist.run(4); });
-        EXPECT_EQ(allocs, 0u)
-            << "warm DistributedSolver::step made " << allocs
-            << " heap allocations (threads=" << threads
-            << " overlap=" << overlap << " cluster=" << with_cluster << ")";
+    for (const bool with_cluster : {false, true}) {
+      cpx::mgcfd::DistributedSolver dist(m, 4, opt);
+      cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), 4);
+      if (with_cluster) {
+        dist.attach_cluster(&cluster);
       }
+      dist.set_uniform(cpx::mgcfd::freestream(0.4, 1.0, 1.0, {0, 0, 1}));
+      dist.run(2);  // warm-up: comm buffer pool, transfer log, cluster
+      const std::size_t allocs = allocations_during([&] { dist.run(4); });
+      EXPECT_EQ(allocs, 0u)
+          << "warm DistributedSolver::step made " << allocs
+          << " heap allocations (threads=" << threads
+          << " cluster=" << with_cluster << ")";
     }
   }
   support::set_max_threads(width);
