@@ -6,7 +6,7 @@
 // class must still implement the pair — tools/cpxcheck cross-checks
 // both directions, and additionally verifies that every data member of a
 // registered class is mentioned in its serialize AND restore bodies (or
-// carries a `// cpx-lint: allow(ckpt)` with a reason, for members that
+// carries an allow marker for rule `ckpt` with a reason, for members that
 // are deliberately rebuilt instead of saved: scratch buffers, cached
 // plans, derived structure). Adding a field to a checkpointed class
 // without threading it through the snapshot is exactly the hidden-state

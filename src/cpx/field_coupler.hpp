@@ -72,8 +72,8 @@ class FieldCoupler {
  private:
   void remap();
 
-  std::vector<mesh::Vec3> donors_;       // geometry // cpx-lint: allow(ckpt)
-  std::vector<mesh::Vec3> targets_;      // geometry // cpx-lint: allow(ckpt)
+  std::vector<mesh::Vec3> donors_;       // geometry
+  std::vector<mesh::Vec3> targets_;      // geometry
   InterfaceKind kind_;
   int stencil_size_;
   double rotation_ = 0.0;

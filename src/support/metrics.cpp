@@ -205,7 +205,11 @@ void counter_add_slow(std::string_view name, std::int64_t delta) {
   MutexLock lock(ts.mutex);
   const auto it = ts.counters.find(name);
   if (it == ts.counters.end()) {
-    ts.counters.emplace(std::string(name), delta);
+    // First-touch registration of a per-thread counter: allocates once per
+    // (thread, counter-name), after which the hot path hits the lock-free
+    // cache in metrics.hpp; amortized by design and measured
+    // allocation-free at steady state by tests/solver_alloc_test.cpp.
+    ts.counters.emplace(std::string(name), delta);  // cpx-lint: allow(solve-alloc) — first-touch registration
   } else {
     it->second += delta;
   }

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Fixture tests for the static-analysis tools (docs/static_analysis.md).
 
-Runs cpxcheck (lite engine, no baseline) over tests/lint_fixtures/cpxcheck
-and asserts the EXACT `path:line:rule` finding set recorded in
-expected_cpxcheck.txt: trigger fixtures must fire on their marked lines,
+Runs cpxcheck over tests/lint_fixtures/cpxcheck and asserts the EXACT
+`path:line:rule` finding set recorded in expected_cpxcheck.txt: trigger fixtures must fire on their marked lines,
 clean fixtures must stay silent. Also unit-tests the lexer's literal
 handling and the `--list --json` rule inventory, which must give every
 rule at least one expected finding.
@@ -132,8 +131,7 @@ def check_inventory() -> None:
 def main() -> int:
     check_findings(
         "cpxcheck fixtures",
-        [sys.executable, "tools/cpxcheck", "tests/lint_fixtures/cpxcheck",
-         "--engine", "lite", "--baseline", "none"],
+        [sys.executable, "tools/cpxcheck", "tests/lint_fixtures/cpxcheck"],
         HERE / "expected_cpxcheck.txt")
     check_raw_strings_cpxcheck()
     check_inventory()

@@ -1,17 +1,16 @@
-"""Pure-Python frontend for cpxcheck (docs/static_analysis.md).
+"""Pure-Python front end for cpxcheck (docs/static_analysis.md).
 
-Lowers a C++ translation unit into the model.py facts without libclang:
-a declaration-scope outline parser (namespaces, classes, fields, function
-definitions with qualified names) plus a statement-tree parser for function
-bodies (blocks, if/else, loops, try/catch, return/throw) and extraction of
-call sites, local variable declarations and body identifiers.
+Lowers a C++ translation unit into the model.py facts: a declaration-scope
+outline parser (namespaces, classes, fields, function definitions with
+qualified names) plus a statement-tree parser for function bodies (blocks,
+if/else, loops, try/catch, return/throw) and extraction of call sites,
+local variable declarations and body identifiers.
 
 It is NOT a C++ parser — templates, overload resolution and macro expansion
 are approximated — but it resolves the facts the rules need (which class a
 field belongs to, which statements a call sits under, what type a receiver
-was declared with) far beyond what per-line regexes can, and it produces
-the same model as the libclang frontend, so the rule suite and its fixture
-tests run in environments without clang installed.
+was declared with) far beyond what per-line regexes can, with no
+dependency beyond python3.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ _DEBUG_GATE_RE = re.compile(
 
 def parse_file(path: str, text: str) -> FileFacts:
     toks = lex.tokenize(text)
-    facts = FileFacts(path=path, engine="lite",
-                      includes=_INCLUDE_RE.findall(text),
+    facts = FileFacts(path=path, includes=_INCLUDE_RE.findall(text),
                       lines=text.splitlines(), tokens=toks)
     match = _match_brackets(toks)
     _Scope(toks, match, facts).walk(0, len(toks), [], None)

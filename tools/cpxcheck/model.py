@@ -1,9 +1,7 @@
-"""Shared facts model for cpxcheck (docs/static_analysis.md).
+"""Facts model for cpxcheck (docs/static_analysis.md).
 
-Both frontends — the libclang one (clangfe.py) and the pure-Python outline
-parser (lite.py) — lower a translation unit into the structures below.
-Rules (rules.py) consume ONLY this model, so a rule written once runs under
-either engine and the fixture tests exercise it without libclang installed.
+The outline parser (lite.py) lowers a translation unit into the structures
+below. Rules (rules.py) consume ONLY this model, never source text.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ class FunctionInfo:
 @dataclass
 class FileFacts:
     path: str                 # repo-relative, forward slashes
-    engine: str               # "lite" or "clang"
     classes: list[ClassInfo] = field(default_factory=list)
     functions: list[FunctionInfo] = field(default_factory=list)
     includes: list[str] = field(default_factory=list)   # raw include targets

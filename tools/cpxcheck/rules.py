@@ -1,6 +1,6 @@
 """cpxcheck rules (docs/static_analysis.md).
 
-Each rule consumes the model.py facts produced by either frontend: ckpt
+Each rule consumes the model.py facts produced by lite.py: ckpt
 members come from real class definitions, split-phase windows are tracked
 path-sensitively through the statement tree, deterministic-kernel checks
 resolve receiver types, solve-alloc follows the call graph out of the
@@ -9,8 +9,8 @@ metrics-registry) read the whole-file token stream, so comments and
 string literals never match.
 
 Suppression: `// cpx-lint: allow(<rule>)` on the line or the line above,
-where <rule> is a name from RULES. Project-wide exceptions go in
-tools/cpxcheck/baseline.txt with a justification.
+where <rule> is a name from RULES — the only way to silence a finding. On a
+whole-tree run the allow-audit reports every marker that silenced nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ RULES = (
         "No allocating expressions (container growth, new, make_unique, "
         "malloc, the buffered stable_sort/stable_partition/inplace_merge) "
         "in any function reachable from the solve-path entry points "
-        "(amg::pcg, AmgHierarchy::solve/cycle/reset_values, "
+        "(amg::pcg, AmgHierarchy::solve/cycle/reset_values, the "
+        "make_jacobi/make_amg preconditioner factories, blas1::sum, "
         "SpgemmPlan::fill_values, DistributedSolver::step, simpic::Pic::step, "
         "simpic::DistributedPic::step) via the call graph."),
     RuleInfo(
@@ -81,8 +82,8 @@ RULES = (
     RuleInfo(
         "allow-audit",
         "Every `cpx-lint: allow(<rule>)` marker names a rule in this "
-        "list; unknown names are dead suppressions that silently enforce "
-        "nothing."),
+        "list and, on a whole-tree run, silences a finding of that rule "
+        "on its line or the next; anything else is a dead suppression."),
 )
 
 KNOWN_ALLOW_NAMES = frozenset(r.name for r in RULES)
@@ -107,8 +108,14 @@ RANDOM_IDENTS = frozenset({
 })
 CLOCK_IDENTS = frozenset({"system_clock", "high_resolution_clock"})
 
+# pcg applies its preconditioner through a std::function, which the call
+# graph does not follow, so the factories whose lambdas it calls are
+# entries (lite attributes a lambda's calls to its enclosing function).
+# blas1::sum, the combine behind allreduce_sum, is watched in its own right.
 SOLVE_ENTRY_SUFFIXES = ("amg::pcg", "AmgHierarchy::solve",
                         "AmgHierarchy::cycle", "AmgHierarchy::reset_values",
+                        "amg::make_jacobi_preconditioner",
+                        "amg::make_amg_preconditioner", "blas1::sum",
                         "SpgemmPlan::fill_values",
                         "DistributedSolver::step",
                         "simpic::Pic::step", "simpic::DistributedPic::step")
@@ -120,20 +127,28 @@ METRIC_CALLS = frozenset({"CPX_METRICS_SCOPE", "CPX_METRICS_SCOPE_COMM",
                           "counter_add"})
 
 
+def _marker_names(text: str) -> list[str]:
+    """Rule names of the allow marker on a source line, if any."""
+    m = ALLOW_RE.search(text)
+    return [s.strip() for s in m.group(1).split(",")] if m else []
+
+
 @dataclass
 class Project:
     files: list[FileFacts] = field(default_factory=list)
-
-    def allows(self, facts: FileFacts, line: int) -> set:
-        out: set = set()
-        for j in (line, line - 1):
-            m = ALLOW_RE.search(facts.line_text(j))
-            if m:
-                out.update(s.strip() for s in m.group(1).split(","))
-        return out
+    # (path, marker line, rule name) of every marker that silenced a finding.
+    used_markers: set = field(default_factory=set)
 
     def allowed(self, facts: FileFacts, line: int, rule: RuleInfo) -> bool:
-        return rule.name in self.allows(facts, line)
+        """Whether a marker for `rule` on `line` or the line above silences
+        a finding there. Ask only about a finding the rule would report:
+        the answer marks the marker used for the allow-audit."""
+        hit = False
+        for j in (line, line - 1):
+            if rule.name in _marker_names(facts.line_text(j)):
+                self.used_markers.add((facts.path, j, rule.name))
+                hit = True
+        return hit
 
     def bind_classes(self) -> None:
         """Sets FunctionInfo.class_name: the last qualifier of a function
@@ -179,10 +194,7 @@ _CKPT_ENTRY_RE = re.compile(r'"((?:\w+::)*\w+)"')
 
 def check_ckpt(project: Project) -> list[Finding]:
     rule = rule_by_name("ckpt")
-    registry = next((f for f in project.files
-                     if f.path.endswith("ckpt/registry.hpp")
-                     or f.path.endswith("registry.hpp")
-                     and "kCheckpointedClasses" in "\n".join(f.lines)), None)
+    registry = _ckpt_registry(project)
     if registry is None:
         return []
     text = "\n".join(registry.lines)
@@ -239,12 +251,10 @@ def check_ckpt(project: Project) -> list[Finding]:
         for fld in cls.fields:
             if fld.is_static:
                 continue
-            if project.allowed(facts, fld.line, rule):
-                continue
             missing = [what for what, idents in
                        (("serialize", handled_ser), ("restore", handled_res))
                        if fld.name not in idents]
-            if missing:
+            if missing and not project.allowed(facts, fld.line, rule):
                 findings.append(Finding(
                     rule.name, facts.path, fld.line,
                     f"member `{fld.name}` of checkpointed class {full} is "
@@ -252,6 +262,18 @@ def check_ckpt(project: Project) -> list[Finding]:
                     f"snapshot it or mark it `allow(ckpt)` as rebuilt "
                     f"state"))
     return findings
+
+
+def _ckpt_registry(project: Project):
+    return next((f for f in project.files
+                 if f.path.endswith("ckpt/registry.hpp")
+                 or f.path.endswith("registry.hpp")
+                 and "kCheckpointedClasses" in "\n".join(f.lines)), None)
+
+
+def _metric_registry(project: Project):
+    return next((f for f in project.files
+                 if f.path.endswith("metric_names.hpp")), None)
 
 
 def _locate_class(candidates, full_qualname):
@@ -473,40 +495,32 @@ def _det_scan(project, facts, rule, s: Stmt, unordered: set,
     for k, t in enumerate(toks):
         if t.kind != lex.ID:
             continue
-        if project.allowed(facts, t.line, rule):
-            continue
         nxt = toks[k + 1].text if k + 1 < n else ""
         prev = toks[k - 1].text if k > 0 else ""
         if t.text in ("rand", "srand") and nxt == "(" \
                 and prev not in (".", "->"):
-            findings.append(Finding(
-                rule.name, facts.path, t.line,
-                f"{t.text}(); kernels must be reproducible — seed through "
-                f"support/rng.hpp"))
+            message = (f"{t.text}(); kernels must be reproducible — seed "
+                       f"through support/rng.hpp")
         elif t.text in RANDOM_IDENTS:
-            findings.append(Finding(
-                rule.name, facts.path, t.line,
-                f"std::{t.text}; kernels must be reproducible — seed "
-                f"through support/rng.hpp"))
+            message = (f"std::{t.text}; kernels must be reproducible — seed "
+                       f"through support/rng.hpp")
         elif t.text in CLOCK_IDENTS:
-            findings.append(Finding(
-                rule.name, facts.path, t.line,
-                f"{t.text}; wall-clock reads are nondeterministic — use "
-                f"steady_clock inside support/ or pass time in"))
+            message = (f"{t.text}; wall-clock reads are nondeterministic — "
+                       f"use steady_clock inside support/ or pass time in")
         elif t.text == "time" and nxt == "(" and k + 2 < n \
                 and toks[k + 2].text in ("NULL", "nullptr", "0"):
-            findings.append(Finding(
-                rule.name, facts.path, t.line,
-                "time(NULL); kernels must be reproducible"))
+            message = "time(NULL); kernels must be reproducible"
         elif t.text in ("begin", "cbegin") and nxt == "(" \
                 and prev in (".", "->") and k >= 2 \
                 and toks[k - 2].kind == lex.ID \
                 and toks[k - 2].text in unordered \
                 and (k + 2 >= n or toks[k + 2].text == ")"):
-            findings.append(Finding(
-                rule.name, facts.path, t.line,
-                f"iteration over unordered container `{toks[k - 2].text}`; "
-                f"order is not deterministic"))
+            message = (f"iteration over unordered container "
+                       f"`{toks[k - 2].text}`; order is not deterministic")
+        else:
+            continue
+        if not project.allowed(facts, t.line, rule):
+            findings.append(Finding(rule.name, facts.path, t.line, message))
     # Range-for over an unordered container.
     if s.range_tokens:
         for t in s.range_tokens:
@@ -732,8 +746,7 @@ def check_metrics_registry(project: Project) -> list[Finding]:
     both directions. Runs only when the registry is among the analysed
     files: the unused-name direction is defined over the whole tree."""
     rule = rule_by_name("metrics-registry")
-    registry = next((f for f in project.files
-                     if f.path.endswith("metric_names.hpp")), None)
+    registry = _metric_registry(project)
     if registry is None:
         return []
     toks = registry.tokens
@@ -769,21 +782,32 @@ def check_metrics_registry(project: Project) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 def check_allow_audit(project: Project) -> list[Finding]:
+    """Flags markers naming an unknown rule and, after every other rule
+    has run, markers that silenced nothing. A marker's use can depend on
+    any file (the solve call graph, the two registries), so the unused
+    half runs only when both registries are analysed: a whole-tree run.
+    An allow(allow-audit) is exempt from it: it would silence itself."""
     rule = rule_by_name("allow-audit")
+    audit_use = _ckpt_registry(project) is not None \
+        and _metric_registry(project) is not None
     findings: list[Finding] = []
     for facts in project.files:
         for idx, line in enumerate(facts.lines):
-            m = ALLOW_RE.search(line)
-            if not m:
-                continue
             line_no = idx + 1
-            if project.allowed(facts, line_no, rule):
-                continue
-            for name in (s.strip() for s in m.group(1).split(",")):
+            for name in _marker_names(line):
                 if name not in KNOWN_ALLOW_NAMES:
-                    findings.append(Finding(
-                        rule.name, facts.path, line_no,
-                        f"`allow({name})` names an unknown rule; known "
-                        f"rules: "
-                        f"{', '.join(sorted(KNOWN_ALLOW_NAMES))}"))
+                    message = (f"`allow({name})` names an unknown rule; "
+                               f"known rules: "
+                               f"{', '.join(sorted(KNOWN_ALLOW_NAMES))}")
+                elif audit_use and name != rule.name \
+                        and (facts.path, line_no, name) \
+                        not in project.used_markers:
+                    message = (f"`allow({name})` silences no `{name}` "
+                               f"finding on this line or the next; delete "
+                               f"the marker")
+                else:
+                    continue
+                if not project.allowed(facts, line_no, rule):
+                    findings.append(
+                        Finding(rule.name, facts.path, line_no, message))
     return findings
