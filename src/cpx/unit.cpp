@@ -60,28 +60,21 @@ void CouplerUnit::half_exchange(sim::Cluster& cluster, sim::App& src,
   if (overlap_ && remap) {
     const int pending = sim::begin_exchange(comm_, cluster, region_gather_,
                                             0, message_scratch_);
-    const double t_map = mapping_seconds(cluster);
-    for (int l = 0; l < ranks_.size(); ++l) {
-      cluster.compute_seconds(ranks_.begin + l, t_map, region_map_);
-    }
+    cluster.compute_seconds(ranks_, mapping_seconds(cluster), region_map_);
     cluster.exchange_finish(pending);
   } else {
     sim::flush_exchange(comm_, cluster, region_gather_, 0, message_scratch_);
     if (remap) {
-      const double t_map = mapping_seconds(cluster);
-      for (int l = 0; l < ranks_.size(); ++l) {
-        cluster.compute_seconds(ranks_.begin + l, t_map, region_map_);
-      }
+      cluster.compute_seconds(ranks_, mapping_seconds(cluster), region_map_);
     }
   }
 
   // 3. Interpolation + packing on the CU ranks.
-  for (int l = 0; l < ranks_.size(); ++l) {
-    sim::Work w;
-    w.flops = cells_per_rank * config_.interp_flops_per_cell;
-    w.bytes = cells_per_rank * config_.pack_bytes_per_cell;
-    cluster.compute(ranks_.begin + l, w, region_map_);
-  }
+  sim::Work interp;
+  interp.flops = cells_per_rank * config_.interp_flops_per_cell;
+  interp.bytes = cells_per_rank * config_.pack_bytes_per_cell;
+  cluster.compute_seconds(ranks_, cluster.machine().compute_time(interp),
+                          region_map_);
 
   // 4. Scatter to the target instance's boundary ranks.
   const sim::RankRange dst_ranks = dst.ranks();

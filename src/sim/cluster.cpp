@@ -57,15 +57,13 @@ double Cluster::max_clock() const {
 }
 
 double Cluster::max_clock(RankRange range) const {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
+  check_range(range);
   return *std::max_element(clocks_.begin() + range.begin,
                            clocks_.begin() + range.end);
 }
 
 double Cluster::min_clock(RankRange range) const {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
+  check_range(range);
   return *std::min_element(clocks_.begin() + range.begin,
                            clocks_.begin() + range.end);
 }
@@ -88,14 +86,13 @@ void Cluster::compute_seconds(Rank rank, double seconds, RegionId region) {
   profile_.add_compute(rank, region, seconds);
 }
 
-void Cluster::compute_seconds(RankRange range,
-                              std::span<const double> seconds,
-                              RegionId region) {
-  check_range_charge(range, seconds);
+template <typename SecondsOf>
+void Cluster::compute_range(RankRange range, RegionId region,
+                            SecondsOf seconds_of) {
   double* clocks = clocks_.data();
   double* row = profile_.compute_row(region);
   for (Rank r = range.begin; r < range.end; ++r) {
-    const double s = seconds[static_cast<std::size_t>(r - range.begin)];
+    const double s = seconds_of(r);
     CPX_DCHECK(s >= 0.0);
     maybe_fail(r);
     const auto i = static_cast<std::size_t>(r);
@@ -106,10 +103,29 @@ void Cluster::compute_seconds(RankRange range,
   }
 }
 
-void Cluster::check_range_charge(RankRange range,
-                                 std::span<const double> seconds) const {
+void Cluster::compute_seconds(RankRange range,
+                              std::span<const double> seconds,
+                              RegionId region) {
+  check_range_charge(range, seconds);
+  compute_range(range, region, [&](Rank r) {
+    return seconds[static_cast<std::size_t>(r - range.begin)];
+  });
+}
+
+void Cluster::compute_seconds(RankRange range, double seconds,
+                              RegionId region) {
+  check_range(range);
+  compute_range(range, region, [=](Rank) { return seconds; });
+}
+
+void Cluster::check_range(RankRange range) const {
   CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
               "Cluster: bad rank range");
+}
+
+void Cluster::check_range_charge(RankRange range,
+                                 std::span<const double> seconds) const {
+  check_range(range);
   CPX_REQUIRE(seconds.size() == static_cast<std::size_t>(range.size()),
               "Cluster: " << seconds.size() << " charges for "
                           << range.size() << " ranks");
@@ -121,14 +137,24 @@ void Cluster::account_traffic(Rank src, std::size_t bytes,
   comm_messages_[static_cast<std::size_t>(src)] += messages;
 }
 
+void Cluster::account_traffic(Rank begin, Rank end, std::size_t bytes,
+                              std::int64_t messages) {
+  std::size_t* sent = comm_bytes_.data();
+  std::int64_t* count = comm_messages_.data();
+  for (auto i = static_cast<std::size_t>(begin);
+       i < static_cast<std::size_t>(end); ++i) {
+    sent[i] += bytes;
+    count[i] += messages;
+  }
+}
+
 std::size_t Cluster::comm_bytes(Rank rank) const {
   CPX_DCHECK(rank >= 0 && rank < num_ranks_);
   return comm_bytes_[static_cast<std::size_t>(rank)];
 }
 
 std::size_t Cluster::comm_bytes(RankRange range) const {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
+  check_range(range);
   std::size_t total = 0;
   for (Rank r = range.begin; r < range.end; ++r) {
     total += comm_bytes_[static_cast<std::size_t>(r)];
@@ -142,8 +168,7 @@ std::int64_t Cluster::comm_messages(Rank rank) const {
 }
 
 std::int64_t Cluster::comm_messages(RankRange range) const {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
+  check_range(range);
   std::int64_t total = 0;
   for (Rank r = range.begin; r < range.end; ++r) {
     total += comm_messages_[static_cast<std::size_t>(r)];
@@ -151,12 +176,20 @@ std::int64_t Cluster::comm_messages(RankRange range) const {
   return total;
 }
 
-void Cluster::bump_to(Rank rank, double time, RegionId region) {
-  double& c = clocks_[static_cast<std::size_t>(rank)];
-  if (time > c) {
-    record(rank, region, TraceKind::kComm, c, time);
-    profile_.add_comm(rank, region, time - c);
-    c = time;
+void Cluster::bump_to(RankRange range, double time, RegionId region) {
+  double* clocks = clocks_.data();
+  double* comm = profile_.comm_row(region);
+  const bool traced = tracing_enabled();
+  for (Rank r = range.begin; r < range.end; ++r) {
+    // Branch-free like receive(): a rank already past `time` adds +0.0.
+    const auto i = static_cast<std::size_t>(r);
+    const double c = clocks[i];
+    const double end = std::max(c, time);
+    if (traced) [[unlikely]] {
+      record(r, region, TraceKind::kComm, c, end);
+    }
+    comm[i] += end - c;
+    clocks[i] = end;
   }
 }
 
@@ -285,9 +318,10 @@ double Cluster::receive(std::span<const PendingMessage> arrivals,
   double* comm = profile_.comm_row(region);
   const double overhead = machine_.msg_overhead;
   double hidden_total = 0.0;
+  const bool traced = tracing_enabled();
   for (const PendingMessage& pm : arrivals) {
     const auto dst = static_cast<std::size_t>(pm.dst);
-    double clock = clocks[dst];
+    const double clock = clocks[dst];
     if (replay) {
       double& sync_clock = sync_clock_scratch_[dst];
       const double sync_wait = std::max(0.0, pm.arrival - sync_clock);
@@ -297,13 +331,17 @@ double Cluster::receive(std::span<const PendingMessage> arrivals,
       comm_hidden_[dst] += hidden;
       hidden_total += hidden;
     }
-    if (pm.arrival > clock) {
-      record(pm.dst, region, TraceKind::kComm, clock, pm.arrival);
-      comm[dst] += pm.arrival - clock;
-      clock = pm.arrival;
+    // Branch-free: a message that is already there waits
+    // clock - clock = +0.0, and adding +0.0 to a non-negative comm total
+    // leaves its bits unchanged. record() skips the empty interval; the
+    // trace test is hoisted into `traced` so that the compiler cannot
+    // fold it into a branch on the data.
+    const double start = std::max(clock, pm.arrival);
+    if (traced) [[unlikely]] {
+      record(pm.dst, region, TraceKind::kComm, clock, start);
     }
-    clocks[dst] = clock + overhead;
-    comm[dst] += overhead;
+    comm[dst] = (comm[dst] + (start - clock)) + overhead;
+    clocks[dst] = start + overhead;
   }
   return hidden_total;
 }
@@ -388,8 +426,7 @@ double Cluster::comm_hidden_seconds(Rank rank) const {
 }
 
 double Cluster::comm_hidden_seconds(RankRange range) const {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
+  check_range(range);
   double total = 0.0;
   for (Rank r = range.begin; r < range.end; ++r) {
     total += comm_hidden_[static_cast<std::size_t>(r)];
@@ -407,38 +444,32 @@ void Cluster::send(Rank src, Rank dst, std::size_t bytes, RegionId region) {
   profile_.add_comm(src, region, machine_.msg_overhead);
   account_traffic(src, bytes);
   const double arrival = src_clock + machine_.wire_time(bytes, same_node);
-  bump_to(dst, arrival, region);
+  bump_to(RankRange{dst, dst + 1}, arrival, region);
   clocks_[static_cast<std::size_t>(dst)] += machine_.msg_overhead;
   profile_.add_comm(dst, region, machine_.msg_overhead);
 }
 
 void Cluster::allreduce(RankRange range, std::size_t bytes, RegionId region) {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
+  check_range(range);
   if (range.size() == 1) {
     return;
   }
   const int nodes = node_of(range.end - 1) - node_of(range.begin) + 1;
   const double cost = machine_.allreduce_time(range.size(), nodes, bytes);
   const double done = max_clock(range) + cost;
-  for (Rank r = range.begin; r < range.end; ++r) {
-    account_traffic(r, bytes);
-    bump_to(r, done, region);
-  }
+  account_traffic(range.begin, range.end, bytes);
+  bump_to(range, done, region);
 }
 
 void Cluster::barrier(RankRange range, RegionId region) {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
+  check_range(range);
   if (range.size() == 1) {
     return;
   }
   const int nodes = node_of(range.end - 1) - node_of(range.begin) + 1;
   const double done =
       max_clock(range) + machine_.barrier_time(range.size(), nodes);
-  for (Rank r = range.begin; r < range.end; ++r) {
-    bump_to(r, done, region);
-  }
+  bump_to(range, done, region);
 }
 
 void Cluster::broadcast(RankRange range, Rank root, std::size_t bytes,
@@ -451,9 +482,7 @@ void Cluster::broadcast(RankRange range, Rank root, std::size_t bytes,
   const double done =
       clock(root) + machine_.broadcast_time(range.size(), nodes, bytes);
   account_traffic(root, bytes);
-  for (Rank r = range.begin; r < range.end; ++r) {
-    bump_to(r, done, region);
-  }
+  bump_to(range, done, region);
 }
 
 void Cluster::gather(RankRange range, Rank root, std::size_t bytes_per_rank,
@@ -472,18 +501,14 @@ void Cluster::gather(RankRange range, Rank root, std::size_t bytes_per_rank,
                       payload / link_bw +
                       machine_.msg_overhead * std::log2(range.size());
   const double done = max_clock(range) + cost;
-  for (Rank r = range.begin; r < range.end; ++r) {
-    if (r != root) {
-      account_traffic(r, bytes_per_rank);
-    }
-    bump_to(r, done, region);
-  }
+  account_traffic(range.begin, root, bytes_per_rank);
+  account_traffic(root + 1, range.end, bytes_per_rank);
+  bump_to(range, done, region);
 }
 
 void Cluster::alltoall(RankRange range, std::size_t bytes_per_pair,
                        RegionId region) {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
+  check_range(range);
   if (range.size() == 1) {
     return;
   }
@@ -491,20 +516,15 @@ void Cluster::alltoall(RankRange range, std::size_t bytes_per_pair,
   const double done =
       max_clock(range) +
       machine_.alltoall_time(range.size(), nodes, bytes_per_pair);
-  for (Rank r = range.begin; r < range.end; ++r) {
-    account_traffic(r, bytes_per_pair * static_cast<std::size_t>(
-                                            range.size() - 1),
-                    range.size() - 1);
-    bump_to(r, done, region);
-  }
+  account_traffic(range.begin, range.end,
+                  bytes_per_pair * static_cast<std::size_t>(range.size() - 1),
+                  range.size() - 1);
+  bump_to(range, done, region);
 }
 
 void Cluster::wait_until(RankRange range, double time, RegionId region) {
-  CPX_REQUIRE(range.begin >= 0 && range.end <= num_ranks_ && range.size() > 0,
-              "Cluster: bad rank range");
-  for (Rank r = range.begin; r < range.end; ++r) {
-    bump_to(r, time, region);
-  }
+  check_range(range);
+  bump_to(range, time, region);
 }
 
 void Cluster::comm_delay(Rank rank, double seconds, RegionId region) {

@@ -147,6 +147,9 @@ class Cluster {
   /// ranks before it were charged).
   void compute_seconds(RankRange range, std::span<const double> seconds,
                        RegionId region);
+  /// Uniform range charge: every rank in the range computes `seconds`,
+  /// exactly as the span form charges a span holding that value.
+  void compute_seconds(RankRange range, double seconds, RegionId region);
 
   // --- Point-to-point ---
   /// Resolves a message list into a reusable schedule: per message the
@@ -263,7 +266,9 @@ class Cluster {
   const Trace* trace() const { return trace_.get(); }
 
  private:
-  void bump_to(Rank rank, double time, RegionId region);
+  /// Advances every rank of `range` that is behind `time` to it, in
+  /// ascending order, charging the wait as comm.
+  void bump_to(RankRange range, double time, RegionId region);
 
   /// Records one interval when tracing is on (inline: every charging loop
   /// calls it, and with tracing off it is one pointer test).
@@ -273,9 +278,16 @@ class Cluster {
       trace_->record(rank, region, kind, start, end);
     }
   }
+  /// Throws CheckError unless `range` is a non-empty range of this
+  /// cluster's ranks.
+  void check_range(RankRange range) const;
   /// Validates the arguments of a range charge.
   void check_range_charge(RankRange range,
                           std::span<const double> seconds) const;
+  /// The loop of both range compute charges: rank r computes
+  /// seconds_of(r), in ascending rank order.
+  template <typename SecondsOf>
+  void compute_range(RankRange range, RegionId region, SecondsOf seconds_of);
 
   /// Throws RankFailure when `rank` is armed and past its failure step.
   void maybe_fail(Rank rank) const {
@@ -290,6 +302,9 @@ class Cluster {
   int num_ranks_;
   int num_nodes_;  ///< derived from machine_ // cpx-lint: allow(ckpt)
   void account_traffic(Rank src, std::size_t bytes,
+                       std::int64_t messages = 1);
+  /// account_traffic for every rank of [begin, end).
+  void account_traffic(Rank begin, Rank end, std::size_t bytes,
                        std::int64_t messages = 1);
 
   struct PendingMessage {

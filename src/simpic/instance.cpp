@@ -108,27 +108,21 @@ void Instance::step(sim::Cluster& cluster) {
   const int p = ranks_.size();
 
   // 1. Charge deposition — perfectly parallel particle sweep.
-  for (int l = 0; l < p; ++l) {
-    cluster.compute_seconds(ranks_.begin + l, deposit_s_, region_deposit_);
-  }
+  cluster.compute_seconds(ranks_, deposit_s_, region_deposit_);
 
   // 2. Field solve: local tridiagonal elimination, then the serial
   //    forward/backward boundary pipeline across ranks. The pipeline is a
   //    full synchronisation: no rank can push particles before the back
   //    substitution has reached it, so every rank leaves at
   //    max(entry clocks) + pipeline time.
-  for (int l = 0; l < p; ++l) {
-    cluster.compute_seconds(ranks_.begin + l, field_s_, region_field_);
-  }
+  cluster.compute_seconds(ranks_, field_s_, region_field_);
   if (p > 1) {
     const double done = cluster.max_clock(ranks_) + pipeline_s_;
     cluster.wait_until(ranks_, done, region_field_);
   }
 
   // 3+4. Gather + leapfrog push — perfectly parallel.
-  for (int l = 0; l < p; ++l) {
-    cluster.compute_seconds(ranks_.begin + l, push_s_, region_push_);
-  }
+  cluster.compute_seconds(ranks_, push_s_, region_push_);
 
   // 5. Migration of boundary-crossing particles to the 1-D neighbours.
   if (p > 1) {

@@ -101,6 +101,34 @@ def check_raw_strings_cpxcheck() -> None:
         ok("cpxcheck lexer: digit separators, no false raw-string prefixes")
 
 
+def check_partial_runs() -> None:
+    """A run over one fixture registry's directory is not a whole-tree
+    run: it keeps the findings its files prove on their own and drops the
+    whole-tree halves (the registered-but-absent class, the unused metric
+    name)."""
+    expected = {line.strip()
+                for line in (HERE / "expected_cpxcheck.txt").read_text()
+                .splitlines() if line.strip()}
+    whole_tree_only = {
+        "tests/lint_fixtures/cpxcheck/ckpt/registry.hpp:1:ckpt",
+        "tests/lint_fixtures/cpxcheck/metrics/metric_names.hpp:9:"
+        "metrics-registry",
+    }
+    for sub in ("ckpt", "metrics"):
+        prefix = f"tests/lint_fixtures/cpxcheck/{sub}/"
+        want = {f for f in expected if f.startswith(prefix)} \
+            - whole_tree_only
+        _, output = run([sys.executable, "tools/cpxcheck",
+                         prefix.rstrip("/")])
+        got = findings_of(output)
+        if got != want:
+            fail(f"partial run over {prefix}: got {sorted(got)}, "
+                 f"expected {sorted(want)}")
+        else:
+            ok(f"partial run over {prefix}: {len(want)} per-file "
+               f"finding(s), whole-tree halves skipped")
+
+
 def check_inventory() -> None:
     code, output = run([sys.executable, "tools/cpxcheck", "--list",
                         "--json"])
@@ -133,6 +161,7 @@ def main() -> int:
         "cpxcheck fixtures",
         [sys.executable, "tools/cpxcheck", "tests/lint_fixtures/cpxcheck"],
         HERE / "expected_cpxcheck.txt")
+    check_partial_runs()
     check_raw_strings_cpxcheck()
     check_inventory()
     if failures:

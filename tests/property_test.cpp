@@ -154,6 +154,22 @@ void expect_same_state(const sim::Cluster& a, const sim::Cluster& b,
   }
 }
 
+/// Both clusters recorded the same events, bit for bit.
+void expect_same_trace(const sim::Cluster& a, const sim::Cluster& b) {
+  const auto& ea = a.trace()->events();
+  const auto& eb = b.trace()->events();
+  ASSERT_EQ(ea.size(), eb.size());
+  for (std::size_t i = 0; i < ea.size(); ++i) {
+    EXPECT_EQ(ea[i].rank, eb[i].rank);
+    EXPECT_EQ(ea[i].region, eb[i].region);
+    EXPECT_EQ(ea[i].kind, eb[i].kind);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ea[i].start),
+              std::bit_cast<std::uint64_t>(eb[i].start));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ea[i].end),
+              std::bit_cast<std::uint64_t>(eb[i].end));
+  }
+}
+
 /// A random bulk round over several nodes: multi-message senders, intra-
 /// and inter-node traffic, and ranks that both send and receive.
 std::vector<sim::Message> random_round(Rng& rng, int p, int cores_per_node) {
@@ -184,8 +200,172 @@ std::vector<sim::Message> random_round(Rng& rng, int p, int cores_per_node) {
   return msgs;
 }
 
+/// The exchange recurrence of docs/SIMULATOR.md, written out per message
+/// from the machine model alone, with no schedule and no branch-free
+/// receive: the independent reference that Cluster::exchange must match
+/// bit for bit.
+struct ReferenceCluster {
+  sim::MachineModel machine;
+  std::vector<double> clock, work, halo;
+  std::vector<std::size_t> bytes;
+  std::vector<std::int64_t> messages;
+  std::vector<sim::TraceEvent> waits;  ///< every positive wait, in order
+
+  ReferenceCluster(const sim::MachineModel& m, int p)
+      : machine(m),
+        clock(static_cast<std::size_t>(p), 0.0),
+        work(clock),
+        halo(clock),
+        bytes(static_cast<std::size_t>(p), 0),
+        messages(static_cast<std::size_t>(p), 0) {}
+
+  void compute(sim::Rank r, double seconds) {
+    clock[static_cast<std::size_t>(r)] += seconds;
+    work[static_cast<std::size_t>(r)] += seconds;
+  }
+
+  void exchange(const std::vector<sim::Message>& msgs) {
+    const int cpn = machine.cores_per_node;
+    std::vector<int> inter_per_node(
+        clock.size() / static_cast<std::size_t>(cpn) + 1, 0);
+    for (const sim::Message& m : msgs) {
+      if (m.src / cpn != m.dst / cpn) {
+        ++inter_per_node[static_cast<std::size_t>(m.src / cpn)];
+      }
+    }
+    std::vector<double> arrival;
+    for (const sim::Message& m : msgs) {
+      const bool same_node = m.src / cpn == m.dst / cpn;
+      double bw = machine.bandwidth(same_node);
+      if (!same_node) {
+        bw = std::min(bw, machine.node_injection_bw /
+                              std::max(1, inter_per_node[static_cast<
+                                              std::size_t>(m.src / cpn)]));
+      }
+      const auto src = static_cast<std::size_t>(m.src);
+      bytes[src] += m.bytes;
+      ++messages[src];
+      const double sent = clock[src] + machine.msg_overhead;
+      clock[src] = sent;
+      halo[src] += machine.msg_overhead;
+      arrival.push_back((sent + machine.latency(same_node)) +
+                        static_cast<double>(m.bytes) / bw);
+    }
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      const auto dst = static_cast<std::size_t>(msgs[i].dst);
+      if (arrival[i] > clock[dst]) {
+        waits.push_back({msgs[i].dst, 0, sim::TraceKind::kComm, clock[dst],
+                         arrival[i]});
+        halo[dst] += arrival[i] - clock[dst];
+        clock[dst] = arrival[i];
+      }
+      clock[dst] += machine.msg_overhead;
+      halo[dst] += machine.msg_overhead;
+    }
+  }
+
+  /// Compares everything `cluster` charged to regions "work" and "halo".
+  void expect_matches(const sim::Cluster& cluster,
+                      const std::string& what) const {
+    const sim::RegionId work_id = cluster.profile().find_region("work");
+    const sim::RegionId halo_id = cluster.profile().find_region("halo");
+    for (sim::Rank r = 0; r < cluster.num_ranks(); ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(cluster.clock(r)),
+                std::bit_cast<std::uint64_t>(clock[i]))
+          << what << ": clock of rank " << r;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                    cluster.profile().rank_region(r, work_id).compute),
+                std::bit_cast<std::uint64_t>(work[i]))
+          << what << ": work of rank " << r;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                    cluster.profile().rank_region(r, halo_id).comm),
+                std::bit_cast<std::uint64_t>(halo[i]))
+          << what << ": halo comm of rank " << r;
+      ASSERT_EQ(cluster.comm_bytes(r), bytes[i]) << what << ": rank " << r;
+      ASSERT_EQ(cluster.comm_messages(r), messages[i])
+          << what << ": rank " << r;
+    }
+  }
+
+  /// The trace of `cluster` must hold exactly the positive waits.
+  void expect_trace_is_the_waits(const sim::Cluster& cluster) const {
+    const sim::RegionId halo_id = cluster.profile().find_region("halo");
+    std::vector<sim::TraceEvent> comm;
+    for (const sim::TraceEvent& e : cluster.trace()->events()) {
+      if (e.kind == sim::TraceKind::kComm) {
+        comm.push_back(e);
+      }
+    }
+    ASSERT_EQ(comm.size(), waits.size());
+    for (std::size_t i = 0; i < comm.size(); ++i) {
+      EXPECT_EQ(comm[i].rank, waits[i].rank) << "wait " << i;
+      EXPECT_EQ(comm[i].region, halo_id) << "wait " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(comm[i].start),
+                std::bit_cast<std::uint64_t>(waits[i].start))
+          << "wait " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(comm[i].end),
+                std::bit_cast<std::uint64_t>(waits[i].end))
+          << "wait " << i;
+    }
+  }
+};
+
+/// Number of maximal runs of consecutive messages from `src`.
+int sender_runs(const std::vector<sim::Message>& msgs, sim::Rank src) {
+  int runs = 0;
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    if (msgs[i].src == src && (i == 0 || msgs[i - 1].src != src)) {
+      ++runs;
+    }
+  }
+  return runs;
+}
+
 class ScheduleEquivalence
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(ScheduleEquivalence, ExchangeMatchesTheDocumentedRecurrence) {
+  // Every exchange form shares one sender loop and one receiver loop, so
+  // comparing the forms with each other cannot see a change in those
+  // loops. This pins them to the recurrence itself, on a traced and an
+  // untraced cluster, with one sender split into two separate runs.
+  const auto [seed, slow] = GetParam();
+  const sim::MachineModel machine =
+      slow ? sim::MachineModel::slow_network() : sim::MachineModel::archer2();
+  Rng rng(static_cast<std::uint64_t>(seed) * 7919);
+  const int p = machine.cores_per_node +
+                static_cast<int>(rng.uniform_index(
+                    static_cast<std::uint64_t>(4 * machine.cores_per_node)));
+  std::vector<sim::Message> msgs = random_round(rng, p, machine.cores_per_node);
+  const sim::Rank again = msgs.empty() ? 0 : msgs.front().src;
+  msgs.push_back({(again + 1) % p, again, 64});
+  msgs.push_back({again, (again + 2) % p, 1 << 16});
+  ASSERT_GE(sender_runs(msgs, again), 2);
+
+  ReferenceCluster reference(machine, p);
+  sim::Cluster plain(machine, p);
+  sim::Cluster traced(machine, p);
+  traced.enable_tracing();
+  const sim::ExchangeSchedule plain_schedule = plain.make_schedule(msgs);
+  const sim::ExchangeSchedule traced_schedule = traced.make_schedule(msgs);
+  for (int round = 0; round < 4; ++round) {
+    for (sim::Rank r = 0; r < p; ++r) {
+      const double seconds = rng.uniform(0.0, 1e-4);
+      reference.compute(r, seconds);
+      plain.compute_seconds(r, seconds, plain.region("work"));
+      traced.compute_seconds(r, seconds, traced.region("work"));
+    }
+    reference.exchange(msgs);
+    plain.exchange(plain_schedule, plain.region("halo"));
+    traced.exchange(traced_schedule, traced.region("halo"));
+  }
+  reference.expect_matches(plain, "untraced");
+  reference.expect_matches(traced, "traced");
+  expect_same_state(plain, traced, "traced vs untraced");
+  ASSERT_FALSE(reference.waits.empty());
+  reference.expect_trace_is_the_waits(traced);
+}
 
 TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
   // A schedule built once and charged every round, the message-list
@@ -266,18 +446,7 @@ TEST_P(ScheduleEquivalence, RangeChargesMatchThePerRankLoop) {
     }
   }
   expect_same_state(by_range, by_rank, "range vs per-rank charges");
-  const auto& ea = by_range.trace()->events();
-  const auto& eb = by_rank.trace()->events();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (std::size_t i = 0; i < ea.size(); ++i) {
-    EXPECT_EQ(ea[i].rank, eb[i].rank);
-    EXPECT_EQ(ea[i].region, eb[i].region);
-    EXPECT_EQ(ea[i].kind, eb[i].kind);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ea[i].start),
-              std::bit_cast<std::uint64_t>(eb[i].start));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ea[i].end),
-              std::bit_cast<std::uint64_t>(eb[i].end));
-  }
+  expect_same_trace(by_range, by_rank);
 
   // A failure armed at a middle rank: the range charge throws there,
   // after charging exactly the ranks before it, like the per-rank loop.
@@ -313,8 +482,72 @@ TEST_P(ScheduleEquivalence, RangeChargesMatchThePerRankLoop) {
                        by_rank.region("delay"));
   }
   expect_same_state(by_range, by_rank, "range vs per-rank, failure armed");
-  EXPECT_EQ(by_range.trace()->events().size(),
-            by_rank.trace()->events().size());
+  expect_same_trace(by_range, by_rank);
+
+  // The uniform overload charges what the per-rank loop charges for one
+  // value, and throws at the same rank when a failure is armed there.
+  sim::Cluster uniform(machine, p);
+  sim::Cluster per_rank(machine, p);
+  uniform.enable_tracing();
+  per_rank.enable_tracing();
+  const double value = rng.uniform(0.0, 1e-3);
+  const auto charge_per_rank = [&] {
+    for (sim::Rank r = range.begin; r < range.end; ++r) {
+      per_rank.compute_seconds(r, value, per_rank.region("work"));
+    }
+  };
+  for (int round = 0; round < 3; ++round) {
+    uniform.compute_seconds(range, value, uniform.region("work"));
+    charge_per_rank();
+  }
+  for (sim::Cluster* c : {&uniform, &per_rank}) {
+    c->inject_failure(victim, 2);
+    c->begin_step(2);
+  }
+  EXPECT_THROW(uniform.compute_seconds(range, value, uniform.region("work")),
+               sim::RankFailure);
+  EXPECT_THROW(charge_per_rank(), sim::RankFailure);
+  expect_same_state(uniform, per_rank, "uniform vs per-rank charges");
+  expect_same_trace(uniform, per_rank);
+  EXPECT_GT(uniform.clock(victim - 1), uniform.clock(victim));
+}
+
+TEST(ExchangeSchedules, ArrivalTiedWithTheReceiverClockWaitsNothing) {
+  // Rank 0 sends one message to each of ranks 1-3 on its node. Rank 2's
+  // clock equals the arrival exactly, rank 1's lies one ulp before it and
+  // rank 3's one ulp after: only rank 1 waits, and only its wait is traced.
+  const sim::MachineModel machine = sim::MachineModel::archer2();
+  const std::vector<sim::Message> msgs = {{0, 1, 4096}, {0, 2, 4096},
+                                          {0, 3, 4096}};
+  for (const bool trace : {false, true}) {
+    sim::Cluster cluster(machine, 4);
+    ReferenceCluster reference(machine, 4);
+    if (trace) {
+      cluster.enable_tracing();
+    }
+    const double transfer = 4096.0 / machine.bw_intra;
+    const double o = machine.msg_overhead;
+    const double arrivals[] = {(o + machine.lat_intra) + transfer,
+                               ((o + o) + machine.lat_intra) + transfer,
+                               (((o + o) + o) + machine.lat_intra) + transfer};
+    const double entry[] = {std::nextafter(arrivals[0], 0.0), arrivals[1],
+                            std::nextafter(arrivals[2], 1.0)};
+    for (sim::Rank r = 1; r <= 3; ++r) {
+      const double seconds = entry[r - 1];
+      cluster.compute_seconds(r, seconds, cluster.region("work"));
+      reference.compute(r, seconds);
+    }
+    cluster.exchange(msgs, cluster.region("halo"));
+    reference.exchange(msgs);
+    reference.expect_matches(cluster, trace ? "traced" : "untraced");
+    ASSERT_EQ(reference.waits.size(), 1u);
+    EXPECT_EQ(reference.waits[0].rank, 1);
+    EXPECT_EQ(cluster.clock(2), arrivals[1] + o);
+    EXPECT_EQ(cluster.clock(3), entry[2] + o);
+    if (trace) {
+      reference.expect_trace_is_the_waits(cluster);
+    }
+  }
 }
 
 TEST(ExchangeSchedules, RangeChargeRejectsAMismatchedSpan) {

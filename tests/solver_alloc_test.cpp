@@ -232,6 +232,50 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
       << "warm overlap window made " << allocs << " heap allocations";
 }
 
+TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
+  // One cluster alternates a small and a large exchange, synchronous and
+  // split-phase, scheduled and by message list: the arrival buffers they
+  // share keep their capacity when the small exchange shrinks them, so
+  // after the first round nothing allocates.
+  constexpr int kRanks = 300;
+  cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), kRanks);
+  const auto region = cluster.region("mixed");
+  std::vector<cpx::sim::Message> small;
+  std::vector<cpx::sim::Message> large;
+  for (int r = 0; r < kRanks; ++r) {
+    if (r % 30 == 0) {
+      small.push_back({r, (r + 131) % kRanks, 512});
+    }
+    large.push_back({r, (r + 1) % kRanks, 8192});
+    large.push_back({r, (r + kRanks - 1) % kRanks, 8192});
+  }
+  const cpx::sim::ExchangeSchedule small_schedule =
+      cluster.make_schedule(small);
+  const cpx::sim::ExchangeSchedule large_schedule =
+      cluster.make_schedule(large);
+  const auto round = [&] {
+    for (const auto* msgs : {&small, &large}) {
+      cluster.exchange(*msgs, region);
+      cluster.exchange_finish(cluster.exchange_begin(*msgs, region));
+    }
+    for (const auto* schedule : {&small_schedule, &large_schedule}) {
+      cluster.exchange(*schedule, region);
+      const int h = cluster.exchange_begin(*schedule, region);
+      cluster.compute_seconds(0, 1e-6, region);
+      cluster.exchange_finish(h);
+    }
+  };
+
+  round();  // sizes the scratch schedule and the arrival buffers
+  const std::size_t allocs = allocations_during([&] {
+    for (int i = 0; i < 8; ++i) {
+      round();
+    }
+  });
+  EXPECT_EQ(allocs, 0u)
+      << "warm mixed-size exchanges made " << allocs << " heap allocations";
+}
+
 // Regression for a gap the call-graph-aware analyzer (tools/cpxcheck rule
 // `solve-alloc`) found and the per-file lint could not: parallel_reduce
 // heap-allocated a fresh partials vector on every call once a range

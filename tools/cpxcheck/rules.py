@@ -230,8 +230,14 @@ def check_ckpt(project: Project) -> list[Finding]:
                 f"restore(ckpt::Reader&) pair but is not listed in "
                 f"{registry.path}"))
 
+    whole_tree = _whole_tree(project)
     for short in sorted(registered):
         full = registered[short]
+        if not whole_tree and (short not in classes
+                               or (short not in ser and short not in res)):
+            # The class, or both halves of its pair, lie outside the
+            # analysed files: nothing to check here.
+            continue
         if short not in ser or short not in res:
             findings.append(Finding(
                 rule.name, registry.path, 1,
@@ -274,6 +280,15 @@ def _ckpt_registry(project: Project):
 def _metric_registry(project: Project):
     return next((f for f in project.files
                  if f.path.endswith("metric_names.hpp")), None)
+
+
+def _whole_tree(project: Project) -> bool:
+    """True when both registries are analysed: a whole-tree (or fixture
+    directory) run. A registry entry or marker that nothing in the
+    analysed files uses proves something only then; a run on a subset of
+    files skips those cross-file checks."""
+    return _ckpt_registry(project) is not None \
+        and _metric_registry(project) is not None
 
 
 def _locate_class(candidates, full_qualname):
@@ -744,7 +759,7 @@ def check_raw_comm(project: Project) -> list[Finding]:
 def check_metrics_registry(project: Project) -> list[Finding]:
     """Cross-checks metric-name literals against the registry header in
     both directions. Runs only when the registry is among the analysed
-    files: the unused-name direction is defined over the whole tree."""
+    files; the unused-name direction only on a whole-tree run."""
     rule = rule_by_name("metrics-registry")
     registry = _metric_registry(project)
     if registry is None:
@@ -770,10 +785,11 @@ def check_metrics_registry(project: Project) -> list[Finding]:
                         project, rule, facts, [name],
                         f'metric name "{{}}" is not listed in '
                         f"{registry.path}")
-    findings += _token_findings(
-        project, rule, registry,
-        [t for name, t in registered.items() if name not in used],
-        'registered metric name "{}" is no longer used')
+    if _whole_tree(project):
+        findings += _token_findings(
+            project, rule, registry,
+            [t for name, t in registered.items() if name not in used],
+            'registered metric name "{}" is no longer used')
     return findings
 
 
@@ -788,8 +804,7 @@ def check_allow_audit(project: Project) -> list[Finding]:
     half runs only when both registries are analysed: a whole-tree run.
     An allow(allow-audit) is exempt from it: it would silence itself."""
     rule = rule_by_name("allow-audit")
-    audit_use = _ckpt_registry(project) is not None \
-        and _metric_registry(project) is not None
+    audit_use = _whole_tree(project)
     findings: list[Finding] = []
     for facts in project.files:
         for idx, line in enumerate(facts.lines):
