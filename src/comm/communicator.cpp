@@ -48,7 +48,6 @@ class QueueWaitTimer {
 struct Communicator::State {
   std::string name;
   int size = 0;
-  std::vector<Rank> global_ranks;  ///< local rank -> world rank
 
   struct Send {
     Rank src = 0;
@@ -121,10 +120,6 @@ Communicator Communicator::world(int size, std::string name) {
   auto state = std::make_shared<State>();
   state->name = std::move(name);
   state->size = size;
-  state->global_ranks.resize(static_cast<std::size_t>(size));
-  for (int r = 0; r < size; ++r) {
-    state->global_ranks[static_cast<std::size_t>(r)] = r;
-  }
   return Communicator(std::move(state));
 }
 
@@ -136,80 +131,6 @@ int Communicator::size() const {
 const std::string& Communicator::name() const {
   CPX_CHECK(state_ != nullptr);
   return state_->name;
-}
-
-Rank Communicator::global_rank(Rank local) const {
-  CPX_CHECK(state_ != nullptr);
-  state_->check_rank(local);
-  return state_->global_ranks[static_cast<std::size_t>(local)];
-}
-
-std::span<const Rank> Communicator::global_ranks() const {
-  CPX_CHECK(state_ != nullptr);
-  return state_->global_ranks;
-}
-
-std::vector<Communicator> Communicator::split(
-    std::span<const int> colors) const {
-  CPX_CHECK(state_ != nullptr);
-  CPX_REQUIRE(colors.size() == static_cast<std::size_t>(state_->size),
-              "split needs one color per rank: " << colors.size() << " vs "
-                                                 << state_->size);
-  for (std::size_t r = 0; r < colors.size(); ++r) {
-    CPX_REQUIRE(colors[r] >= 0,
-                "split color for rank " << r << " is negative");
-  }
-
-  std::vector<int> distinct(colors.begin(), colors.end());
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-
-  std::vector<Communicator> groups;
-  groups.reserve(distinct.size());
-  std::vector<int> membership(colors.size(), 0);
-  int covered = 0;
-  for (const int color : distinct) {
-    auto child = std::make_shared<State>();
-    child->name = state_->name + "/" + std::to_string(color);
-    for (std::size_t r = 0; r < colors.size(); ++r) {
-      if (colors[r] == color) {
-        child->global_ranks.push_back(
-            state_->global_ranks[r]);
-        ++membership[r];
-        ++covered;
-      }
-    }
-    child->size = static_cast<int>(child->global_ranks.size());
-    groups.emplace_back(Communicator(std::move(child)));
-  }
-
-  // The split must partition the parent: every rank lands in exactly one
-  // subgroup (the kAsyncTask coverage assertion).
-  CPX_CHECK_MSG(covered == state_->size,
-                "split covers " << covered << " of " << state_->size
-                                << " ranks");
-  for (std::size_t r = 0; r < membership.size(); ++r) {
-    CPX_CHECK_MSG(membership[r] == 1, "rank " << r << " appears in "
-                                              << membership[r]
-                                              << " subgroups");
-  }
-  return groups;
-}
-
-std::vector<Communicator> Communicator::split_fraction(double fraction) const {
-  CPX_CHECK(state_ != nullptr);
-  CPX_REQUIRE(fraction > 0.0 && fraction <= 1.0,
-              "rank fraction must be in (0, 1], got " << fraction);
-  const int size = state_->size;
-  const int workers = std::min(
-      size, std::max(1, static_cast<int>(static_cast<double>(size) *
-                                         fraction)));
-  std::vector<int> colors(static_cast<std::size_t>(size), 1);
-  for (int r = 0; r < workers; ++r) {
-    colors[static_cast<std::size_t>(r)] = 0;
-  }
-  return split(colors);
 }
 
 void Communicator::isend(Rank src, Rank dst, int tag, const void* data,
@@ -334,21 +255,6 @@ double Communicator::allreduce_sum(std::span<const double> contributions) {
       state_->size,
       static_cast<std::int64_t>(sizeof(double)) * state_->size);
   return support::blas1::sum(contributions);
-}
-
-void Communicator::post(Rank src, Rank dst, std::size_t bytes) {
-  CPX_CHECK(state_ != nullptr);
-  State& s = *state_;
-  s.check_rank(src);
-  s.check_rank(dst);
-  s.transfers.push_back({src, dst, bytes});
-  s.count_message(bytes);
-}
-
-void Communicator::post_collective(std::size_t bytes,
-                                   std::int64_t messages) {
-  CPX_CHECK(state_ != nullptr);
-  state_->count_collective(messages, static_cast<std::int64_t>(bytes));
 }
 
 std::span<const Transfer> Communicator::transfers() const {

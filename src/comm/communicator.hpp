@@ -1,16 +1,14 @@
 #pragma once
 // MPI-shaped in-process message-passing substrate (docs/communication.md).
 //
-// Every distributed component in this repo — the MG-CFD halo exchange, the
-// SIMPIC boundary merge / particle migration / pipelined Thomas solve, the
-// spray load-balancing strategies, and the coupler-unit gather/scatter —
+// Every distributed solver in this repo — the MG-CFD halo exchange and the
+// SIMPIC boundary merge / particle migration / pipelined Thomas solve —
 // used to move rank-to-rank bytes with its own ad-hoc buffer copies and
 // its own byte bookkeeping. This layer is the single transport they all
 // route through:
 //
 //  * Communicator — a rank group with its own message space. The world
-//    communicator covers all ranks of a distributed run; split() carves
-//    deterministic subgroups (the spray worker communicator, CU groups).
+//    communicator covers all ranks of a distributed run.
 //  * isend/irecv/wait_all — nonblocking point-to-point with (src, dst,
 //    tag) matching. Matching is FIFO per triple and delivery happens in
 //    receive-posting order, so a fixed program order yields a fixed
@@ -21,17 +19,17 @@
 //    rank, combined through support::blas1::sum, i.e. the fixed-grain
 //    chunk-order contract of docs/parallelism.md: bitwise identical at
 //    any thread count.
-//  * post()/post_collective() — accounting-only messages for the
-//    performance-model sites (spray, coupler units) whose data plane is
-//    virtual: no payload moves, but the bytes are counted identically to
-//    real traffic and recorded for virtual-cluster charging.
 //
-// Byte accounting: every delivered or posted message increments the
-// communicator's CommStats and, when the metrics layer is enabled, the
-// global "comm/bytes" / "comm/messages" counters ("comm/queue_wait_ns"
+// The performance models (spray strategies, coupler units, the analytic
+// instances) move no payload, so they do not use this layer: their
+// messages exist only on the virtual cluster, which counts them in
+// sim::Cluster::comm_bytes/comm_messages.
+//
+// Byte accounting: every delivered message increments the communicator's
+// CommStats and, when the metrics layer is enabled, the global
+// "comm/bytes" / "comm/messages" counters ("comm/queue_wait_ns"
 // accumulates wall time spent matching and copying in wait_all/deliver).
-// This replaces the per-subsystem counters (DistributedSolver::
-// last_halo_bytes and friends) with one accounting path.
+// These count only bytes this host transport moved.
 //
 // Transfers delivered since the last clear are additionally recorded as
 // (src, dst, bytes) records so a caller co-simulating on a sim::Cluster
@@ -54,7 +52,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "support/parallel.hpp"
 
@@ -62,8 +59,8 @@ namespace cpx::comm {
 
 using Rank = int;
 
-/// One delivered (or posted) message, in the communicator's global rank
-/// space. Layout-compatible with sim::Message by design.
+/// One delivered message, in the communicator's rank space.
+/// Layout-compatible with sim::Message by design.
 struct Transfer {
   Rank src = 0;
   Rank dst = 0;
@@ -79,7 +76,7 @@ struct CommStats {
 class Communicator {
  public:
   /// Null handle; every operation except bool conversion requires a real
-  /// communicator from world() or split().
+  /// communicator from world().
   Communicator() = default;
 
   /// Root communicator of `size` ranks. `name` labels its stats.
@@ -88,23 +85,6 @@ class Communicator {
   explicit operator bool() const { return state_ != nullptr; }
   int size() const;
   const std::string& name() const;
-
-  /// Rank of local rank `local` in the world communicator this one was
-  /// split from (identity for a world communicator).
-  Rank global_rank(Rank local) const;
-  std::span<const Rank> global_ranks() const;
-
-  /// Deterministic split: one subgroup per distinct color, ordered by
-  /// ascending color, members in ascending parent-rank order. Requires
-  /// colors.size() == size() and every color >= 0; checks that the
-  /// subgroups cover every rank exactly once.
-  std::vector<Communicator> split(std::span<const int> colors) const;
-
-  /// The split used by the spray kAsyncTask strategy: the leading
-  /// max(1, floor(size * fraction)) ranks form subgroup 0 (the dedicated
-  /// spray communicator), the rest subgroup 1 (the solver ranks; absent
-  /// when fraction covers everything). Coverage is asserted by split().
-  std::vector<Communicator> split_fraction(double fraction) const;
 
   // --- Nonblocking point-to-point -------------------------------------
   void isend(Rank src, Rank dst, int tag, const void* data,
@@ -153,17 +133,9 @@ class Communicator {
   /// as size() messages of sizeof(double) bytes.
   double allreduce_sum(std::span<const double> contributions);
 
-  // --- Accounting-only traffic (performance-model data planes) --------
-  /// Records a message without moving payload.
-  void post(Rank src, Rank dst, std::size_t bytes);
-  /// Records collective traffic (total bytes over `messages` messages)
-  /// without per-pair transfer records.
-  void post_collective(std::size_t bytes, std::int64_t messages);
-
   // --- Accounting -----------------------------------------------------
-  /// Transfers delivered by wait_all()/deliver()/post() since the last
-  /// clear_transfers(), in delivery order, in this communicator's local
-  /// rank space.
+  /// Transfers delivered by wait_all()/deliver() since the last
+  /// clear_transfers(), in delivery order.
   std::span<const Transfer> transfers() const;
   void clear_transfers();
 

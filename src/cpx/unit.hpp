@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <string>
 
-#include "comm/communicator.hpp"
 #include "sim/app.hpp"
 
 namespace cpx::ckpt {
@@ -83,22 +82,19 @@ class CouplerUnit {
 
   /// Snapshot section "coupler/unit/<name>" (docs/checkpoint.md): the
   /// steady-state mapped latch and the overlap flag — the only state a CU
-  /// carries between exchanges; communicator and regions are lazily
-  /// rebuilt. Restore validates the unit name and throws CheckError.
+  /// carries between exchanges; regions and schedules are rebuilt on the
+  /// first exchange on a cluster. Restore validates the unit name and
+  /// throws CheckError.
   void serialize(ckpt::Writer& w) const;
   void restore(ckpt::Reader& r);
 
-  /// Gather/scatter traffic this unit has posted (cluster-global rank
-  /// space) — shared byte accounting with every other subsystem, see
-  /// docs/communication.md. Zero until the first exchange().
-  const comm::CommStats& comm_stats() const {
-    static const comm::CommStats kEmpty{};
-    return comm_ ? comm_.stats() : kEmpty;
-  }
-
  private:
-  void half_exchange(sim::Cluster& cluster, sim::App& src, sim::App& dst,
-                     bool remap);
+  /// Interns the regions and builds the four gather/scatter schedules;
+  /// throws CheckError unless every endpoint is a rank of `cluster`.
+  void bind(sim::Cluster& cluster);
+  void half_exchange(sim::Cluster& cluster,
+                     const sim::ExchangeSchedule& gather,
+                     const sim::ExchangeSchedule& scatter, bool remap);
 
   std::string name_;
   UnitConfig config_;   // construction config // cpx-lint: allow(ckpt)
@@ -107,15 +103,16 @@ class CouplerUnit {
   sim::App& side_b_;    // wiring // cpx-lint: allow(ckpt)
   bool mapped_ = false;
   bool overlap_ = false;
-  // Lazily rebuilt on the first post-restore exchange.
-  comm::Communicator comm_;  // cpx-lint: allow(ckpt)
 
-  // Interned once per cluster (keyed on sim::Cluster::id()).
+  // Bound once per cluster (keyed on sim::Cluster::id()).
   std::uint64_t bound_cluster_ = 0;    // cpx-lint: allow(ckpt)
   sim::RegionId region_gather_ = -1;   // cpx-lint: allow(ckpt)
   sim::RegionId region_map_ = -1;      // cpx-lint: allow(ckpt)
   sim::RegionId region_scatter_ = -1;  // cpx-lint: allow(ckpt)
-  std::vector<sim::Message> message_scratch_;  // cpx-lint: allow(ckpt)
+  sim::ExchangeSchedule gather_a_;     ///< A -> CU // cpx-lint: allow(ckpt)
+  sim::ExchangeSchedule scatter_b_;    ///< CU -> B // cpx-lint: allow(ckpt)
+  sim::ExchangeSchedule gather_b_;     ///< B -> CU // cpx-lint: allow(ckpt)
+  sim::ExchangeSchedule scatter_a_;    ///< CU -> A // cpx-lint: allow(ckpt)
 };
 
 }  // namespace cpx::coupler

@@ -268,12 +268,6 @@ void Cluster::exchange(std::span<const Message> messages, RegionId region) {
   exchange(schedule_scratch_, region);
 }
 
-int Cluster::exchange_begin(std::span<const Message> messages,
-                            RegionId region) {
-  build_schedule(messages, schedule_scratch_);
-  return exchange_begin(schedule_scratch_, region);
-}
-
 void Cluster::post(const ExchangeSchedule& schedule, RegionId region,
                    std::vector<PendingMessage>& arrivals) {
   CPX_REQUIRE(schedule.cluster_id_ == id_,

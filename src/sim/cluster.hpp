@@ -174,7 +174,6 @@ class Cluster {
   /// may be in flight; handles are reused after finish, so the warm path
   /// allocates nothing.
   int exchange_begin(const ExchangeSchedule& schedule, RegionId region);
-  int exchange_begin(std::span<const Message> messages, RegionId region);
   /// Receives a posted exchange: each destination waits only for the
   /// arrivals its concurrent compute did not already cover. The comm time
   /// a synchronous exchange() would have charged but this one did not is
@@ -338,7 +337,7 @@ class Cluster {
   int failure_step_ = 0;    // cpx-lint: allow(ckpt)
   int current_step_ = 0;
 
-  // Scratch of the message-list adapters and of the synchronous
+  // Scratch of the message-list adapter and of the synchronous
   // exchange(), reused so warm calls allocate nothing. sender_slot_ maps a
   // rank to its entry in a schedule's sender list while one is built (-1
   // otherwise); message_node_ holds each message's sender node (-1 for an

@@ -4,13 +4,9 @@
 
 namespace cpx::sim {
 
-namespace {
-
-// Maps the recorded transfers onto cluster messages in `scratch`
-// (`cluster` only bounds-checks the mapped ranks).
-void to_messages(const comm::Communicator& comm,
-                 [[maybe_unused]] const Cluster& cluster, Rank base_rank,
-                 std::vector<Message>& scratch) {
+void flush_exchange(comm::Communicator& comm, Cluster& cluster,
+                    RegionId region, Rank base_rank,
+                    std::vector<Message>& scratch) {
   const std::span<const comm::Transfer> transfers = comm.transfers();
   scratch.clear();
   // cpx-lint: allow(solve-alloc) — capacity kept across rounds (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
@@ -23,27 +19,10 @@ void to_messages(const comm::Communicator& comm,
     // cpx-lint: allow(solve-alloc) — within the reserved capacity (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
     scratch.push_back({src, dst, t.bytes});
   }
-}
-
-}  // namespace
-
-void flush_exchange(comm::Communicator& comm, Cluster& cluster,
-                    RegionId region, Rank base_rank,
-                    std::vector<Message>& scratch) {
-  to_messages(comm, cluster, base_rank, scratch);
   if (!scratch.empty()) {
     cluster.exchange(scratch, region);
   }
   comm.clear_transfers();
-}
-
-int begin_exchange(comm::Communicator& comm, Cluster& cluster,
-                   RegionId region, Rank base_rank,
-                   std::vector<Message>& scratch) {
-  to_messages(comm, cluster, base_rank, scratch);
-  const int handle = cluster.exchange_begin(scratch, region);
-  comm.clear_transfers();
-  return handle;
 }
 
 void flush_sends(comm::Communicator& comm, Cluster& cluster,

@@ -34,13 +34,4 @@ void flush_exchange(comm::Communicator& comm, Cluster& cluster,
 void flush_sends(comm::Communicator& comm, Cluster& cluster,
                  RegionId region, Rank base_rank);
 
-/// Split-phase variant of flush_exchange: posts the recorded transfers
-/// with Cluster::exchange_begin and clears the record, returning the
-/// handle to pass to Cluster::exchange_finish after the overlapped
-/// compute has been charged. With no recorded transfers the returned
-/// handle refers to an empty exchange — finishing it is a no-op.
-int begin_exchange(comm::Communicator& comm, Cluster& cluster,
-                   RegionId region, Rank base_rank,
-                   std::vector<Message>& scratch);
-
 }  // namespace cpx::sim

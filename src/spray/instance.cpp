@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "sim/comm_bridge.hpp"
 #include "support/check.hpp"
 
 namespace cpx::spray {
@@ -16,20 +16,44 @@ Instance::Instance(std::string name, const InstanceConfig& config,
   CPX_REQUIRE(config.spray_rank_fraction > 0.0 &&
                   config.spray_rank_fraction <= 1.0,
               "Instance: bad spray_rank_fraction");
-  world_ = comm::Communicator::world(ranks.size(), name_ + "/world");
-  if (config_.strategy == Strategy::kAsyncTask) {
-    // Real subgroup carve-out: the leading fraction of ranks form the
-    // dedicated spray communicator. split() asserts every rank lands in
-    // exactly one subgroup.
-    auto groups = world_.split_fraction(config_.spray_rank_fraction);
-    spray_comm_ = groups.front();
+  const int p = ranks.size();
+  workers_ = std::min(
+      p, std::max(1, static_cast<int>(static_cast<double>(p) *
+                                      config_.spray_rank_fraction)));
+}
+
+void Instance::bind(sim::Cluster& cluster) {
+  region_push_ = cluster.region(name_ + "/push");
+  region_comm_ = cluster.region(name_ + "/comm");
+  const int p = ranks_.size();
+  const sim::Rank base = ranks_.begin;
+  std::vector<sim::Message> messages;
+  if (config_.strategy == Strategy::kSpatial) {
+    // Neighbour migration (the source-term gather is a collective).
+    const double mean = static_cast<double>(config_.num_particles) / p;
+    const auto mig_bytes = static_cast<std::size_t>(
+        config_.migration_fraction * mean *
+        static_cast<double>(config_.bytes_per_migrated_particle));
+    for (int l = 0; l + 1 < p; ++l) {
+      messages.push_back({base + l, base + l + 1, mig_bytes});
+      messages.push_back({base + l + 1, base + l, mig_bytes});
+    }
+  } else if (config_.strategy == Strategy::kAsyncTask) {
+    // One-sided exposure epoch of each worker with a solver-side partner
+    // (a rank outside the worker group: the hand-off crosses the split).
+    for (int l = 0; l < workers_; ++l) {
+      const int partner = workers_ + (l % std::max(1, p - workers_));
+      if (partner < p) {
+        messages.push_back({base + l, base + partner, 4 * sizeof(double)});
+      }
+    }
   }
+  exchange_ = cluster.make_schedule(messages);
 }
 
 void Instance::step(sim::Cluster& cluster) {
   if (needs_bind(cluster)) {
-    region_push_ = cluster.region(name_ + "/push");
-    region_comm_ = cluster.region(name_ + "/comm");
+    bind(cluster);
   }
   const int p = ranks_.size();
   const double total = static_cast<double>(config_.num_particles);
@@ -49,21 +73,9 @@ void Instance::step(sim::Cluster& cluster) {
       }
       // Neighbour migration + the source-term gather that serialises on
       // the hot rank (all ranks contribute to the injector region's gas
-      // coupling terms). The data plane is virtual: messages are posted
-      // to the communicator (shared byte accounting) and the recorded
-      // transfers charged to the cluster.
-      const auto mig_bytes = static_cast<std::size_t>(
-          config_.migration_fraction * mean *
-          static_cast<double>(config_.bytes_per_migrated_particle));
-      for (int l = 0; l + 1 < p; ++l) {
-        world_.post(l, l + 1, mig_bytes);
-        world_.post(l + 1, l, mig_bytes);
-      }
-      sim::flush_exchange(world_, cluster, region_comm_, ranks_.begin,
-                          message_scratch_);
+      // coupling terms).
+      cluster.exchange(exchange_, region_comm_);
       const std::size_t gather_bytes = 2 * sizeof(double) * 8;
-      world_.post_collective(static_cast<std::size_t>(p - 1) * gather_bytes,
-                             p - 1);
       cluster.gather(ranks_, ranks_.begin, gather_bytes, region_comm_);
       break;
     }
@@ -81,38 +93,20 @@ void Instance::step(sim::Cluster& cluster) {
           std::max(1.0, mean / p *
                             static_cast<double>(
                                 config_.bytes_per_migrated_particle)));
-      world_.post_collective(
-          static_cast<std::size_t>(p) * static_cast<std::size_t>(p - 1) *
-              pair_bytes,
-          static_cast<std::int64_t>(p) * (p - 1));
       cluster.alltoall(ranks_, pair_bytes, region_comm_);
       break;
     }
     case Strategy::kAsyncTask: {
       // Dedicated spray ranks drain a balanced queue; the solver ranks'
-      // only involvement is the one-sided hand-off (tiny). The worker set
-      // is the split_fraction subgroup carved in the constructor.
-      const int workers = spray_comm_.size();
-      const double per_worker = total / workers;
-      for (int l = 0; l < workers; ++l) {
+      // only involvement is the one-sided hand-off (tiny).
+      const double per_worker = total / workers_;
+      for (int l = 0; l < workers_; ++l) {
         sim::Work w;
         w.flops = per_worker * config_.flops_per_particle;
         w.bytes = per_worker * config_.bytes_per_particle;
-        cluster.compute(ranks_.begin + spray_comm_.global_rank(l), w,
-                        region_push_);
+        cluster.compute(ranks_.begin + l, w, region_push_);
       }
-      for (int l = 0; l < workers; ++l) {
-        // One-sided exposure epoch with a solver-side partner (a rank of
-        // the complementary subgroup); posted on the world communicator
-        // since the hand-off crosses the split.
-        const int partner = workers + (l % std::max(1, p - workers));
-        if (partner < p) {
-          world_.post(spray_comm_.global_rank(l), partner,
-                      4 * sizeof(double));
-        }
-      }
-      sim::flush_exchange(world_, cluster, region_comm_, ranks_.begin,
-                          message_scratch_);
+      cluster.exchange(exchange_, region_comm_);
       break;
     }
   }

@@ -11,15 +11,19 @@
 //   kBalanced  — flat particle work, but an all-to-all redistribution
 //                every step (the "collective operations which can
 //                significantly degrade performance at high core counts");
-//   kAsyncTask — a dedicated spray communicator (a fraction of the ranks)
-//                working a balanced queue, one-sided hand-off to the
-//                solver ranks; effectively the perfectly-scaling spray of
-//                §IV-C.
+//   kAsyncTask — dedicated spray ranks (the leading fraction of the
+//                range, the paper's split communicator) working a balanced
+//                queue, one-sided hand-off to the solver ranks; effectively
+//                the perfectly-scaling spray of §IV-C.
+//
+// The messages exist only on the virtual cluster: the kSpatial migration
+// and the kAsyncTask hand-off are schedules bound once per cluster, and the
+// collectives are charged by Cluster::gather/alltoall, which also count
+// their traffic (docs/communication.md).
 
 #include <cstdint>
 #include <string>
 
-#include "comm/communicator.hpp"
 #include "sim/app.hpp"
 #include "spray/cloud.hpp"
 
@@ -29,7 +33,8 @@ struct InstanceConfig {
   std::int64_t num_particles = 7'000'000;
   double injector_length = 0.08;
   Strategy strategy = Strategy::kSpatial;
-  /// kAsyncTask: fraction of the ranks dedicated to spray work.
+  /// kAsyncTask: fraction of the ranks dedicated to spray work (at least
+  /// one rank, at most all of them).
   double spray_rank_fraction = 0.25;
   double flops_per_particle = 80.0;
   double bytes_per_particle = 96.0;
@@ -48,23 +53,23 @@ class Instance final : public sim::App {
 
   const InstanceConfig& config() const { return config_; }
 
-  /// Traffic this instance posted to its world communicator (migration,
-  /// hand-off, and collective bytes — docs/communication.md).
-  const comm::CommStats& comm_stats() const { return world_.stats(); }
-  /// kAsyncTask: the dedicated spray subgroup carved by split_fraction
-  /// (null for the other strategies). Its size is the worker count.
-  const comm::Communicator& spray_communicator() const { return spray_comm_; }
-
  private:
+  /// Interns the regions and builds the strategy's message schedule.
+  void bind(sim::Cluster& cluster);
+
   std::string name_;
   InstanceConfig config_;
   sim::RankRange ranks_;
-  comm::Communicator world_;
-  comm::Communicator spray_comm_;  ///< kAsyncTask subgroup 0 of world_
-  std::vector<sim::Message> message_scratch_;
-  // Interned once per cluster (sim::App::needs_bind).
+  /// kAsyncTask: the leading min(p, max(1, floor(p * fraction))) ranks
+  /// work the spray queue (the paper's split communicator).
+  int workers_ = 0;
+  // Bound once per cluster (sim::App::needs_bind).
   sim::RegionId region_push_ = -1;
   sim::RegionId region_comm_ = -1;
+  /// kSpatial neighbour migration or kAsyncTask hand-off. Empty, so
+  /// charging nothing, for kBalanced, on one rank, or when every rank is
+  /// a worker.
+  sim::ExchangeSchedule exchange_;
 };
 
 }  // namespace cpx::spray

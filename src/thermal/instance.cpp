@@ -1,6 +1,7 @@
 #include "thermal/instance.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -17,11 +18,32 @@ Instance::Instance(std::string name, std::int64_t mesh_cells,
   CPX_REQUIRE(mesh_cells >= ranks.size(), "Instance: fewer cells than ranks");
 }
 
+void Instance::bind(sim::Cluster& cluster) {
+  region_spmv_ = cluster.region(name_ + "/spmv");
+  region_halo_ = cluster.region(name_ + "/halo");
+  region_dot_ = cluster.region(name_ + "/dot");
+  // One fused halo message per neighbour carrying all iterations' bytes;
+  // 1-D ring neighbours suffice for the casing shell (it is thin).
+  const int p = ranks_.size();
+  const auto halo_bytes = static_cast<std::size_t>(
+      stats_.halo_mean / std::max(stats_.neighbors_mean, 1.0) *
+      static_cast<double>(work_.bytes_per_halo_cell) *
+      static_cast<double>(work_.cg_iterations));
+  std::vector<sim::Message> messages;
+  for (int l = 0; l < p; ++l) {
+    if (l > 0) {
+      messages.push_back({ranks_.begin + l, ranks_.begin + l - 1, halo_bytes});
+    }
+    if (l + 1 < p) {
+      messages.push_back({ranks_.begin + l, ranks_.begin + l + 1, halo_bytes});
+    }
+  }
+  halo_ = cluster.make_schedule(messages);
+}
+
 void Instance::step(sim::Cluster& cluster) {
   if (needs_bind(cluster)) {
-    region_spmv_ = cluster.region(name_ + "/spmv");
-    region_halo_ = cluster.region(name_ + "/halo");
-    region_dot_ = cluster.region(name_ + "/dot");
+    bind(cluster);
   }
   const sim::MachineModel& m = cluster.machine();
   const int p = ranks_.size();
@@ -37,25 +59,10 @@ void Instance::step(sim::Cluster& cluster) {
     cluster.compute(ranks_.begin + l, w, region_spmv_);
   }
 
-  // One fused halo message per neighbour carrying all iterations' bytes;
-  // the extra rounds' latencies are charged alongside (as in mgcfd).
+  // The fused halo round; the extra rounds' latencies are charged
+  // alongside (as in mgcfd).
   if (p > 1) {
-    message_scratch_.clear();
-    const auto halo_bytes = static_cast<std::size_t>(
-        stats_.halo_mean / std::max(stats_.neighbors_mean, 1.0) *
-        static_cast<double>(work_.bytes_per_halo_cell) * iters);
-    for (int l = 0; l < p; ++l) {
-      // 1-D ring neighbours suffice for the casing shell (it is thin).
-      if (l > 0) {
-        message_scratch_.push_back(
-            {ranks_.begin + l, ranks_.begin + l - 1, halo_bytes});
-      }
-      if (l + 1 < p) {
-        message_scratch_.push_back(
-            {ranks_.begin + l, ranks_.begin + l + 1, halo_bytes});
-      }
-    }
-    cluster.exchange(message_scratch_, region_halo_);
+    cluster.exchange(halo_, region_halo_);
     const double per_round = m.lat_inter + 2.0 * m.msg_overhead;
     for (int l = 0; l < p; ++l) {
       cluster.comm_delay(ranks_.begin + l, (iters - 1.0) * per_round * 2.0,

@@ -32,16 +32,19 @@ class Instance final : public sim::App {
   std::int64_t mesh_cells() const { return mesh_cells_; }
 
  private:
+  /// Interns the regions and builds the ring halo schedule.
+  void bind(sim::Cluster& cluster);
+
   std::string name_;
   std::int64_t mesh_cells_;
   sim::RankRange ranks_;
   WorkModel work_;
   mesh::PartitionStats stats_;
-  std::vector<sim::Message> message_scratch_;
-  // Interned once per cluster (sim::App::needs_bind).
+  // Bound once per cluster (sim::App::needs_bind).
   sim::RegionId region_spmv_ = -1;
   sim::RegionId region_halo_ = -1;
   sim::RegionId region_dot_ = -1;
+  sim::ExchangeSchedule halo_;  ///< ring halo round (empty on one rank)
 };
 
 }  // namespace cpx::thermal

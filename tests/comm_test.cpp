@@ -177,32 +177,6 @@ TEST(Communicator, AllreduceSumMatchesSerialAndIsBitwiseStable) {
               1e-14 * std::abs(serial));
 }
 
-TEST(Communicator, SplitCarvesDeterministicSubgroups) {
-  auto world = comm::Communicator::world(6, "w");
-  const std::array<int, 6> colors = {1, 0, 1, 0, 1, 2};
-  const auto groups = world.split(colors);
-  ASSERT_EQ(groups.size(), 3U);
-  EXPECT_EQ(groups[0].size(), 2);  // color 0: ranks 1, 3
-  EXPECT_EQ(groups[1].size(), 3);  // color 1: ranks 0, 2, 4
-  EXPECT_EQ(groups[2].size(), 1);  // color 2: rank 5
-  EXPECT_EQ(groups[0].global_rank(0), 1);
-  EXPECT_EQ(groups[0].global_rank(1), 3);
-  EXPECT_EQ(groups[1].global_rank(2), 4);
-  EXPECT_EQ(groups[2].global_rank(0), 5);
-}
-
-TEST(Communicator, SplitFractionGivesLeadingWorkerGroup) {
-  auto world = comm::Communicator::world(8);
-  const auto groups = world.split_fraction(0.25);
-  ASSERT_EQ(groups.size(), 2U);
-  EXPECT_EQ(groups[0].size(), 2);
-  EXPECT_EQ(groups[1].size(), 6);
-  EXPECT_EQ(groups[0].global_rank(1), 1);
-  EXPECT_EQ(groups[1].global_rank(0), 2);
-  // A fraction covering everything leaves no second group.
-  EXPECT_EQ(world.split_fraction(1.0).size(), 1U);
-}
-
 comm::ExchangePlan ring_plan(int ranks, std::int64_t slots_per_rank) {
   // Ring: each rank sends its first owned slot to the right neighbour's
   // last slot (the "ghost").
@@ -383,7 +357,8 @@ TEST(SplitPhase, ClusterFinishWithoutBeginThrows) {
   sim::Cluster cluster(sim::MachineModel::archer2(), 4);
   EXPECT_THROW(cluster.exchange_finish(0), CheckError);
   const std::vector<sim::Message> msgs = {{0, 1, 1024}};
-  const int h = cluster.exchange_begin(msgs, cluster.region("t"));
+  const int h =
+      cluster.exchange_begin(cluster.make_schedule(msgs), cluster.region("t"));
   cluster.exchange_finish(h);
   EXPECT_THROW(cluster.exchange_finish(h), CheckError);
 }
@@ -397,7 +372,8 @@ TEST(SplitPhase, ClusterBeginFinishWithEmptyWindowMatchesExchange) {
   sim::Cluster sync(machine, 8);
   sync.exchange(msgs, sync.region("x"));
   sim::Cluster split(machine, 8);
-  const int h = split.exchange_begin(msgs, split.region("x"));
+  const int h = split.exchange_begin(split.make_schedule(msgs),
+                                     split.region("x"));
   split.exchange_finish(h);
   for (int r = 0; r < 8; ++r) {
     EXPECT_EQ(split.clock(r), sync.clock(r));
@@ -421,7 +397,7 @@ TEST(SplitPhase, ComputeInWindowHidesCommHonestly) {
 
   sim::Cluster split(machine, 2);
   const auto region_p = split.region("x");
-  const int h = split.exchange_begin(msgs, region_p);
+  const int h = split.exchange_begin(split.make_schedule(msgs), region_p);
   split.compute_seconds(1, 1.0e-4, region_p);
   split.exchange_finish(h);
   const double hidden = split.comm_hidden_seconds(1);
@@ -432,11 +408,10 @@ TEST(SplitPhase, ComputeInWindowHidesCommHonestly) {
   EXPECT_LE(hidden, 1.0e-4 + 1e-12);
 }
 
-TEST(CommBridge, FlushAndBeginExchangeChargeRecordedTransfersAtBaseRank) {
+TEST(CommBridge, FlushExchangeChargesRecordedTransfersAtBaseRank) {
   // A 3-rank ring whose communicator maps onto cluster ranks [2, 5). The
   // bridge must charge exactly the messages the plan moved, shifted by
-  // the base rank, whether as one bulk exchange or as a window with no
-  // compute inside; both clear the transfer record.
+  // the base rank, as one bulk exchange, and clear the transfer record.
   constexpr int kRanks = 3;
   constexpr int kBase = 2;
   const auto machine = sim::MachineModel::archer2();
@@ -460,19 +435,9 @@ TEST(CommBridge, FlushAndBeginExchangeChargeRecordedTransfersAtBaseRank) {
   sim::flush_exchange(comm, flushed, flushed.region("halo"), kBase, scratch);
   EXPECT_TRUE(comm.transfers().empty());
 
-  sim::Cluster windowed(machine, 6);
-  plan.execute(comm, rank_data);
-  const int h =
-      sim::begin_exchange(comm, windowed, windowed.region("halo"), kBase,
-                          scratch);
-  EXPECT_TRUE(comm.transfers().empty());
-  windowed.exchange_finish(h);
-
   EXPECT_GT(direct.clock(4), 0.0);
   for (int r = 0; r < 6; ++r) {
     EXPECT_EQ(flushed.clock(r), direct.clock(r)) << "rank " << r;
-    EXPECT_EQ(windowed.clock(r), direct.clock(r)) << "rank " << r;
-    EXPECT_EQ(windowed.comm_hidden_seconds(r), 0.0);
   }
 }
 
@@ -482,7 +447,7 @@ TEST(CommBridge, EmptyRecordChargesNothingAndOpensAnEmptyWindow) {
   const auto region = cluster.region("halo");
   std::vector<sim::Message> scratch;
   sim::flush_exchange(comm, cluster, region, 0, scratch);
-  const int h = sim::begin_exchange(comm, cluster, region, 0, scratch);
+  const int h = cluster.exchange_begin(cluster.make_schedule({}), region);
   EXPECT_GE(h, 0);
   cluster.exchange_finish(h);
   EXPECT_THROW(cluster.exchange_finish(h), CheckError);

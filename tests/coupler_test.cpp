@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -611,6 +612,79 @@ TEST(CouplerUnit, ResetRestoresMappingLatch) {
   // Second exchange remaps again after reset, costing as much compute.
   const double second = f.cluster.max_clock({256, 300}) - t1;
   EXPECT_GT(second, 0.5 * t1);
+}
+
+TEST(CouplerUnit, VirtualTimeAndTrafficArePinnedBitwise) {
+  // The CU's messages exist only on the virtual cluster, so its clock,
+  // traffic and hidden-comm bits are outputs that must never move: a
+  // sliding and a steady unit, three exchanges each, overlap off and on.
+  // Literals recorded when the unit still posted through a communicator.
+  struct Pin {
+    InterfaceKind kind;
+    bool overlap;
+    std::uint64_t clock_bits[3];  ///< max_clock() after each exchange
+    std::uint64_t hidden_bits;    ///< comm_hidden_seconds() after three
+  };
+  constexpr Pin kPins[] = {
+      {InterfaceKind::kSlidingPlane,
+       false,
+       {0x3f601a2aab11fb0aULL, 0x3f70191e3b97efaaULL, 0x3f78252721a6e1caULL},
+       0},
+      {InterfaceKind::kSlidingPlane,
+       true,
+       {0x3f5aebab9926aa23ULL, 0x3f692ecf9ab2955eULL, 0x3f7273e4b468ead2ULL},
+       0x3faf4eed58d4ce75ULL},
+      {InterfaceKind::kSteadyState,
+       false,
+       {0x3f601a2aab11fb0aULL, 0x3f6bd32479313b56ULL, 0x3f73c60f23a83dcdULL},
+       0},
+      {InterfaceKind::kSteadyState,
+       true,
+       {0x3f5aebab9926aa23ULL, 0x3f692ecf9ab2955eULL, 0x3f7273e4b468ead2ULL},
+       0x3f8d0fa58f7121a9ULL},
+  };
+  for (const Pin& pin : kPins) {
+    UnitFixture f;
+    UnitConfig cfg;
+    cfg.kind = pin.kind;
+    cfg.interface_cells = 200'000;
+    CouplerUnit cu("cu", cfg, {256, 300}, f.a, f.b);
+    cu.set_overlap(pin.overlap);
+    const std::string label =
+        std::string(pin.kind == InterfaceKind::kSteadyState ? "steady"
+                                                            : "sliding") +
+        (pin.overlap ? " overlap" : " sync");
+    for (int i = 0; i < 3; ++i) {
+      cu.exchange(f.cluster);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(f.cluster.max_clock()),
+                pin.clock_bits[i])
+          << label << " exchange " << i + 1 << ": " << std::hexfloat
+          << f.cluster.max_clock();
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(f.cluster.comm_hidden_seconds(
+                  {0, f.cluster.num_ranks()})),
+              pin.hidden_bits)
+        << label;
+    // Gather senders, scatter senders (the CU) and the traffic total.
+    EXPECT_EQ(f.cluster.comm_bytes({0, 128}), 24'000'000U) << label;
+    EXPECT_EQ(f.cluster.comm_messages({0, 128}), 384) << label;
+    EXPECT_EQ(f.cluster.comm_bytes({128, 256}), 24'000'000U) << label;
+    EXPECT_EQ(f.cluster.comm_messages({128, 256}), 384) << label;
+    EXPECT_EQ(f.cluster.comm_bytes({256, 300}), 47'999'232U) << label;
+    EXPECT_EQ(f.cluster.comm_messages({256, 300}), 768) << label;
+  }
+}
+
+TEST(CouplerUnit, EndpointsOutsideTheClusterAreRejected) {
+  // Side B's ranks [128, 256) lie past a 100-rank cluster: the first
+  // exchange on it throws before any clock moves.
+  UnitFixture f;
+  sim::Cluster small(sim::MachineModel::archer2(), 100);
+  CouplerUnit cu("cu", UnitConfig{}, {0, 4}, f.a, f.b);
+  EXPECT_THROW(cu.exchange(small), CheckError);
+  EXPECT_EQ(small.max_clock(), 0.0);
+  cu.exchange(f.cluster);  // a cluster holding every endpoint binds
+  EXPECT_GT(f.cluster.max_clock(), 0.0);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 
 namespace fix {
 
-// Returning the handle transfers window ownership to the caller (the
-// sim::begin_exchange wrapper pattern): not a leak.
+// Returning the handle transfers window ownership to the caller (a
+// wrapper that begins the exchange and hands the handle back): not a leak.
 int handle_escapes(sim::Cluster& cluster, std::vector<Message>& msgs) {
   const int handle = cluster.exchange_begin(msgs, 0);
   return handle;

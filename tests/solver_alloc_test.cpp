@@ -21,15 +21,19 @@
 #include "amg/pcg.hpp"
 #include "comm/communicator.hpp"
 #include "comm/exchange_plan.hpp"
+#include "cpx/unit.hpp"
 #include "mesh/mesh.hpp"
 #include "mgcfd/distributed.hpp"
+#include "mgcfd/instance.hpp"
 #include "sim/cluster.hpp"
 #include "sim/machine.hpp"
 #include "simpic/distributed.hpp"
 #include "simpic/pic.hpp"
 #include "sparse/generators.hpp"
+#include "spray/instance.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "thermal/instance.hpp"
 
 namespace {
 
@@ -218,12 +222,14 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
     msgs.push_back({r, (r + 5) % 16, 4096});
   }
 
+  const cpx::sim::ExchangeSchedule schedule = cluster.make_schedule(msgs);
+
   // Warm-up: sizes the pending-exchange slot and its message storage.
-  cluster.exchange_finish(cluster.exchange_begin(msgs, region));
+  cluster.exchange_finish(cluster.exchange_begin(schedule, region));
 
   const std::size_t allocs = allocations_during([&] {
     for (int i = 0; i < 16; ++i) {
-      const int h = cluster.exchange_begin(msgs, region);
+      const int h = cluster.exchange_begin(schedule, region);
       cluster.compute_seconds(0, 1e-6, region);
       cluster.exchange_finish(h);
     }
@@ -234,9 +240,9 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
 
 TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
   // One cluster alternates a small and a large exchange, synchronous and
-  // split-phase, scheduled and by message list: the arrival buffers they
-  // share keep their capacity when the small exchange shrinks them, so
-  // after the first round nothing allocates.
+  // split-phase, scheduled and (synchronous only) by message list: the
+  // arrival buffers they share keep their capacity when the small
+  // exchange shrinks them, so after the first round nothing allocates.
   constexpr int kRanks = 300;
   cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), kRanks);
   const auto region = cluster.region("mixed");
@@ -256,7 +262,6 @@ TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
   const auto round = [&] {
     for (const auto* msgs : {&small, &large}) {
       cluster.exchange(*msgs, region);
-      cluster.exchange_finish(cluster.exchange_begin(*msgs, region));
     }
     for (const auto* schedule : {&small_schedule, &large_schedule}) {
       cluster.exchange(*schedule, region);
@@ -405,6 +410,46 @@ TEST(SolverAllocations, WarmDistributedPicStepAllocatesNothing) {
         << "warm DistributedPic::step made " << allocs
         << " heap allocations (cluster=" << with_cluster << ")";
   }
+}
+
+TEST(SolverAllocations, WarmBoundInstancesAllocateNothing) {
+  // Once bound to a cluster, the analytic instances charge schedules
+  // built at bind: a coupler-unit exchange (synchronous and overlapped),
+  // each spray strategy and a thermal step touch no heap.
+  cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), 600);
+  cpx::mgcfd::Instance side_a("a", 8'000'000, {0, 128});
+  cpx::mgcfd::Instance side_b("b", 8'000'000, {128, 256});
+  cpx::coupler::CouplerUnit cu("cu", {}, {256, 300}, side_a, side_b);
+  cpx::spray::InstanceConfig spatial;
+  spatial.strategy = cpx::spray::Strategy::kSpatial;
+  cpx::spray::InstanceConfig balanced;
+  balanced.strategy = cpx::spray::Strategy::kBalanced;
+  cpx::spray::InstanceConfig async;
+  async.strategy = cpx::spray::Strategy::kAsyncTask;
+  cpx::spray::Instance spray_spatial("spatial", spatial, {300, 400});
+  cpx::spray::Instance spray_balanced("balanced", balanced, {400, 464});
+  cpx::spray::Instance spray_async("async", async, {464, 528});
+  cpx::thermal::Instance casing("casing", 1'000'000, {528, 600});
+  cpx::sim::App* apps[] = {&spray_spatial, &spray_balanced, &spray_async,
+                           &casing};
+  const auto round = [&] {
+    for (const bool overlap : {false, true}) {
+      cu.set_overlap(overlap);
+      cu.exchange(cluster);
+    }
+    for (cpx::sim::App* app : apps) {
+      app->step(cluster);
+    }
+  };
+
+  round();  // binds every instance and sizes the cluster's scratch
+  const std::size_t allocs = allocations_during([&] {
+    for (int i = 0; i < 4; ++i) {
+      round();
+    }
+  });
+  EXPECT_EQ(allocs, 0u) << "warm bound instances made " << allocs
+                        << " heap allocations";
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "sim/cluster.hpp"
 #include "spray/cloud.hpp"
@@ -155,6 +158,99 @@ TEST(Instance, AsyncOnlyLoadsTheSprayRanks) {
   ASSERT_GE(push, 0);
   EXPECT_GT(cluster.profile().rank_region(50, push).compute, 0.0);
   EXPECT_EQ(cluster.profile().rank_region(399, push).compute, 0.0);
+}
+
+TEST(Instance, VirtualTimeAndTrafficArePinnedBitwise) {
+  // The strategies' messages exist only on the virtual cluster, so the
+  // clock, traffic and hidden-comm bits of two steps are outputs that must
+  // never move. Each instance sits at ranks [3, 3 + p) of a cluster with
+  // five more ranks. Literals recorded when the instance still posted
+  // through a communicator.
+  struct Pin {
+    Strategy strategy;
+    int p;
+    double fraction;
+    std::uint64_t clock_bits;  ///< max_clock() after two steps
+    std::size_t bytes;
+    std::int64_t messages;
+  };
+  constexpr Pin kPins[] = {
+      {Strategy::kSpatial, 1, 0.25, 0x3fdf7521144cbe1fULL, 0, 0},
+      {Strategy::kSpatial, 7, 0.25, 0x3fda322f00cf608fULL, 23'041'536, 36},
+      {Strategy::kSpatial, 400, 0.25, 0x3f8f2992aae8c712ULL, 26'914'944,
+       2'394},
+      {Strategy::kBalanced, 1, 0.25, 0x3fdf7521144cbe1fULL, 0, 0},
+      {Strategy::kBalanced, 7, 0.25, 0x3fb41661a44544aaULL, 575'999'928, 84},
+      {Strategy::kBalanced, 400, 0.25, 0x3f6e87244c0fa30aULL, 670'320'000,
+       319'200},
+      {Strategy::kAsyncTask, 1, 0.25, 0x3fdf7521144cbe1fULL, 0, 0},
+      {Strategy::kAsyncTask, 7, 0.25, 0x3fdf75290fd8600bULL, 64, 2},
+      {Strategy::kAsyncTask, 400, 0.25, 0x3f7429ecfd32b4f6ULL, 6'400, 200},
+      {Strategy::kAsyncTask, 7, 1.0, 0x3fb1fa03480f25efULL, 0, 0},
+  };
+  for (const Pin& pin : kPins) {
+    sim::Cluster cluster(sim::MachineModel::archer2(), pin.p + 5);
+    InstanceConfig cfg;
+    cfg.strategy = pin.strategy;
+    cfg.spray_rank_fraction = pin.fraction;
+    const sim::RankRange ranks{3, 3 + pin.p};
+    Instance inst("spray", cfg, ranks);
+    inst.step(cluster);
+    inst.step(cluster);
+    const sim::RankRange all{0, cluster.num_ranks()};
+    const std::string label = "strategy " +
+                              std::to_string(static_cast<int>(pin.strategy)) +
+                              " p=" + std::to_string(pin.p) +
+                              " fraction=" + std::to_string(pin.fraction);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cluster.max_clock()),
+              pin.clock_bits)
+        << label << ": " << std::hexfloat << cluster.max_clock();
+    EXPECT_EQ(cluster.comm_bytes(ranks), pin.bytes) << label;
+    EXPECT_EQ(cluster.comm_messages(ranks), pin.messages) << label;
+    EXPECT_EQ(cluster.comm_bytes(all), pin.bytes) << label;
+    EXPECT_EQ(cluster.comm_messages(all), pin.messages) << label;
+    EXPECT_EQ(cluster.comm_hidden_seconds(all), 0.0) << label;
+  }
+}
+
+TEST(Instance, AsyncTinyFractionStillLoadsOneRank) {
+  // floor(400 * 1e-6) is 0 workers; the worker group keeps one rank,
+  // which hands off to the first solver rank.
+  sim::Cluster cluster(sim::MachineModel::archer2(), 400);
+  InstanceConfig cfg;
+  cfg.strategy = Strategy::kAsyncTask;
+  cfg.spray_rank_fraction = 1e-6;
+  Instance inst("s", cfg, {0, 400});
+  inst.step(cluster);
+  const sim::RegionId push = cluster.profile().find_region("s/push");
+  ASSERT_GE(push, 0);
+  EXPECT_GT(cluster.profile().rank_region(0, push).compute, 0.0);
+  for (sim::Rank r = 1; r < 400; ++r) {
+    ASSERT_EQ(cluster.profile().rank_region(r, push).compute, 0.0) << r;
+  }
+  EXPECT_EQ(cluster.comm_messages(0), 1);
+  EXPECT_EQ(cluster.comm_messages({0, 400}), 1);
+  EXPECT_GT(cluster.clock(1), 0.0);  // the hand-off's receiver
+}
+
+TEST(Instance, AsyncFullFractionLoadsEveryRankAndHandsOffNothing) {
+  // Fraction 1.0 makes every rank a worker: no solver rank is left to
+  // receive a hand-off, so no message is charged.
+  sim::Cluster cluster(sim::MachineModel::archer2(), 8);
+  InstanceConfig cfg;
+  cfg.strategy = Strategy::kAsyncTask;
+  cfg.spray_rank_fraction = 1.0;
+  Instance inst("s", cfg, {0, 8});
+  inst.step(cluster);
+  const sim::RegionId push = cluster.profile().find_region("s/push");
+  ASSERT_GE(push, 0);
+  const double first = cluster.profile().rank_region(0, push).compute;
+  EXPECT_GT(first, 0.0);
+  for (sim::Rank r = 1; r < 8; ++r) {
+    EXPECT_EQ(cluster.profile().rank_region(r, push).compute, first) << r;
+  }
+  EXPECT_EQ(cluster.comm_messages({0, 8}), 0);
+  EXPECT_EQ(cluster.comm_bytes({0, 8}), 0U);
 }
 
 TEST(Cloud, RejectsBadOptions) {

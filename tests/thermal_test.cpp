@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "mesh/mesh.hpp"
 #include "perfmodel/sweep.hpp"
@@ -153,6 +155,25 @@ TEST(ThermalInstance, ProfileHasSpmvAndDotRegions) {
   EXPECT_GE(cluster.profile().find_region("casing/spmv"), 0);
   EXPECT_GE(cluster.profile().find_region("casing/dot"), 0);
   EXPECT_GT(cluster.max_clock(), 0.0);
+}
+
+TEST(ThermalInstance, VirtualTimeAndTrafficArePinnedBitwise) {
+  // Two steps of a 200-rank casing at ranks [5, 205) of a 210-rank
+  // cluster: clock, traffic and hidden-comm bits are outputs that must
+  // never move. Literals recorded when the halo list was rebuilt every
+  // step.
+  sim::Cluster cluster(sim::MachineModel::archer2(), 210);
+  Instance inst("casing", 2'000'000, {5, 205});
+  inst.step(cluster);
+  inst.step(cluster);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(cluster.max_clock()),
+            0x3f98f67a0b939d1cULL)
+      << std::hexfloat << cluster.max_clock();
+  EXPECT_EQ(cluster.comm_bytes({5, 205}), 61'264'172U);
+  EXPECT_EQ(cluster.comm_messages({5, 205}), 1'596);
+  EXPECT_EQ(cluster.comm_bytes({0, 210}), 61'264'172U);
+  EXPECT_EQ(cluster.comm_messages({0, 210}), 1'596);
+  EXPECT_EQ(cluster.comm_hidden_seconds({0, 210}), 0.0);
 }
 
 TEST(ThermalSolver, RejectsBadInputs) {

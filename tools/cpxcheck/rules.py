@@ -351,8 +351,9 @@ class _SplitPhaseCtx:
             state = self._scan_tokens(s.tokens, dict(state))
             if s.kind == S_RETURN:
                 # Returning an exchange handle transfers window ownership
-                # to the caller (the sim::begin_exchange wrapper pattern):
-                # the window is the return value, not a leak.
+                # to the caller (a wrapper that begins the exchange and
+                # hands the handle back): the window is the return value,
+                # not a leak.
                 returned = {t.text for t in s.tokens if t.kind == lex.ID}
                 for key in [k for k in state if k in returned]:
                     state.pop(key)
