@@ -20,7 +20,7 @@
 // of the halo checks in mesh::validate_local_meshes.
 //
 // Communication/computation overlap is modelled, not executed: it is
-// charged on sim::Cluster (exchange_begin/exchange_finish), and the host
+// charged on sim::Cluster (the overlapped exchange()), and the host
 // transport has this one blocking exchange (docs/communication.md).
 
 #include <cstddef>

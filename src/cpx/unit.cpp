@@ -93,6 +93,8 @@ void CouplerUnit::bind(sim::Cluster& cluster) {
       cluster.make_schedule(gather_messages(config_, ranks_, side_b_.ranks()));
   scatter_a_ = cluster.make_schedule(
       scatter_messages(config_, ranks_, side_a_.ranks()));
+  mapping_s_.assign(static_cast<std::size_t>(ranks_.size()),
+                    mapping_seconds(cluster));
 }
 
 void CouplerUnit::half_exchange(sim::Cluster& cluster,
@@ -101,16 +103,15 @@ void CouplerUnit::half_exchange(sim::Cluster& cluster,
                                 bool remap) {
   // 2. (Re)mapping on the CU ranks. The donor mapping is pure geometry —
   // it reads no gathered field data — so when a remap is due it can run
-  // inside the gather's flight window (split-phase overlap); the gather
+  // inside the gather's flight window (overlapped exchange); the gather
   // must still complete before interpolation touches the fields.
   if (overlap_ && remap) {
-    const int pending = cluster.exchange_begin(gather, region_gather_);
-    cluster.compute_seconds(ranks_, mapping_seconds(cluster), region_map_);
-    cluster.exchange_finish(pending);
+    cluster.exchange(gather, region_gather_,
+                     {ranks_, mapping_s_, region_map_});
   } else {
     cluster.exchange(gather, region_gather_);
     if (remap) {
-      cluster.compute_seconds(ranks_, mapping_seconds(cluster), region_map_);
+      cluster.compute_seconds(ranks_, mapping_s_, region_map_);
     }
   }
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/app.hpp"
 
@@ -72,9 +73,9 @@ class CouplerUnit {
   /// unit across independent runs).
   void reset() { mapped_ = false; }
 
-  /// Split-phase overlap (docs/communication.md): when a half-exchange
-  /// includes a remap, the gather is begun, the donor-mapping compute runs
-  /// inside the window, and the gather finishes before interpolation. The
+  /// Overlapped exchange (docs/communication.md): when a half-exchange
+  /// includes a remap, the donor-mapping compute runs inside the gather's
+  /// window, and the gather completes before interpolation. The
   /// mapping does not read gathered fields (it is pure geometry), so the
   /// exchanged data is unchanged; only the cluster timing differs.
   void set_overlap(bool on) { overlap_ = on; }
@@ -113,6 +114,7 @@ class CouplerUnit {
   sim::ExchangeSchedule scatter_b_;    ///< CU -> B // cpx-lint: allow(ckpt)
   sim::ExchangeSchedule gather_b_;     ///< B -> CU // cpx-lint: allow(ckpt)
   sim::ExchangeSchedule scatter_a_;    ///< CU -> A // cpx-lint: allow(ckpt)
+  std::vector<double> mapping_s_;  ///< per CU rank // cpx-lint: allow(ckpt)
 };
 
 }  // namespace cpx::coupler

@@ -222,14 +222,13 @@ void Instance::step(sim::Cluster& cluster) {
     bind(cluster);
   }
   if (overlap_) {
-    // Split-phase: the halo payload (previous step's boundary state) is
+    // Overlapped: the halo payload (previous step's boundary state) is
     // ready when the step starts, so the round is posted first; the
     // interior share of the sweeps runs inside the window and the
     // boundary share after the data lands. Totals match the synchronous
     // schedule; only placement differs.
-    const int pending = cluster.exchange_begin(halo_, region_halo_);
-    cluster.compute_seconds(ranks_, interior_s_, region_flux_);
-    cluster.exchange_finish(pending);
+    cluster.exchange(halo_, region_halo_,
+                     {ranks_, interior_s_, region_flux_});
     cluster.compute_seconds(ranks_, boundary_s_, region_flux_);
   } else {
     cluster.compute_seconds(ranks_, sweep_s_, region_flux_);

@@ -60,11 +60,11 @@ class Instance final : public sim::App {
   /// Mean owned cells per rank (for reporting).
   double mean_owned() const;
 
-  /// Split-phase halo overlap (docs/communication.md): step() posts the
-  /// finest-level halo round first, charges each rank's interior-cell
-  /// share of the sweep compute inside the window, then finishes the
-  /// exchange and charges the boundary share. Totals match the
-  /// synchronous schedule; only placement differs.
+  /// Halo overlap (docs/communication.md): step() charges the
+  /// finest-level halo round as one overlapped exchange whose window is
+  /// each rank's interior-cell share of the sweep compute, then charges
+  /// the boundary share. Totals match the synchronous schedule; only
+  /// placement differs.
   void set_overlap(bool on) override { overlap_ = on; }
 
  private:

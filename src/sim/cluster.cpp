@@ -31,7 +31,7 @@ Cluster::Cluster(const MachineModel& machine, int num_ranks)
       profile_(num_ranks),
       sender_slot_(static_cast<std::size_t>(num_ranks), -1),
       sync_clock_scratch_(static_cast<std::size_t>(num_ranks), 0.0),
-      sync_epoch_(static_cast<std::size_t>(num_ranks), 0) {
+      window_mark_(static_cast<std::size_t>(num_ranks), 0) {
   CPX_REQUIRE(num_ranks >= 1, "Cluster: need at least one rank");
   CPX_REQUIRE(machine.cores_per_node >= 1, "Cluster: bad cores_per_node");
 }
@@ -305,7 +305,7 @@ void Cluster::post(const ExchangeSchedule& schedule, RegionId region,
 double Cluster::receive(std::span<const PendingMessage> arrivals,
                         RegionId region, bool replay) {
   // Receivers pay a per-message overhead and wait for arrivals. The
-  // replay advances the synchronous counterfactual from the begin
+  // replay advances the synchronous counterfactual from the pre-window
   // snapshot with the same recurrence, so the hidden time of a message is
   // its sync wait minus its real wait.
   double* clocks = clocks_.data();
@@ -341,7 +341,7 @@ double Cluster::receive(std::span<const PendingMessage> arrivals,
 }
 
 void Cluster::exchange(const ExchangeSchedule& schedule, RegionId region) {
-  // A synchronous exchange is a split-phase one with an empty window: the
+  // A synchronous exchange is an overlapped one with an empty window: the
   // counterfactual replay would start every destination at its real clock
   // and advance it by the same recurrence, so it would hide exactly
   // nothing. It is skipped.
@@ -349,59 +349,40 @@ void Cluster::exchange(const ExchangeSchedule& schedule, RegionId region) {
   receive(arrival_scratch_, region, /*replay=*/false);
 }
 
-int Cluster::exchange_begin(const ExchangeSchedule& schedule,
-                            RegionId region) {
-  // Reuse a finished slot; growing happens only while the set of
-  // concurrently in-flight exchanges is still being discovered.
-  int slot = -1;
-  for (std::size_t i = 0; i < pending_exchanges_.size(); ++i) {
-    if (!pending_exchanges_[i].active) {
-      slot = static_cast<int>(i);
-      break;
-    }
+void Cluster::exchange(const ExchangeSchedule& schedule, RegionId region,
+                       const Overlap& window) {
+  const bool empty = window.ranks.size() == 0 && window.seconds.empty();
+  if (!empty) {
+    check_range_charge(window.ranks, window.seconds);
   }
-  if (slot < 0) {
-    pending_exchanges_.emplace_back();
-    slot = static_cast<int>(pending_exchanges_.size()) - 1;
+  post(schedule, region, arrival_scratch_);
+
+  // The synchronous counterfactual starts waiting at each destination's
+  // clock after every sender was charged. Only the window moves a clock
+  // before the receive, so writing it once per message is idempotent.
+  double* clocks = clocks_.data();
+  for (const PendingMessage& pm : arrival_scratch_) {
+    const auto dst = static_cast<std::size_t>(pm.dst);
+    sync_clock_scratch_[dst] = clocks[dst];
   }
-  PendingExchange& pe = pending_exchanges_[static_cast<std::size_t>(slot)];
-  pe.active = true;
-  pe.region = region;
-  post(schedule, region, pe.messages);
-
-  // Snapshot every destination's clock after all senders have been
-  // charged: the synchronous counterfactual would start waiting here.
-  pe.begin_clocks.resize(pe.messages.size());
-  for (std::size_t i = 0; i < pe.messages.size(); ++i) {
-    pe.begin_clocks[i] =
-        clocks_[static_cast<std::size_t>(pe.messages[i].dst)];
+  if (!empty) {
+    compute_range(window.ranks, window.region, [&](Rank r) {
+      return window.seconds[static_cast<std::size_t>(r - window.ranks.begin)];
+    });
   }
-  return slot;
-}
-
-void Cluster::exchange_finish(int exchange) {
-  CPX_REQUIRE(exchange >= 0 &&
-                  static_cast<std::size_t>(exchange) <
-                      pending_exchanges_.size() &&
-              pending_exchanges_[static_cast<std::size_t>(exchange)].active,
-              "exchange_finish: no exchange in flight with handle "
-                  << exchange);
-  PendingExchange& pe =
-      pending_exchanges_[static_cast<std::size_t>(exchange)];
-  ++finish_epoch_;
-
-  // Before any bump: open the per-destination counterfactual clocks and
-  // measure the overlap window (compute done since begin).
+  // The window each destination ran, counted once per destination in
+  // order of first appearance.
+  ++window_epoch_;
   double window_total = 0.0;
-  for (std::size_t i = 0; i < pe.messages.size(); ++i) {
-    const auto dst = static_cast<std::size_t>(pe.messages[i].dst);
-    if (sync_epoch_[dst] != finish_epoch_) {
-      sync_epoch_[dst] = finish_epoch_;
-      sync_clock_scratch_[dst] = pe.begin_clocks[i];
-      window_total += clocks_[dst] - pe.begin_clocks[i];
+  for (const PendingMessage& pm : arrival_scratch_) {
+    const auto dst = static_cast<std::size_t>(pm.dst);
+    if (window_mark_[dst] != window_epoch_) {
+      window_mark_[dst] = window_epoch_;
+      window_total += clocks[dst] - sync_clock_scratch_[dst];
     }
   }
-  const double hidden_total = receive(pe.messages, pe.region, /*replay=*/true);
+  const double hidden_total =
+      receive(arrival_scratch_, region, /*replay=*/true);
 
   if (support::metrics::enabled()) {
     support::metrics::counter_add(
@@ -411,7 +392,6 @@ void Cluster::exchange_finish(int exchange) {
         "comm/overlap_hidden_ns",
         static_cast<std::int64_t>(hidden_total * 1e9));
   }
-  pe.active = false;  // storage kept for reuse
 }
 
 double Cluster::comm_hidden_seconds(Rank rank) const {
@@ -559,9 +539,6 @@ void Cluster::reset_clocks() {
   std::fill(comm_bytes_.begin(), comm_bytes_.end(), 0);
   std::fill(comm_messages_.begin(), comm_messages_.end(), 0);
   std::fill(comm_hidden_.begin(), comm_hidden_.end(), 0.0);
-  for (PendingExchange& pe : pending_exchanges_) {
-    pe.active = false;
-  }
   current_step_ = 0;
 }
 
@@ -579,10 +556,6 @@ void Cluster::clear_failure() {
 }
 
 void Cluster::serialize(ckpt::Writer& w) const {
-  for (const PendingExchange& pe : pending_exchanges_) {
-    CPX_REQUIRE(!pe.active,
-                "Cluster::serialize: split-phase exchange still in flight");
-  }
   w.begin_section("sim/cluster");
   w.put_u32(static_cast<std::uint32_t>(num_ranks_));
   w.put_u32(static_cast<std::uint32_t>(current_step_));
@@ -617,9 +590,6 @@ void Cluster::restore(ckpt::Reader& r) {
                 "Cluster::restore: traffic arrays truncated");
   r.end_section();
   profile_.restore(r);
-  for (PendingExchange& pe : pending_exchanges_) {
-    pe.active = false;
-  }
 }
 
 void Cluster::enable_tracing(std::size_t max_events) {

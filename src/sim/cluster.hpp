@@ -58,6 +58,15 @@ struct Message {
   std::size_t bytes = 0;
 };
 
+/// The compute a rank range runs while an exchange is in flight: rank
+/// ranks.begin + i computes seconds[i], charged to `region`. Overlap{} is
+/// the empty window.
+struct Overlap {
+  RankRange ranks;
+  std::span<const double> seconds;
+  RegionId region = -1;
+};
+
 /// A bulk exchange with everything that does not depend on the clocks
 /// resolved up front (docs/SIMULATOR.md, "Schedules and bound instances").
 /// Built once by Cluster::make_schedule() for a message list that repeats
@@ -156,31 +165,24 @@ class Cluster {
   /// latency and transfer seconds under this round's NIC contention, per
   /// sender its byte and message totals.
   ExchangeSchedule make_schedule(std::span<const Message> messages);
-  /// Bulk BSP-style exchange of independent messages. Equivalent to
-  /// exchange_finish(exchange_begin(schedule, region)) with nothing
-  /// charged in between.
+  /// Bulk BSP-style exchange of independent messages. Equivalent to the
+  /// overlapped form with an empty window.
   void exchange(const ExchangeSchedule& schedule, RegionId region);
   /// Message-list form: builds into a schedule this cluster owns (warm
   /// calls allocate nothing) and charges it.
   void exchange(std::span<const Message> messages, RegionId region);
+  /// Overlapped exchange (docs/communication.md): posts the schedule
+  /// (arrivals are fixed, so the window cannot speed the wire up),
+  /// charges the window as compute_seconds(window.ranks, window.seconds,
+  /// window.region) would, then receives: each destination waits only for
+  /// the arrivals its window did not cover. The comm time this hides is
+  /// accumulated per destination in comm_hidden_seconds() and, with host
+  /// metrics on, the "comm/overlap_hidden_ns" / "comm/overlap_window_ns"
+  /// counters. Overlap{} charges exactly what the synchronous form does.
+  void exchange(const ExchangeSchedule& schedule, RegionId region,
+                const Overlap& window);
   /// Single eager message (use for pipelines / coupler hand-offs).
   void send(Rank src, Rank dst, std::size_t bytes, RegionId region);
-
-  // --- Split-phase overlap (docs/communication.md) ---
-  /// Posts a bulk exchange without receiving it: senders pay their
-  /// per-message overheads and arrival times are fixed now (so compute
-  /// issued after begin cannot speed the wire up), but receivers keep
-  /// running. Returns a handle for exchange_finish(). Several exchanges
-  /// may be in flight; handles are reused after finish, so the warm path
-  /// allocates nothing.
-  int exchange_begin(const ExchangeSchedule& schedule, RegionId region);
-  /// Receives a posted exchange: each destination waits only for the
-  /// arrivals its concurrent compute did not already cover. The comm time
-  /// a synchronous exchange() would have charged but this one did not is
-  /// accumulated per destination rank in comm_hidden_seconds() (and, when
-  /// host metrics are enabled, the "comm/overlap_hidden_ns" /
-  /// "comm/overlap_window_ns" counters).
-  void exchange_finish(int exchange);
 
   /// Virtual comm seconds hidden behind concurrent compute on `rank` —
   /// the honesty channel of the overlap model: clock(r) + nothing, but
@@ -228,13 +230,13 @@ class Cluster {
   /// Zeroes every clock and the profile (region ids survive).
   void reset();
 
-  /// Zeroes the per-rank clocks, traffic counters, hidden-comm totals, and
-  /// any split-phase windows still open — but NOT the profile. This is the
-  /// between-scenario reset for benchmarks that warm up, reset, then
-  /// measure: reusing one cluster across scenarios without it used to
-  /// leak the warm-up clocks and comm_hidden_seconds into the measured
-  /// averages. Call profile().reset() as well when the measured quantity
-  /// is read from the profile.
+  /// Zeroes the per-rank clocks, traffic counters and hidden-comm totals
+  /// — but NOT the profile. This is the between-scenario reset for
+  /// benchmarks that warm up, reset, then measure: reusing one cluster
+  /// across scenarios without it used to leak the warm-up clocks and
+  /// comm_hidden_seconds into the measured averages. Call
+  /// profile().reset() as well when the measured quantity is read from
+  /// the profile.
   void reset_clocks();
 
   // --- Fault injection (docs/checkpoint.md) ---
@@ -252,9 +254,8 @@ class Cluster {
 
   /// Snapshot section "sim/cluster" (docs/checkpoint.md): per-rank clocks,
   /// traffic counters, hidden-comm totals, the step counter, and the
-  /// nested profile. Requires no split-phase exchange in flight (an open
-  /// window is mid-step state that cannot be resumed). Restore validates
-  /// the rank count and throws CheckError on mismatch or corruption.
+  /// nested profile. Restore validates the rank count and throws
+  /// CheckError on mismatch or corruption.
   void serialize(ckpt::Writer& w) const;
   void restore(ckpt::Reader& r);
 
@@ -320,7 +321,7 @@ class Cluster {
   /// The receiver half: each destination waits for its arrivals and pays
   /// the per-message overhead. With `replay`, also advances the
   /// synchronous counterfactual from sync_clock_scratch_ and returns the
-  /// comm time it hides (exchange_finish); without, returns 0.
+  /// comm time it hides (the overlapped exchange); without, returns 0.
   double receive(std::span<const PendingMessage> arrivals, RegionId region,
                  bool replay);
 
@@ -337,31 +338,23 @@ class Cluster {
   int failure_step_ = 0;    // cpx-lint: allow(ckpt)
   int current_step_ = 0;
 
-  // Scratch of the message-list adapter and of the synchronous
-  // exchange(), reused so warm calls allocate nothing. sender_slot_ maps a
-  // rank to its entry in a schedule's sender list while one is built (-1
-  // otherwise); message_node_ holds each message's sender node (-1 for an
-  // intra-node message) between the two passes of a build.
+  // Scratch of the message-list adapter and of every bulk exchange,
+  // reused so warm calls allocate nothing. sender_slot_ maps a rank to its
+  // entry in a schedule's sender list while one is built (-1 otherwise);
+  // message_node_ holds each message's sender node (-1 for an intra-node
+  // message) between the two passes of a build.
   ExchangeSchedule schedule_scratch_;          // cpx-lint: allow(ckpt)
   std::vector<int> senders_per_node_;          // cpx-lint: allow(ckpt)
   std::vector<int> sender_slot_;               // cpx-lint: allow(ckpt)
   std::vector<int> message_node_;              // cpx-lint: allow(ckpt)
   std::vector<PendingMessage> arrival_scratch_;  // cpx-lint: allow(ckpt)
-
-  // In-flight split-phase exchanges. Slots (and their message storage) are
-  // reused after exchange_finish so the warm path allocates nothing.
-  struct PendingExchange {
-    bool active = false;
-    RegionId region = -1;
-    std::vector<PendingMessage> messages;
-    std::vector<double> begin_clocks;  ///< dst clock snapshot, per message
-  };
-  std::vector<PendingExchange> pending_exchanges_;
-  // Epoch-marked per-rank scratch for the synchronous counterfactual
-  // replay inside exchange_finish (no per-call clearing).
+  // Per-rank scratch of the overlapped exchange: the synchronous
+  // counterfactual clocks, and the epoch marks that count each
+  // destination's window once for the overlap_window_ns counter (no
+  // per-call clearing).
   std::vector<double> sync_clock_scratch_;  // cpx-lint: allow(ckpt)
-  std::vector<std::int64_t> sync_epoch_;    // cpx-lint: allow(ckpt)
-  std::int64_t finish_epoch_ = 0;           // cpx-lint: allow(ckpt)
+  std::vector<std::int64_t> window_mark_;   // cpx-lint: allow(ckpt)
+  std::int64_t window_epoch_ = 0;           // cpx-lint: allow(ckpt)
 };
 
 }  // namespace cpx::sim

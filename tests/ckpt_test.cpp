@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -598,46 +599,70 @@ TEST(CkptCoupled, CadenceSnapshotsAreRestorable) {
 TEST(CkptCoupled, KilledRunRestoredFromSnapshotFinishesByteIdentically) {
   const workflow::EngineCase c = workflow::small_validation_case();
   const auto machine = sim::MachineModel::archer2();
+  // Two victims: rank 1 dies sending its halo; the first rank of the
+  // sliding-plane coupler, which receives but sends nothing in its
+  // gather, dies inside the gather's overlap window when overlap is on.
+  const sim::Rank first_cu = 300 + 4000 + 300;
+  const sim::Rank victims[] = {1, first_cu};
 
   // The paper's restart contract, exercised at each supported thread
-  // count: the snapshot format (and the state it captures) must be
-  // CPX_THREADS-independent, so the reference bytes must also agree
-  // across thread counts.
+  // count, with overlap off and on: the snapshot format (and the state it
+  // captures) must be CPX_THREADS-independent, so the reference bytes
+  // must also agree across thread counts.
   constexpr int kThreadCounts[] = {1, 4, 16};
-  std::vector<std::byte> baseline;
-  for (const int threads : kThreadCounts) {
-    support::set_max_threads(threads);
+  for (const bool overlap : {false, true}) {
+    std::vector<std::byte> baseline;
+    for (const int threads : kThreadCounts) {
+      support::set_max_threads(threads);
+      const auto simulation = [&] {
+        auto sim = std::make_unique<workflow::CoupledSimulation>(
+            c, machine, small_case_assignment());
+        sim->set_overlap_enabled(overlap);
+        return sim;
+      };
+      const std::string where = "at CPX_THREADS=" + std::to_string(threads) +
+                                (overlap ? " with overlap" : "");
 
-    // Uninterrupted reference: 6 density steps.
-    workflow::CoupledSimulation ref(c, machine, small_case_assignment());
-    ref.run(6);
-    const std::vector<std::byte> ref_bytes = to_vec(ref.checkpoint_bytes());
+      // Uninterrupted reference: 6 density steps.
+      const auto ref = simulation();
+      ref->run(6);
+      const std::vector<std::byte> ref_bytes = to_vec(ref->checkpoint_bytes());
 
-    // Victim: snapshot after step 3, then a rank dies at step 4.
-    workflow::CoupledSimulation victim(c, machine,
-                                       small_case_assignment());
-    victim.run(3);
-    const std::vector<std::byte> mid = to_vec(victim.checkpoint_bytes());
-    victim.cluster().inject_failure(1, 4);
-    EXPECT_THROW(victim.run(3), sim::RankFailure);
+      for (const sim::Rank rank : victims) {
+        // Victim: snapshot after step 3, then a rank dies at step 4.
+        const auto victim = simulation();
+        victim->run(3);
+        const std::vector<std::byte> mid = to_vec(victim->checkpoint_bytes());
+        victim->cluster().inject_failure(rank, 4);
+        EXPECT_THROW(victim->run(3), sim::RankFailure);
 
-    // Recovery: a fresh simulation restores the snapshot and runs to the
-    // end; its final snapshot must be bitwise-equal to the reference.
-    workflow::CoupledSimulation resumed(c, machine,
-                                        small_case_assignment());
-    resumed.restore(std::span<const std::byte>(mid));
-    EXPECT_EQ(resumed.density_steps_run(), 3);
-    resumed.run(3);
-    EXPECT_EQ(to_vec(resumed.checkpoint_bytes()), ref_bytes)
-        << "restored run diverged at CPX_THREADS=" << threads;
-    EXPECT_EQ(resumed.runtime(), ref.runtime());
+        // Recovery into a fresh simulation: it restores the snapshot and
+        // runs to the end; its final snapshot must be bitwise-equal to the
+        // reference.
+        const auto resumed = simulation();
+        resumed->restore(std::span<const std::byte>(mid));
+        EXPECT_EQ(resumed->density_steps_run(), 3);
+        resumed->run(3);
+        EXPECT_EQ(to_vec(resumed->checkpoint_bytes()), ref_bytes)
+            << "restored run of victim " << rank << " diverged " << where;
+        EXPECT_EQ(resumed->runtime(), ref->runtime());
 
-    if (baseline.empty()) {
-      baseline = ref_bytes;
-    } else {
-      EXPECT_EQ(ref_bytes, baseline)
-          << "snapshot differs between CPX_THREADS=1 and CPX_THREADS="
-          << threads;
+        // Recovery in place: the failed simulation itself restores the
+        // snapshot, with nothing of the step it died in left behind.
+        victim->restore(std::span<const std::byte>(mid));
+        victim->cluster().clear_failure();
+        victim->run(3);
+        EXPECT_EQ(to_vec(victim->checkpoint_bytes()), ref_bytes)
+            << "in-place recovery of victim " << rank << " diverged "
+            << where;
+      }
+
+      if (baseline.empty()) {
+        baseline = ref_bytes;
+      } else {
+        EXPECT_EQ(ref_bytes, baseline)
+            << "snapshot differs between CPX_THREADS=1 and " << where;
+      }
     }
   }
   support::set_max_threads(1);

@@ -353,17 +353,21 @@ TEST(ValidatePlan, AcceptsTheRingAndRejectsCorruptions) {
   }
 }
 
-TEST(SplitPhase, ClusterFinishWithoutBeginThrows) {
+TEST(SplitPhase, MismatchedWindowThrowsBeforeAnythingIsCharged) {
   sim::Cluster cluster(sim::MachineModel::archer2(), 4);
-  EXPECT_THROW(cluster.exchange_finish(0), CheckError);
   const std::vector<sim::Message> msgs = {{0, 1, 1024}};
-  const int h =
-      cluster.exchange_begin(cluster.make_schedule(msgs), cluster.region("t"));
-  cluster.exchange_finish(h);
-  EXPECT_THROW(cluster.exchange_finish(h), CheckError);
+  const std::vector<double> seconds(3, 1e-3);
+  EXPECT_THROW(cluster.exchange(cluster.make_schedule(msgs),
+                                cluster.region("t"),
+                                {{0, 4}, seconds, cluster.region("w")}),
+               CheckError);
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(cluster.clock(r), 0.0);
+    EXPECT_EQ(cluster.comm_messages(r), 0);
+  }
 }
 
-TEST(SplitPhase, ClusterBeginFinishWithEmptyWindowMatchesExchange) {
+TEST(SplitPhase, ClusterEmptyWindowMatchesExchange) {
   const auto machine = sim::MachineModel::archer2();
   std::vector<sim::Message> msgs;
   for (int r = 0; r < 8; ++r) {
@@ -372,9 +376,7 @@ TEST(SplitPhase, ClusterBeginFinishWithEmptyWindowMatchesExchange) {
   sim::Cluster sync(machine, 8);
   sync.exchange(msgs, sync.region("x"));
   sim::Cluster split(machine, 8);
-  const int h = split.exchange_begin(split.make_schedule(msgs),
-                                     split.region("x"));
-  split.exchange_finish(h);
+  split.exchange(split.make_schedule(msgs), split.region("x"), {});
   for (int r = 0; r < 8; ++r) {
     EXPECT_EQ(split.clock(r), sync.clock(r));
     EXPECT_EQ(split.comm_hidden_seconds(r), 0.0);
@@ -397,9 +399,9 @@ TEST(SplitPhase, ComputeInWindowHidesCommHonestly) {
 
   sim::Cluster split(machine, 2);
   const auto region_p = split.region("x");
-  const int h = split.exchange_begin(split.make_schedule(msgs), region_p);
-  split.compute_seconds(1, 1.0e-4, region_p);
-  split.exchange_finish(h);
+  const std::vector<double> window = {1.0e-4};
+  split.exchange(split.make_schedule(msgs), region_p,
+                 {{1, 2}, window, region_p});
   const double hidden = split.comm_hidden_seconds(1);
   EXPECT_GT(hidden, 0.0);
   // Overlapped receiver time = sync time + compute - hidden.
@@ -447,10 +449,7 @@ TEST(CommBridge, EmptyRecordChargesNothingAndOpensAnEmptyWindow) {
   const auto region = cluster.region("halo");
   std::vector<sim::Message> scratch;
   sim::flush_exchange(comm, cluster, region, 0, scratch);
-  const int h = cluster.exchange_begin(cluster.make_schedule({}), region);
-  EXPECT_GE(h, 0);
-  cluster.exchange_finish(h);
-  EXPECT_THROW(cluster.exchange_finish(h), CheckError);
+  cluster.exchange(cluster.make_schedule({}), region, {});
   for (int r = 0; r < 2; ++r) {
     EXPECT_EQ(cluster.clock(r), 0.0);
     EXPECT_EQ(cluster.comm_hidden_seconds(r), 0.0);

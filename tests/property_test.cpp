@@ -203,10 +203,10 @@ std::vector<sim::Message> random_round(Rng& rng, int p, int cores_per_node) {
 /// The exchange recurrence of docs/SIMULATOR.md, written out per message
 /// from the machine model alone, with no schedule and no branch-free
 /// receive: the independent reference that Cluster::exchange must match
-/// bit for bit.
+/// bit for bit, synchronous and overlapped.
 struct ReferenceCluster {
   sim::MachineModel machine;
-  std::vector<double> clock, work, halo;
+  std::vector<double> clock, work, halo, hidden;
   std::vector<std::size_t> bytes;
   std::vector<std::int64_t> messages;
   std::vector<sim::TraceEvent> waits;  ///< every positive wait, in order
@@ -216,6 +216,7 @@ struct ReferenceCluster {
         clock(static_cast<std::size_t>(p), 0.0),
         work(clock),
         halo(clock),
+        hidden(clock),
         bytes(static_cast<std::size_t>(p), 0),
         messages(static_cast<std::size_t>(p), 0) {}
 
@@ -225,6 +226,32 @@ struct ReferenceCluster {
   }
 
   void exchange(const std::vector<sim::Message>& msgs) {
+    receive(msgs, post(msgs));
+  }
+
+  /// The overlapped form: post, snapshot every clock, run the window
+  /// (rank ranks.begin + i computes window[i]), then receive while a
+  /// synchronous counterfactual started from the snapshot advances by the
+  /// same recurrence; each message hides max(0, sync_wait - real_wait).
+  void exchange(const std::vector<sim::Message>& msgs, sim::RankRange ranks,
+                const std::vector<double>& window) {
+    const std::vector<double> arrival = post(msgs);
+    std::vector<double> sync = clock;
+    for (sim::Rank r = ranks.begin; r < ranks.end; ++r) {
+      compute(r, window[static_cast<std::size_t>(r - ranks.begin)]);
+    }
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      const auto dst = static_cast<std::size_t>(msgs[i].dst);
+      const double sync_wait = std::max(0.0, arrival[i] - sync[dst]);
+      const double real_wait = std::max(0.0, arrival[i] - clock[dst]);
+      sync[dst] = std::max(sync[dst], arrival[i]) + machine.msg_overhead;
+      hidden[dst] += std::max(0.0, sync_wait - real_wait);
+      receive_one(msgs[i].dst, arrival[i]);
+    }
+  }
+
+  /// The sender half: overheads, traffic, and each message's arrival.
+  std::vector<double> post(const std::vector<sim::Message>& msgs) {
     const int cpn = machine.cores_per_node;
     std::vector<int> inter_per_node(
         clock.size() / static_cast<std::size_t>(cpn) + 1, 0);
@@ -251,17 +278,25 @@ struct ReferenceCluster {
       arrival.push_back((sent + machine.latency(same_node)) +
                         static_cast<double>(m.bytes) / bw);
     }
+    return arrival;
+  }
+
+  void receive(const std::vector<sim::Message>& msgs,
+               const std::vector<double>& arrival) {
     for (std::size_t i = 0; i < msgs.size(); ++i) {
-      const auto dst = static_cast<std::size_t>(msgs[i].dst);
-      if (arrival[i] > clock[dst]) {
-        waits.push_back({msgs[i].dst, 0, sim::TraceKind::kComm, clock[dst],
-                         arrival[i]});
-        halo[dst] += arrival[i] - clock[dst];
-        clock[dst] = arrival[i];
-      }
-      clock[dst] += machine.msg_overhead;
-      halo[dst] += machine.msg_overhead;
+      receive_one(msgs[i].dst, arrival[i]);
     }
+  }
+
+  void receive_one(sim::Rank rank, double arrival) {
+    const auto dst = static_cast<std::size_t>(rank);
+    if (arrival > clock[dst]) {
+      waits.push_back({rank, 0, sim::TraceKind::kComm, clock[dst], arrival});
+      halo[dst] += arrival - clock[dst];
+      clock[dst] = arrival;
+    }
+    clock[dst] += machine.msg_overhead;
+    halo[dst] += machine.msg_overhead;
   }
 
   /// Compares everything `cluster` charged to regions "work" and "halo".
@@ -285,6 +320,9 @@ struct ReferenceCluster {
       ASSERT_EQ(cluster.comm_bytes(r), bytes[i]) << what << ": rank " << r;
       ASSERT_EQ(cluster.comm_messages(r), messages[i])
           << what << ": rank " << r;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(cluster.comm_hidden_seconds(r)),
+                std::bit_cast<std::uint64_t>(hidden[i]))
+          << what << ": hidden comm of rank " << r;
     }
   }
 
@@ -369,9 +407,9 @@ TEST_P(ScheduleEquivalence, ExchangeMatchesTheDocumentedRecurrence) {
 
 TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
   // A schedule built once and charged every round, the message-list
-  // adapter, and split-phase begin+finish with an empty window (on a
-  // schedule built every round and on one built once) must leave
-  // identical clocks, profile, traffic counters and hidden-comm totals.
+  // adapter, and the overlapped form with an empty window (on a schedule
+  // built every round and on one built once) must leave identical
+  // clocks, profile, traffic counters and hidden-comm totals.
   const auto [seed, slow] = GetParam();
   const sim::MachineModel machine =
       slow ? sim::MachineModel::slow_network() : sim::MachineModel::archer2();
@@ -381,15 +419,15 @@ TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
                     static_cast<std::uint64_t>(4 * machine.cores_per_node)));
   sim::Cluster by_schedule(machine, p);
   sim::Cluster by_list(machine, p);
-  sim::Cluster by_split(machine, p);
-  sim::Cluster by_split_schedule(machine, p);
-  sim::Cluster* clusters[] = {&by_schedule, &by_list, &by_split,
-                              &by_split_schedule};
+  sim::Cluster by_overlap(machine, p);
+  sim::Cluster by_overlap_schedule(machine, p);
+  sim::Cluster* clusters[] = {&by_schedule, &by_list, &by_overlap,
+                              &by_overlap_schedule};
   const std::vector<sim::Message> msgs =
       random_round(rng, p, machine.cores_per_node);
   const sim::ExchangeSchedule schedule = by_schedule.make_schedule(msgs);
-  const sim::ExchangeSchedule split_schedule =
-      by_split_schedule.make_schedule(msgs);
+  const sim::ExchangeSchedule overlap_schedule =
+      by_overlap_schedule.make_schedule(msgs);
 
   for (int round = 0; round < 4; ++round) {
     // Uneven entry clocks, so waits and serialised overheads differ.
@@ -401,16 +439,77 @@ TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
     }
     by_schedule.exchange(schedule, by_schedule.region("halo"));
     by_list.exchange(msgs, by_list.region("halo"));
-    by_split.exchange_finish(by_split.exchange_begin(
-        by_split.make_schedule(msgs), by_split.region("halo")));
-    by_split_schedule.exchange_finish(by_split_schedule.exchange_begin(
-        split_schedule, by_split_schedule.region("halo")));
+    by_overlap.exchange(by_overlap.make_schedule(msgs),
+                        by_overlap.region("halo"), {});
+    by_overlap_schedule.exchange(overlap_schedule,
+                                 by_overlap_schedule.region("halo"), {});
   }
   expect_same_state(by_schedule, by_list, "schedule vs message list");
-  expect_same_state(by_schedule, by_split, "schedule vs begin+finish");
-  expect_same_state(by_schedule, by_split_schedule,
-                    "schedule vs scheduled begin+finish");
+  expect_same_state(by_schedule, by_overlap, "schedule vs empty window");
+  expect_same_state(by_schedule, by_overlap_schedule,
+                    "schedule vs scheduled empty window");
   EXPECT_EQ(by_schedule.comm_hidden_seconds({0, p}), 0.0);
+}
+
+TEST_P(ScheduleEquivalence, OverlappedExchangeMatchesTheDocumentedRecurrence) {
+  // The overlapped form pinned to the reference recurrence on random
+  // rounds: clocks, profile, traffic and hidden comm, traced and
+  // untraced. Each window covers senders, receivers and ranks that
+  // receive nothing, with some ranks computing nothing in it.
+  const auto [seed, slow] = GetParam();
+  const sim::MachineModel machine =
+      slow ? sim::MachineModel::slow_network() : sim::MachineModel::archer2();
+  Rng rng(static_cast<std::uint64_t>(seed) * 6700417);
+  const int p = machine.cores_per_node +
+                static_cast<int>(rng.uniform_index(
+                    static_cast<std::uint64_t>(4 * machine.cores_per_node)));
+  const std::vector<sim::Message> msgs =
+      random_round(rng, p, machine.cores_per_node);
+  const auto trim = [&] {
+    return static_cast<sim::Rank>(
+        rng.uniform_index(static_cast<std::uint64_t>(p / 4)));
+  };
+  const sim::RankRange ranks{trim(), p - trim()};
+  std::vector<bool> receives(static_cast<std::size_t>(p), false);
+  bool window_sends = false;
+  for (const sim::Message& m : msgs) {
+    receives[static_cast<std::size_t>(m.dst)] = true;
+    window_sends = window_sends || ranks.contains(m.src);
+  }
+  ASSERT_TRUE(window_sends);
+  ASSERT_TRUE(std::find(receives.begin() + ranks.begin,
+                        receives.begin() + ranks.end,
+                        false) != receives.begin() + ranks.end);
+
+  ReferenceCluster reference(machine, p);
+  sim::Cluster plain(machine, p);
+  sim::Cluster traced(machine, p);
+  traced.enable_tracing();
+  const sim::ExchangeSchedule plain_schedule = plain.make_schedule(msgs);
+  const sim::ExchangeSchedule traced_schedule = traced.make_schedule(msgs);
+  std::vector<double> window(static_cast<std::size_t>(ranks.size()));
+  for (int round = 0; round < 4; ++round) {
+    for (sim::Rank r = 0; r < p; ++r) {
+      const double seconds = rng.uniform(0.0, 1e-4);
+      reference.compute(r, seconds);
+      plain.compute_seconds(r, seconds, plain.region("work"));
+      traced.compute_seconds(r, seconds, traced.region("work"));
+    }
+    for (double& s : window) {
+      s = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 2e-4);
+    }
+    reference.exchange(msgs, ranks, window);
+    plain.exchange(plain_schedule, plain.region("halo"),
+                   {ranks, window, plain.region("work")});
+    traced.exchange(traced_schedule, traced.region("halo"),
+                    {ranks, window, traced.region("work")});
+  }
+  reference.expect_matches(plain, "untraced");
+  reference.expect_matches(traced, "traced");
+  expect_same_state(plain, traced, "traced vs untraced");
+  ASSERT_FALSE(reference.waits.empty());
+  reference.expect_trace_is_the_waits(traced);
+  EXPECT_GT(plain.comm_hidden_seconds({0, p}), 0.0);
 }
 
 TEST_P(ScheduleEquivalence, RangeChargesMatchThePerRankLoop) {

@@ -223,15 +223,14 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
   }
 
   const cpx::sim::ExchangeSchedule schedule = cluster.make_schedule(msgs);
+  const std::vector<double> window(16, 1e-6);
 
-  // Warm-up: sizes the pending-exchange slot and its message storage.
-  cluster.exchange_finish(cluster.exchange_begin(schedule, region));
+  // Warm-up: sizes the arrival buffer.
+  cluster.exchange(schedule, region, {});
 
   const std::size_t allocs = allocations_during([&] {
     for (int i = 0; i < 16; ++i) {
-      const int h = cluster.exchange_begin(schedule, region);
-      cluster.compute_seconds(0, 1e-6, region);
-      cluster.exchange_finish(h);
+      cluster.exchange(schedule, region, {{0, 16}, window, region});
     }
   });
   EXPECT_EQ(allocs, 0u)
@@ -240,9 +239,9 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
 
 TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
   // One cluster alternates a small and a large exchange, synchronous and
-  // split-phase, scheduled and (synchronous only) by message list: the
-  // arrival buffers they share keep their capacity when the small
-  // exchange shrinks them, so after the first round nothing allocates.
+  // overlapped, scheduled and (synchronous only) by message list: the
+  // arrival buffer they share keeps its capacity when the small exchange
+  // shrinks it, so after the first round nothing allocates.
   constexpr int kRanks = 300;
   cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), kRanks);
   const auto region = cluster.region("mixed");
@@ -259,19 +258,18 @@ TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
       cluster.make_schedule(small);
   const cpx::sim::ExchangeSchedule large_schedule =
       cluster.make_schedule(large);
+  const std::vector<double> window = {1e-6};
   const auto round = [&] {
     for (const auto* msgs : {&small, &large}) {
       cluster.exchange(*msgs, region);
     }
     for (const auto* schedule : {&small_schedule, &large_schedule}) {
       cluster.exchange(*schedule, region);
-      const int h = cluster.exchange_begin(*schedule, region);
-      cluster.compute_seconds(0, 1e-6, region);
-      cluster.exchange_finish(h);
+      cluster.exchange(*schedule, region, {{0, 1}, window, region});
     }
   };
 
-  round();  // sizes the scratch schedule and the arrival buffers
+  round();  // sizes the scratch schedule and the arrival buffer
   const std::size_t allocs = allocations_during([&] {
     for (int i = 0; i < 8; ++i) {
       round();

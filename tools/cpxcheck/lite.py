@@ -20,8 +20,7 @@ import re
 import lex
 from lex import Tok
 from model import (CallSite, ClassInfo, FieldInfo, FileFacts, FunctionInfo,
-                   S_BLOCK, S_IF, S_LOOP, S_RETURN, S_SIMPLE, S_SWITCH,
-                   S_THROW, S_TRY, Stmt, VarDecl)
+                   S_BLOCK, S_IF, S_LOOP, S_SIMPLE, Stmt, VarDecl)
 
 _INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]', re.MULTILINE)
 _MACRO_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
@@ -348,7 +347,7 @@ class _Scope:
         return ""
 
     def _qualname_before_params(self, head: list[Tok]) -> list[str]:
-        """['Cluster', 'exchange_finish'] for `void Cluster::exchange_finish(`.
+        """['Cluster', 'exchange'] for `void Cluster::exchange(`.
         Walks back from the parameter group over `ident(::ident)*`."""
         # Locate the parameter group: first top-level '(' whose preceding
         # identifier is the declarator name (mirror of head collection).
@@ -522,7 +521,7 @@ class _BodyParser:
         if t.text in ("while", "switch"):
             cond, j = self._group(i + 1, hi)
             body, j = self._statement(j, hi)
-            kind = S_LOOP if t.text == "while" else S_SWITCH
+            kind = S_LOOP if t.text == "while" else S_BLOCK
             return Stmt(kind, t.line, tokens=cond,
                         children=[body] if body else []), j
         if t.text == "for":
@@ -550,22 +549,18 @@ class _BodyParser:
             return node, j
         if t.text == "try":
             body, j = self._statement(i + 1, hi)
-            node = Stmt(S_TRY, t.line, children=[body] if body else [])
+            node = Stmt(S_BLOCK, t.line, children=[body] if body else [])
             while j < hi and toks[j].text == "catch":
                 _, j = self._group(j + 1, hi)
                 handler, j = self._statement(j, hi)
                 if handler:
-                    node.else_children.append(handler)
+                    node.children.append(handler)
             return node, j
         if t.text in ("case", "default"):
             j = i
             while j < hi and toks[j].text != ":":
                 j += 1
             return None, j + 1
-        if t.text in ("return", "throw"):
-            expr, j = self._simple_tokens(i + 1, hi)
-            kind = S_RETURN if t.text == "return" else S_THROW
-            return Stmt(kind, t.line, tokens=expr), j
         if t.text == "}":
             return None, i + 1  # stray closer; tolerate
         expr, j = self._simple_tokens(i, hi)

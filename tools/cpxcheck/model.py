@@ -11,17 +11,14 @@ from dataclasses import dataclass, field
 from lex import Tok
 
 # Statement kinds in the (deliberately small) statement tree. The tree is
-# not a full AST: expressions stay as token slices, but control flow —
-# blocks, branches, loops, try/catch, returns and throws — is explicit,
-# which is what the path-sensitive rules (split-phase) need.
-S_SIMPLE = "simple"   # expression/declaration statement; tokens attached
-S_BLOCK = "block"     # { ... }
+# not a full AST: expressions stay as token slices, and only the control
+# flow a rule reads is explicit — an `if` for the debug-gate test, a loop
+# for the range-for declaration.
+S_SIMPLE = "simple"   # expression/declaration, or return/throw with the
+                      # keyword as its first token; tokens attached
+S_BLOCK = "block"     # { ... }, switch (cond tokens), try (body + handlers)
 S_IF = "if"           # cond tokens + then/else children
 S_LOOP = "loop"       # for/while/do body (range-for carries range tokens)
-S_SWITCH = "switch"   # treated as one opaque body block
-S_TRY = "try"         # body + handlers
-S_RETURN = "return"   # return ...;
-S_THROW = "throw"     # throw ...;
 
 
 @dataclass
@@ -30,7 +27,7 @@ class Stmt:
     line: int
     tokens: list[Tok] = field(default_factory=list)   # head/expression toks
     children: list["Stmt"] = field(default_factory=list)
-    else_children: list["Stmt"] = field(default_factory=list)  # if/try only
+    else_children: list["Stmt"] = field(default_factory=list)  # if only
     range_tokens: list[Tok] = field(default_factory=list)      # range-for
     decl_tokens: list[Tok] = field(default_factory=list)       # range-for var
 

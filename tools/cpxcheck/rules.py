@@ -1,8 +1,7 @@
 """cpxcheck rules (docs/static_analysis.md).
 
 Each rule consumes the model.py facts produced by lite.py: ckpt
-members come from real class definitions, split-phase windows are tracked
-path-sensitively through the statement tree, deterministic-kernel checks
+members come from real class definitions, deterministic-kernel checks
 resolve receiver types, solve-alloc follows the call graph out of the
 solve entry points, and the token rules (naked-new, reduce, raw-comm,
 metrics-registry) read the whole-file token stream, so comments and
@@ -20,8 +19,7 @@ from dataclasses import dataclass, field
 
 import lex
 from model import (CallSite, ClassInfo, FileFacts, Finding, FunctionInfo,
-                   S_BLOCK, S_IF, S_LOOP, S_RETURN, S_SIMPLE, S_SWITCH,
-                   S_THROW, S_TRY, Stmt, walk_stmts)
+                   Stmt, walk_stmts)
 
 ALLOW_RE = re.compile(
     r"//\s*cpx-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
@@ -40,12 +38,6 @@ RULES = (
         "implementers are registered, and every non-static data member "
         "(enumerated from the class definition, not a naming convention) "
         "is threaded through BOTH bodies or carries allow(ckpt)."),
-    RuleInfo(
-        "split-phase",
-        "Every Cluster exchange_begin()/exchange_finish() window (the "
-        "only split-phase exchange; overlap is modelled on the virtual "
-        "clock) must close on every control path: early returns, throws, "
-        "diverging branches, loop bodies."),
     RuleInfo(
         "deterministic-kernels",
         "No ambient randomness or wall-clock reads outside their sanctioned "
@@ -173,7 +165,6 @@ def run_rules(project: Project) -> list[Finding]:
     project.bind_classes()
     findings: list[Finding] = []
     findings += check_ckpt(project)
-    findings += check_split_phase(project)
     findings += check_deterministic(project)
     findings += check_solve_alloc(project)
     findings += check_naked_new(project)
@@ -300,149 +291,6 @@ def _locate_class(candidates, full_qualname):
         if best is None and cls.fields:
             best = (facts, cls)
     return best
-
-
-# ---------------------------------------------------------------------------
-# split-phase
-# ---------------------------------------------------------------------------
-
-def check_split_phase(project: Project) -> list[Finding]:
-    rule = rule_by_name("split-phase")
-    findings: list[Finding] = []
-    for facts in project.files:
-        if facts.path.endswith("/cluster.cpp"):
-            continue
-        for fn in facts.functions:
-            ctx = _SplitPhaseCtx(project, facts, fn, rule, findings)
-            out = ctx.eval_stmts(fn.body, {})
-            for key, line in sorted(out.items()):
-                findings.append(Finding(
-                    rule.name, facts.path, line,
-                    f"`{_window_label(key)}` has no matching "
-                    f"exchange_finish() before the end of "
-                    f"`{fn.qualname}`"))
-    return findings
-
-
-def _window_label(key: str) -> str:
-    return f"{key} = ...exchange_begin(...)"
-
-
-class _SplitPhaseCtx:
-    def __init__(self, project, facts, fn, rule, findings) -> None:
-        self.project = project
-        self.facts = facts
-        self.fn = fn
-        self.rule = rule
-        self.findings = findings
-
-    def _allowed(self, line: int) -> bool:
-        return self.project.allowed(self.facts, line, self.rule)
-
-    def eval_stmts(self, stmts: list[Stmt], state: dict) -> dict:
-        for s in stmts:
-            state = self.eval_stmt(s, state)
-        return state
-
-    def eval_stmt(self, s: Stmt, state: dict) -> dict:
-        if s.kind == S_SIMPLE:
-            return self._scan_tokens(s.tokens, dict(state))
-        if s.kind in (S_RETURN, S_THROW):
-            state = self._scan_tokens(s.tokens, dict(state))
-            if s.kind == S_RETURN:
-                # Returning an exchange handle transfers window ownership
-                # to the caller (a wrapper that begins the exchange and
-                # hands the handle back): the window is the return value,
-                # not a leak.
-                returned = {t.text for t in s.tokens if t.kind == lex.ID}
-                for key in [k for k in state if k in returned]:
-                    state.pop(key)
-            if state and not self._allowed(s.line):
-                names = ", ".join(_window_label(k) for k in sorted(state))
-                what = "return" if s.kind == S_RETURN else "throw"
-                self.findings.append(Finding(
-                    self.rule.name, self.facts.path, s.line,
-                    f"`{what}` leaves the open exchange window of "
-                    f"{names}; every control path must close a begun "
-                    f"exchange"))
-            return state
-        if s.kind == S_BLOCK:
-            return self.eval_stmts(s.children, state)
-        if s.kind == S_IF:
-            entry = self._scan_tokens(s.tokens, dict(state))
-            then_out = self.eval_stmts(s.children, dict(entry))
-            else_out = self.eval_stmts(s.else_children, dict(entry))
-            if set(then_out) != set(else_out) and not self._allowed(s.line):
-                diverged = sorted(set(then_out) ^ set(else_out))
-                names = ", ".join(_window_label(k) for k in diverged)
-                self.findings.append(Finding(
-                    self.rule.name, self.facts.path, s.line,
-                    f"exchange window of {names} is open on one branch of "
-                    f"this `if` but not the other; both paths must leave "
-                    f"the window in the same state"))
-            return {k: v for k, v in then_out.items() if k in else_out}
-        if s.kind in (S_LOOP, S_SWITCH):
-            entry = self._scan_tokens(
-                list(s.tokens) + list(s.range_tokens), dict(state))
-            body_out = self.eval_stmts(s.children, dict(entry))
-            if set(body_out) != set(entry) and not self._allowed(s.line):
-                diverged = sorted(set(body_out) ^ set(entry))
-                names = ", ".join(_window_label(k) for k in diverged)
-                kind = "loop" if s.kind == S_LOOP else "switch"
-                self.findings.append(Finding(
-                    self.rule.name, self.facts.path, s.line,
-                    f"exchange window of {names} is opened or closed "
-                    f"inside this `{kind}` body without balancing; the "
-                    f"window state must match at entry and exit"))
-            return entry
-        if s.kind == S_TRY:
-            body_out = self.eval_stmts(s.children, dict(state))
-            for handler in s.else_children:
-                self.eval_stmt(handler, dict(state))
-            return body_out
-        return state
-
-    def _scan_tokens(self, toks, state: dict) -> dict:
-        n = len(toks)
-        # A window both opened and closed inside one statement (e.g.
-        # `exchange_finish(exchange_begin(...))`) is balanced.
-        for k, t in enumerate(toks):
-            if t.kind != lex.ID or k + 1 >= n or toks[k + 1].text != "(":
-                continue
-            if t.text == "exchange_begin":
-                if any(x.text == "exchange_finish" for x in toks):
-                    continue  # balanced within the statement
-                var = ""
-                for m in range(k - 1, 0, -1):
-                    if toks[m].text == "=" and toks[m - 1].kind == lex.ID:
-                        var = toks[m - 1].text
-                        break
-                if not self._allowed(t.line):
-                    state[var or "?"] = t.line
-            elif t.text == "exchange_finish":
-                args = _call_arg_idents(toks, k + 1)
-                closed = [key for key in state if key in args]
-                if not closed and len(state) == 1:
-                    closed = list(state)
-                for key in closed:
-                    state.pop(key)
-        return state
-
-
-def _call_arg_idents(toks, open_idx: int) -> set:
-    """Identifier tokens inside the () group opening at open_idx."""
-    out = set()
-    depth = 0
-    for t in toks[open_idx:]:
-        if t.text in "([{":
-            depth += 1
-        elif t.text in ")]}":
-            depth -= 1
-            if depth == 0:
-                break
-        elif t.kind == lex.ID:
-            out.add(t.text)
-    return out
 
 
 def _receiver_type(project: Project, facts: FileFacts, fn: FunctionInfo,
