@@ -69,7 +69,6 @@ struct Communicator::State {
   std::vector<Recv> recvs;
   std::vector<std::vector<std::byte>> buffers;
   std::vector<int> free_buffers;
-  std::vector<Transfer> transfers;
   std::vector<std::size_t> deliver_scratch;
   CommStats stats;
 
@@ -193,8 +192,6 @@ void Communicator::wait_all() {
     }
     match->matched = true;
     s.release_buffer(match->buffer);
-    // cpx-lint: allow(solve-alloc) — capacity kept across rounds (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
-    s.transfers.push_back({recv.src, recv.dst, recv.bytes});
     s.count_message(recv.bytes);
   }
   for (const State::Send& send : s.sends) {
@@ -237,8 +234,6 @@ void Communicator::deliver(Rank dst, int tag, DeliverFn sink) {
              send.bytes));
     send.matched = true;
     s.release_buffer(send.buffer);
-    // cpx-lint: allow(solve-alloc) — capacity kept across rounds (SolverAllocations.WarmDistributedPicStepAllocatesNothing)
-    s.transfers.push_back({send.src, send.dst, send.bytes});
     s.count_message(send.bytes);
   }
   std::erase_if(s.sends,
@@ -255,16 +250,6 @@ double Communicator::allreduce_sum(std::span<const double> contributions) {
       state_->size,
       static_cast<std::int64_t>(sizeof(double)) * state_->size);
   return support::blas1::sum(contributions);
-}
-
-std::span<const Transfer> Communicator::transfers() const {
-  CPX_CHECK(state_ != nullptr);
-  return state_->transfers;
-}
-
-void Communicator::clear_transfers() {
-  CPX_CHECK(state_ != nullptr);
-  state_->transfers.clear();
 }
 
 const CommStats& Communicator::stats() const {

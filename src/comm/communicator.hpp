@@ -31,11 +31,6 @@
 // accumulates wall time spent matching and copying in wait_all/deliver).
 // These count only bytes this host transport moved.
 //
-// Transfers delivered since the last clear are additionally recorded as
-// (src, dst, bytes) records so a caller co-simulating on a sim::Cluster
-// can charge the *real* message sizes to the virtual machine
-// (sim/comm_bridge.hpp).
-//
 // Steady-state exchanges are allocation-free: send payloads go through a
 // buffer pool, the pending-operation vectors keep their capacity and
 // deliver() orders its matches in place, so once a communicator is warm
@@ -58,14 +53,6 @@
 namespace cpx::comm {
 
 using Rank = int;
-
-/// One delivered message, in the communicator's rank space.
-/// Layout-compatible with sim::Message by design.
-struct Transfer {
-  Rank src = 0;
-  Rank dst = 0;
-  std::size_t bytes = 0;
-};
 
 /// Cumulative per-communicator traffic counters.
 struct CommStats {
@@ -115,8 +102,7 @@ class Communicator {
   /// Matches every pending receive against the pending sends — FIFO per
   /// (src, dst, tag) — and copies payloads. Throws CheckError if any
   /// send or receive is left unmatched or a matched pair disagrees on
-  /// size. Delivery (and transfer recording) happens in receive-posting
-  /// order.
+  /// size. Delivery happens in receive-posting order.
   void wait_all();
 
   /// Variable-size receive: hands every pending send addressed to `dst`
@@ -134,11 +120,6 @@ class Communicator {
   double allreduce_sum(std::span<const double> contributions);
 
   // --- Accounting -----------------------------------------------------
-  /// Transfers delivered by wait_all()/deliver() since the last
-  /// clear_transfers(), in delivery order.
-  std::span<const Transfer> transfers() const;
-  void clear_transfers();
-
   const CommStats& stats() const;
 
   /// Number of pooled payload buffers (diagnostic: steady-state exchange

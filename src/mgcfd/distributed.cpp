@@ -88,15 +88,6 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
     ps.local = std::move(lm);
     parts_.push_back(std::move(ps));
   }
-
-  // Static message list of one halo round (src, dst, channel payload), in
-  // channel order: the transfers every plan execution records, so the
-  // cluster is charged from it.
-  halo_messages_.reserve(halo_plan_.channels().size());
-  for (const comm::ExchangePlan::Channel& ch : halo_plan_.channels()) {
-    halo_messages_.push_back(
-        {ch.src, ch.dst, ch.send_indices.size() * sizeof(State)});
-  }
 }
 
 void DistributedSolver::set_uniform(const State& u) {
@@ -115,14 +106,27 @@ void DistributedSolver::set_cell(mesh::CellId cell, const State& u) {
 }
 
 void DistributedSolver::attach_cluster(sim::Cluster* cluster) {
-  cluster_ = cluster;
-  if (cluster_ != nullptr) {
-    CPX_REQUIRE(cluster_->num_ranks() >= num_parts(),
-                "attach_cluster: cluster too small");
-    region_flux_ = cluster_->region("dist_mgcfd/flux");
-    region_halo_ = cluster_->region("dist_mgcfd/halo");
-    region_reduce_ = cluster_->region("dist_mgcfd/reduce");
+  if (cluster == nullptr) {
+    cluster_ = nullptr;
+    return;
   }
+  // A refused cluster must not stay attached: the next step would charge
+  // ranks past its end.
+  CPX_REQUIRE(cluster->num_ranks() >= num_parts(),
+              "attach_cluster: cluster too small");
+  // One halo round (src, dst, channel payload) in channel order, bound
+  // once: a schedule is valid only on the cluster that built it.
+  std::vector<sim::Message> messages;
+  messages.reserve(halo_plan_.channels().size());
+  for (const comm::ExchangePlan::Channel& ch : halo_plan_.channels()) {
+    messages.push_back(
+        {ch.src, ch.dst, ch.send_indices.size() * sizeof(State)});
+  }
+  halo_schedule_ = cluster->make_schedule(messages);
+  region_flux_ = cluster->region("dist_mgcfd/flux");
+  region_halo_ = cluster->region("dist_mgcfd/halo");
+  region_reduce_ = cluster->region("dist_mgcfd/reduce");
+  cluster_ = cluster;
 }
 
 bool DistributedSolver::refresh_primitives(const PartState& ps) {
@@ -211,15 +215,14 @@ sim::Work DistributedSolver::flux_work(const PartState& ps) {
 double DistributedSolver::step() {
   // The halo lands before any flux: one plan execution packs each send
   // list, moves the bytes through the communicator and scatters them into
-  // the neighbours' ghost slots. The cluster is charged from the plan's
-  // static message list, which equals the recorded transfers.
+  // the neighbours' ghost slots. An attached cluster is charged the same
+  // channels, bound as one schedule by attach_cluster.
   halo_plan_.execute(comm_, [this](comm::Rank r) {
     return std::as_writable_bytes(
         std::span<State>(parts_[static_cast<std::size_t>(r)].u));
   });
-  comm_.clear_transfers();
   if (cluster_ != nullptr) {
-    cluster_->exchange(halo_messages_, region_halo_);
+    cluster_->exchange(halo_schedule_, region_halo_);
   }
 
   for (PartState& ps : parts_) {

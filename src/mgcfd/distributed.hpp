@@ -88,9 +88,10 @@ class DistributedSolver {
 
   /// Attaches a virtual cluster for performance co-simulation: subsequent
   /// steps charge compute (from real kernel work counts) and communication
-  /// (from the halo plan's static per-channel message list; the
-  /// communicator's recorded transfers are cleared) to `cluster` on ranks
-  /// [0, num_parts). Pass nullptr to detach.
+  /// (the halo plan's channels, bound here as one schedule) to `cluster`
+  /// on ranks [0, num_parts). Throws CheckError, leaving the previous
+  /// attachment in place, when the cluster has fewer ranks than parts.
+  /// Pass nullptr to detach.
   void attach_cluster(sim::Cluster* cluster);
 
   /// Snapshot section "mgcfd/distributed" (docs/checkpoint.md): per-part
@@ -137,7 +138,7 @@ class DistributedSolver {
   /// refreshed from its states before its edge pass. One scratch sized to
   /// the largest part serves every part.
   std::vector<Primitives> primitives_;  // cpx-lint: allow(ckpt)
-  std::vector<sim::Message> halo_messages_;  // cpx-lint: allow(ckpt)
+  sim::ExchangeSchedule halo_schedule_;  ///< bound by attach_cluster // cpx-lint: allow(ckpt)
   sim::Cluster* cluster_ = nullptr;     // cpx-lint: allow(ckpt)
   sim::RegionId region_flux_ = -1;      // cpx-lint: allow(ckpt)
   sim::RegionId region_halo_ = -1;      // cpx-lint: allow(ckpt)

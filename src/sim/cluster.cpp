@@ -62,12 +62,6 @@ double Cluster::max_clock(RankRange range) const {
                            clocks_.begin() + range.end);
 }
 
-double Cluster::min_clock(RankRange range) const {
-  check_range(range);
-  return *std::min_element(clocks_.begin() + range.begin,
-                           clocks_.begin() + range.end);
-}
-
 RegionId Cluster::region(std::string_view name) {
   return profile_.region(name);
 }
@@ -194,17 +188,9 @@ void Cluster::bump_to(RankRange range, double time, RegionId region) {
 }
 
 ExchangeSchedule Cluster::make_schedule(std::span<const Message> messages) {
-  ExchangeSchedule schedule;
-  build_schedule(messages, schedule);
-  return schedule;
-}
-
-void Cluster::build_schedule(std::span<const Message> messages,
-                             ExchangeSchedule& out) {
+  ExchangeSchedule out;
   out.cluster_id_ = id_;
-  // cpx-lint: allow(solve-alloc) — same size when warm (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
   out.entries_.resize(messages.size());
-  out.senders_.clear();
 
   // Count inter-node messages per sending node for injection-bandwidth
   // sharing. A rank may send several messages; each message occupies the
@@ -213,9 +199,7 @@ void Cluster::build_schedule(std::span<const Message> messages,
   // is kept for the second pass, so every message divides by
   // cores_per_node only twice.
   const int cores_per_node = machine_.cores_per_node;
-  // cpx-lint: allow(solve-alloc) — same size when warm (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
   senders_per_node_.assign(static_cast<std::size_t>(num_nodes_), 0);
-  // cpx-lint: allow(solve-alloc) — same size when warm (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
   message_node_.resize(messages.size());
   for (std::size_t i = 0; i < messages.size(); ++i) {
     const Message& m = messages[i];
@@ -247,7 +231,6 @@ void Cluster::build_schedule(std::span<const Message> messages,
     int& slot = sender_slot_[static_cast<std::size_t>(m.src)];
     if (slot < 0) {
       slot = static_cast<int>(out.senders_.size());
-      // cpx-lint: allow(solve-alloc) — refills a cleared vector, capacity kept (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
       out.senders_.push_back({m.src, 0, 0});
     }
     ExchangeSchedule::Sender& sender =
@@ -258,14 +241,7 @@ void Cluster::build_schedule(std::span<const Message> messages,
   for (const ExchangeSchedule::Sender& sender : out.senders_) {
     sender_slot_[static_cast<std::size_t>(sender.rank)] = -1;
   }
-}
-
-void Cluster::exchange(std::span<const Message> messages, RegionId region) {
-  if (messages.empty()) {
-    return;
-  }
-  build_schedule(messages, schedule_scratch_);
-  exchange(schedule_scratch_, region);
+  return out;
 }
 
 void Cluster::post(const ExchangeSchedule& schedule, RegionId region,
@@ -408,21 +384,6 @@ double Cluster::comm_hidden_seconds(RankRange range) const {
   return total;
 }
 
-void Cluster::send(Rank src, Rank dst, std::size_t bytes, RegionId region) {
-  CPX_DCHECK(src >= 0 && src < num_ranks_);
-  CPX_DCHECK(dst >= 0 && dst < num_ranks_);
-  maybe_fail(src);
-  const bool same_node = node_of(src) == node_of(dst);
-  double& src_clock = clocks_[static_cast<std::size_t>(src)];
-  src_clock += machine_.msg_overhead;
-  profile_.add_comm(src, region, machine_.msg_overhead);
-  account_traffic(src, bytes);
-  const double arrival = src_clock + machine_.wire_time(bytes, same_node);
-  bump_to(RankRange{dst, dst + 1}, arrival, region);
-  clocks_[static_cast<std::size_t>(dst)] += machine_.msg_overhead;
-  profile_.add_comm(dst, region, machine_.msg_overhead);
-}
-
 void Cluster::allreduce(RankRange range, std::size_t bytes, RegionId region) {
   check_range(range);
   if (range.size() == 1) {
@@ -432,30 +393,6 @@ void Cluster::allreduce(RankRange range, std::size_t bytes, RegionId region) {
   const double cost = machine_.allreduce_time(range.size(), nodes, bytes);
   const double done = max_clock(range) + cost;
   account_traffic(range.begin, range.end, bytes);
-  bump_to(range, done, region);
-}
-
-void Cluster::barrier(RankRange range, RegionId region) {
-  check_range(range);
-  if (range.size() == 1) {
-    return;
-  }
-  const int nodes = node_of(range.end - 1) - node_of(range.begin) + 1;
-  const double done =
-      max_clock(range) + machine_.barrier_time(range.size(), nodes);
-  bump_to(range, done, region);
-}
-
-void Cluster::broadcast(RankRange range, Rank root, std::size_t bytes,
-                        RegionId region) {
-  CPX_REQUIRE(range.contains(root), "Cluster: broadcast root outside range");
-  if (range.size() == 1) {
-    return;
-  }
-  const int nodes = node_of(range.end - 1) - node_of(range.begin) + 1;
-  const double done =
-      clock(root) + machine_.broadcast_time(range.size(), nodes, bytes);
-  account_traffic(root, bytes);
   bump_to(range, done, region);
 }
 

@@ -11,11 +11,8 @@
 //    and each receiver's clock advances to the latest arrival it depends
 //    on. Waiting time is accounted as communication time, as an MPI
 //    profiler would.
-//  * Collectives (allreduce/barrier/broadcast) synchronise a contiguous
+//  * Collectives (allreduce/gather/alltoall) synchronise a contiguous
 //    rank range: everyone leaves at max(entry clocks) + collective cost.
-//  * send() is a single eagerly-matched message; chaining sends rank
-//    i -> i+1 therefore serialises into a pipeline — exactly the behaviour
-//    of SIMPIC's distributed tridiagonal field solve.
 //
 // Clock propagation through messages is what makes coupled multi-app
 // schedules come out right: a density-solver rank that waits on coupler
@@ -80,8 +77,7 @@ class ExchangeSchedule {
   /// One message: endpoints, the wire latency and the transfer seconds
   /// `bytes / effective_bw`, where the effective bandwidth already
   /// includes the node's NIC share. Arrival is charged as
-  /// `(send_completion + latency) + transfer`, the association of the
-  /// message-list form.
+  /// `(send_completion + latency) + transfer`.
   struct Entry {
     Rank src = 0;
     Rank dst = 0;
@@ -140,7 +136,6 @@ class Cluster {
   double clock(Rank rank) const;
   double max_clock() const;
   double max_clock(RankRange range) const;
-  double min_clock(RankRange range) const;
 
   /// Interns a profiling region.
   RegionId region(std::string_view name);
@@ -168,9 +163,6 @@ class Cluster {
   /// Bulk BSP-style exchange of independent messages. Equivalent to the
   /// overlapped form with an empty window.
   void exchange(const ExchangeSchedule& schedule, RegionId region);
-  /// Message-list form: builds into a schedule this cluster owns (warm
-  /// calls allocate nothing) and charges it.
-  void exchange(std::span<const Message> messages, RegionId region);
   /// Overlapped exchange (docs/communication.md): posts the schedule
   /// (arrivals are fixed, so the window cannot speed the wire up),
   /// charges the window as compute_seconds(window.ranks, window.seconds,
@@ -181,8 +173,6 @@ class Cluster {
   /// counters. Overlap{} charges exactly what the synchronous form does.
   void exchange(const ExchangeSchedule& schedule, RegionId region,
                 const Overlap& window);
-  /// Single eager message (use for pipelines / coupler hand-offs).
-  void send(Rank src, Rank dst, std::size_t bytes, RegionId region);
 
   /// Virtual comm seconds hidden behind concurrent compute on `rank` —
   /// the honesty channel of the overlap model: clock(r) + nothing, but
@@ -192,9 +182,6 @@ class Cluster {
 
   // --- Collectives over a contiguous range ---
   void allreduce(RankRange range, std::size_t bytes, RegionId region);
-  void barrier(RankRange range, RegionId region);
-  void broadcast(RankRange range, Rank root, std::size_t bytes,
-                 RegionId region);
   /// Gather of `bytes_per_rank` from every rank in `range` to `root`.
   void gather(RankRange range, Rank root, std::size_t bytes_per_rank,
               RegionId region);
@@ -218,8 +205,8 @@ class Cluster {
 
   // --- Traffic accounting (docs/communication.md) ---
   /// Bytes rank `rank` has injected into the network: message payloads
-  /// from exchange()/send(), plus its modelled contribution to
-  /// collectives (allreduce/broadcast root/gather leaves/alltoall).
+  /// from exchange(), plus its modelled contribution to collectives
+  /// (allreduce/gather leaves/alltoall).
   std::size_t comm_bytes(Rank rank) const;
   /// Total injected bytes over a rank range — the measured per-instance
   /// comm volume consumed by perfmodel (perfmodel::measure_comm_volume).
@@ -241,8 +228,8 @@ class Cluster {
 
   // --- Fault injection (docs/checkpoint.md) ---
   /// Arms a failure: once begin_step() reaches `step`, any compute or
-  /// send issued by `rank` throws RankFailure. Models an MPI process
-  /// dying mid-step; the workflow catches it, discards the dead
+  /// exchange post issued by `rank` throws RankFailure. Models an MPI
+  /// process dying mid-step; the workflow catches it, discards the dead
   /// simulation, and restores from the last snapshot.
   void inject_failure(Rank rank, int step);
   void clear_failure();
@@ -311,9 +298,6 @@ class Cluster {
     Rank dst = 0;
     double arrival = 0.0;
   };
-  /// Fills `out` from `messages` (reusing its storage).
-  void build_schedule(std::span<const Message> messages,
-                      ExchangeSchedule& out);
   /// The sender half of every bulk exchange: charges overheads and
   /// traffic, writes each message's arrival to `arrivals`.
   void post(const ExchangeSchedule& schedule, RegionId region,
@@ -338,12 +322,11 @@ class Cluster {
   int failure_step_ = 0;    // cpx-lint: allow(ckpt)
   int current_step_ = 0;
 
-  // Scratch of the message-list adapter and of every bulk exchange,
-  // reused so warm calls allocate nothing. sender_slot_ maps a rank to its
+  // Scratch of schedule builds and of every bulk exchange, reused so a
+  // warm exchange allocates nothing. sender_slot_ maps a rank to its
   // entry in a schedule's sender list while one is built (-1 otherwise);
   // message_node_ holds each message's sender node (-1 for an intra-node
   // message) between the two passes of a build.
-  ExchangeSchedule schedule_scratch_;          // cpx-lint: allow(ckpt)
   std::vector<int> senders_per_node_;          // cpx-lint: allow(ckpt)
   std::vector<int> sender_slot_;               // cpx-lint: allow(ckpt)
   std::vector<int> message_node_;              // cpx-lint: allow(ckpt)

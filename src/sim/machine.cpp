@@ -34,11 +34,6 @@ double MachineModel::compute_time(const Work& work) const {
   return work.launches * kernel_overhead + std::max(t_flops, t_mem);
 }
 
-double MachineModel::wire_time(std::size_t bytes, bool same_node) const {
-  return latency(same_node) +
-         static_cast<double>(bytes) / bandwidth(same_node);
-}
-
 double MachineModel::allreduce_time(int ranks, int nodes,
                                     std::size_t bytes) const {
   CPX_DCHECK(ranks >= 1 && nodes >= 1);
@@ -68,21 +63,6 @@ double MachineModel::barrier_time(int ranks, int nodes) const {
   const int intra_rounds = rounds - inter_rounds;
   return 2.0 * (inter_rounds * (lat_inter + msg_overhead) +
                 intra_rounds * (lat_intra + msg_overhead));
-}
-
-double MachineModel::broadcast_time(int ranks, int nodes,
-                                    std::size_t bytes) const {
-  if (ranks <= 1) {
-    return 0.0;
-  }
-  const int rounds = log2_ceil(ranks);
-  const int inter_rounds = std::min(rounds, log2_ceil(nodes));
-  const int intra_rounds = rounds - inter_rounds;
-  const double per_inter =
-      lat_inter + msg_overhead + static_cast<double>(bytes) / bw_inter;
-  const double per_intra =
-      lat_intra + msg_overhead + static_cast<double>(bytes) / bw_intra;
-  return inter_rounds * per_inter + intra_rounds * per_intra;
 }
 
 double MachineModel::alltoall_time(int ranks, int nodes,

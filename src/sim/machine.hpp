@@ -68,17 +68,11 @@ struct MachineModel {
   double latency(bool same_node) const { return same_node ? lat_intra : lat_inter; }
   double bandwidth(bool same_node) const { return same_node ? bw_intra : bw_inter; }
 
-  /// Wire time for a message of `bytes` (excludes sender/receiver overhead).
-  double wire_time(std::size_t bytes, bool same_node) const;
-
   /// Cost of an allreduce over `ranks` ranks spanning `nodes` nodes.
   double allreduce_time(int ranks, int nodes, std::size_t bytes) const;
 
   /// Cost of a barrier over `ranks` ranks spanning `nodes` nodes.
   double barrier_time(int ranks, int nodes) const;
-
-  /// Cost of a broadcast of `bytes` over `ranks` ranks spanning `nodes`.
-  double broadcast_time(int ranks, int nodes, std::size_t bytes) const;
 
   /// Cost of a personalised all-to-all: every rank sends `bytes_per_pair`
   /// to every other rank. Latency-dominated at small payloads — the

@@ -6,7 +6,6 @@
 #include <span>
 
 #include "ckpt/snapshot.hpp"
-#include "sim/comm_bridge.hpp"
 #include "support/check.hpp"
 
 namespace cpx::simpic {
@@ -139,21 +138,6 @@ void DistributedPic::deposit() {
     validate_charge_conservation(rho_audit_, background_, dx_,
                                  options_.boundary, total_weight);
   }
-  if (cluster_ != nullptr) {
-    sim::flush_sends(comm_, *cluster_, region_deposit_, 0);
-  } else {
-    comm_.clear_transfers();
-  }
-  if (cluster_ != nullptr) {
-    for (int r = 0; r < num_parts(); ++r) {
-      sim::Work w;
-      w.flops = 12.0 * static_cast<double>(
-                           ranks_[static_cast<std::size_t>(r)].x.size());
-      w.bytes = 48.0 * static_cast<double>(
-                           ranks_[static_cast<std::size_t>(r)].x.size());
-      cluster_->compute(r, w, region_deposit_);
-    }
-  }
 }
 
 void DistributedPic::solve_field() {
@@ -183,24 +167,9 @@ void DistributedPic::solve_field() {
       comm_.irecv_span(r, r - 1, kTagElim, std::span<double>(carry));
       comm_.wait_all();
       elim = {carry[0], carry[1], true};
-      if (cluster_ != nullptr) {
-        cluster_->send(r - 1, r, 2 * sizeof(double), region_field_);
-      }
-    }
-    if (cluster_ != nullptr) {
-      sim::Work prep;
-      prep.flops = 2.0 * static_cast<double>(count);
-      prep.bytes = 16.0 * static_cast<double>(count);
-      cluster_->compute(r, prep, region_field_);
     }
     eliminate_forward(std::span<double>(rs.phi).subspan(1, count), rs.c,
                       elim);
-    if (cluster_ != nullptr) {
-      sim::Work elim_work;
-      elim_work.flops = 8.0 * static_cast<double>(count);
-      elim_work.bytes = 48.0 * static_cast<double>(count);
-      cluster_->compute(r, elim_work, region_field_);
-    }
     if (r + 1 < parts) {
       const double carry[2] = {elim.c, elim.d};
       comm_.isend_span(r, r + 1, kTagElim, std::span<const double>(carry));
@@ -214,9 +183,6 @@ void DistributedPic::solve_field() {
     if (r + 1 < parts) {
       comm_.irecv_value(r, r + 1, kTagPhiBack, &phi_next);
       comm_.wait_all();
-      if (cluster_ != nullptr) {
-        cluster_->send(r + 1, r, sizeof(double), region_field_);
-      }
     }
     // The rank holding unknown n_nodes - 1 borders the right wall (a last
     // rank of one cell has no unknowns).
@@ -229,24 +195,14 @@ void DistributedPic::solve_field() {
     if (rs.cell_end == n_nodes) {
       rs.phi.back() = 0.0;
     }
-    if (cluster_ != nullptr) {
-      sim::Work back;
-      back.flops = 4.0 * static_cast<double>(rs.c.size());
-      back.bytes = 24.0 * static_cast<double>(rs.c.size());
-      cluster_->compute(r, back, region_field_);
-    }
     if (r > 0) {
       comm_.isend_value(r, r - 1, kTagPhiBack, phi_next);
     }
   }
-  // Pipeline hops are charged inline above (one send at each receive),
-  // so the recorded transfers are accounting duplicates.
-  comm_.clear_transfers();
 
   // Shared node phi values: the *left* rank computes the shared node (its
   // unknown range is (cell_begin, cell_end]); send to the right
-  // neighbour's first node. Like the ghost exchange below, this is part
-  // of the field compute's memory traffic, not a charged message.
+  // neighbour's first node.
   for (int r = 0; r + 1 < parts; ++r) {
     const RankState& rs = ranks_[static_cast<std::size_t>(r)];
     comm_.isend_value(r, r + 1, kTagPhiShared, rs.phi.back());
@@ -284,20 +240,12 @@ void DistributedPic::solve_field() {
     }
   }
   comm_.wait_all();
-  comm_.clear_transfers();  // shared/ghost phi is never cluster-charged
 
   for (int r = 0; r < parts; ++r) {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
-    const auto nodes = rs.phi.size();
     difference_field(rs.phi, ghost_from_left_[static_cast<std::size_t>(r)],
                      ghost_from_right_[static_cast<std::size_t>(r)],
                      rs.cell_begin == 0, rs.cell_end == n_nodes, dx_, rs.e);
-    if (cluster_ != nullptr) {
-      sim::Work w;
-      w.flops = 16.0 * static_cast<double>(nodes);
-      w.bytes = 64.0 * static_cast<double>(nodes);
-      cluster_->compute(r, w, region_field_);
-    }
   }
 }
 
@@ -351,12 +299,6 @@ void DistributedPic::push_and_migrate() {
         last_migrations_ += static_cast<std::int64_t>(pack.size() / 3);
       }
     }
-    if (cluster_ != nullptr) {
-      sim::Work w;
-      w.flops = 20.0 * static_cast<double>(alive);
-      w.bytes = 72.0 * static_cast<double>(alive);
-      cluster_->compute(r, w, region_push_);
-    }
   }
 
   // Deliver: sources ascending per destination, particles in push order —
@@ -379,12 +321,6 @@ void DistributedPic::push_and_migrate() {
                       rs.w.push_back(p[2]);
                     }
                   });
-  }
-  if (cluster_ != nullptr) {
-    sim::flush_exchange(comm_, *cluster_, region_migrate_, 0,
-                        message_scratch_);
-  } else {
-    comm_.clear_transfers();
   }
 }
 
@@ -498,18 +434,6 @@ std::vector<double> DistributedPic::gather_positions() const {
     out.insert(out.end(), rs.x.begin(), rs.x.end());
   }
   return out;
-}
-
-void DistributedPic::attach_cluster(sim::Cluster* cluster) {
-  cluster_ = cluster;
-  if (cluster_ != nullptr) {
-    CPX_REQUIRE(cluster_->num_ranks() >= num_parts(),
-                "attach_cluster: cluster too small");
-    region_deposit_ = cluster_->region("dist_simpic/deposit");
-    region_field_ = cluster_->region("dist_simpic/field");
-    region_push_ = cluster_->region("dist_simpic/push");
-    region_migrate_ = cluster_->region("dist_simpic/migrate");
-  }
 }
 
 void DistributedPic::serialize(ckpt::Writer& w) const {

@@ -20,10 +20,10 @@
 // appended on its new rank, which changes the deposit's summation order,
 // and sheet crossings amplify the round-off (DistributedPicVsSequential
 // bounds the drift). A canonical cell order of the particles that makes
-// them bitwise equal is ROADMAP item 2(b).
+// them bitwise equal is ROADMAP item 4.
 //
-// The co-simulated clock charges each step synchronously; the performance
-// instance (simpic::Instance) models no overlap either.
+// It moves real bytes only; SIMPIC's virtual time comes from its
+// performance instance (simpic::Instance).
 //
 // Restricted to absorbing (Dirichlet) walls: the periodic variant needs a
 // cyclic solve that the production-relevant pipeline discussion does not
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "sim/cluster.hpp"
 #include "simpic/particle.hpp"
 #include "simpic/pic.hpp"
 
@@ -58,10 +57,7 @@ class DistributedPic {
                     double perturbation = 0.0);
 
   /// One step: deposit with boundary-node merging, the pipelined Thomas
-  /// field solve, push and particle migration. With a cluster attached,
-  /// every pipeline hop is one Cluster::send and each rank's
-  /// right-hand-side prep is charged after its carry wait: one synchronous
-  /// schedule.
+  /// field solve, push and particle migration.
   void step();
   void run(int steps);
 
@@ -90,9 +86,6 @@ class DistributedPic {
   /// accounting with every other subsystem — see docs/communication.md.
   const comm::CommStats& comm_stats() const { return comm_.stats(); }
   const comm::Communicator& communicator() const { return comm_; }
-
-  /// Optional performance co-simulation on ranks [0, num_parts).
-  void attach_cluster(sim::Cluster* cluster);
 
   /// The persisted RNG stream position (mirrors Pic::rng_counter).
   std::uint64_t rng_counter() const { return rng_.counter(); }
@@ -155,14 +148,8 @@ class DistributedPic {
   std::vector<double> ghost_from_left_;  // cpx-lint: allow(ckpt)
   std::vector<double> ghost_from_right_; // cpx-lint: allow(ckpt)
   std::vector<std::vector<double>> migr_pack_;    // cpx-lint: allow(ckpt)
-  std::vector<sim::Message> message_scratch_;     // cpx-lint: allow(ckpt)
   std::vector<double> rho_audit_;  ///< deep-check scratch // cpx-lint: allow(ckpt)
   std::int64_t last_migrations_ = 0;
-  sim::Cluster* cluster_ = nullptr;  // attached // cpx-lint: allow(ckpt)
-  sim::RegionId region_deposit_ = -1;  // cpx-lint: allow(ckpt)
-  sim::RegionId region_field_ = -1;    // cpx-lint: allow(ckpt)
-  sim::RegionId region_push_ = -1;     // cpx-lint: allow(ckpt)
-  sim::RegionId region_migrate_ = -1;  // cpx-lint: allow(ckpt)
 };
 
 }  // namespace cpx::simpic

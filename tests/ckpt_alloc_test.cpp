@@ -128,7 +128,8 @@ TEST(CkptAllocations, WarmClusterSnapshotAllocatesNothing) {
   for (cpx::sim::Rank r = 0; r < 32; ++r) {
     cluster.compute_seconds(r, 0.25, rgn);
   }
-  cluster.send(0, 17, 4096, rgn);
+  const cpx::sim::Message msg[] = {{0, 17, 4096}};
+  cluster.exchange(cluster.make_schedule(msg), rgn);
 
   Writer w;
   const auto emit = [&] {

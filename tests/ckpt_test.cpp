@@ -462,7 +462,8 @@ TEST(CkptSections, ClusterAndProfileRoundTripByteIdentically) {
   for (sim::Rank r = 0; r < 8; ++r) {
     a.compute_seconds(r, 0.5 + static_cast<double>(r), rgn);
   }
-  a.send(0, 5, 4096, rgn2);
+  const sim::Message msg[] = {{0, 5, 4096}};
+  a.exchange(a.make_schedule(msg), rgn2);
   a.allreduce({0, 8}, 64, rgn2);
   a.begin_step(3);
   const auto bytes = snapshot_of(a);
@@ -496,7 +497,9 @@ TEST(CkptFault, InjectedFailureKillsTheArmedRankAtItsStep) {
     EXPECT_EQ(e.rank(), 2);
     EXPECT_EQ(e.step(), 3);
   }
-  EXPECT_THROW(c.send(2, 0, 64, rgn), sim::RankFailure);
+  const sim::Message msg[] = {{2, 0, 64}};
+  const sim::ExchangeSchedule from_dead = c.make_schedule(msg);
+  EXPECT_THROW(c.exchange(from_dead, rgn), sim::RankFailure);
 
   c.clear_failure();
   EXPECT_FALSE(c.failure_armed());
@@ -508,7 +511,8 @@ TEST(CkptFault, ResetClocksZeroesTimingButKeepsRegions) {
   sim::Cluster c(machine, 4);
   const auto rgn = c.region("warm");
   c.compute_seconds(0, 1.0, rgn);
-  c.send(0, 1, 1 << 20, rgn);
+  const sim::Message msg[] = {{0, 1, 1 << 20}};
+  c.exchange(c.make_schedule(msg), rgn);
   ASSERT_GT(c.max_clock(), 0.0);
   ASSERT_GT(c.comm_bytes({0, 4}), 0u);
 

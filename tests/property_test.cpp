@@ -50,7 +50,7 @@ TEST_P(ClusterAccounting, ClockEqualsProfiledTimePerRank) {
                                     cluster.region("c")};
 
   for (int op = 0; op < 300; ++op) {
-    const auto choice = rng.uniform_index(5);
+    const auto choice = rng.uniform_index(4);
     const sim::RegionId region = regions[rng.uniform_index(3)];
     const auto rank = static_cast<sim::Rank>(
         rng.uniform_index(static_cast<std::uint64_t>(p)));
@@ -58,18 +58,10 @@ TEST_P(ClusterAccounting, ClockEqualsProfiledTimePerRank) {
       case 0:
         cluster.compute_seconds(rank, rng.uniform(0.0, 0.01), region);
         break;
-      case 1: {
-        const auto dst = static_cast<sim::Rank>(
-            rng.uniform_index(static_cast<std::uint64_t>(p)));
-        if (dst != rank) {
-          cluster.send(rank, dst, rng.uniform_index(1 << 16), region);
-        }
-        break;
-      }
-      case 2:
+      case 1:
         cluster.allreduce({0, p}, 8, region);
         break;
-      case 3: {
+      case 2: {
         std::vector<sim::Message> msgs;
         for (int m = 0; m < 5; ++m) {
           const auto src = static_cast<sim::Rank>(
@@ -81,7 +73,7 @@ TEST_P(ClusterAccounting, ClockEqualsProfiledTimePerRank) {
           }
         }
         if (!msgs.empty()) {
-          cluster.exchange(msgs, region);
+          cluster.exchange(cluster.make_schedule(msgs), region);
         }
         break;
       }
@@ -406,10 +398,10 @@ TEST_P(ScheduleEquivalence, ExchangeMatchesTheDocumentedRecurrence) {
 }
 
 TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
-  // A schedule built once and charged every round, the message-list
-  // adapter, and the overlapped form with an empty window (on a schedule
-  // built every round and on one built once) must leave identical
-  // clocks, profile, traffic counters and hidden-comm totals.
+  // A schedule built once and charged every round, and the overlapped
+  // form with an empty window (on a schedule built every round and on one
+  // built once) must leave identical clocks, profile, traffic counters
+  // and hidden-comm totals.
   const auto [seed, slow] = GetParam();
   const sim::MachineModel machine =
       slow ? sim::MachineModel::slow_network() : sim::MachineModel::archer2();
@@ -418,10 +410,9 @@ TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
                 static_cast<int>(rng.uniform_index(
                     static_cast<std::uint64_t>(4 * machine.cores_per_node)));
   sim::Cluster by_schedule(machine, p);
-  sim::Cluster by_list(machine, p);
   sim::Cluster by_overlap(machine, p);
   sim::Cluster by_overlap_schedule(machine, p);
-  sim::Cluster* clusters[] = {&by_schedule, &by_list, &by_overlap,
+  sim::Cluster* clusters[] = {&by_schedule, &by_overlap,
                               &by_overlap_schedule};
   const std::vector<sim::Message> msgs =
       random_round(rng, p, machine.cores_per_node);
@@ -438,13 +429,11 @@ TEST_P(ScheduleEquivalence, EveryExchangeFormChargesTheSameBits) {
       }
     }
     by_schedule.exchange(schedule, by_schedule.region("halo"));
-    by_list.exchange(msgs, by_list.region("halo"));
     by_overlap.exchange(by_overlap.make_schedule(msgs),
                         by_overlap.region("halo"), {});
     by_overlap_schedule.exchange(overlap_schedule,
                                  by_overlap_schedule.region("halo"), {});
   }
-  expect_same_state(by_schedule, by_list, "schedule vs message list");
   expect_same_state(by_schedule, by_overlap, "schedule vs empty window");
   expect_same_state(by_schedule, by_overlap_schedule,
                     "schedule vs scheduled empty window");
@@ -637,7 +626,7 @@ TEST(ExchangeSchedules, ArrivalTiedWithTheReceiverClockWaitsNothing) {
       cluster.compute_seconds(r, seconds, cluster.region("work"));
       reference.compute(r, seconds);
     }
-    cluster.exchange(msgs, cluster.region("halo"));
+    cluster.exchange(cluster.make_schedule(msgs), cluster.region("halo"));
     reference.exchange(msgs);
     reference.expect_matches(cluster, trace ? "traced" : "untraced");
     ASSERT_EQ(reference.waits.size(), 1u);

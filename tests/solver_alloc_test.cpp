@@ -199,15 +199,13 @@ TEST(SolverAllocations, WarmExchangePlanExecuteAllocatesNothing) {
         std::span<double>(data[static_cast<std::size_t>(r)]));
   };
 
-  // Warm-up: sizes the plan staging buffers, the communicator's buffer
-  // pool, and the transfer log's capacity.
+  // Warm-up: sizes the plan staging buffers and the communicator's
+  // buffer pool.
   plan.execute(comm, rank_data);
-  comm.clear_transfers();
 
   const std::size_t allocs = allocations_during([&] {
     for (int i = 0; i < 16; ++i) {
       plan.execute(comm, rank_data);
-      comm.clear_transfers();
     }
   });
   EXPECT_EQ(allocs, 0u)
@@ -239,9 +237,9 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
 
 TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
   // One cluster alternates a small and a large exchange, synchronous and
-  // overlapped, scheduled and (synchronous only) by message list: the
-  // arrival buffer they share keeps its capacity when the small exchange
-  // shrinks it, so after the first round nothing allocates.
+  // overlapped: the arrival buffer they share keeps its capacity when the
+  // small exchange shrinks it, so after the first round nothing
+  // allocates.
   constexpr int kRanks = 300;
   cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), kRanks);
   const auto region = cluster.region("mixed");
@@ -260,16 +258,13 @@ TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
       cluster.make_schedule(large);
   const std::vector<double> window = {1e-6};
   const auto round = [&] {
-    for (const auto* msgs : {&small, &large}) {
-      cluster.exchange(*msgs, region);
-    }
     for (const auto* schedule : {&small_schedule, &large_schedule}) {
       cluster.exchange(*schedule, region);
       cluster.exchange(*schedule, region, {{0, 1}, window, region});
     }
   };
 
-  round();  // sizes the scratch schedule and the arrival buffer
+  round();  // sizes the arrival buffer
   const std::size_t allocs = allocations_during([&] {
     for (int i = 0; i < 8; ++i) {
       round();
@@ -334,7 +329,7 @@ TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
         dist.attach_cluster(&cluster);
       }
       dist.set_uniform(cpx::mgcfd::freestream(0.4, 1.0, 1.0, {0, 0, 1}));
-      dist.run(2);  // warm-up: comm buffer pool, transfer log, cluster
+      dist.run(2);  // warm-up: comm buffer pool, cluster arrival buffer
       const std::size_t allocs = allocations_during([&] { dist.run(4); });
       EXPECT_EQ(allocs, 0u)
           << "warm DistributedSolver::step made " << allocs
@@ -381,33 +376,25 @@ TEST(SolverAllocations, WarmPicStepAllocatesNothing) {
 TEST(SolverAllocations, WarmDistributedPicStepAllocatesNothing) {
   // A warm simpic::DistributedPic::step() — deposit and boundary merge,
   // the pipelined Thomas solve, the push and the particle migration that
-  // Communicator::deliver hands to each rank — touches no heap, with and
-  // without a co-simulated cluster. A hot plasma migrates particles on
-  // every step, so the warm-up already sized the migration packs, the
-  // comm buffer pool and the rank arrays.
-  for (const bool with_cluster : {false, true}) {
-    cpx::simpic::PicOptions opts;
-    opts.cells = 64;
-    opts.boundary = cpx::simpic::Boundary::kAbsorbing;
-    cpx::simpic::DistributedPic dist(opts, 4);
-    cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), 4);
-    if (with_cluster) {
-      dist.attach_cluster(&cluster);
+  // Communicator::deliver hands to each rank — touches no heap. A hot
+  // plasma migrates particles on every step, so the warm-up already sized
+  // the migration packs, the comm buffer pool and the rank arrays.
+  cpx::simpic::PicOptions opts;
+  opts.cells = 64;
+  opts.boundary = cpx::simpic::Boundary::kAbsorbing;
+  cpx::simpic::DistributedPic dist(opts, 4);
+  dist.load_uniform(64, /*v_thermal=*/1.5);
+  dist.run(4);  // warm-up, migrating on every step
+  std::int64_t migrations = 0;
+  const std::size_t allocs = allocations_during([&] {
+    for (int s = 0; s < 4; ++s) {
+      dist.step();
+      migrations += dist.last_migrations();
     }
-    dist.load_uniform(64, /*v_thermal=*/1.5);
-    dist.run(4);  // warm-up, migrating on every step
-    std::int64_t migrations = 0;
-    const std::size_t allocs = allocations_during([&] {
-      for (int s = 0; s < 4; ++s) {
-        dist.step();
-        migrations += dist.last_migrations();
-      }
-    });
-    EXPECT_GT(migrations, 0) << "no particle migrated while measured";
-    EXPECT_EQ(allocs, 0u)
-        << "warm DistributedPic::step made " << allocs
-        << " heap allocations (cluster=" << with_cluster << ")";
-  }
+  });
+  EXPECT_GT(migrations, 0) << "no particle migrated while measured";
+  EXPECT_EQ(allocs, 0u) << "warm DistributedPic::step made " << allocs
+                        << " heap allocations";
 }
 
 TEST(SolverAllocations, WarmBoundInstancesAllocateNothing) {
