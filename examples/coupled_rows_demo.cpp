@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
   const double dz = 1.0 / 10.0;
 
   mgcfd::EulerOptions euler;
-  euler.mg_levels = 1;
   euler.cfl = 0.4;
   mgcfd::DistributedSolver upstream(row_mesh, parts, euler);
   mgcfd::DistributedSolver downstream(row_mesh, parts, euler);

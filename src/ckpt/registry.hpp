@@ -1,4 +1,4 @@
-#pragma once
+#pragma once  // cpx-lint: allow(unreached-header) — the ckpt rule reads it
 // Registry of checkpointed classes (cpxcheck rule `ckpt`, docs/checkpoint.md).
 //
 // Every class that implements a `serialize(ckpt::Writer&)` /

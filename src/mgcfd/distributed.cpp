@@ -19,7 +19,8 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
                                      int parts, const EulerOptions& options)
     : options_(options), global_cells_(mesh.num_cells()) {
   CPX_REQUIRE(parts >= 1, "DistributedSolver: bad part count");
-  options_.mg_levels = 1;  // multigrid is not distributed (see header)
+  CPX_REQUIRE(options.mg_levels == 1,
+              "DistributedSolver: mg_levels must be 1 (no multigrid)");
 
   const mesh::Partitioning partitioning = mesh::partition_rcb(mesh, parts);
   part_of_ = partitioning.part_of;

@@ -44,9 +44,10 @@ namespace cpx::mgcfd {
 
 class DistributedSolver {
  public:
-  /// Partitions `mesh` into `parts` ranks with RCB. Multigrid is not
-  /// distributed (mg_levels is forced to 1); the paper's density-solver
-  /// instances are modelled at the timestep level anyway.
+  /// Partitions `mesh` into `parts` ranks with RCB. Throws CheckError
+  /// unless options.mg_levels is 1: like EulerSolver it steps a single
+  /// grid, and the paper's density-solver instances are modelled at the
+  /// timestep level anyway.
   DistributedSolver(const mesh::UnstructuredMesh& mesh, int parts,
                     const EulerOptions& options);
 

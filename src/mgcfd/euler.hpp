@@ -1,20 +1,22 @@
 #pragma once
 // MG-CFD numerics: an edge-based finite-volume Euler solver over an
-// unstructured mesh with geometric-multigrid acceleration — the mini-app
-// proxy for the production density solver (compressor/turbine rows).
+// unstructured mesh — the sequential reference of the distributed solver
+// (distributed.hpp), which is the proxy for the production density solver
+// (compressor/turbine rows).
 //
 // Like the published MG-CFD mini-app, the solver sweeps edges accumulating
 // numerical fluxes (here a Rusanov / local Lax-Friedrichs flux, flux.hpp,
-// which is robust and preserves free-stream exactly), applies explicit
-// local-time-step updates, and cycles a hierarchy of agglomerated coarse
-// meshes to damp long-wavelength error. The kernels are real: tests verify
-// free-stream preservation, positivity, conservation, and residual decay.
+// which is robust and preserves free-stream exactly) and applies explicit
+// forward-Euler updates with local time steps, on a single grid: the
+// multigrid cycle of the published code is accounted for by the
+// performance instance (instance.hpp), not run here. Tests verify
+// free-stream preservation, positivity, conservative fluxes and residual
+// decay, and that DistributedSolver reproduces this solver bit for bit.
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
-#include "mesh/coarsen.hpp"
 #include "mesh/mesh.hpp"
 
 namespace cpx::mgcfd {
@@ -39,90 +41,59 @@ struct Primitives {
 State freestream(double mach, double rho = 1.0, double p = 1.0,
                  const mesh::Vec3& direction = {1.0, 0.0, 0.0});
 
-enum class TimeIntegration {
-  kForwardEuler,  ///< one residual evaluation per step (MG-CFD's scheme)
-  kSsprk3         ///< 3-stage strong-stability-preserving Runge-Kutta
-};
-
+/// Options of EulerSolver and DistributedSolver.
 struct EulerOptions {
   double cfl = 0.8;
-  TimeIntegration integration = TimeIntegration::kForwardEuler;
-  int mg_levels = 4;          ///< multigrid depth (1 = single grid)
-  int smooth_steps = 2;       ///< explicit steps per level per cycle
+  /// Neither solver has multigrid: both constructors reject any value
+  /// but 1 with CheckError.
+  int mg_levels = 1;
   double dissipation = 1.0;   ///< scales the Rusanov upwinding term
-  /// Local (per-cell) time stepping converges steady states faster but is
-  /// not conservative in time; disable for transient/conservation studies.
-  bool local_time_stepping = true;
 };
 
 /// Single-domain (sequential) MG-CFD solver. The distributed performance
 /// behaviour is modelled separately by mgcfd::Instance; this class provides
-/// the actual numerics at test/example scale.
+/// the numerics at test scale.
 class EulerSolver {
  public:
   EulerSolver(const mesh::UnstructuredMesh& mesh, const EulerOptions& options);
 
-  std::int64_t num_cells() const {
-    return meshes_.front().num_cells();
-  }
-  int num_levels() const { return static_cast<int>(meshes_.size()); }
+  std::int64_t num_cells() const { return mesh_.num_cells(); }
 
-  /// Sets every cell of the fine level to `u`.
+  /// Sets every cell to `u`.
   void set_uniform(const State& u);
-  const std::vector<State>& solution() const { return states_.front(); }
-  std::vector<State>& mutable_solution() { return states_.front(); }
+  const std::vector<State>& solution() const { return u_; }
+  std::vector<State>& mutable_solution() { return u_; }
 
-  /// One explicit smoothing step on the given level (forward Euler or
-  /// SSP-RK3 per options); returns the L2 norm of the flux residual at the
-  /// start of the step. Divergence is a defined outcome: when the level
-  /// holds, or a stage leaves, a non-finite density the step returns NaN
-  /// and evaluates no further flux.
-  double smooth_level(int level);
+  /// One forward-Euler step with local time steps; returns the L2 norm of
+  /// the flux residual at the start of the step. Divergence is a defined
+  /// outcome: when the state holds, or the update leaves, a non-finite
+  /// density the step returns NaN and evaluates no further flux.
+  double step();
 
-  /// One multigrid V-cycle (smooth, restrict, recurse, prolong correction,
-  /// smooth). Returns the fine-level residual norm at entry, or NaN as
-  /// soon as a smoothing step on any level diverges.
-  double vcycle();
-
-  /// `steps` cycles (or plain steps when mg_levels == 1); returns the
-  /// final fine-level residual norm, or NaN after stopping at the first
-  /// step that diverged.
+  /// `steps` steps; returns the final residual norm, or NaN after stopping
+  /// at the first step that diverged.
   double run(int steps);
 
-  /// Total mass (density * volume summed) on the fine level — conserved on
-  /// interior-only meshes.
-  double total_mass() const;
-
-  /// Flux residual R(U) on a level, as used by smooth_level.
-  void compute_residual(int level, std::vector<State>& residual);
+  /// Flux residual R(U) of the current state, as used by step().
+  void compute_residual(std::vector<State>& residual);
 
  private:
-  /// Per-cell time steps for one step on `level` (from the current state).
-  std::vector<double> compute_time_steps(int level) const;
-  /// u += dt * R(u) / V on `level`; returns the residual L2 norm.
-  double euler_stage(int level, const std::vector<double>& dts);
   void clamp_positivity(State& u) const;
-  bool density_finite(int level) const;
-
-  void restrict_to(int coarse_level);
-  void prolong_correction(int coarse_level);
-  void build_closures();
+  bool density_finite() const;
 
   EulerOptions options_;
-  std::vector<mesh::UnstructuredMesh> meshes_;
-  std::vector<std::vector<mesh::CellId>> coarse_of_;
-  std::vector<std::vector<State>> states_;
-  std::vector<std::vector<State>> restricted_;  ///< pre-recursion snapshot
-  std::vector<std::vector<State>> residuals_;   ///< scratch per level
-  /// Scratch per level: each cell's pressure and sound speed, refreshed
-  /// once per residual and read by every incident edge (flux.hpp).
-  std::vector<std::vector<Primitives>> primitives_;
-  /// Per-level, per-cell geometric closure deficit: the outward area
-  /// vector a *boundary* face would need for the cell's faces to sum to
-  /// zero. Cells on the domain boundary get a transmissive boundary flux
-  /// through it (interior cells have a zero deficit), which makes uniform
-  /// flow an exact fixed point on open meshes.
-  std::vector<std::vector<mesh::Vec3>> closures_;
+  mesh::UnstructuredMesh mesh_;
+  std::vector<State> u_;
+  std::vector<State> residual_;  ///< scratch of step()
+  /// Scratch: each cell's pressure and sound speed, refreshed once per
+  /// residual and read by every incident edge (flux.hpp).
+  std::vector<Primitives> primitives_;
+  /// Per-cell geometric closure deficit: the outward area vector a
+  /// *boundary* face would need for the cell's faces to sum to zero. Cells
+  /// on the domain boundary get a transmissive boundary flux through it
+  /// (interior cells have a zero deficit), which makes uniform flow an
+  /// exact fixed point on open meshes.
+  std::vector<mesh::Vec3> closure_;
 };
 
 }  // namespace cpx::mgcfd

@@ -1,5 +1,5 @@
 #pragma once
-// Roofline accounting for the SIMD kernel layer (ROADMAP item 4).
+// Roofline accounting for the SIMD kernel layer.
 //
 // The hot kernels count their useful flops and streamed bytes through the
 // metrics counters ("blas1/flops", "sparse/spmv_flops", ...). Dividing

@@ -462,7 +462,6 @@ TEST(FieldCoupler, EndToEndCoupledRowsTransferPhysics) {
       mesh::make_annulus_mesh(5, 16, 8, 1.0, 2.0, 30.0, 1.0);
   const double dz = 1.0 / 8.0;
   mgcfd::EulerOptions euler;
-  euler.mg_levels = 1;
   euler.cfl = 0.4;
   mgcfd::DistributedSolver upstream(row, 3, euler);
   mgcfd::DistributedSolver downstream(row, 3, euler);

@@ -7,10 +7,7 @@
 
 #include <string>
 
-#include "mesh/mesh.hpp"
-#include "pressure/projection.hpp"
 #include "pressure/surrogate.hpp"
-#include "support/rng.hpp"
 #include "sim/cluster.hpp"
 #include "support/check.hpp"
 
@@ -147,71 +144,6 @@ TEST(Surrogate, RejectsBadConfig) {
   Config bad = Config::base_28m();
   bad.pressure_field_speedup = 0.5;
   EXPECT_THROW(Instance("x", bad, {0, 16}), CheckError);
-}
-
-TEST(Projection, RemovesDivergenceFromRandomField) {
-  // The functional pressure solve: random face fluxes become discretely
-  // divergence-free after one projection (to the CG tolerance).
-  const mesh::UnstructuredMesh m =
-      mesh::make_box_mesh(8, 8, 8, 42, /*periodic=*/true);
-  ProjectionSolver solver(m);
-  Rng rng(99);
-  for (double& f : solver.face_flux()) {
-    f = rng.uniform(-1.0, 1.0);
-  }
-  const double div0 = solver.max_divergence();
-  ASSERT_GT(div0, 0.1);
-  const int iters = solver.project();
-  EXPECT_GT(iters, 0);
-  EXPECT_LT(solver.max_divergence(), 1e-7 * div0);
-}
-
-TEST(Projection, DivergenceFreeFieldIsUntouched) {
-  // A circulation (constant flux around a periodic ring) has zero
-  // divergence; projection must leave it alone.
-  const mesh::UnstructuredMesh m =
-      mesh::make_box_mesh(6, 6, 6, 42, /*periodic=*/true);
-  ProjectionSolver solver(m);
-  // Flux only along x-direction edges, constant: divergence cancels on the
-  // periodic torus.
-  const auto& edges = m.edges();
-  for (std::size_t f = 0; f < edges.size(); ++f) {
-    solver.face_flux()[f] = edges[f].normal.x > 0.5 ? 0.7 : 0.0;
-  }
-  ASSERT_LT(solver.max_divergence(), 1e-12);
-  const auto before = solver.face_flux();
-  solver.project();
-  for (std::size_t f = 0; f < before.size(); ++f) {
-    EXPECT_NEAR(solver.face_flux()[f], before[f], 1e-9);
-  }
-}
-
-TEST(Projection, ProjectionIsIdempotent) {
-  const mesh::UnstructuredMesh m = mesh::make_box_mesh(6, 6, 6);
-  ProjectionSolver solver(m);
-  Rng rng(7);
-  for (double& f : solver.face_flux()) {
-    f = rng.uniform(-1.0, 1.0);
-  }
-  solver.project();
-  const auto once = solver.face_flux();
-  solver.project();
-  for (std::size_t f = 0; f < once.size(); ++f) {
-    EXPECT_NEAR(solver.face_flux()[f], once[f], 1e-8);
-  }
-}
-
-TEST(Projection, AmgKeepsIterationCountLow) {
-  // The reason the production solver wraps CG in AMG: iteration counts
-  // stay modest as the mesh grows.
-  const mesh::UnstructuredMesh m = mesh::make_box_mesh(14, 14, 14);
-  ProjectionSolver solver(m);
-  Rng rng(3);
-  for (double& f : solver.face_flux()) {
-    f = rng.uniform(-1.0, 1.0);
-  }
-  const int iters = solver.project();
-  EXPECT_LT(iters, 40);
 }
 
 TEST(ComponentModels, TableIsWellFormed) {

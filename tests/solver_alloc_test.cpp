@@ -317,7 +317,6 @@ TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
   const cpx::mesh::UnstructuredMesh m =
       cpx::mesh::make_annulus_mesh(6, 24, 8, 1.0, 2.0, 30.0, 1.0);
   cpx::mgcfd::EulerOptions opt;
-  opt.mg_levels = 1;
   opt.cfl = 0.4;
   const int width = support::max_threads();
   for (const int threads : {1, 4}) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "support/check.hpp"
-#include "support/log.hpp"
 #include "support/lsq.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
@@ -216,30 +215,6 @@ TEST(Table, CsvQuotesCommas) {
 TEST(Table, RejectsBadRow) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({std::string("only one")}), CheckError);
-}
-
-TEST(Log, LevelRoundTrips) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(LogLevel::kOff);
-  EXPECT_EQ(log_level(), LogLevel::kOff);
-  // Emitting below the threshold must be a no-op (and not crash).
-  CPX_LOG_DEBUG("suppressed " << 42);
-  set_log_level(before);
-}
-
-TEST(Log, MacroEvaluatesStreamLazily) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kOff);
-  int evaluations = 0;
-  const auto count = [&]() {
-    ++evaluations;
-    return 1;
-  };
-  CPX_LOG_ERROR("never " << count());
-  EXPECT_EQ(evaluations, 0);  // stream body skipped below threshold
-  set_log_level(before);
 }
 
 TEST(Table, PrecisionControlsDoubleFormatting) {

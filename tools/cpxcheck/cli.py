@@ -6,6 +6,8 @@
 
 Every file is lowered by lite.py into the model.py facts the rules read;
 findings are silenced only by inline `cpx-lint: allow(<rule>)` markers.
+The program sources of each analysed tree (rules.ROOT_DIRS) are lowered
+too, for the include graph of `unreached-header`; no rule checks them.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ def main(argv: list[str] | None = None) -> int:
     for path in files:
         project.files.append(
             lite.parse_file(_rel(path), path.read_text(encoding="utf-8")))
+
+    for base in sorted({rules.tree_base(f.path) for f in project.files}
+                       - {None}):
+        project.roots[base] = [
+            lite.parse_file(_rel(path), path.read_text(encoding="utf-8"))
+            for path in _collect_files(
+                [d for d in (REPO / base / r for r in rules.ROOT_DIRS)
+                 if d.is_dir()])]
 
     findings = rules.run_rules(project)
     if findings:

@@ -72,6 +72,12 @@ RULES = (
         "counter_add is listed in support/metric_names.hpp, and every "
         "listed name is still used."),
     RuleInfo(
+        "unreached-header",
+        "On a whole-tree run, every header under src/ is reached through "
+        "the transitive #include graph from a source under bench/, "
+        "examples/ or cpxbench/src/; a header only tests include feeds no "
+        "run."),
+    RuleInfo(
         "allow-audit",
         "Every `cpx-lint: allow(<rule>)` marker names a rule in this "
         "list and, on a whole-tree run, silences a finding of that rule "
@@ -117,6 +123,9 @@ REDUCE_HOMES = frozenset({"src/support/blas1.cpp", "src/support/parallel.hpp",
                           "src/support/parallel.cpp"})
 METRIC_CALLS = frozenset({"CPX_METRICS_SCOPE", "CPX_METRICS_SCOPE_COMM",
                           "counter_add"})
+# The program sources of a tree (rule `unreached-header`), relative to the
+# directory that holds its src/.
+ROOT_DIRS = ("bench", "examples", "cpxbench/src")
 
 
 def _marker_names(text: str) -> list[str]:
@@ -128,6 +137,10 @@ def _marker_names(text: str) -> list[str]:
 @dataclass
 class Project:
     files: list[FileFacts] = field(default_factory=list)
+    # Tree base (see tree_base) -> the program sources under its
+    # ROOT_DIRS, lowered only to feed the include graph of
+    # `unreached-header`; no rule checks them.
+    roots: dict = field(default_factory=dict)
     # (path, marker line, rule name) of every marker that silenced a finding.
     used_markers: set = field(default_factory=set)
 
@@ -171,6 +184,7 @@ def run_rules(project: Project) -> list[Finding]:
     findings += check_reduce(project)
     findings += check_raw_comm(project)
     findings += check_metrics_registry(project)
+    findings += check_unreached_header(project)
     findings += check_allow_audit(project)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
@@ -639,6 +653,69 @@ def check_metrics_registry(project: Project) -> list[Finding]:
             project, rule, registry,
             [t for name, t in registered.items() if name not in used],
             'registered metric name "{}" is no longer used')
+    return findings
+
+
+# ---------------------------------------------------------------------------
+# unreached-header
+# ---------------------------------------------------------------------------
+
+def tree_base(path: str) -> str | None:
+    """The directory holding the `src/` a path lies under ("" for the repo
+    root), or None outside any src/."""
+    parts = path.split("/")[:-1]
+    for k in range(len(parts) - 1, -1, -1):
+        if parts[k] == "src":
+            return "/".join(parts[:k])
+    return None
+
+
+def _join(*parts: str) -> str:
+    return "/".join(p for p in parts if p)
+
+
+def check_unreached_header(project: Project) -> list[Finding]:
+    """Walks the #include graph from the program sources (Project.roots)
+    and reports every analysed src/ header it never reaches. An include
+    resolves next to the including file first, then under its tree's
+    src/. Reaching a header reaches its same-named .cpp too, since that is
+    what the header links in. A header only tests/ include is reported: no
+    run uses it. Whole-tree only: a subset run does not see every
+    includer."""
+    rule = rule_by_name("unreached-header")
+    if not _whole_tree(project):
+        return []
+    by_path = {f.path: f for f in project.files}
+    base_of = {f.path: tree_base(f.path) for f in project.files}
+    for base, roots in project.roots.items():
+        for f in roots:
+            by_path[f.path] = f
+            base_of[f.path] = base
+    seen: set = set()
+    stack = [f.path for roots in project.roots.values() for f in roots]
+    while stack:
+        path = stack.pop()
+        if path in seen or path not in by_path:
+            continue
+        seen.add(path)
+        if path.endswith(".hpp"):
+            stack.append(path[:-len(".hpp")] + ".cpp")
+        here = path.rsplit("/", 1)[0] if "/" in path else ""
+        base = base_of[path]
+        for target in by_path[path].includes:
+            near = _join(here, target)
+            stack.append(near if near in by_path
+                         else _join(base or "", "src", target))
+    findings: list[Finding] = []
+    for facts in project.files:
+        if facts.path.endswith(".hpp") and facts.path not in seen \
+                and project.roots.get(tree_base(facts.path)) \
+                and not project.allowed(facts, 1, rule):
+            findings.append(Finding(
+                rule.name, facts.path, 1,
+                f"no source under {', '.join(d + '/' for d in ROOT_DIRS)} "
+                f"reaches this header through #include; if only tests "
+                f"use it, delete it and the code behind it"))
     return findings
 
 
