@@ -30,7 +30,7 @@ void jacobi_sweep(const sparse::CsrMatrix& a, std::span<double> x,
   // is scalar); long rows vectorize the row dot and the l1 |a_ij| sum with
   // the fixed-lane tree and recover the off-diagonal parts by subtracting
   // the diagonal term. The short/long branch depends on the row length
-  // alone, never on the active width, so bits are width-invariant.
+  // alone, never on the pack width, so bits are width-invariant.
   support::parallel_for(0, n, kSmootherGrain, [&](std::int64_t r0,
                                                   std::int64_t r1) {
     for (std::int64_t r = r0; r < r1; ++r) {
@@ -144,16 +144,12 @@ void smooth(const sparse::CsrMatrix& a, std::span<double> x,
   }
   switch (options.kind) {
     case SmootherKind::kJacobi:
-      support::simd::dispatch([&](auto width) {
-        jacobi_sweep<decltype(width)::value>(a, x, b, options.jacobi_omega,
-                                             /*l1=*/false, scratch);
-      });
+      jacobi_sweep<support::simd::kWidth>(a, x, b, options.jacobi_omega,
+                                          /*l1=*/false, scratch);
       return;
     case SmootherKind::kL1Jacobi:
-      support::simd::dispatch([&](auto width) {
-        jacobi_sweep<decltype(width)::value>(a, x, b, options.jacobi_omega,
-                                             /*l1=*/true, scratch);
-      });
+      jacobi_sweep<support::simd::kWidth>(a, x, b, options.jacobi_omega,
+                                          /*l1=*/true, scratch);
       return;
     case SmootherKind::kGaussSeidel:
       gs_block(a, x, b, 0, n, x.data());

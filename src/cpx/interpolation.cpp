@@ -13,6 +13,9 @@ namespace {
 
 constexpr std::int64_t kStencilGrain = 256;  ///< targets per task
 
+using support::simd::kWidth;
+using Pack = support::simd::pack<kWidth>;
+
 /// Inverse-distance weights with an exact-hit guard.
 void fill_idw_weights(Stencil& s, const std::vector<mesh::Vec3>& donors,
                       const mesh::Vec3& t) {
@@ -96,42 +99,38 @@ void apply_stencils(std::span<const Stencil> stencils,
             nt * static_cast<std::int64_t>(sizeof(double)));
   }
   const double* pdonor = donor_field.data();
-  support::simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    support::parallel_for(
-        0, static_cast<std::int64_t>(stencils.size()), kStencilGrain,
-        [&](std::int64_t t0, std::int64_t t1) {
-          for (std::int64_t t = t0; t < t1; ++t) {
-            const Stencil& s = stencils[static_cast<std::size_t>(t)];
-            const auto k = static_cast<std::int64_t>(s.donors.size());
-            const double* pw = s.weights.data();
-            const std::int64_t* pd = s.donors.data();
-            for (std::int64_t j = 0; j < k; ++j) {
-              CPX_DCHECK(pd[j] >= 0 && static_cast<std::size_t>(pd[j]) <
-                                           donor_field.size());
-            }
-            double v;
-            // Width-invariant split on the stencil size alone: small
-            // stencils (the common IDW k) keep the serial chain; wide
-            // ones use the fixed-lane tree (docs/parallelism.md).
-            if (k < support::simd::kReduceLanes) {
-              v = 0.0;
-              for (std::int64_t j = 0; j < k; ++j) {
-                v += pw[j] * pdonor[pd[j]];
-              }
-            } else {
-              v = support::simd::tree_reduce<W>(
-                  0, k,
-                  [&](std::int64_t j) {
-                    return support::simd::pack<W>::load(pw + j) *
-                           support::simd::pack<W>::gather(pdonor, pd + j);
-                  },
-                  [&](std::int64_t j) { return pw[j] * pdonor[pd[j]]; });
-            }
-            target_field[static_cast<std::size_t>(t)] = v;
+  support::parallel_for(
+      0, static_cast<std::int64_t>(stencils.size()), kStencilGrain,
+      [&](std::int64_t t0, std::int64_t t1) {
+        for (std::int64_t t = t0; t < t1; ++t) {
+          const Stencil& s = stencils[static_cast<std::size_t>(t)];
+          const auto k = static_cast<std::int64_t>(s.donors.size());
+          const double* pw = s.weights.data();
+          const std::int64_t* pd = s.donors.data();
+          for (std::int64_t j = 0; j < k; ++j) {
+            CPX_DCHECK(pd[j] >= 0 && static_cast<std::size_t>(pd[j]) <
+                                         donor_field.size());
           }
-        });
-  });
+          double v;
+          // Width-invariant split on the stencil size alone: small
+          // stencils (the common IDW k) keep the serial chain; wide
+          // ones use the fixed-lane tree (docs/parallelism.md).
+          if (k < support::simd::kReduceLanes) {
+            v = 0.0;
+            for (std::int64_t j = 0; j < k; ++j) {
+              v += pw[j] * pdonor[pd[j]];
+            }
+          } else {
+            v = support::simd::tree_reduce<kWidth>(
+                0, k,
+                [&](std::int64_t j) {
+                  return Pack::load(pw + j) * Pack::gather(pdonor, pd + j);
+                },
+                [&](std::int64_t j) { return pw[j] * pdonor[pd[j]]; });
+          }
+          target_field[static_cast<std::size_t>(t)] = v;
+        }
+      });
 }
 
 void validate_stencils(std::span<const Stencil> stencils,

@@ -81,12 +81,8 @@ void write_roofline_json(std::ostream& out, const RooflineMachine& machine,
         << ", \"gflops\": " << p.gflops << ", \"gbs\": " << p.gbs
         << ", \"ceiling_gflops\": " << p.ceiling_gflops
         << ", \"fraction_of_roof\": " << p.fraction_of_roof
-        << ", \"memory_bound\": " << (p.memory_bound ? "true" : "false");
-    if (s.scalar_seconds > 0.0 && s.seconds > 0.0) {
-      out << ", \"scalar_seconds\": " << s.scalar_seconds
-          << ", \"speedup_vs_scalar\": " << s.scalar_seconds / s.seconds;
-    }
-    out << "}";
+        << ", \"memory_bound\": " << (p.memory_bound ? "true" : "false")
+        << "}";
   }
   out << "\n  ]\n}\n";
 }

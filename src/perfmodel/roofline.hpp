@@ -13,8 +13,9 @@
 // is hit, which is exactly the saturation behaviour the paper's scaling
 // study observes for the sparse solver kernels. The bench/roofline tool
 // measures machine ceilings with micro-kernels, samples every counted
-// kernel, and emits the `cpx-roofline-v1` JSON document this header
-// models (methodology: docs/observability.md).
+// kernel at the one compiled pack width (simd::kWidth), and emits the
+// `cpx-roofline-v1` JSON document this header models (methodology and the
+// width-1 speedups that keep every pack path: docs/observability.md).
 
 #include <cstdint>
 #include <iosfwd>
@@ -42,9 +43,6 @@ struct KernelSample {
   std::int64_t flops = 0;  ///< useful floating-point operations
   std::int64_t bytes = 0;  ///< streamed bytes (model, not hardware counts)
   double seconds = 0.0;    ///< measured wall time
-  /// Wall time of the same run at simd width 1 (CPX_SIMD=off); 0 when not
-  /// measured. The JSON gains "speedup_vs_scalar" when present.
-  double scalar_seconds = 0.0;
 };
 
 /// The sample's position on the roofline.

@@ -17,6 +17,8 @@ namespace {
 constexpr std::int64_t kRowGrain = 2048;     ///< SpMV-class row loops
 constexpr std::int64_t kSpgemmGrain = 256;   ///< SpGEMM row passes
 
+using support::simd::kWidth;
+
 /// Fixed-lane tree dot of a row with at least simd::kReduceLanes entries,
 /// bitwise identical at every pack width. Kept out of line so row_dot's
 /// short-row chain stays small enough to inline into every row loop.
@@ -39,7 +41,7 @@ template <int W>
 /// fine pressure operator, the finest interpolation P) run the plain
 /// serial chain inline in the caller's row loop, with no call; longer rows
 /// (the coarse Galerkin operators) call long_row_dot. The branch depends
-/// on the row length alone, never on the active width, so results are
+/// on the row length alone, never on the pack width, so results are
 /// width-invariant either way.
 template <int W>
 inline double row_dot(const double* vals, const std::int32_t* cols,
@@ -249,15 +251,12 @@ void spmv(const CsrMatrix& a, std::span<const double> x,
   const double* vals = a.values().data();
   const double* px = x.data();
   double* py = y.data();
-  support::simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    support::parallel_for(
-        0, a.rows(), kRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-          for (std::int64_t r = r0; r < r1; ++r) {
-            py[r] = row_dot<W>(vals, cols, px, offsets[r], offsets[r + 1]);
-          }
-        });
-  });
+  support::parallel_for(
+      0, a.rows(), kRowGrain, [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          py[r] = row_dot<kWidth>(vals, cols, px, offsets[r], offsets[r + 1]);
+        }
+      });
 }
 
 void spmv_add(const CsrMatrix& a, std::span<const double> x,
@@ -273,17 +272,14 @@ void spmv_add(const CsrMatrix& a, std::span<const double> x,
   const double* vals = a.values().data();
   const double* px = x.data();
   double* py = y.data();
-  support::simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    support::parallel_for(
-        0, a.rows(), kRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-          for (std::int64_t r = r0; r < r1; ++r) {
-            const double sum =
-                row_dot<W>(vals, cols, px, offsets[r], offsets[r + 1]);
-            py[r] = sum + beta * py[r];
-          }
-        });
-  });
+  support::parallel_for(
+      0, a.rows(), kRowGrain, [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t r = r0; r < r1; ++r) {
+          const double sum =
+              row_dot<kWidth>(vals, cols, px, offsets[r], offsets[r + 1]);
+          py[r] = sum + beta * py[r];
+        }
+      });
 }
 
 void spmv_residual(const CsrMatrix& a, std::span<const double> x,
@@ -301,17 +297,14 @@ void spmv_residual(const CsrMatrix& a, std::span<const double> x,
   const double* px = x.data();
   const double* pb = b.data();
   double* pr = r.data();
-  support::simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    support::parallel_for(
-        0, a.rows(), kRowGrain, [&](std::int64_t r0, std::int64_t r1) {
-          for (std::int64_t row = r0; row < r1; ++row) {
-            const double sum =
-                row_dot<W>(vals, cols, px, offsets[row], offsets[row + 1]);
-            pr[row] = pb[row] - sum;
-          }
-        });
-  });
+  support::parallel_for(
+      0, a.rows(), kRowGrain, [&](std::int64_t r0, std::int64_t r1) {
+        for (std::int64_t row = r0; row < r1; ++row) {
+          const double sum =
+              row_dot<kWidth>(vals, cols, px, offsets[row], offsets[row + 1]);
+          pr[row] = pb[row] - sum;
+        }
+      });
 }
 
 double spmv_residual_norm2(const CsrMatrix& a, std::span<const double> x,
@@ -334,21 +327,18 @@ double spmv_residual_norm2(const CsrMatrix& a, std::span<const double> x,
   // cross-row res*res accumulation stays a serial scalar chain inside the
   // chunk — width-invariant by construction, and thread-invariant because
   // the kRowGrain decomposition is fixed.
-  return support::simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    return support::parallel_reduce(  // cpx-lint: allow(reduce)
-        0, a.rows(), kRowGrain, 0.0, [&](std::int64_t r0, std::int64_t r1) {
-          double partial = 0.0;
-          for (std::int64_t row = r0; row < r1; ++row) {
-            const double sum =
-                row_dot<W>(vals, cols, px, offsets[row], offsets[row + 1]);
-            const double res = pb[row] - sum;
-            pr[row] = res;
-            partial += res * res;
-          }
-          return partial;
-        });
-  });
+  return support::parallel_reduce(  // cpx-lint: allow(reduce)
+      0, a.rows(), kRowGrain, 0.0, [&](std::int64_t r0, std::int64_t r1) {
+        double partial = 0.0;
+        for (std::int64_t row = r0; row < r1; ++row) {
+          const double sum =
+              row_dot<kWidth>(vals, cols, px, offsets[row], offsets[row + 1]);
+          const double res = pb[row] - sum;
+          pr[row] = res;
+          partial += res * res;
+        }
+        return partial;
+      });
 }
 
 namespace {

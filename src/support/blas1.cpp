@@ -15,8 +15,12 @@ namespace {
 // decomposition — and therefore every bit of the result — depends on the
 // vector length alone, never on the thread count. Within a chunk the
 // kernels run on simd::pack lanes; reductions use the fixed-lane tree of
-// simd::tree_reduce, so bits are also invariant to the active pack width.
+// simd::tree_reduce, so bits equal each kernel's width-1 spelling
+// (tests/simd_test.cpp).
 constexpr std::int64_t kBlasGrain = 4096;
+
+using simd::kWidth;
+using Pack = simd::pack<kWidth>;
 
 /// Roofline accounting (docs/observability.md): flop and streamed-byte
 /// totals for one kernel invocation, fed to bench/roofline via the
@@ -35,16 +39,13 @@ double sum(std::span<const double> a) {
   const auto n = static_cast<std::int64_t>(a.size());
   account(n, 8 * n);
   const double* pa = a.data();
-  return simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    return parallel_reduce(
-        0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
-          return simd::tree_reduce<W>(
-              lo, hi,
-              [&](std::int64_t i) { return simd::pack<W>::load(pa + i); },
-              [&](std::int64_t i) { return pa[i]; });
-        });
-  });
+  return parallel_reduce(
+      0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
+        return simd::tree_reduce<kWidth>(
+            lo, hi,
+            [&](std::int64_t i) { return Pack::load(pa + i); },
+            [&](std::int64_t i) { return pa[i]; });
+      });
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {
@@ -53,41 +54,34 @@ double dot(std::span<const double> a, std::span<const double> b) {
   account(2 * n, 16 * n);
   const double* pa = a.data();
   const double* pb = b.data();
-  return simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    return parallel_reduce(
-        0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
-          return simd::tree_reduce<W>(
-              lo, hi,
-              [&](std::int64_t i) {
-                return simd::pack<W>::load(pa + i) *
-                       simd::pack<W>::load(pb + i);
-              },
-              [&](std::int64_t i) { return pa[i] * pb[i]; });
-        });
-  });
+  return parallel_reduce(
+      0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
+        return simd::tree_reduce<kWidth>(
+            lo, hi,
+            [&](std::int64_t i) {
+              return Pack::load(pa + i) * Pack::load(pb + i);
+            },
+            [&](std::int64_t i) { return pa[i] * pb[i]; });
+      });
 }
 
 double norm2_squared(std::span<const double> a) {
   const auto n = static_cast<std::int64_t>(a.size());
   account(2 * n, 8 * n);
   const double* pa = a.data();
-  return simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    return parallel_reduce(
-        0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
-          return simd::tree_reduce<W>(
-              lo, hi,
-              [&](std::int64_t i) {
-                const auto v = simd::pack<W>::load(pa + i);
-                return v * v;
-              },
-              [&](std::int64_t i) {
-                const double v = pa[i];
-                return v * v;
-              });
-        });
-  });
+  return parallel_reduce(
+      0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
+        return simd::tree_reduce<kWidth>(
+            lo, hi,
+            [&](std::int64_t i) {
+              const auto v = Pack::load(pa + i);
+              return v * v;
+            },
+            [&](std::int64_t i) {
+              const double v = pa[i];
+              return v * v;
+            });
+      });
 }
 
 double norm2(std::span<const double> a) { return std::sqrt(norm2_squared(a)); }
@@ -104,22 +98,17 @@ void axpy2(double alpha, std::span<const double> p,
   const double* pap = ap.data();
   double* px = x.data();
   double* pr = r.data();
-  simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    parallel_for(0, n, kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-      const auto va = simd::pack<W>::broadcast(alpha);
-      std::int64_t i = lo;
-      for (; i + W <= hi; i += W) {
-        (simd::pack<W>::load(px + i) + va * simd::pack<W>::load(pp + i))
-            .store(px + i);
-        (simd::pack<W>::load(pr + i) - va * simd::pack<W>::load(pap + i))
-            .store(pr + i);
-      }
-      for (; i < hi; ++i) {
-        px[i] += alpha * pp[i];
-        pr[i] -= alpha * pap[i];
-      }
-    });
+  parallel_for(0, n, kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
+    const auto va = Pack::broadcast(alpha);
+    std::int64_t i = lo;
+    for (; i + kWidth <= hi; i += kWidth) {
+      (Pack::load(px + i) + va * Pack::load(pp + i)).store(px + i);
+      (Pack::load(pr + i) - va * Pack::load(pap + i)).store(pr + i);
+    }
+    for (; i < hi; ++i) {
+      px[i] += alpha * pp[i];
+      pr[i] -= alpha * pap[i];
+    }
   });
 }
 
@@ -135,33 +124,27 @@ double axpy2_norm2(double alpha, std::span<const double> p,
   const double* pap = ap.data();
   double* px = x.data();
   double* pr = r.data();
-  return simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    return parallel_reduce(
-        0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
-          const auto va = simd::pack<W>::broadcast(alpha);
-          // tree_reduce terms carry the fused update as a side effect;
-          // the x/r expressions match axpy2's exactly, so the fused and
-          // unfused sequences stay bitwise identical (blas1_test).
-          return simd::tree_reduce<W>(
-              lo, hi,
-              [&](std::int64_t i) {
-                (simd::pack<W>::load(px + i) +
-                 va * simd::pack<W>::load(pp + i))
-                    .store(px + i);
-                const auto rv = simd::pack<W>::load(pr + i) -
-                                va * simd::pack<W>::load(pap + i);
-                rv.store(pr + i);
-                return rv * rv;
-              },
-              [&](std::int64_t i) {
-                px[i] += alpha * pp[i];
-                const double rv = pr[i] - alpha * pap[i];
-                pr[i] = rv;
-                return rv * rv;
-              });
-        });
-  });
+  return parallel_reduce(
+      0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
+        const auto va = Pack::broadcast(alpha);
+        // tree_reduce terms carry the fused update as a side effect;
+        // the x/r expressions match axpy2's exactly, so the fused and
+        // unfused sequences stay bitwise identical (blas1_test).
+        return simd::tree_reduce<kWidth>(
+            lo, hi,
+            [&](std::int64_t i) {
+              (Pack::load(px + i) + va * Pack::load(pp + i)).store(px + i);
+              const auto rv = Pack::load(pr + i) - va * Pack::load(pap + i);
+              rv.store(pr + i);
+              return rv * rv;
+            },
+            [&](std::int64_t i) {
+              px[i] += alpha * pp[i];
+              const double rv = pr[i] - alpha * pap[i];
+              pr[i] = rv;
+              return rv * rv;
+            });
+      });
 }
 
 double dot_diff(std::span<const double> z, std::span<const double> a,
@@ -173,20 +156,16 @@ double dot_diff(std::span<const double> z, std::span<const double> a,
   const double* pz = z.data();
   const double* pa = a.data();
   const double* pb = b.data();
-  return simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    return parallel_reduce(
-        0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
-          return simd::tree_reduce<W>(
-              lo, hi,
-              [&](std::int64_t i) {
-                return simd::pack<W>::load(pz + i) *
-                       (simd::pack<W>::load(pa + i) -
-                        simd::pack<W>::load(pb + i));
-              },
-              [&](std::int64_t i) { return pz[i] * (pa[i] - pb[i]); });
-        });
-  });
+  return parallel_reduce(
+      0, n, kBlasGrain, 0.0, [&](std::int64_t lo, std::int64_t hi) {
+        return simd::tree_reduce<kWidth>(
+            lo, hi,
+            [&](std::int64_t i) {
+              return Pack::load(pz + i) *
+                     (Pack::load(pa + i) - Pack::load(pb + i));
+            },
+            [&](std::int64_t i) { return pz[i] * (pa[i] - pb[i]); });
+      });
 }
 
 void xpby(std::span<const double> x, double beta, std::span<double> y) {
@@ -195,19 +174,15 @@ void xpby(std::span<const double> x, double beta, std::span<double> y) {
   account(2 * n, 24 * n);
   const double* px = x.data();
   double* py = y.data();
-  simd::dispatch([&](auto width) {
-    constexpr int W = decltype(width)::value;
-    parallel_for(0, n, kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
-      const auto vb = simd::pack<W>::broadcast(beta);
-      std::int64_t i = lo;
-      for (; i + W <= hi; i += W) {
-        (simd::pack<W>::load(px + i) + vb * simd::pack<W>::load(py + i))
-            .store(py + i);
-      }
-      for (; i < hi; ++i) {
-        py[i] = px[i] + beta * py[i];
-      }
-    });
+  parallel_for(0, n, kBlasGrain, [&](std::int64_t lo, std::int64_t hi) {
+    const auto vb = Pack::broadcast(beta);
+    std::int64_t i = lo;
+    for (; i + kWidth <= hi; i += kWidth) {
+      (Pack::load(px + i) + vb * Pack::load(py + i)).store(py + i);
+    }
+    for (; i < hi; ++i) {
+      py[i] = px[i] + beta * py[i];
+    }
   });
 }
 

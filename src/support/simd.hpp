@@ -10,13 +10,11 @@
 //
 // Width model
 // -----------
-// All widths {1, 2, 4, 8} are always compiled; the active width is a
-// runtime property (active_width()/set_width()) whose default comes from
-// the CPX_SIMD configure knob (off -> 1, native -> 8, or an explicit
-// width) and may be overridden by the CPX_SIMD environment variable. One
-// binary therefore runs both the scalar and the vector paths — which is
-// what lets tests/simd_test.cpp prove bitwise equality across widths and
-// lets bench/roofline measure the scalar/vector speedup in-process.
+// Every kernel runs one compiled width, kWidth = 8 doubles: bench/roofline
+// measured each pack path faster than its width-1 spelling (docs/
+// observability.md), so there is no scalar switch. pack<W> and
+// tree_reduce<W> stay templates: tests/simd_test.cpp spells each kernel
+// at W = 1 as its reference and compares bit for bit.
 //
 // Determinism (docs/parallelism.md, "SIMD determinism")
 // ------------------------------------------------------
@@ -28,42 +26,35 @@
 // in ascending order) and combined with one fixed binary tree. Because
 // every supported width divides kReduceLanes, the per-lane addition
 // chains and the final combine are IDENTICAL for every width — including
-// width 1 — at every CPX_THREADS setting. There is deliberately no
-// lane-order horizontal sum: its rounding would change with the width.
+// width 1 — so kernel bits equal the width-1 spelling at every
+// CPX_THREADS setting. There is deliberately no lane-order horizontal
+// sum: its rounding would change with the width.
 //
 // FP contract note: fma() and all kernel code spell multiply-add as
 // `a * b + c` in both the pack and the scalar paths. The default build
 // targets baseline x86-64 / no FMA ISA, so no contraction happens and
 // scalar and pack paths round identically; a toolchain that contracts
-// would contract both paths alike, and the width-matrix test would flag
-// any divergence.
+// would contract both paths alike, and the width-1 reference tests would
+// flag any divergence.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 
 namespace cpx::support::simd {
 
-/// Widest supported pack (doubles per pack) and the virtual-lane count of
-/// the deterministic reduction tier. Equal on purpose: every supported
-/// width divides kReduceLanes, so lane assignment is width-invariant.
-inline constexpr int kMaxWidth = 8;
+/// The pack width every kernel runs (doubles per pack) and the virtual-
+/// lane count of the deterministic reduction tier. Equal on purpose: every
+/// supported width divides kReduceLanes, so lane assignment is
+/// width-invariant.
+inline constexpr int kWidth = 8;
 inline constexpr int kReduceLanes = 8;
 
-/// Runtime-active pack width (1, 2, 4 or 8). Defaults to the configure-
-/// time CPX_SIMD choice, overridable via the CPX_SIMD environment
-/// variable; set_width() is for tests/benches and must be called outside
-/// parallel regions.
-int active_width();
-void set_width(int width);
-
-/// The configure-time default (CPX_SIMD_DEFAULT_WIDTH), before any
-/// environment override.
-int default_width();
+/// The compiled pack width, as cpxbench reports it.
+constexpr int active_width() { return kWidth; }
 
 #if defined(__GNUC__) || defined(__clang__)
-#define CPX_SIMD_VECTOR_EXT 1
+#define CPX_PACK_VECTOR_EXT 1
 namespace detail {
 template <int W>
 struct VecOf;
@@ -94,7 +85,7 @@ struct pack {
   static_assert(W == 1 || W == 2 || W == 4 || W == 8,
                 "pack width must be 1, 2, 4 or 8");
 
-#if defined(CPX_SIMD_VECTOR_EXT)
+#if defined(CPX_PACK_VECTOR_EXT)
   using vec = typename detail::VecOf<W>::type;
   vec v;
 #else
@@ -149,7 +140,7 @@ struct pack {
 
   // Operands pass by const reference: over-aligned vector types passed
   // by value trip GCC's psABI notes on baseline targets.
-#if defined(CPX_SIMD_VECTOR_EXT)
+#if defined(CPX_PACK_VECTOR_EXT)
   friend pack operator+(const pack& a, const pack& b) {
     pack r;
     r.v = a.v + b.v;
@@ -261,22 +252,6 @@ inline double tree_reduce(std::int64_t lo, std::int64_t hi,
     lanes[(i - lo) % kReduceLanes] += scalar_term(i);
   }
   return tree_combine(lanes);
-}
-
-/// Calls fn(std::integral_constant<int, W>{}) for the runtime-active
-/// width. Kernels dispatch once per call, outside their parallel region.
-template <typename Fn>
-inline auto dispatch(Fn&& fn) {
-  switch (active_width()) {
-    case 8:
-      return fn(std::integral_constant<int, 8>{});
-    case 4:
-      return fn(std::integral_constant<int, 4>{});
-    case 2:
-      return fn(std::integral_constant<int, 2>{});
-    default:
-      return fn(std::integral_constant<int, 1>{});
-  }
 }
 
 }  // namespace cpx::support::simd

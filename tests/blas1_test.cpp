@@ -138,8 +138,9 @@ TEST(Blas1, ReductionsBitwiseAcrossThreadCounts) {
   const auto b = random_vector(50000, 18);
   expect_bitwise_across_thread_counts([&] {
     return std::vector<double>{
-        support::blas1::dot(a, b), support::blas1::norm2_squared(a),
-        support::blas1::dot_diff(a, b, a), support::blas1::norm2(b)};
+        support::blas1::sum(a), support::blas1::dot(a, b),
+        support::blas1::norm2_squared(a), support::blas1::dot_diff(a, b, a),
+        support::blas1::norm2(b)};
   });
 }
 

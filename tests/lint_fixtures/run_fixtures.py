@@ -5,7 +5,8 @@ Runs cpxcheck over tests/lint_fixtures/cpxcheck and asserts the EXACT
 `path:line:rule` finding set recorded in expected_cpxcheck.txt: trigger fixtures must fire on their marked lines,
 clean fixtures must stay silent. Also unit-tests the lexer's literal
 handling and the `--list --json` rule inventory, which must give every
-rule at least one expected finding.
+rule at least one expected finding, and scans a copy of src/ outside the
+repository, which must be as clean as the in-repo scan.
 
 Registered as a ctest (label `lint`); runs standalone too:
 
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -129,6 +132,22 @@ def check_partial_runs() -> None:
                f"finding(s), whole-tree halves skipped")
 
 
+def check_outside_copy() -> None:
+    """A scan of src/ copied outside the repository finds what the in-repo
+    scan finds: nothing. The rules that exempt a home file (`reduce`,
+    `raw-comm`) must match it by its path from src/, not from the repo."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(REPO / "src", copy)
+        code, output = run([sys.executable, "tools/cpxcheck", str(copy)])
+    got = sorted(findings_of(output))
+    if code != 0 or got:
+        fail(f"scan of a copy of src/ outside the repo: exit {code}, "
+             f"findings {got}")
+    else:
+        ok("scan of a copy of src/ outside the repo is clean")
+
+
 def check_inventory() -> None:
     code, output = run([sys.executable, "tools/cpxcheck", "--list",
                         "--json"])
@@ -162,6 +181,7 @@ def main() -> int:
         [sys.executable, "tools/cpxcheck", "tests/lint_fixtures/cpxcheck"],
         HERE / "expected_cpxcheck.txt")
     check_partial_runs()
+    check_outside_copy()
     check_raw_strings_cpxcheck()
     check_inventory()
     if failures:

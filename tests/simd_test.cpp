@@ -1,9 +1,10 @@
-// Bitwise-determinism matrix for the SIMD kernel layer (docs/parallelism.md,
-// "SIMD determinism"): every vectorized kernel must produce IDENTICAL bits
-// at every simd width {1, 2, 4, 8} x thread count {1, 4, 16} combination,
-// because reductions go through the fixed-lane tree (simd::tree_reduce /
-// tree_combine) and elementwise work is IEEE-elementwise. Width 1 with one
-// thread is the reference — i.e. the CPX_SIMD=off serial build's answer.
+// Bitwise checks of the SIMD kernel layer (docs/parallelism.md, "SIMD
+// determinism"). Every kernel runs the one compiled pack width
+// simd::kWidth, and reductions go through the fixed-lane tree
+// (simd::tree_reduce / tree_combine), so each kernel's bits equal a
+// test-local width-1 spelling of it: tree_reduce<1>, or the serial chain
+// the kernels keep for rows and stencils shorter than kReduceLanes. The
+// kernel is checked against that reference at threads {1, 4, 16}.
 //
 // Also proves the vectorized solve path stays allocation-free: this file
 // replaces global operator new/delete with counting versions (so it must
@@ -22,13 +23,13 @@
 #include <new>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "amg/hierarchy.hpp"
 #include "amg/pcg.hpp"
 #include "amg/smoothers.hpp"
 #include "cpx/interpolation.hpp"
-#include "simpic/pic.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 #include "support/aligned.hpp"
@@ -100,17 +101,12 @@ namespace {
 
 namespace simd = support::simd;
 
-constexpr int kWidths[] = {1, 2, 4, 8};
 constexpr int kThreadCounts[] = {1, 4, 16};
 
-/// Restores the simd width and thread count a test changed.
-struct ExecutionConfigGuard {
-  int width = simd::active_width();
+/// Restores the thread count a test changed.
+struct ThreadCountGuard {
   int threads = support::max_threads();
-  ~ExecutionConfigGuard() {
-    simd::set_width(width);
-    support::set_max_threads(threads);
-  }
+  ~ThreadCountGuard() { support::set_max_threads(threads); }
 };
 
 support::aligned_vector<double> random_vector(std::size_t n,
@@ -138,26 +134,88 @@ bool bitwise_equal(const std::vector<double>& a,
 }
 
 /// Runs `fn` (which returns every output of one kernel invocation,
-/// flattened into one vector) at every width x thread combination and
-/// asserts each run is bit-identical to the width-1 single-thread
-/// reference — the serial CPX_SIMD=off answer.
-void expect_bitwise_invariant(const std::string& kernel,
+/// flattened into one vector) at every thread count and asserts each run
+/// is bit-identical to `reference`, the kernel's width-1 spelling.
+void expect_matches_reference(const std::string& kernel,
+                              const std::vector<double>& reference,
                               const std::function<std::vector<double>()>& fn) {
-  ExecutionConfigGuard guard;
-  simd::set_width(1);
-  support::set_max_threads(1);
-  const std::vector<double> reference = fn();
+  ThreadCountGuard guard;
   ASSERT_FALSE(reference.empty()) << kernel;
-  for (const int width : kWidths) {
-    for (const int threads : kThreadCounts) {
-      simd::set_width(width);
-      support::set_max_threads(threads);
-      const std::vector<double> run = fn();
-      EXPECT_TRUE(bitwise_equal(reference, run))
-          << kernel << " diverges from the serial reference at width "
-          << width << ", " << threads << " threads";
-    }
+  for (const int threads : kThreadCounts) {
+    support::set_max_threads(threads);
+    EXPECT_TRUE(bitwise_equal(reference, fn()))
+        << kernel << " diverges from its width-1 spelling at " << threads
+        << " threads";
   }
+}
+
+/// The fixed-lane tree over [lo, hi) at width 1. `term(i)` is element i's
+/// term; it is called once per element, in ascending order.
+template <typename Term>
+double tree1(std::int64_t lo, std::int64_t hi, Term&& term) {
+  return simd::tree_reduce<1>(
+      lo, hi,
+      [&](std::int64_t i) { return simd::pack<1>::broadcast(term(i)); },
+      term);
+}
+
+/// A row or stencil sum as the kernels spell it: a serial chain below
+/// kReduceLanes terms, the fixed-lane tree from there on.
+template <typename Term>
+double split_sum(std::int64_t lo, std::int64_t hi, Term&& term) {
+  if (hi - lo >= simd::kReduceLanes) {
+    return tree1(lo, hi, term);
+  }
+  double sum = 0.0;
+  for (std::int64_t i = lo; i < hi; ++i) {
+    sum += term(i);
+  }
+  return sum;
+}
+
+/// One (l1-)Jacobi sweep from `x`, as amg::smooth spells it at width 1.
+std::vector<double> jacobi_reference(const sparse::CsrMatrix& a,
+                                     const std::vector<double>& x,
+                                     const double* b, double omega, bool l1) {
+  const std::int64_t* offsets = a.row_offsets().data();
+  const std::int32_t* cols = a.col_indices().data();
+  const double* vals = a.values().data();
+  const double* px = x.data();
+  std::vector<double> out(x.size());
+  for (std::int64_t r = 0; r < a.rows(); ++r) {
+    const std::int64_t k0 = offsets[r];
+    const std::int64_t k1 = offsets[r + 1];
+    double diag = 0.0;
+    double off_abs = 0.0;
+    double sum = 0.0;
+    if (k1 - k0 < simd::kReduceLanes) {
+      for (std::int64_t k = k0; k < k1; ++k) {
+        if (cols[k] == r) {
+          diag = vals[k];
+        } else {
+          sum += vals[k] * px[cols[k]];
+          off_abs += std::abs(vals[k]);
+        }
+      }
+    } else {
+      for (std::int64_t k = k0; k < k1; ++k) {
+        if (cols[k] == r) {
+          diag = vals[k];
+          break;
+        }
+      }
+      sum = tree1(k0, k1,
+                  [&](std::int64_t k) { return vals[k] * px[cols[k]]; }) -
+            diag * px[r];
+      off_abs = tree1(k0, k1,
+                      [&](std::int64_t k) { return std::abs(vals[k]); }) -
+                std::abs(diag);
+    }
+    const double d = l1 ? diag + off_abs : diag;
+    const double x_new = (b[r] - sum) / d;
+    out[static_cast<std::size_t>(r)] = px[r] + omega * (x_new - px[r]);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -267,35 +325,61 @@ TEST(SimdTree, TreeReduceIsWidthInvariantIncludingTails) {
 }
 
 // ---------------------------------------------------------------------------
-// Bitwise width x thread matrix, one case per vectorized kernel family
+// Each kernel family against its width-1 spelling
 // ---------------------------------------------------------------------------
 
-TEST(SimdMatrix, Blas1ReductionsAreBitwiseInvariant) {
-  // 1027 = 128 * 8 + 3: chunk-size multiples plus a ragged tail.
-  const auto a = random_vector(1027, 1);
-  const auto b = random_vector(1027, 2);
-  expect_bitwise_invariant("blas1/sum", [&] {
-    return std::vector<double>{support::blas1::sum(a)};
-  });
-  expect_bitwise_invariant("blas1/dot", [&] {
-    return std::vector<double>{support::blas1::dot(a, b)};
-  });
-  expect_bitwise_invariant("blas1/norm2_squared", [&] {
-    return std::vector<double>{support::blas1::norm2_squared(a)};
-  });
-  expect_bitwise_invariant("blas1/dot_diff", [&] {
-    const auto z = random_vector(1027, 3);
-    return std::vector<double>{support::blas1::dot_diff(z, a, b)};
-  });
+TEST(SimdReference, Blas1ReductionsMatchTheWidthOneTree) {
+  // 1027 = 128 * 8 + 3: whole lane blocks plus a ragged tail, inside one
+  // blas1 chunk, so one tree is the whole reduction.
+  constexpr std::int64_t n = 1027;
+  const auto a = random_vector(n, 1);
+  const auto b = random_vector(n, 2);
+  const auto z = random_vector(n, 3);
+  const double* pa = a.data();
+  const double* pb = b.data();
+  const double* pz = z.data();
+  expect_matches_reference(
+      "blas1/sum", {tree1(0, n, [&](std::int64_t i) { return pa[i]; })},
+      [&] { return std::vector<double>{support::blas1::sum(a)}; });
+  expect_matches_reference(
+      "blas1/dot",
+      {tree1(0, n, [&](std::int64_t i) { return pa[i] * pb[i]; })},
+      [&] { return std::vector<double>{support::blas1::dot(a, b)}; });
+  expect_matches_reference(
+      "blas1/norm2_squared",
+      {tree1(0, n, [&](std::int64_t i) { return pa[i] * pa[i]; })},
+      [&] { return std::vector<double>{support::blas1::norm2_squared(a)}; });
+  expect_matches_reference(
+      "blas1/dot_diff",
+      {tree1(0, n, [&](std::int64_t i) { return pz[i] * (pa[i] - pb[i]); })},
+      [&] {
+        return std::vector<double>{support::blas1::dot_diff(z, a, b)};
+      });
 }
 
-TEST(SimdMatrix, Blas1FusedAxpyNormIsBitwiseInvariant) {
-  const auto p = random_vector(1027, 4);
-  const auto ap = random_vector(1027, 5);
-  expect_bitwise_invariant("blas1/axpy2_norm2", [&] {
-    auto x = random_vector(1027, 6);
-    auto r = random_vector(1027, 7);
-    const double nrm = support::blas1::axpy2_norm2(0.37, p, ap, x, r);
+TEST(SimdReference, Blas1FusedAxpyNormMatchesTheWidthOneTree) {
+  constexpr std::int64_t n = 1027;
+  constexpr double alpha = 0.37;
+  const auto p = random_vector(n, 4);
+  const auto ap = random_vector(n, 5);
+  const auto x0 = random_vector(n, 6);
+  const auto r0 = random_vector(n, 7);
+  std::vector<double> reference(x0.begin(), x0.end());
+  reference.insert(reference.end(), r0.begin(), r0.end());
+  double* rx = reference.data();
+  double* rr = rx + n;
+  const double* pp = p.data();
+  const double* pap = ap.data();
+  reference.push_back(tree1(0, n, [&](std::int64_t i) {
+    rx[i] += alpha * pp[i];
+    const double rv = rr[i] - alpha * pap[i];
+    rr[i] = rv;
+    return rv * rv;
+  }));
+  expect_matches_reference("blas1/axpy2_norm2", reference, [&] {
+    auto x = x0;
+    auto r = r0;
+    const double nrm = support::blas1::axpy2_norm2(alpha, p, ap, x, r);
     std::vector<double> out(x.begin(), x.end());
     out.insert(out.end(), r.begin(), r.end());
     out.push_back(nrm);
@@ -303,77 +387,88 @@ TEST(SimdMatrix, Blas1FusedAxpyNormIsBitwiseInvariant) {
   });
 }
 
-TEST(SimdMatrix, SpmvIsBitwiseInvariantOnShortAndLongRows) {
-  // 7-point rows stay below kReduceLanes (historical serial-chain path);
-  // random_spd(..., 16) rows exceed it (gather + tree path).
-  const sparse::CsrMatrix narrow = sparse::laplacian_3d(12, 12, 12);
-  const sparse::CsrMatrix wide = sparse::random_spd(512, 16, 13);
+TEST(SimdReference, SpmvMatchesTheWidthOneRowSumOnShortAndLongRows) {
+  // 7-point rows stay below kReduceLanes (serial chain); random_spd(..., 16)
+  // rows exceed it (gather + tree). Both span more than one row chunk.
+  const sparse::CsrMatrix narrow = sparse::laplacian_3d(16, 16, 16);
+  const sparse::CsrMatrix wide = sparse::random_spd(4500, 16, 13);
   for (const sparse::CsrMatrix* m : {&narrow, &wide}) {
     const auto x = random_vector(static_cast<std::size_t>(m->cols()), 8);
-    expect_bitwise_invariant("sparse/spmv", [&] {
-      support::aligned_vector<double> y(
-          static_cast<std::size_t>(m->rows()), 0.0);
+    const std::int64_t* offsets = m->row_offsets().data();
+    const std::int32_t* cols = m->col_indices().data();
+    const double* vals = m->values().data();
+    const double* px = x.data();
+    std::vector<double> reference;
+    for (std::int64_t r = 0; r < m->rows(); ++r) {
+      reference.push_back(
+          split_sum(offsets[r], offsets[r + 1],
+                    [&](std::int64_t k) { return vals[k] * px[cols[k]]; }));
+    }
+    expect_matches_reference("sparse/spmv", reference, [&] {
+      support::aligned_vector<double> y(static_cast<std::size_t>(m->rows()),
+                                        0.0);
       sparse::spmv(*m, x, y);
       return std::vector<double>(y.begin(), y.end());
     });
   }
 }
 
-TEST(SimdMatrix, SmoothersAreBitwiseInvariant) {
-  const sparse::CsrMatrix a = sparse::random_spd(512, 16, 17);
-  const auto n = static_cast<std::size_t>(a.rows());
-  const auto b = random_vector(n, 9);
-  for (const amg::SmootherKind kind :
-       {amg::SmootherKind::kJacobi, amg::SmootherKind::kL1Jacobi}) {
-    amg::SmootherOptions sopts;
-    sopts.kind = kind;
-    expect_bitwise_invariant("amg/smooth", [&] {
-      support::aligned_vector<double> x(n, 0.0);
-      support::aligned_vector<double> scratch(n, 0.0);
-      amg::smooth(a, x, b, sopts, scratch);
-      amg::smooth(a, x, b, sopts, scratch);  // second sweep from warm x
-      return std::vector<double>(x.begin(), x.end());
-    });
+TEST(SimdReference, JacobiSmoothersMatchTheWidthOneSweep) {
+  const sparse::CsrMatrix narrow = sparse::laplacian_3d(16, 16, 16);
+  const sparse::CsrMatrix wide = sparse::random_spd(4500, 16, 17);
+  for (const sparse::CsrMatrix* m : {&narrow, &wide}) {
+    const auto n = static_cast<std::size_t>(m->rows());
+    const auto b = random_vector(n, 9);
+    for (const amg::SmootherKind kind :
+         {amg::SmootherKind::kJacobi, amg::SmootherKind::kL1Jacobi}) {
+      amg::SmootherOptions sopts;
+      sopts.kind = kind;
+      const bool l1 = kind == amg::SmootherKind::kL1Jacobi;
+      std::vector<double> reference(n, 0.0);
+      for (int sweep = 0; sweep < 2; ++sweep) {  // the second from warm x
+        reference =
+            jacobi_reference(*m, reference, b.data(), sopts.jacobi_omega, l1);
+      }
+      expect_matches_reference("amg/smooth", reference, [&] {
+        support::aligned_vector<double> x(n, 0.0);
+        support::aligned_vector<double> scratch(n, 0.0);
+        amg::smooth(*m, x, b, sopts, scratch);
+        amg::smooth(*m, x, b, sopts, scratch);
+        return std::vector<double>(x.begin(), x.end());
+      });
+    }
   }
 }
 
-TEST(SimdMatrix, SimpicPushAndDepositAreBitwiseInvariant) {
-  expect_bitwise_invariant("simpic/push+deposit", [&] {
-    simpic::PicOptions popts;
-    popts.cells = 64;
-    popts.boundary = simpic::Boundary::kPeriodic;
-    simpic::Pic pic(popts);  // counter-based RNG: identical initial state
-    pic.load_uniform(16, 0.1, 0.05);
-    pic.deposit();
-    pic.solve_field();
-    pic.push();
-    pic.deposit();  // re-deposit after the push: covers both kernels
-    std::vector<double> out(pic.positions().begin(), pic.positions().end());
-    out.insert(out.end(), pic.velocities().begin(), pic.velocities().end());
-    out.insert(out.end(), pic.rho().begin(), pic.rho().end());
-    return out;
-  });
-}
-
-TEST(SimdMatrix, CouplerIdwInterpolationIsBitwiseInvariant) {
+TEST(SimdReference, IdwApplyMatchesTheWidthOneStencilSum) {
   Rng rng(23);
   std::vector<mesh::Vec3> donors(257);
-  std::vector<mesh::Vec3> targets(311);
+  std::vector<mesh::Vec3> targets(1100);
   for (auto& p : donors) {
     p = {rng.uniform(), rng.uniform(), rng.uniform()};
   }
   for (auto& p : targets) {
     p = {rng.uniform(), rng.uniform(), rng.uniform()};
   }
-  // k = 12 >= kReduceLanes: the stencil-apply reduction takes the tree
-  // path, not the short-stencil serial chain.
-  const auto stencils = coupler::build_idw_stencils(donors, targets, 12);
   const auto donor_field = random_vector(donors.size(), 10);
-  expect_bitwise_invariant("coupler/interpolate", [&] {
-    support::aligned_vector<double> target_field(targets.size(), 0.0);
-    coupler::apply_stencils(stencils, donor_field, target_field);
-    return std::vector<double>(target_field.begin(), target_field.end());
-  });
+  const double* pf = donor_field.data();
+  // k = 4 keeps the short-stencil serial chain; k = 12 >= kReduceLanes
+  // takes the tree.
+  for (const int k : {4, 12}) {
+    const auto stencils = coupler::build_idw_stencils(donors, targets, k);
+    std::vector<double> reference;
+    for (const coupler::Stencil& s : stencils) {
+      const double* pw = s.weights.data();
+      const std::int64_t* pd = s.donors.data();
+      reference.push_back(split_sum(
+          0, k, [&](std::int64_t j) { return pw[j] * pf[pd[j]]; }));
+    }
+    expect_matches_reference("coupler/interpolate", reference, [&] {
+      support::aligned_vector<double> target_field(targets.size(), 0.0);
+      coupler::apply_stencils(stencils, donor_field, target_field);
+      return std::vector<double>(target_field.begin(), target_field.end());
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -381,8 +476,7 @@ TEST(SimdMatrix, CouplerIdwInterpolationIsBitwiseInvariant) {
 // ---------------------------------------------------------------------------
 
 TEST(SimdAlloc, VectorizedSteadyStateSolveAllocatesNothing) {
-  ExecutionConfigGuard guard;
-  simd::set_width(simd::kMaxWidth);
+  ThreadCountGuard guard;
   support::set_max_threads(4);
 
   const sparse::CsrMatrix a = sparse::laplacian_3d(12, 12, 12);

@@ -577,7 +577,7 @@ def check_reduce(project: Project) -> list[Finding]:
     rule = rule_by_name("reduce")
     findings: list[Finding] = []
     for facts in project.files:
-        if facts.path in REDUCE_HOMES:
+        if src_rel(facts.path) in REDUCE_HOMES:
             continue
         toks = facts.tokens
         hits = [t for k, t in enumerate(toks)
@@ -594,7 +594,7 @@ def check_raw_comm(project: Project) -> list[Finding]:
     rule = rule_by_name("raw-comm")
     findings: list[Finding] = []
     for facts in project.files:
-        if facts.path.startswith("src/comm/"):
+        if src_rel(facts.path).startswith("src/comm/"):
             continue
         toks = facts.tokens
         hits = []
@@ -670,6 +670,14 @@ def tree_base(path: str) -> str | None:
     return None
 
 
+def src_rel(path: str) -> str:
+    """A path from the directory holding its `src/` ("src/support/blas1.cpp"),
+    so a scan of a checkout outside the repo names the same files; paths
+    outside any src/ come back unchanged."""
+    base = tree_base(path)
+    return path[len(base) + 1:] if base else path
+
+
 def _join(*parts: str) -> str:
     return "/".join(p for p in parts if p)
 
@@ -728,6 +736,8 @@ def check_allow_audit(project: Project) -> list[Finding]:
     has run, markers that silenced nothing. A marker's use can depend on
     any file (the solve call graph, the two registries), so the unused
     half runs only when both registries are analysed: a whole-tree run.
+    An `unreached-header` marker is judged only when its tree's program
+    sources (ROOT_DIRS) were found; a copy of src/ alone has none.
     An allow(allow-audit) is exempt from it: it would silence itself."""
     rule = rule_by_name("allow-audit")
     audit_use = _whole_tree(project)
@@ -742,7 +752,9 @@ def check_allow_audit(project: Project) -> list[Finding]:
                                f"{', '.join(sorted(KNOWN_ALLOW_NAMES))}")
                 elif audit_use and name != rule.name \
                         and (facts.path, line_no, name) \
-                        not in project.used_markers:
+                        not in project.used_markers \
+                        and (name != "unreached-header"
+                             or project.roots.get(tree_base(facts.path))):
                     message = (f"`allow({name})` silences no `{name}` "
                                f"finding on this line or the next; delete "
                                f"the marker")
