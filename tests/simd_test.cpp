@@ -5,6 +5,8 @@
 // test-local width-1 spelling of it: tree_reduce<1>, or the serial chain
 // the kernels keep for rows and stencils shorter than kReduceLanes. The
 // kernel is checked against that reference at threads {1, 4, 16}.
+// SIMPIC push and deposit have no pack path; their reference is the
+// single-thread run.
 //
 // Also proves the vectorized solve path stays allocation-free: this file
 // replaces global operator new/delete with counting versions (so it must
@@ -30,6 +32,7 @@
 #include "amg/pcg.hpp"
 #include "amg/smoothers.hpp"
 #include "cpx/interpolation.hpp"
+#include "simpic/pic.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 #include "support/aligned.hpp"
@@ -135,7 +138,8 @@ bool bitwise_equal(const std::vector<double>& a,
 
 /// Runs `fn` (which returns every output of one kernel invocation,
 /// flattened into one vector) at every thread count and asserts each run
-/// is bit-identical to `reference`, the kernel's width-1 spelling.
+/// is bit-identical to `reference` (for a pack kernel, its width-1
+/// spelling).
 void expect_matches_reference(const std::string& kernel,
                               const std::vector<double>& reference,
                               const std::function<std::vector<double>()>& fn) {
@@ -144,7 +148,7 @@ void expect_matches_reference(const std::string& kernel,
   for (const int threads : kThreadCounts) {
     support::set_max_threads(threads);
     EXPECT_TRUE(bitwise_equal(reference, fn()))
-        << kernel << " diverges from its width-1 spelling at " << threads
+        << kernel << " diverges from its reference at " << threads
         << " threads";
   }
 }
@@ -438,6 +442,35 @@ TEST(SimdReference, JacobiSmoothersMatchTheWidthOneSweep) {
       });
     }
   }
+}
+
+TEST(SimdMatrix, SimpicPushAndDepositAreBitwiseInvariant) {
+  // SIMPIC has no pack path, so its only axis is the thread count: the
+  // single-thread run is the reference. 64 cells x 320 particles = 20480
+  // particles, three 8192-particle chunks with a ragged last one, so the
+  // parallel push and the chunked deposit reduction both run.
+  const auto run = [] {
+    simpic::PicOptions popts;
+    popts.cells = 64;
+    popts.boundary = simpic::Boundary::kPeriodic;
+    simpic::Pic pic(popts);  // counter-based RNG: identical initial state
+    pic.load_uniform(320, 0.1, 0.05);
+    pic.deposit();
+    pic.solve_field();
+    pic.push();
+    pic.deposit();  // re-deposit after the push: covers both kernels
+    std::vector<double> out(pic.positions().begin(), pic.positions().end());
+    out.insert(out.end(), pic.velocities().begin(), pic.velocities().end());
+    out.insert(out.end(), pic.rho().begin(), pic.rho().end());
+    return out;
+  };
+  std::vector<double> reference;
+  {
+    ThreadCountGuard guard;
+    support::set_max_threads(1);
+    reference = run();
+  }
+  expect_matches_reference("simpic/push+deposit", reference, run);
 }
 
 TEST(SimdReference, IdwApplyMatchesTheWidthOneStencilSum) {
