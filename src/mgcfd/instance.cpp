@@ -61,15 +61,21 @@ Instance::Instance(std::string name, const mesh::UnstructuredMesh& mesh,
                                             << ranks.size());
   const auto locals = mesh::extract_local_meshes(mesh, partitioning);
   owned_.reserve(locals.size());
+  halo_cells_.reserve(locals.size());
   nbr_begin_.reserve(locals.size() + 1);
   nbr_begin_.push_back(0);
-  for (const mesh::LocalMesh& lm : locals) {  // in part order
-    owned_.push_back(lm.num_owned());
-    for (const auto& send : lm.sends) {
-      nbr_rank_.push_back(ranks_.begin + send.neighbor);
-      nbr_halo_.push_back(static_cast<std::int64_t>(send.cells.size()));
+  for (std::size_t l = 0; l < locals.size(); ++l) {  // in part order
+    owned_.push_back(locals[l].num_owned());
+    std::int64_t halo_cells = 0;
+    for (const auto& send : locals[l].sends) {
+      const auto cells = static_cast<std::int64_t>(send.cells.size());
+      halo_messages_.push_back({ranks_.begin + static_cast<sim::Rank>(l),
+                                ranks_.begin + send.neighbor,
+                                halo_bytes(cells)});
+      halo_cells += cells;
     }
-    nbr_begin_.push_back(nbr_rank_.size());
+    halo_cells_.push_back(halo_cells);
+    nbr_begin_.push_back(halo_messages_.size());
   }
 }
 
@@ -91,9 +97,12 @@ void Instance::build_analytic(std::int64_t global_cells) {
   const auto faces = static_cast<std::size_t>(
       2 * ((px - 1) * py * pz + px * (py - 1) * pz + px * py * (pz - 1)));
 
+  const std::size_t face_bytes = halo_bytes(per_face);
+
   owned_.reserve(static_cast<std::size_t>(p));
+  halo_cells_.reserve(static_cast<std::size_t>(p));
   nbr_begin_.reserve(static_cast<std::size_t>(p) + 1);
-  nbr_rank_.reserve(faces);
+  halo_messages_.reserve(faces);
   nbr_begin_.push_back(0);
   for (int l = 0; l < p; ++l) {
     // Deterministic +-3% load jitter around the mean (production
@@ -113,7 +122,9 @@ void Instance::build_analytic(std::int64_t global_cells) {
       if (jx < 0 || jx >= px || jy < 0 || jy >= py || jz < 0 || jz >= pz) {
         return;
       }
-      nbr_rank_.push_back(ranks_.begin + (jz * py + jy) * px + jx);
+      halo_messages_.push_back({ranks_.begin + l,
+                                ranks_.begin + (jz * py + jy) * px + jx,
+                                face_bytes});
     };
     add_neighbor(ix - 1, iy, iz);
     add_neighbor(ix + 1, iy, iz);
@@ -121,10 +132,11 @@ void Instance::build_analytic(std::int64_t global_cells) {
     add_neighbor(ix, iy + 1, iz);
     add_neighbor(ix, iy, iz - 1);
     add_neighbor(ix, iy, iz + 1);
-    nbr_begin_.push_back(nbr_rank_.size());
+    const std::size_t n_nbrs = halo_messages_.size() - nbr_begin_.back();
+    halo_cells_.push_back(per_face * static_cast<std::int64_t>(n_nbrs));
+    nbr_begin_.push_back(halo_messages_.size());
   }
-  CPX_DCHECK(nbr_rank_.size() == faces);
-  nbr_halo_.assign(nbr_rank_.size(), per_face);
+  CPX_DCHECK(halo_messages_.size() == faces);
 }
 
 double Instance::mean_owned() const {
@@ -167,9 +179,9 @@ void Instance::bind(sim::Cluster& cluster) {
     return w;
   };
 
-  // Finest-level halo round: one message round carrying the bytes of all
-  // fine-level sweeps; the extra rounds' latencies are charged as delays.
-  // Coarse halos shrink with cells^(2/3) and are latency-dominated.
+  // Finest-level halo round (halo_bytes): the extra fine rounds'
+  // latencies are charged as delays. Coarse halos shrink with
+  // cells^(2/3) and are latency-dominated.
   const int fine_rounds = 2 * work_.smooth_steps;
   const double per_round = m.lat_inter + 2.0 * m.msg_overhead;
   const int coarse_rounds =
@@ -179,19 +191,9 @@ void Instance::bind(sim::Cluster& cluster) {
   interior_s_.resize(p);
   boundary_s_.resize(p);
   delay_s_.resize(p);
-  std::vector<sim::Message> messages;
-  messages.reserve(nbr_rank_.size());
   for (std::size_t l = 0; l < p; ++l) {
     const std::int64_t owned = owned_[l];
-    std::int64_t halo_total = 0;
-    for (std::size_t k = nbr_begin_[l]; k < nbr_begin_[l + 1]; ++k) {
-      const std::size_t bytes =
-          static_cast<std::size_t>(nbr_halo_[k]) * work_.bytes_per_halo_cell *
-          static_cast<std::size_t>(fine_rounds);
-      messages.push_back(
-          {ranks_.begin + static_cast<sim::Rank>(l), nbr_rank_[k], bytes});
-      halo_total += nbr_halo_[k];
-    }
+    const std::int64_t halo_total = halo_cells_[l];
 
     sweep_s_[l] = m.compute_time(sweep_work(owned));
     // Split-phase placement: the interior-cell share of the sweeps runs
@@ -214,7 +216,7 @@ void Instance::bind(sim::Cluster& cluster) {
         std::max<std::size_t>(nbr_begin_[l + 1] - nbr_begin_[l], 1));
     delay_s_[l] = (fine_rounds - 1 + coarse_rounds) * per_round * n_nbrs;
   }
-  halo_ = cluster.make_schedule(messages);
+  halo_ = cluster.make_schedule(halo_messages_);
 }
 
 void Instance::step(sim::Cluster& cluster) {

@@ -72,19 +72,27 @@ class Instance final : public sim::App {
   /// Interns the regions and caches everything step() charges that
   /// depends only on the cluster (sim::App::needs_bind).
   void bind(sim::Cluster& cluster);
+  /// Bytes of one finest-level halo message carrying `cells` halo cells:
+  /// the one round carries the bytes of every fine-level sweep (bind()
+  /// charges the extra rounds' latencies as delays).
+  std::size_t halo_bytes(std::int64_t cells) const {
+    return static_cast<std::size_t>(cells) * work_.bytes_per_halo_cell *
+           static_cast<std::size_t>(2 * work_.smooth_steps);
+  }
 
   std::string name_;
   sim::RankRange ranks_;
   std::int64_t global_cells_ = 0;
   WorkModel work_;
   bool overlap_ = false;
-  // Per-rank loads, indexed by rank - ranks_.begin: owned cells, and in
-  // CSR form the neighbour ranks (cluster-global ids) and the halo cells
-  // sent to each, rank l's in [nbr_begin_[l], nbr_begin_[l + 1]).
+  // Per-rank loads, indexed by rank - ranks_.begin: owned cells, the halo
+  // cells sent to all neighbours, and in CSR form the finest-level halo
+  // round (cluster-global ranks, the bytes of every fine-level sweep),
+  // rank l's messages in [nbr_begin_[l], nbr_begin_[l + 1]).
   std::vector<std::int64_t> owned_;
+  std::vector<std::int64_t> halo_cells_;
   std::vector<std::size_t> nbr_begin_;
-  std::vector<sim::Rank> nbr_rank_;
-  std::vector<std::int64_t> nbr_halo_;
+  std::vector<sim::Message> halo_messages_;
 
   // Bound to one cluster by bind().
   sim::RegionId region_flux_ = -1;

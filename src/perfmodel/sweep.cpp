@@ -1,5 +1,9 @@
 #include "perfmodel/sweep.hpp"
 
+#include <algorithm>
+#include <numeric>
+#include <optional>
+
 #include "sim/cluster.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
@@ -33,21 +37,78 @@ CommVolume measure_comm_volume(sim::App& app, sim::Cluster& cluster,
   return volume;
 }
 
+namespace {
+
+/// What a sweep does with each app's split-phase overlap
+/// (sim::App::set_overlap): leave it as the factory built it, or set it.
+enum class OverlapSetting { kAsBuilt, kOff, kOn };
+
+struct Sweep {
+  std::vector<ScalingPoint> points;  ///< in core_counts order
+  /// Overlap's hidden / (hidden + charged) comm seconds at the largest
+  /// core count (kOn only).
+  double hidden_fraction = 0.0;
+};
+
+/// Runs the app alone at every core count: one perfmodel/measure_scaling
+/// region on one cluster. The counts are visited largest-first (ties in
+/// input order) and the cluster is reshaped between points, so later
+/// points reuse the memory of the first; each point is written at its
+/// input index, so the output order does not depend on the visit order.
+/// The first point is on a newly built cluster, which is where the
+/// hidden fraction is read.
+Sweep sweep(const AppFactory& factory, const sim::MachineModel& machine,
+            std::span<const int> core_counts, int steps,
+            OverlapSetting overlap) {
+  CPX_METRICS_SCOPE("perfmodel/measure_scaling");
+  for (int cores : core_counts) {
+    CPX_REQUIRE(cores >= 1, "measure_scaling: bad core count " << cores);
+  }
+  std::vector<std::size_t> order(core_counts.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return core_counts[a] > core_counts[b];
+                   });
+
+  Sweep out;
+  out.points.resize(core_counts.size());
+  std::optional<sim::Cluster> cluster;
+  for (const std::size_t i : order) {
+    const int cores = core_counts[i];
+    if (cluster.has_value()) {
+      cluster->reshape(cores);
+    } else {
+      cluster.emplace(machine, cores);
+    }
+    const auto app = factory({0, cores});
+    if (overlap != OverlapSetting::kAsBuilt) {
+      app->set_overlap(overlap == OverlapSetting::kOn);
+    }
+    out.points[i] = {static_cast<double>(cores),
+                     measure_step_seconds(*app, *cluster, steps)};
+    if (overlap == OverlapSetting::kOn && i == order.front()) {
+      const double hidden = cluster->comm_hidden_seconds(app->ranks());
+      double charged = 0.0;
+      for (sim::Rank r = app->ranks().begin; r < app->ranks().end; ++r) {
+        charged += cluster->profile().rank_total(r).comm;
+      }
+      out.hidden_fraction =
+          hidden + charged > 0.0 ? hidden / (hidden + charged) : 0.0;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<ScalingPoint> measure_scaling(const AppFactory& factory,
                                           const sim::MachineModel& machine,
                                           std::span<const int> core_counts,
                                           int steps) {
-  CPX_METRICS_SCOPE("perfmodel/measure_scaling");
-  std::vector<ScalingPoint> points;
-  points.reserve(core_counts.size());
-  for (int cores : core_counts) {
-    CPX_REQUIRE(cores >= 1, "measure_scaling: bad core count " << cores);
-    sim::Cluster cluster(machine, cores);
-    const auto app = factory({0, cores});
-    points.push_back({static_cast<double>(cores),
-                      measure_step_seconds(*app, cluster, steps)});
-  }
-  return points;
+  return sweep(factory, machine, core_counts, steps,
+               OverlapSetting::kAsBuilt)
+      .points;
 }
 
 ScalingCurve fit_scaling(const AppFactory& factory,
@@ -61,34 +122,15 @@ OverlapVariants fit_overlap_variants(const AppFactory& factory,
                                      const sim::MachineModel& machine,
                                      std::span<const int> core_counts,
                                      int steps) {
-  CPX_METRICS_SCOPE("perfmodel/measure_scaling");
   CPX_REQUIRE(!core_counts.empty(), "fit_overlap_variants: no core counts");
   OverlapVariants variants;
-  for (const bool overlapped : {false, true}) {
-    std::vector<ScalingPoint> points;
-    points.reserve(core_counts.size());
-    for (int cores : core_counts) {
-      CPX_REQUIRE(cores >= 1,
-                  "fit_overlap_variants: bad core count " << cores);
-      sim::Cluster cluster(machine, cores);
-      const auto app = factory({0, cores});
-      app->set_overlap(overlapped);
-      points.push_back({static_cast<double>(cores),
-                        measure_step_seconds(*app, cluster, steps)});
-      if (overlapped && cores == core_counts.back()) {
-        const double hidden =
-            cluster.comm_hidden_seconds(app->ranks());
-        double charged = 0.0;
-        for (sim::Rank r = app->ranks().begin; r < app->ranks().end; ++r) {
-          charged += cluster.profile().rank_total(r).comm;
-        }
-        variants.hidden_fraction =
-            hidden + charged > 0.0 ? hidden / (hidden + charged) : 0.0;
-      }
-    }
-    (overlapped ? variants.overlapped : variants.synchronous) =
-        ScalingCurve::fit(points);
-  }
+  variants.synchronous = ScalingCurve::fit(
+      sweep(factory, machine, core_counts, steps, OverlapSetting::kOff)
+          .points);
+  const Sweep overlapped =
+      sweep(factory, machine, core_counts, steps, OverlapSetting::kOn);
+  variants.overlapped = ScalingCurve::fit(overlapped.points);
+  variants.hidden_fraction = overlapped.hidden_fraction;
   return variants;
 }
 

@@ -1,5 +1,5 @@
 #pragma once
-// Standalone benchmark sweeps: run a mini-app instance alone on a fresh
+// Standalone benchmark sweeps: run a mini-app instance alone on the
 // virtual cluster across core counts and record per-step runtimes — the
 // data the empirical model fits its curves to (Fig 7's left-hand column).
 
@@ -37,7 +37,13 @@ struct CommVolume {
 CommVolume measure_comm_volume(sim::App& app, sim::Cluster& cluster,
                                int steps);
 
-/// Sweeps the app over `core_counts`, each on a dedicated cluster.
+/// Sweeps the app over `core_counts` and returns the points in input
+/// order. The sweep is one perfmodel/measure_scaling metrics region on
+/// one cluster: it visits the counts largest-first (ties in input order)
+/// and reshapes the cluster between points (sim::Cluster::reshape), so
+/// each point runs in the state of a newly built cluster of its size
+/// without faulting in new memory. The bits equal those of one new
+/// cluster per point.
 std::vector<ScalingPoint> measure_scaling(const AppFactory& factory,
                                           const sim::MachineModel& machine,
                                           std::span<const int> core_counts,
@@ -51,7 +57,8 @@ ScalingCurve fit_scaling(const AppFactory& factory,
 /// Paired fits of the same app with split-phase overlap off and on
 /// (sim::App::set_overlap), so the capacity planner can predict the
 /// parallel-efficiency gain of overlapping per scenario instead of
-/// extrapolating it (docs/CALIBRATION.md).
+/// extrapolating it (docs/CALIBRATION.md). Each half is one sweep as in
+/// measure_scaling.
 struct OverlapVariants {
   ScalingCurve synchronous;
   ScalingCurve overlapped;

@@ -19,21 +19,36 @@ std::uint64_t next_cluster_id() {
 }  // namespace
 
 Cluster::Cluster(const MachineModel& machine, int num_ranks)
-    : id_(next_cluster_id()),
-      machine_(machine),
-      num_ranks_(num_ranks),
-      num_nodes_((num_ranks + machine.cores_per_node - 1) /
-                 machine.cores_per_node),
-      clocks_(static_cast<std::size_t>(num_ranks), 0.0),
-      comm_bytes_(static_cast<std::size_t>(num_ranks), 0),
-      comm_messages_(static_cast<std::size_t>(num_ranks), 0),
-      comm_hidden_(static_cast<std::size_t>(num_ranks), 0.0),
-      profile_(num_ranks),
-      sender_slot_(static_cast<std::size_t>(num_ranks), -1),
-      sync_clock_scratch_(static_cast<std::size_t>(num_ranks), 0.0),
-      window_mark_(static_cast<std::size_t>(num_ranks), 0) {
-  CPX_REQUIRE(num_ranks >= 1, "Cluster: need at least one rank");
+    : id_(0), machine_(machine), num_ranks_(0), num_nodes_(0),
+      profile_(num_ranks) {
   CPX_REQUIRE(machine.cores_per_node >= 1, "Cluster: bad cores_per_node");
+  reshape(num_ranks);
+  support::metrics::counter_add("sim/clusters_built", 1);
+}
+
+void Cluster::reshape(int num_ranks) {
+  CPX_REQUIRE(num_ranks >= 1, "Cluster: need at least one rank");
+  const auto n = static_cast<std::size_t>(num_ranks);
+  id_ = next_cluster_id();
+  num_ranks_ = num_ranks;
+  num_nodes_ = (num_ranks + machine_.cores_per_node - 1) /
+               machine_.cores_per_node;
+  // assign() keeps the capacity, so a smaller size writes zeroes into
+  // memory that is already mapped.
+  clocks_.assign(n, 0.0);
+  comm_bytes_.assign(n, 0);
+  comm_messages_.assign(n, 0);
+  comm_hidden_.assign(n, 0.0);
+  profile_.reshape(num_ranks);
+  sender_slot_.assign(n, -1);
+  sync_clock_scratch_.assign(n, 0.0);
+  window_mark_.assign(n, 0);
+  window_epoch_ = 0;
+  current_step_ = 0;
+  clear_failure();
+  if (trace_ != nullptr) {
+    trace_->clear();
+  }
 }
 
 int Cluster::node_of(Rank rank) const {
@@ -190,17 +205,19 @@ void Cluster::bump_to(RankRange range, double time, RegionId region) {
 ExchangeSchedule Cluster::make_schedule(std::span<const Message> messages) {
   ExchangeSchedule out;
   out.cluster_id_ = id_;
-  out.entries_.resize(messages.size());
 
   // Count inter-node messages per sending node for injection-bandwidth
   // sharing. A rank may send several messages; each message occupies the
   // NIC, so contention scales with message concurrency, not with distinct
   // senders. Each message's sender node (-1 when both ends share a node)
   // is kept for the second pass, so every message divides by
-  // cores_per_node only twice.
+  // cores_per_node only twice. The same pass gives every distinct sender
+  // its slot in order of first appearance, so both output lists are
+  // sized once.
   const int cores_per_node = machine_.cores_per_node;
   senders_per_node_.assign(static_cast<std::size_t>(num_nodes_), 0);
   message_node_.resize(messages.size());
+  int num_senders = 0;
   for (std::size_t i = 0; i < messages.size(); ++i) {
     const Message& m = messages[i];
     CPX_DCHECK(m.src >= 0 && m.src < num_ranks_);
@@ -211,8 +228,14 @@ ExchangeSchedule Cluster::make_schedule(std::span<const Message> messages) {
     if (!same_node) {
       ++senders_per_node_[static_cast<std::size_t>(src_node)];
     }
+    int& slot = sender_slot_[static_cast<std::size_t>(m.src)];
+    if (slot < 0) {
+      slot = num_senders++;
+    }
   }
 
+  out.entries_.reserve(messages.size());
+  out.senders_.resize(static_cast<std::size_t>(num_senders));
   for (std::size_t i = 0; i < messages.size(); ++i) {
     const Message& m = messages[i];
     const int src_node = message_node_[i];
@@ -225,16 +248,12 @@ ExchangeSchedule Cluster::make_schedule(std::span<const Message> messages) {
           machine_.node_injection_bw / std::max(1, concurrent);
       bw = std::min(bw, nic_share);
     }
-    out.entries_[i] = {m.src, m.dst, machine_.latency(same_node),
-                       static_cast<double>(m.bytes) / bw};
+    out.entries_.push_back({m.src, m.dst, machine_.latency(same_node),
+                            static_cast<double>(m.bytes) / bw});
 
-    int& slot = sender_slot_[static_cast<std::size_t>(m.src)];
-    if (slot < 0) {
-      slot = static_cast<int>(out.senders_.size());
-      out.senders_.push_back({m.src, 0, 0});
-    }
-    ExchangeSchedule::Sender& sender =
-        out.senders_[static_cast<std::size_t>(slot)];
+    ExchangeSchedule::Sender& sender = out.senders_[static_cast<std::size_t>(
+        sender_slot_[static_cast<std::size_t>(m.src)])];
+    sender.rank = m.src;
     sender.bytes += m.bytes;
     ++sender.messages;
   }
@@ -294,10 +313,15 @@ double Cluster::receive(std::span<const PendingMessage> arrivals,
     const double clock = clocks[dst];
     if (replay) {
       double& sync_clock = sync_clock_scratch_[dst];
-      const double sync_wait = std::max(0.0, pm.arrival - sync_clock);
-      const double real_wait = std::max(0.0, pm.arrival - clock);
-      sync_clock = std::max(sync_clock, pm.arrival) + overhead;
-      const double hidden = std::max(0.0, sync_wait - real_wait);
+      // Select form, like the wait below: max(s, a) - s is the
+      // max(0, a - s) of the documented recurrence bit for bit on finite
+      // clocks (a - s > 0 exactly when a > s, and s - s is +0.0), and
+      // compiles to maxsd where the max(0, .) form compiled to branches.
+      const double sync_start = std::max(sync_clock, pm.arrival);
+      const double sync_wait = sync_start - sync_clock;
+      const double real_wait = std::max(clock, pm.arrival) - clock;
+      sync_clock = sync_start + overhead;
+      const double hidden = std::max(sync_wait, real_wait) - real_wait;
       comm_hidden_[dst] += hidden;
       hidden_total += hidden;
     }

@@ -118,6 +118,7 @@ class RankFailure : public std::runtime_error {
 
 class Cluster {
  public:
+  /// Counts itself in the "sim/clusters_built" metrics counter.
   Cluster(const MachineModel& machine, int num_ranks);
 
   /// Process-unique identity of this cluster (never 0). Instances key
@@ -216,6 +217,17 @@ class Cluster {
 
   /// Zeroes every clock and the profile (region ids survive).
   void reset();
+
+  /// Turns this cluster into one of `num_ranks` ranks on the same machine,
+  /// in exactly the state a newly built cluster of that size starts in:
+  /// clocks, traffic and hidden-comm totals zero, profile rows zeroed at
+  /// the new size (region ids survive, as with reset()), the failure
+  /// trigger disarmed and the trace cleared. id() changes, so every App
+  /// re-binds and a schedule built before the call is refused. Every
+  /// per-rank array keeps its capacity: reshaping to no more ranks than
+  /// the cluster has held allocates nothing (a sweep visits its largest
+  /// core count first and reuses that memory for the rest).
+  void reshape(int num_ranks);
 
   /// Zeroes the per-rank clocks, traffic counters and hidden-comm totals
   /// — but NOT the profile. This is the between-scenario reset for

@@ -82,12 +82,15 @@ RegionTimes Profile::rank_total(Rank rank) const {
   return sum;
 }
 
-void Profile::reset() {
+void Profile::reshape(int num_ranks) {
+  CPX_REQUIRE(num_ranks >= 1, "Profile: need at least one rank");
+  num_ranks_ = num_ranks;
+  const auto n = static_cast<std::size_t>(num_ranks);
   for (auto& v : compute_) {
-    std::fill(v.begin(), v.end(), 0.0);
+    v.assign(n, 0.0);
   }
   for (auto& v : comm_) {
-    std::fill(v.begin(), v.end(), 0.0);
+    v.assign(n, 0.0);
   }
 }
 

@@ -95,7 +95,12 @@ class Profile {
   RegionTimes rank_total(Rank rank) const;
 
   /// Clears all accumulated time (region ids survive).
-  void reset();
+  void reset() { reshape(num_ranks_); }
+
+  /// Resizes every region row to `num_ranks` ranks and zeroes it (region
+  /// ids survive). A row keeps its capacity, so shrinking allocates
+  /// nothing.
+  void reshape(int num_ranks);
 
   /// Snapshot section "sim/profile" (docs/checkpoint.md): region names in
   /// id order plus the per-region per-rank compute/comm arrays. Restore

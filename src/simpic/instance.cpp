@@ -86,6 +86,7 @@ void Instance::bind(sim::Cluster& cluster) {
   // Migration of boundary-crossing particles to the 1-D neighbours.
   std::vector<sim::Message> messages;
   if (p > 1) {
+    messages.reserve(2 * static_cast<std::size_t>(p - 1));
     const auto bytes = static_cast<std::size_t>(
         work_.migration_fraction * particles *
         static_cast<double>(work_.bytes_per_particle));

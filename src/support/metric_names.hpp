@@ -67,6 +67,9 @@ inline constexpr const char* kCouplerSearchQueries = "coupler/search_queries";
 inline constexpr const char* kCouplerSearchVisited = "coupler/search_visited";
 inline constexpr const char* kPoolQueueWaitNs = "pool/queue_wait_ns";
 inline constexpr const char* kPoolTasks = "pool/tasks";
+// Virtual clusters constructed; Cluster::reshape reuses one without
+// counting (a perfmodel sweep builds one cluster, not one per point).
+inline constexpr const char* kSimClustersBuilt = "sim/clusters_built";
 // Messages charged by bulk exchanges: bumped once per exchange call by the
 // schedule size, never inside the per-message loop.
 inline constexpr const char* kSimMessages = "sim/messages";

@@ -30,6 +30,7 @@ void Instance::bind(sim::Cluster& cluster) {
       static_cast<double>(work_.bytes_per_halo_cell) *
       static_cast<double>(work_.cg_iterations));
   std::vector<sim::Message> messages;
+  messages.reserve(2 * static_cast<std::size_t>(p - 1));
   for (int l = 0; l < p; ++l) {
     if (l > 0) {
       messages.push_back({ranks_.begin + l, ranks_.begin + l - 1, halo_bytes});

@@ -61,8 +61,21 @@ class CouplerBenchApp final : public sim::App {
   std::unique_ptr<coupler::CouplerUnit> unit_;
 };
 
-perfmodel::AppFactory make_factory(const EngineCase& engine_case,
-                                   const InstanceSpec& spec) {
+/// Steps of this instance over the modelled run (its curve is per step).
+double steps_in_run(const EngineCase& engine_case, const InstanceSpec& spec,
+                    int density_steps) {
+  if (spec.kind == AppKind::kSimpic) {
+    return static_cast<double>(density_steps) *
+           engine_case.pressure_steps_per_density_step;
+  }
+  return static_cast<double>(density_steps) *
+         spec.iterations_per_density_step;
+}
+
+}  // namespace
+
+perfmodel::AppFactory instance_factory(const EngineCase& engine_case,
+                                       const InstanceSpec& spec) {
   switch (spec.kind) {
     case AppKind::kMgcfd:
       return [spec](sim::RankRange ranks) -> std::unique_ptr<sim::App> {
@@ -85,18 +98,11 @@ perfmodel::AppFactory make_factory(const EngineCase& engine_case,
   };
 }
 
-/// Steps of this instance over the modelled run (its curve is per step).
-double steps_in_run(const EngineCase& engine_case, const InstanceSpec& spec,
-                    int density_steps) {
-  if (spec.kind == AppKind::kSimpic) {
-    return static_cast<double>(density_steps) *
-           engine_case.pressure_steps_per_density_step;
-  }
-  return static_cast<double>(density_steps) *
-         spec.iterations_per_density_step;
+perfmodel::AppFactory coupler_bench_factory(const CouplerSpec& spec) {
+  return [spec](sim::RankRange ranks) -> std::unique_ptr<sim::App> {
+    return std::make_unique<CouplerBenchApp>(spec, ranks);
+  };
 }
-
-}  // namespace
 
 CaseModels build_case_models(const EngineCase& engine_case,
                              const sim::MachineModel& machine,
@@ -135,8 +141,8 @@ CaseModels build_case_models(const EngineCase& engine_case,
       }
       it = curve_cache
                .emplace(key, perfmodel::fit_scaling(
-                                 make_factory(engine_case, spec), machine,
-                                 sweep, options.bench_steps))
+                                 instance_factory(engine_case, spec),
+                                 machine, sweep, options.bench_steps))
                .first;
     }
 
@@ -155,10 +161,7 @@ CaseModels build_case_models(const EngineCase& engine_case,
       sweep.push_back(cores + 2);  // two side ranks in the bench app
     }
     const perfmodel::ScalingCurve curve = perfmodel::fit_scaling(
-        [&spec](sim::RankRange ranks) -> std::unique_ptr<sim::App> {
-          return std::make_unique<CouplerBenchApp>(spec, ranks);
-        },
-        machine, sweep, options.bench_steps);
+        coupler_bench_factory(spec), machine, sweep, options.bench_steps);
 
     perfmodel::InstanceModel m;
     m.name = spec.name;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "perfmodel/allocator.hpp"
+#include "perfmodel/sweep.hpp"
 #include "sim/machine.hpp"
 #include "workflow/engine_case.hpp"
 
@@ -46,6 +47,15 @@ struct CaseModels {
 CaseModels build_case_models(const EngineCase& engine_case,
                              const sim::MachineModel& machine,
                              const ModelOptions& options = {});
+
+/// The factory build_case_models sweeps for one instance configuration.
+perfmodel::AppFactory instance_factory(const EngineCase& engine_case,
+                                       const InstanceSpec& spec);
+
+/// The factory build_case_models sweeps for one coupler unit: the outer
+/// two ranks host empty side apps, the rest form the unit, and one step
+/// is one coupling exchange (needs >= 3 ranks).
+perfmodel::AppFactory coupler_bench_factory(const CouplerSpec& spec);
 
 /// Predicted full-run runtime of instance `index` at `cores` ranks, using
 /// the fitted models (model time; compare against measured runtimes).

@@ -355,8 +355,9 @@ TEST_F(MetricsTest, SnapshotHelpersMatchAndSum) {
 
 TEST_F(MetricsTest, ModelSweepsReportTheirRegionsAndSimulatedMessages) {
   // The perfmodel layer is visible to the host metrics: each fitted curve
-  // is one measure_scaling region, Alg 1 is one distribute_ranks region,
-  // and the virtual cluster counts the messages its exchanges charged.
+  // is one measure_scaling region on one virtual cluster (reshaped per
+  // core count, not rebuilt), Alg 1 is one distribute_ranks region, and
+  // the virtual cluster counts the messages its exchanges charged.
   workflow::ModelOptions options;
   options.app_sweep = {100, 250, 640};
   options.cu_sweep = {2, 8};
@@ -377,6 +378,7 @@ TEST_F(MetricsTest, ModelSweepsReportTheirRegionsAndSimulatedMessages) {
   EXPECT_GT(sweeps->calls, static_cast<std::int64_t>(models.cus.size()));
   EXPECT_LE(sweeps->calls, static_cast<std::int64_t>(models.apps.size() +
                                                       models.cus.size()));
+  EXPECT_EQ(snap.counter("sim/clusters_built"), sweeps->calls);
   EXPECT_EQ(alg1->calls, 1);
   EXPECT_GT(snap.counter("sim/messages"), 0);
 }

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "json_parse.hpp"
 
@@ -20,6 +25,8 @@
 #include "simpic/stc.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "workflow/engine_case.hpp"
+#include "workflow/models.hpp"
 
 namespace cpx::perfmodel {
 namespace {
@@ -115,6 +122,108 @@ TEST(Sweep, FitPredictsHeldOutPoint) {
   const std::vector<int> held = {1131};
   const auto pt = measure_scaling(factory, machine, held, 2);
   EXPECT_NEAR(curve.time_at(1131.0), pt[0].seconds, 0.1 * pt[0].seconds);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The sweep as documented, one new cluster per point in input order;
+/// with `overlap`, set on every app, and `hidden_fraction` (when given)
+/// read at the first of the largest core counts.
+std::vector<ScalingPoint> fresh_cluster_sweep(
+    const AppFactory& factory, const sim::MachineModel& machine,
+    const std::vector<int>& cores, int steps, std::optional<bool> overlap,
+    double* hidden_fraction) {
+  const int largest = *std::max_element(cores.begin(), cores.end());
+  bool hidden_read = false;
+  std::vector<ScalingPoint> points;
+  for (const int p : cores) {
+    sim::Cluster cluster(machine, p);
+    const auto app = factory({0, p});
+    if (overlap.has_value()) {
+      app->set_overlap(*overlap);
+    }
+    points.push_back({static_cast<double>(p),
+                      measure_step_seconds(*app, cluster, steps)});
+    if (hidden_fraction != nullptr && p == largest && !hidden_read) {
+      hidden_read = true;
+      const double hidden = cluster.comm_hidden_seconds(app->ranks());
+      double charged = 0.0;
+      for (sim::Rank r = 0; r < p; ++r) {
+        charged += cluster.profile().rank_total(r).comm;
+      }
+      *hidden_fraction =
+          hidden + charged > 0.0 ? hidden / (hidden + charged) : 0.0;
+    }
+  }
+  return points;
+}
+
+void expect_same_curve(const ScalingCurve& got, const ScalingCurve& want) {
+  ASSERT_EQ(got.coefficients().size(), want.coefficients().size());
+  for (std::size_t k = 0; k < want.coefficients().size(); ++k) {
+    EXPECT_EQ(bits(got.coefficients()[k]), bits(want.coefficients()[k]));
+  }
+}
+
+TEST(Sweep, LargestFirstReuseMatchesFreshClustersBitwise) {
+  // Unsorted, with a duplicate, so the largest-first visit order differs
+  // from the input order and one count is visited twice.
+  const std::vector<int> cores = {260, 1000, 130, 2048, 1000, 515};
+  const auto machine = sim::MachineModel::archer2();
+  const workflow::EngineCase ec =
+      workflow::hpc_combustor_hpt_with_casing(true);
+  std::vector<AppFactory> factories;
+  for (const workflow::AppKind kind :
+       {workflow::AppKind::kMgcfd, workflow::AppKind::kSimpic,
+        workflow::AppKind::kThermal}) {
+    const auto spec = std::find_if(
+        ec.instances.begin(), ec.instances.end(),
+        [&](const workflow::InstanceSpec& s) { return s.kind == kind; });
+    ASSERT_NE(spec, ec.instances.end());
+    factories.push_back(workflow::instance_factory(ec, *spec));
+  }
+  factories.push_back(workflow::coupler_bench_factory(ec.couplers.front()));
+
+  constexpr int kSteps = 2;
+  for (std::size_t f = 0; f < factories.size(); ++f) {
+    SCOPED_TRACE("factory " + std::to_string(f));
+    const AppFactory& factory = factories[f];
+    const auto reused = measure_scaling(factory, machine, cores, kSteps);
+    const auto fresh =
+        fresh_cluster_sweep(factory, machine, cores, kSteps, {}, nullptr);
+    ASSERT_EQ(reused.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(reused[i].cores, fresh[i].cores);
+      EXPECT_EQ(bits(reused[i].seconds), bits(fresh[i].seconds)) << i;
+    }
+
+    const OverlapVariants variants =
+        fit_overlap_variants(factory, machine, cores, kSteps);
+    double hidden_fraction = -1.0;
+    expect_same_curve(variants.synchronous,
+                      ScalingCurve::fit(fresh_cluster_sweep(
+                          factory, machine, cores, kSteps, false, nullptr)));
+    expect_same_curve(variants.overlapped,
+                      ScalingCurve::fit(fresh_cluster_sweep(
+                          factory, machine, cores, kSteps, true,
+                          &hidden_fraction)));
+    EXPECT_EQ(bits(variants.hidden_fraction), bits(hidden_fraction));
+  }
+}
+
+TEST(Sweep, OverlapHiddenFractionIsTakenAtTheLargestCoreCount) {
+  const auto factory = [](sim::RankRange r) -> std::unique_ptr<sim::App> {
+    return std::make_unique<mgcfd::Instance>("m", 24'000'000, r);
+  };
+  const auto machine = sim::MachineModel::archer2();
+  const std::vector<int> ascending = {128, 512, 2048};
+  const std::vector<int> descending = {2048, 512, 128};
+  const OverlapVariants up =
+      fit_overlap_variants(factory, machine, ascending, 2);
+  const OverlapVariants down =
+      fit_overlap_variants(factory, machine, descending, 2);
+  EXPECT_GT(up.hidden_fraction, 0.0);
+  EXPECT_EQ(bits(up.hidden_fraction), bits(down.hidden_fraction));
 }
 
 TEST(ScalingCurve, LoocvNearZeroOnExactData) {

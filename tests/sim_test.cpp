@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <sstream>
@@ -15,6 +18,7 @@
 #include "sim/machine.hpp"
 #include "sim/trace.hpp"
 #include "support/check.hpp"
+#include "support/metrics.hpp"
 
 namespace cpx::sim {
 namespace {
@@ -153,6 +157,99 @@ TEST(Cluster, ResetClearsState) {
   EXPECT_DOUBLE_EQ(c.profile().rank_region(0, r0).compute, 0.0);
   // Region ids survive a reset.
   EXPECT_EQ(c.region("x"), r0);
+}
+
+/// What charge_script interned and the overlap-window counter it read.
+struct Charged {
+  RegionId a = -1;
+  RegionId b = -1;
+  std::int64_t window_ns = 0;
+};
+
+/// A script of every kind of charge on ranks [0, n): range compute, a
+/// bound halo exchange across nodes, an overlapped exchange, collectives
+/// and delays, with host metrics on for the overlap counters.
+Charged charge_script(Cluster& c, int n) {
+  namespace metrics = support::metrics;
+  metrics::reset();
+  metrics::set_enabled(true);
+  const RegionId a = c.region("a");
+  const RegionId b = c.region("b");
+  std::vector<double> seconds(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    seconds[static_cast<std::size_t>(r)] = 1e-4 * (1 + r % 7);
+  }
+  std::vector<Message> halo;
+  for (Rank r = 0; r < n; ++r) {
+    halo.push_back({r, (r + 1) % n, 4096u + static_cast<std::size_t>(r)});
+    halo.push_back({r, (r + 131) % n, 1024});
+  }
+  c.compute_seconds({0, n}, seconds, a);
+  const ExchangeSchedule schedule = c.make_schedule(halo);
+  c.exchange(schedule, b);
+  c.exchange(schedule, b, {{0, n}, seconds, a});
+  c.allreduce({0, n}, 40, b);
+  c.gather({0, n}, 0, 64, b);
+  c.comm_delay({0, n}, seconds, a);
+  c.exchange(schedule, b);
+  metrics::set_enabled(false);
+  const std::int64_t window_ns =
+      metrics::snapshot().counter("comm/overlap_window_ns");
+  metrics::reset();
+  return {a, b, window_ns};
+}
+
+TEST(Cluster, ReshapeMatchesAFreshClusterBitwise) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const MachineModel m = MachineModel::archer2();
+  // Shrinking and growing: each reshaped cluster must be in exactly the
+  // state of a new cluster of the target size.
+  for (const auto& [from, to] : {std::pair{700, 300}, std::pair{130, 700}}) {
+    Cluster reshaped(m, from);
+    reshaped.enable_tracing();
+    reshaped.region("only_before");
+    charge_script(reshaped, from);
+    const Message one[] = {{0, from - 1, 64}};
+    const ExchangeSchedule stale = reshaped.make_schedule(one);
+    reshaped.inject_failure(1, 5);
+    reshaped.begin_step(3);
+    const std::uint64_t old_id = reshaped.id();
+
+    reshaped.reshape(to);
+    EXPECT_NE(reshaped.id(), old_id);
+    EXPECT_EQ(reshaped.num_ranks(), to);
+    EXPECT_EQ(reshaped.profile().num_ranks(), to);
+    EXPECT_FALSE(reshaped.failure_armed());
+    EXPECT_EQ(reshaped.current_step(), 0);
+    ASSERT_TRUE(reshaped.tracing_enabled());
+    EXPECT_TRUE(reshaped.trace()->events().empty());
+    EXPECT_EQ(reshaped.region("only_before"), 0);  // ids survive
+    EXPECT_THROW(reshaped.exchange(stale, 0), CheckError);
+
+    Cluster fresh(m, to);
+    EXPECT_EQ(reshaped.num_nodes(), fresh.num_nodes());
+    const Charged on_fresh = charge_script(fresh, to);
+    const Charged on_reshaped = charge_script(reshaped, to);
+    EXPECT_GT(on_fresh.window_ns, 0);
+    EXPECT_EQ(on_reshaped.window_ns, on_fresh.window_ns);
+    for (Rank r = 0; r < to; ++r) {
+      ASSERT_EQ(bits(reshaped.clock(r)), bits(fresh.clock(r))) << r;
+      ASSERT_EQ(reshaped.comm_bytes(r), fresh.comm_bytes(r)) << r;
+      ASSERT_EQ(reshaped.comm_messages(r), fresh.comm_messages(r)) << r;
+      ASSERT_EQ(bits(reshaped.comm_hidden_seconds(r)),
+                bits(fresh.comm_hidden_seconds(r)))
+          << r;
+      for (const auto& [f, g] :
+           {std::pair{on_fresh.a, on_reshaped.a},
+            std::pair{on_fresh.b, on_reshaped.b}}) {
+        const RegionTimes want = fresh.profile().rank_region(r, f);
+        const RegionTimes got = reshaped.profile().rank_region(r, g);
+        ASSERT_EQ(bits(got.compute), bits(want.compute)) << r;
+        ASSERT_EQ(bits(got.comm), bits(want.comm)) << r;
+      }
+      ASSERT_EQ(reshaped.profile().rank_region(r, 0).total(), 0.0);
+    }
+  }
 }
 
 TEST(Cluster, InterNodeCostsMoreThanIntraNode) {

@@ -4,7 +4,8 @@
 // every scratch buffer, a further CoupledSimulation::run(1) must perform
 // ZERO heap allocations — with split-phase overlap off and on. Enforced by
 // replacing global operator new/delete with counting versions, exactly
-// like tests/solver_alloc_test.cpp.
+// like tests/solver_alloc_test.cpp. It also proves that reshaping a
+// virtual cluster to no more ranks than it has held allocates nothing.
 //
 // This file must stay a standalone test binary: the global operator
 // new/delete replacement below applies to the whole process.
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "sim/cluster.hpp"
 #include "sim/machine.hpp"
 #include "workflow/coupled.hpp"
 #include "workflow/engine_case.hpp"
@@ -137,6 +139,20 @@ TEST(WorkflowAllocations, WarmDensityStepAllocatesNothing) {
 
 TEST(WorkflowAllocations, WarmOverlappedDensityStepAllocatesNothing) {
   expect_warm_steps_allocate_nothing(/*overlap=*/true);
+}
+
+TEST(WorkflowAllocations, ReshapingToFewerRanksAllocatesNothing) {
+  // A perfmodel sweep visits its largest core count first, so every later
+  // reshape fits in the memory the cluster already holds.
+  sim::Cluster cluster(sim::MachineModel::archer2(), 4096);
+  cluster.enable_tracing();
+  const sim::RegionId region = cluster.region("x");
+  cluster.compute_seconds({0, 4096}, 1e-3, region);
+  for (const int ranks : {4096, 1000, 2500, 1, 4000}) {
+    EXPECT_EQ(allocations_during([&] { cluster.reshape(ranks); }), 0u)
+        << ranks << " ranks";
+    cluster.compute_seconds({0, ranks}, 1e-3, region);
+  }
 }
 
 }  // namespace
