@@ -140,12 +140,6 @@ void Cluster::check_range_charge(RankRange range,
                           << range.size() << " ranks");
 }
 
-void Cluster::account_traffic(Rank src, std::size_t bytes,
-                              std::int64_t messages) {
-  comm_bytes_[static_cast<std::size_t>(src)] += bytes;
-  comm_messages_[static_cast<std::size_t>(src)] += messages;
-}
-
 void Cluster::account_traffic(Rank begin, Rank end, std::size_t bytes,
                               std::int64_t messages) {
   std::size_t* sent = comm_bytes_.data();
@@ -263,53 +257,80 @@ ExchangeSchedule Cluster::make_schedule(std::span<const Message> messages) {
   return out;
 }
 
-void Cluster::post(const ExchangeSchedule& schedule, RegionId region,
-                   std::vector<PendingMessage>& arrivals) {
+void Cluster::post(const ExchangeSchedule& schedule, RegionId region) {
   CPX_REQUIRE(schedule.cluster_id_ == id_,
               "Cluster: exchange schedule was built by another cluster");
-  const std::size_t n = schedule.entries_.size();
-  support::metrics::counter_add("sim/messages",
-                                static_cast<std::int64_t>(n));
-  // Every sender is checked and its traffic counted before any clock
-  // moves, so a failing sender leaves every clock untouched.
-  for (const ExchangeSchedule::Sender& sender : schedule.senders_) {
-    maybe_fail(sender.rank);
-    account_traffic(sender.rank, sender.bytes, sender.messages);
+  support::metrics::counter_add(
+      "sim/messages", static_cast<std::int64_t>(schedule.entries_.size()));
+  // Every sender is checked before anything is charged, so a refused
+  // exchange leaves every clock, comm total and traffic counter untouched.
+  if (failure_armed()) {
+    for (const ExchangeSchedule::Sender& sender : schedule.senders_) {
+      maybe_fail(sender.rank);
+    }
   }
-  // Senders pay the per-message software overhead; several messages from
-  // one rank serialise because its clock advances in place. Arrivals are
-  // fixed here — compute issued before the receive cannot make the wire
-  // faster.
-  // cpx-lint: allow(solve-alloc) — same size when warm (SolverAllocations.WarmDistributedEulerStepAllocatesNothing)
-  arrivals.resize(n);
-  PendingMessage* out = arrivals.data();
-  const ExchangeSchedule::Entry* entries = schedule.entries_.data();
+  // Senders pay the per-message software overhead, one add per message,
+  // so several messages from one rank serialise; receive() times each
+  // send by repeating that chain from the stored clock.
+  // cpx-lint: allow(solve-alloc) — sized once per rank count (SolverAllocations.FirstExchangeOfALargerScheduleAllocatesNothing)
+  send_clock_.resize(static_cast<std::size_t>(num_ranks_));
   double* clocks = clocks_.data();
   double* comm = profile_.comm_row(region);
+  double* send_clock = send_clock_.data();
   const double overhead = machine_.msg_overhead;
-  for (std::size_t i = 0; i < n; ++i) {
-    const ExchangeSchedule::Entry& e = entries[i];
-    const auto src = static_cast<std::size_t>(e.src);
-    const double sent = clocks[src] + overhead;
-    clocks[src] = sent;
-    comm[src] += overhead;
-    out[i] = {e.dst, (sent + e.latency) + e.transfer};
+  for (const ExchangeSchedule::Sender& sender : schedule.senders_) {
+    const auto src = static_cast<std::size_t>(sender.rank);
+    double clock = clocks[src];
+    double total = comm[src];
+    send_clock[src] = clock;
+    for (std::int64_t k = 0; k < sender.messages; ++k) {
+      clock += overhead;
+      total += overhead;
+    }
+    clocks[src] = clock;
+    comm[src] = total;
+    comm_bytes_[src] += sender.bytes;
+    comm_messages_[src] += sender.messages;
   }
 }
 
-double Cluster::receive(std::span<const PendingMessage> arrivals,
-                        RegionId region, bool replay) {
+double Cluster::receive(const ExchangeSchedule& schedule, RegionId region,
+                        bool replay) {
+  // Each message leaves one overhead after its sender's previous one,
+  // starting from the clock post() stored, so arrivals are fixed at the
+  // post: compute issued before the receive cannot make the wire faster.
+  // The chain of the current sender run is carried in `sent` and stored
+  // back when the run ends, so a later run of that sender resumes it,
+  // whatever its own receives did to its clock.
+  //
   // Receivers pay a per-message overhead and wait for arrivals. The
   // replay advances the synchronous counterfactual from the pre-window
   // snapshot with the same recurrence, so the hidden time of a message is
   // its sync wait minus its real wait.
+  const std::size_t n = schedule.entries_.size();
+  if (n == 0) {
+    return 0.0;
+  }
+  const ExchangeSchedule::Entry* entries = schedule.entries_.data();
   double* clocks = clocks_.data();
   double* comm = profile_.comm_row(region);
+  double* send_clock = send_clock_.data();
   const double overhead = machine_.msg_overhead;
   double hidden_total = 0.0;
   const bool traced = tracing_enabled();
-  for (const PendingMessage& pm : arrivals) {
-    const auto dst = static_cast<std::size_t>(pm.dst);
+  auto src = static_cast<std::size_t>(entries[0].src);
+  double sent = send_clock[src];
+  for (std::size_t i = 0; i < n; ++i) {
+    const ExchangeSchedule::Entry& e = entries[i];
+    const auto from = static_cast<std::size_t>(e.src);
+    if (from != src) {
+      send_clock[src] = sent;
+      src = from;
+      sent = send_clock[src];
+    }
+    sent = sent + overhead;
+    const double arrival = (sent + e.latency) + e.transfer;
+    const auto dst = static_cast<std::size_t>(e.dst);
     const double clock = clocks[dst];
     if (replay) {
       double& sync_clock = sync_clock_scratch_[dst];
@@ -317,9 +338,9 @@ double Cluster::receive(std::span<const PendingMessage> arrivals,
       // max(0, a - s) of the documented recurrence bit for bit on finite
       // clocks (a - s > 0 exactly when a > s, and s - s is +0.0), and
       // compiles to maxsd where the max(0, .) form compiled to branches.
-      const double sync_start = std::max(sync_clock, pm.arrival);
+      const double sync_start = std::max(sync_clock, arrival);
       const double sync_wait = sync_start - sync_clock;
-      const double real_wait = std::max(clock, pm.arrival) - clock;
+      const double real_wait = std::max(clock, arrival) - clock;
       sync_clock = sync_start + overhead;
       const double hidden = std::max(sync_wait, real_wait) - real_wait;
       comm_hidden_[dst] += hidden;
@@ -330,9 +351,9 @@ double Cluster::receive(std::span<const PendingMessage> arrivals,
     // leaves its bits unchanged. record() skips the empty interval; the
     // trace test is hoisted into `traced` so that the compiler cannot
     // fold it into a branch on the data.
-    const double start = std::max(clock, pm.arrival);
+    const double start = std::max(clock, arrival);
     if (traced) [[unlikely]] {
-      record(pm.dst, region, TraceKind::kComm, clock, start);
+      record(e.dst, region, TraceKind::kComm, clock, start);
     }
     comm[dst] = (comm[dst] + (start - clock)) + overhead;
     clocks[dst] = start + overhead;
@@ -345,8 +366,8 @@ void Cluster::exchange(const ExchangeSchedule& schedule, RegionId region) {
   // counterfactual replay would start every destination at its real clock
   // and advance it by the same recurrence, so it would hide exactly
   // nothing. It is skipped.
-  post(schedule, region, arrival_scratch_);
-  receive(arrival_scratch_, region, /*replay=*/false);
+  post(schedule, region);
+  receive(schedule, region, /*replay=*/false);
 }
 
 void Cluster::exchange(const ExchangeSchedule& schedule, RegionId region,
@@ -354,15 +375,20 @@ void Cluster::exchange(const ExchangeSchedule& schedule, RegionId region,
   const bool empty = window.ranks.size() == 0 && window.seconds.empty();
   if (!empty) {
     check_range_charge(window.ranks, window.seconds);
+    // A window rank that fails refuses the exchange before post charges
+    // anything, like a failing sender.
+    if (window.ranks.contains(failed_rank_)) {
+      maybe_fail(failed_rank_);
+    }
   }
-  post(schedule, region, arrival_scratch_);
+  post(schedule, region);
 
   // The synchronous counterfactual starts waiting at each destination's
   // clock after every sender was charged. Only the window moves a clock
   // before the receive, so writing it once per message is idempotent.
   double* clocks = clocks_.data();
-  for (const PendingMessage& pm : arrival_scratch_) {
-    const auto dst = static_cast<std::size_t>(pm.dst);
+  for (const ExchangeSchedule::Entry& e : schedule.entries_) {
+    const auto dst = static_cast<std::size_t>(e.dst);
     sync_clock_scratch_[dst] = clocks[dst];
   }
   if (!empty) {
@@ -374,15 +400,14 @@ void Cluster::exchange(const ExchangeSchedule& schedule, RegionId region,
   // order of first appearance.
   ++window_epoch_;
   double window_total = 0.0;
-  for (const PendingMessage& pm : arrival_scratch_) {
-    const auto dst = static_cast<std::size_t>(pm.dst);
+  for (const ExchangeSchedule::Entry& e : schedule.entries_) {
+    const auto dst = static_cast<std::size_t>(e.dst);
     if (window_mark_[dst] != window_epoch_) {
       window_mark_[dst] = window_epoch_;
       window_total += clocks[dst] - sync_clock_scratch_[dst];
     }
   }
-  const double hidden_total =
-      receive(arrival_scratch_, region, /*replay=*/true);
+  const double hidden_total = receive(schedule, region, /*replay=*/true);
 
   if (support::metrics::enabled()) {
     support::metrics::counter_add(

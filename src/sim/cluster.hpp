@@ -239,10 +239,11 @@ class Cluster {
   void reset_clocks();
 
   // --- Fault injection (docs/checkpoint.md) ---
-  /// Arms a failure: once begin_step() reaches `step`, any compute or
-  /// exchange post issued by `rank` throws RankFailure. Models an MPI
-  /// process dying mid-step; the workflow catches it, discards the dead
-  /// simulation, and restores from the last snapshot.
+  /// Arms a failure: once begin_step() reaches `step`, any compute issued
+  /// by `rank` throws RankFailure, and so does any exchange it sends in or
+  /// runs a window of, before that exchange charges anything. Models an
+  /// MPI process dying mid-step; the workflow catches it, discards the
+  /// dead simulation, and restores from the last snapshot.
   void inject_failure(Rank rank, int step);
   void clear_failure();
   bool failure_armed() const { return failed_rank_ >= 0; }
@@ -300,25 +301,21 @@ class Cluster {
   MachineModel machine_;  ///< construction config // cpx-lint: allow(ckpt)
   int num_ranks_;
   int num_nodes_;  ///< derived from machine_ // cpx-lint: allow(ckpt)
-  void account_traffic(Rank src, std::size_t bytes,
-                       std::int64_t messages = 1);
-  /// account_traffic for every rank of [begin, end).
+  /// Counts `bytes` and `messages` injected by every rank of [begin, end).
   void account_traffic(Rank begin, Rank end, std::size_t bytes,
                        std::int64_t messages = 1);
 
-  struct PendingMessage {
-    Rank dst = 0;
-    double arrival = 0.0;
-  };
-  /// The sender half of every bulk exchange: charges overheads and
-  /// traffic, writes each message's arrival to `arrivals`.
-  void post(const ExchangeSchedule& schedule, RegionId region,
-            std::vector<PendingMessage>& arrivals);
-  /// The receiver half: each destination waits for its arrivals and pays
-  /// the per-message overhead. With `replay`, also advances the
-  /// synchronous counterfactual from sync_clock_scratch_ and returns the
-  /// comm time it hides (the overlapped exchange); without, returns 0.
-  double receive(std::span<const PendingMessage> arrivals, RegionId region,
+  /// The sender half of every bulk exchange: checks every sender for an
+  /// armed failure first (a refused exchange charges nothing), then per
+  /// sender stores its clock in send_clock_ and charges its overheads and
+  /// traffic.
+  void post(const ExchangeSchedule& schedule, RegionId region);
+  /// The receiver half: derives each message's arrival from its sender's
+  /// stored clock, and each destination waits for it and pays the
+  /// per-message overhead. With `replay`, also advances the synchronous
+  /// counterfactual from sync_clock_scratch_ and returns the comm time it
+  /// hides (the overlapped exchange); without, returns 0.
+  double receive(const ExchangeSchedule& schedule, RegionId region,
                  bool replay);
 
   std::vector<double> clocks_;
@@ -342,7 +339,9 @@ class Cluster {
   std::vector<int> senders_per_node_;          // cpx-lint: allow(ckpt)
   std::vector<int> sender_slot_;               // cpx-lint: allow(ckpt)
   std::vector<int> message_node_;              // cpx-lint: allow(ckpt)
-  std::vector<PendingMessage> arrival_scratch_;  // cpx-lint: allow(ckpt)
+  // Per-rank clock of each sender as post() found it: receive() repeats
+  // the sender's chain of overheads from it, so no arrival is stored.
+  std::vector<double> send_clock_;             // cpx-lint: allow(ckpt)
   // Per-rank scratch of the overlapped exchange: the synchronous
   // counterfactual clocks, and the epoch marks that count each
   // destination's window once for the overlap_window_ns counter (no

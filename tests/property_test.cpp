@@ -639,6 +639,112 @@ TEST(ExchangeSchedules, ArrivalTiedWithTheReceiverClockWaitsNothing) {
   }
 }
 
+TEST(ExchangeSchedules, RankThatReceivesBeforeItSendsUsesItsPostTimeClock) {
+  // Rank R sends a run of messages, then receives two late ones that move
+  // its clock far ahead, then sends a second run that ends the list. Its
+  // second run leaves at the clock it had when the exchange was posted,
+  // plus one overhead per message before it, not at the clock its receives
+  // left it at: synchronous and overlapped, bit for bit.
+  const sim::MachineModel machine = sim::MachineModel::archer2();
+  const int cpn = machine.cores_per_node;
+  const int p = cpn + 4;
+  const sim::Rank r = 1;
+  const std::vector<sim::Message> msgs = {
+      {r, 2, 4096},   {r, cpn + 1, 1 << 16},  // R's first run
+      {0, r, 1 << 20}, {cpn, r, 8192},        // R receives late
+      {r, 3, 256},    {r, cpn + 2, 2048}};    // R's second run ends the list
+  ASSERT_EQ(sender_runs(msgs, r), 2);
+  std::vector<double> window(static_cast<std::size_t>(p));
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    window[i] = 1e-6 * static_cast<double>(i % 7);
+  }
+  for (const bool overlapped : {false, true}) {
+    ReferenceCluster reference(machine, p);
+    sim::Cluster cluster(machine, p);
+    const sim::ExchangeSchedule schedule = cluster.make_schedule(msgs);
+    for (int round = 0; round < 3; ++round) {
+      // The senders to R run well ahead of it, so it waits for them.
+      for (const sim::Rank s : {0, cpn}) {
+        reference.compute(s, 1e-3);
+        cluster.compute_seconds(s, 1e-3, cluster.region("work"));
+      }
+      if (overlapped) {
+        reference.exchange(msgs, {0, p}, window);
+        cluster.exchange(schedule, cluster.region("halo"),
+                         {{0, p}, window, cluster.region("work")});
+      } else {
+        reference.exchange(msgs);
+        cluster.exchange(schedule, cluster.region("halo"));
+      }
+    }
+    // R waits for its senders, and the ranks its second run reaches wait
+    // for R, so a second run sent at any other clock shows.
+    for (const sim::Rank waiter : {r, 3, cpn + 2}) {
+      ASSERT_TRUE(std::any_of(
+          reference.waits.begin(), reference.waits.end(),
+          [&](const sim::TraceEvent& wait) { return wait.rank == waiter; }))
+          << "rank " << waiter << " never waits";
+    }
+    reference.expect_matches(cluster, overlapped ? "overlapped" : "sync");
+  }
+}
+
+TEST(ExchangeSchedules, ArmedFailureRefusesTheWholeExchange) {
+  // Three senders, the middle one armed: the exchange throws at it and
+  // charges nothing, not even the traffic of the sender listed before it,
+  // synchronous and overlapped. A failing window rank that sends nothing
+  // refuses an overlapped exchange the same way. Once the failure is
+  // cleared, the exchange charges what it charges on a cluster that was
+  // never armed.
+  const sim::MachineModel machine = sim::MachineModel::archer2();
+  constexpr int p = 6;
+  const std::vector<sim::Message> msgs = {
+      {0, 3, 4096}, {1, 4, 512}, {1, 5, 64}, {2, 5, 8192}};
+  const std::vector<double> window(p, 1e-5);
+  struct Case {
+    bool overlapped;
+    sim::Rank victim;
+  };
+  for (const Case c : {Case{false, 1}, Case{true, 1}, Case{true, 4}}) {
+    const std::string what = std::string(c.overlapped ? "overlapped" : "sync") +
+                             ", rank " + std::to_string(c.victim) + " armed";
+    sim::Cluster armed(machine, p);
+    sim::Cluster never_armed(machine, p);
+    const auto run = [&](sim::Cluster& cluster,
+                         const sim::ExchangeSchedule& schedule) {
+      if (c.overlapped) {
+        cluster.exchange(schedule, cluster.region("halo"),
+                         {{0, p}, window, cluster.region("work")});
+      } else {
+        cluster.exchange(schedule, cluster.region("halo"));
+      }
+    };
+    for (sim::Cluster* cluster : {&armed, &never_armed}) {
+      for (sim::Rank r = 0; r < p; ++r) {
+        cluster->compute_seconds(r, 1e-6 * (r + 1), cluster->region("work"));
+      }
+      cluster->region("halo");
+      cluster->begin_step(2);
+    }
+    armed.inject_failure(c.victim, 2);
+    const sim::ExchangeSchedule armed_schedule = armed.make_schedule(msgs);
+    bool threw = false;
+    try {
+      run(armed, armed_schedule);
+    } catch (const sim::RankFailure& failure) {
+      threw = true;
+      EXPECT_EQ(failure.rank(), c.victim) << what;
+    }
+    EXPECT_TRUE(threw) << what;
+    expect_same_state(armed, never_armed, what);
+
+    armed.clear_failure();
+    run(armed, armed_schedule);
+    run(never_armed, never_armed.make_schedule(msgs));
+    expect_same_state(armed, never_armed, what + ", then cleared");
+  }
+}
+
 TEST(ExchangeSchedules, RangeChargeRejectsAMismatchedSpan) {
   sim::Cluster cluster(sim::MachineModel::archer2(), 8);
   const std::vector<double> seconds(3, 1e-3);

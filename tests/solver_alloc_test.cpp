@@ -223,7 +223,7 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
   const cpx::sim::ExchangeSchedule schedule = cluster.make_schedule(msgs);
   const std::vector<double> window(16, 1e-6);
 
-  // Warm-up: sizes the arrival buffer.
+  // Warm-up: sizes the per-rank send clocks.
   cluster.exchange(schedule, region, {});
 
   const std::size_t allocs = allocations_during([&] {
@@ -237,9 +237,8 @@ TEST(SolverAllocations, WarmClusterOverlapWindowAllocatesNothing) {
 
 TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
   // One cluster alternates a small and a large exchange, synchronous and
-  // overlapped: the arrival buffer they share keeps its capacity when the
-  // small exchange shrinks it, so after the first round nothing
-  // allocates.
+  // overlapped: they share the cluster's per-rank scratch, which no
+  // schedule size changes, so after the first round nothing allocates.
   constexpr int kRanks = 300;
   cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), kRanks);
   const auto region = cluster.region("mixed");
@@ -264,7 +263,7 @@ TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
     }
   };
 
-  round();  // sizes the arrival buffer
+  round();  // sizes the per-rank send clocks
   const std::size_t allocs = allocations_during([&] {
     for (int i = 0; i < 8; ++i) {
       round();
@@ -272,6 +271,39 @@ TEST(SolverAllocations, WarmMixedSizeExchangesAllocateNothing) {
   });
   EXPECT_EQ(allocs, 0u)
       << "warm mixed-size exchanges made " << allocs << " heap allocations";
+}
+
+TEST(SolverAllocations, FirstExchangeOfALargerScheduleAllocatesNothing) {
+  // An exchange stores nothing per message: once a small exchange has
+  // sized the cluster's per-rank scratch, the first synchronous and the
+  // first overlapped exchange of a schedule 50 times larger allocate
+  // nothing.
+  constexpr int kRanks = 256;
+  cpx::sim::Cluster cluster(cpx::sim::MachineModel::archer2(), kRanks);
+  const auto region = cluster.region("grow");
+  std::vector<cpx::sim::Message> small;
+  std::vector<cpx::sim::Message> large;
+  for (int r = 0; r < 4; ++r) {
+    small.push_back({r, r + 1, 512});
+  }
+  for (int r = 0; r < 100; ++r) {
+    large.push_back({r, (r + 1) % kRanks, 8192});
+    large.push_back({r, (r + 130) % kRanks, 8192});
+  }
+  ASSERT_EQ(large.size(), 50 * small.size());
+  const cpx::sim::ExchangeSchedule small_schedule =
+      cluster.make_schedule(small);
+  const cpx::sim::ExchangeSchedule large_schedule =
+      cluster.make_schedule(large);
+  const std::vector<double> window = {1e-6};
+
+  cluster.exchange(small_schedule, region);
+  const std::size_t allocs = allocations_during([&] {
+    cluster.exchange(large_schedule, region);
+    cluster.exchange(large_schedule, region, {{0, 1}, window, region});
+  });
+  EXPECT_EQ(allocs, 0u) << "first exchanges of a larger schedule made "
+                        << allocs << " heap allocations";
 }
 
 // Regression for a gap the call-graph-aware analyzer (tools/cpxcheck rule
@@ -328,7 +360,7 @@ TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
         dist.attach_cluster(&cluster);
       }
       dist.set_uniform(cpx::mgcfd::freestream(0.4, 1.0, 1.0, {0, 0, 1}));
-      dist.run(2);  // warm-up: comm buffer pool, cluster arrival buffer
+      dist.run(2);  // warm-up: comm buffer pool, cluster send clocks
       const std::size_t allocs = allocations_during([&] { dist.run(4); });
       EXPECT_EQ(allocs, 0u)
           << "warm DistributedSolver::step made " << allocs
