@@ -75,15 +75,11 @@ DistributedSolver::DistributedSolver(const mesh::UnstructuredMesh& mesh,
         ++degree[static_cast<std::size_t>(e.b)];
       }
     }
-    // Step-invariant face-area scale of the local time step: the incident
-    // edge count times vol^(2/3).
     for (std::size_t i = 0; i < owned; ++i) {
       const double vol =
           mesh.volumes()[static_cast<std::size_t>(lm.owned[i])];
       ps.volumes.push_back(vol);
-      ps.face_area.push_back(
-          std::max(static_cast<double>(degree[i]), 1.0) *
-          std::pow(vol, 2.0 / 3.0));
+      ps.face_area.push_back(cell_face_area(degree[i], vol));
     }
 
     ps.local = std::move(lm);
@@ -145,61 +141,52 @@ void DistributedSolver::scatter_residuals(PartState& ps) const {
   // order, added into each owned endpoint, so every owned cell sums its
   // edges in the sequential solver's order. Ghost slots are read, never
   // written. The flux is applied on the fly, not stored: a per-edge flux
-  // buffer would add 40 bytes per edge to the working set.
+  // buffer would add 40 bytes per edge to the working set. The
+  // dissipation and each edge's area are read into locals: a residual
+  // store may alias any double, so the compiler would otherwise reload
+  // them for every component.
   const auto owned = ps.local.num_owned();
+  const double dissipation = options_.dissipation;
   for (const auto& e : ps.local.edges) {
     const auto a = static_cast<std::size_t>(e.a);
     const auto b = static_cast<std::size_t>(e.b);
+    const double area = e.area;
     const State f = rusanov_flux(ps.u[a], primitives_[a], ps.u[b],
-                                 primitives_[b], e.normal,
-                                 options_.dissipation);
+                                 primitives_[b], e.normal, dissipation);
     if (e.a < owned) {
       State& r = ps.residual[a];
-      for (int j = 0; j < 5; ++j) {
-        r[j] -= e.area * f[j];
-      }
+      r[0] -= area * f[0];
+      r[1] -= area * f[1];
+      r[2] -= area * f[2];
+      r[3] -= area * f[3];
+      r[4] -= area * f[4];
     }
     if (e.b < owned) {
       State& r = ps.residual[b];
-      for (int j = 0; j < 5; ++j) {
-        r[j] += e.area * f[j];
-      }
+      r[0] += area * f[0];
+      r[1] += area * f[1];
+      r[2] += area * f[2];
+      r[3] += area * f[3];
+      r[4] += area * f[4];
     }
   }
 }
 
 double DistributedSolver::finalize_part(PartState& ps) {
+  // Per owned cell, the sequential solver's boundary closure (transmissive)
+  // and then its local-time-step update with positivity guard (flux.hpp):
+  // both touch only the cell's own state and residual, so one pass does
+  // both. An update that leaves a non-finite density makes the part's
+  // norm, and so the step's, NaN.
   const auto owned = static_cast<std::size_t>(ps.local.num_owned());
-  // Boundary closure (transmissive), identical to the sequential solver.
-  for (std::size_t c = 0; c < owned; ++c) {
-    const mesh::Vec3& d = ps.closure[c];
-    if (d.x == 0.0 && d.y == 0.0 && d.z == 0.0) {
-      continue;
-    }
-    const State f = physical_flux(ps.u[c], primitives_[c], d);
-    for (int k = 0; k < 5; ++k) {
-      ps.residual[c][k] += f[k];
-    }
-  }
-  // Local-time-step update with positivity guard. An update that leaves
-  // a non-finite density makes the part's norm, and so the step's, NaN.
+  const double cfl = options_.cfl;
   double part_norm_sq = 0.0;
   bool finite = true;
   for (std::size_t c = 0; c < owned; ++c) {
-    State& uc = ps.u[c];
-    const double vol = ps.volumes[c];
-    const double wave = std::abs(uc[1] / uc[0]) + primitives_[c].c;
-    const double dt =
-        options_.cfl * vol / std::max(wave * ps.face_area[c], 1e-12);
-    for (int k = 0; k < 5; ++k) {
-      part_norm_sq += ps.residual[c][k] * ps.residual[c][k];
-      uc[k] += dt * ps.residual[c][k] / vol;
-    }
-    uc[0] = std::max(uc[0], 1e-10);
-    const double ke =
-        0.5 * (uc[1] * uc[1] + uc[2] * uc[2] + uc[3] * uc[3]) / uc[0];
-    uc[4] = std::max(uc[4], ke + 1e-10);
-    finite = finite && std::isfinite(uc[0]);
+    add_closure_flux(ps.residual[c], ps.u[c], primitives_[c], ps.closure[c]);
+    update_cell(ps.u[c], ps.residual[c], primitives_[c].c, ps.volumes[c],
+                ps.face_area[c], cfl, part_norm_sq);
+    finite = finite && std::isfinite(ps.u[c][0]);
   }
   return finite ? part_norm_sq : kDiverged;
 }

@@ -20,9 +20,12 @@
 // docs/communication.md).
 //
 // Each step exchanges the halo first, then makes one ascending pass over
-// each part's edges. Every residual reads each cell's pressure and sound
-// speed from a cache refreshed once per cell slot (flux.hpp), not once per
-// incident edge. Parts step one after another, so one scratch sized to the
+// each part's edges and one pass over its owned cells (closure flux and
+// update). Every residual reads each cell's pressure and sound speed from
+// a cache refreshed once per cell slot (flux.hpp), not once per incident
+// edge. The flux, the residual adds and the cell update are spelled per
+// component, in registers, with the sequential solver's expressions
+// (flux.hpp). Parts step one after another, so one scratch sized to the
 // largest part serves them all.
 
 #include <cstdint>
@@ -110,8 +113,7 @@ class DistributedSolver {
     std::vector<State> residual;  ///< owned only
     std::vector<mesh::Vec3> closure;  ///< owned only
     std::vector<double> volumes;      ///< owned only
-    /// owned only: max(incident edges, 1) * vol^(2/3), the step-invariant
-    /// face-area scale of the local time step
+    /// owned only: face area of the local time step (mgcfd::cell_face_area)
     std::vector<double> face_area;
   };
 

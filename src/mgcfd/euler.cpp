@@ -59,6 +59,11 @@ EulerSolver::EulerSolver(const mesh::UnstructuredMesh& mesh,
     cb.y -= e.area * e.normal.y;
     cb.z -= e.area * e.normal.z;
   }
+  face_area_.reserve(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    face_area_.push_back(cell_face_area(
+        mesh_.degree(static_cast<mesh::CellId>(c)), mesh_.volumes()[c]));
+  }
 }
 
 void EulerSolver::set_uniform(const State& u) {
@@ -79,34 +84,24 @@ void EulerSolver::compute_residual(std::vector<State>& residual) {
     const auto b = static_cast<std::size_t>(e.b);
     const State f = rusanov_flux(u[a], w[a], u[b], w[b], e.normal,
                                  options_.dissipation);
-    for (int k = 0; k < 5; ++k) {
-      const double contrib = e.area * f[k];
-      residual[a][k] -= contrib;
-      residual[b][k] += contrib;
-    }
+    State& ra = residual[a];
+    State& rb = residual[b];
+    ra[0] -= e.area * f[0];
+    rb[0] += e.area * f[0];
+    ra[1] -= e.area * f[1];
+    rb[1] += e.area * f[1];
+    ra[2] -= e.area * f[2];
+    rb[2] += e.area * f[2];
+    ra[3] -= e.area * f[3];
+    rb[3] += e.area * f[3];
+    ra[4] -= e.area * f[4];
+    rb[4] += e.area * f[4];
   }
   // Transmissive boundary flux through each cell's closure face (zero for
-  // interior cells): physical_flux is linear in its (unnormalised) normal, so
-  // this cancels the open-boundary imbalance exactly for uniform flow.
+  // interior cells).
   for (std::size_t c = 0; c < u.size(); ++c) {
-    const mesh::Vec3& d = closure_[c];
-    if (d.x == 0.0 && d.y == 0.0 && d.z == 0.0) {
-      continue;
-    }
-    // Outward boundary area vector is -d; by linearity of the flux,
-    // -F(u, -d) = +F(u, d).
-    const State f = physical_flux(u[c], w[c], d);
-    for (int k = 0; k < 5; ++k) {
-      residual[c][k] += f[k];
-    }
+    add_closure_flux(residual[c], u[c], w[c], closure_[c]);
   }
-}
-
-void EulerSolver::clamp_positivity(State& u) const {
-  u[0] = std::max(u[0], 1e-10);
-  const double ke =
-      0.5 * (u[1] * u[1] + u[2] * u[2] + u[3] * u[3]) / u[0];
-  u[4] = std::max(u[4], ke + 1e-10);
 }
 
 bool EulerSolver::density_finite() const {
@@ -115,36 +110,20 @@ bool EulerSolver::density_finite() const {
 }
 
 double EulerSolver::step() {
-  // The wave speeds need a finite density (clamp_positivity cannot repair
-  // a NaN), so no step starts from a non-finite one: it stops and reports
-  // the divergence as a NaN norm.
+  // The wave speeds need a finite density (the positivity clamp cannot
+  // repair a NaN), so no step starts from a non-finite one: it stops and
+  // reports the divergence as a NaN norm.
   constexpr double kDiverged = std::numeric_limits<double>::quiet_NaN();
   if (!density_finite()) {
     return kDiverged;
   }
   compute_residual(residual_);
-  double norm = 0.0;
+  double norm_sq = 0.0;
   for (std::size_t c = 0; c < u_.size(); ++c) {
-    // Local time step from the cell's state before its update: dt = CFL *
-    // V / (sum of |lambda| A over faces), approximated with the cell's
-    // fastest wave and total face area (mean face area from V^(2/3)).
-    State& uc = u_[c];
-    const double vol = mesh_.volumes()[c];
-    const double wave = normal_speed(uc, primitives_[c], {1.0, 0.0, 0.0});
-    const double face_area =
-        std::max(static_cast<double>(
-                     mesh_.degree(static_cast<mesh::CellId>(c))),
-                 1.0) *
-        std::pow(vol, 2.0 / 3.0);
-    const double dt = options_.cfl * vol / std::max(wave * face_area, 1e-12);
-    for (int k = 0; k < 5; ++k) {
-      const double r = residual_[c][k];
-      norm += r * r;
-      uc[k] += dt * r / vol;
-    }
-    clamp_positivity(uc);
+    update_cell(u_[c], residual_[c], primitives_[c].c, mesh_.volumes()[c],
+                face_area_[c], options_.cfl, norm_sq);
   }
-  return density_finite() ? std::sqrt(norm) : kDiverged;
+  return density_finite() ? std::sqrt(norm_sq) : kDiverged;
 }
 
 double EulerSolver::run(int steps) {

@@ -78,7 +78,6 @@ class EulerSolver {
   void compute_residual(std::vector<State>& residual);
 
  private:
-  void clamp_positivity(State& u) const;
   bool density_finite() const;
 
   EulerOptions options_;
@@ -94,6 +93,8 @@ class EulerSolver {
   /// (interior cells have a zero deficit), which makes uniform flow an
   /// exact fixed point on open meshes.
   std::vector<mesh::Vec3> closure_;
+  /// Per-cell face area of the local time step (mgcfd::cell_face_area).
+  std::vector<double> face_area_;
 };
 
 }  // namespace cpx::mgcfd
