@@ -81,9 +81,15 @@ void FieldCoupler::advance_rotation(double radians) {
 
 void FieldCoupler::remap() {
   CPX_METRICS_SCOPE("coupler/remap");
-  const std::vector<mesh::Vec3> moved =
-      rotation_ == 0.0 ? donors_ : rotate_z(donors_, rotation_);
-  stencils_ = build_idw_stencils(moved, targets_, stencil_size_);
+  std::span<const mesh::Vec3> moved = donors_;
+  if (rotation_ != 0.0) {
+    rotated_.resize(donors_.size());
+    rotate_z(donors_, rotation_, rotated_);
+    moved = rotated_;
+  }
+  tree_.rebuild(moved);
+  stencils_.resize(targets_.size());
+  fill_idw_stencils(tree_, targets_, stencil_size_, stencils_, lanes_);
   if (check::deep()) {
     validate_stencils(stencils_, donors_.size());
   }

@@ -4,7 +4,9 @@
 // builds interpolation stencils through the k-d tree, transfers real
 // fields, and — for sliding-plane interfaces — tracks the rotor/stator
 // rotation, rebuilding the mapping whenever the relative position has
-// changed (the per-timestep remap whose cost §II-A discusses).
+// changed (the per-timestep remap whose cost §II-A discusses). The remap
+// rotates, rebuilds the tree and refills the stencils in buffers the
+// coupler keeps, so a warm one touches no heap.
 
 #include <cstdint>
 #include <span>
@@ -78,8 +80,14 @@ class FieldCoupler {
   int stencil_size_;
   double rotation_ = 0.0;
   double mapped_rotation_ = -1.0;  ///< rotation at last remap (-1 = never)
-  std::vector<Stencil> stencils_;  ///< rebuilt // cpx-lint: allow(ckpt)
   int remap_count_ = 0;
+  // The mapping, rebuilt in place by every remap: the donor side at the
+  // mapped rotation, the tree over it, the stencils and the per-lane query
+  // scratch. A warm remap allocates nothing.
+  std::vector<mesh::Vec3> rotated_;  // cpx-lint: allow(ckpt)
+  KdTree tree_;                      // cpx-lint: allow(ckpt)
+  std::vector<Stencil> stencils_;    // cpx-lint: allow(ckpt)
+  NeighbourLanes lanes_;             // cpx-lint: allow(ckpt)
 };
 
 }  // namespace cpx::coupler

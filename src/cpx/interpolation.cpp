@@ -16,64 +16,78 @@ constexpr std::int64_t kStencilGrain = 256;  ///< targets per task
 using support::simd::kWidth;
 using Pack = support::simd::pack<kWidth>;
 
-/// Inverse-distance weights with an exact-hit guard.
-void fill_idw_weights(Stencil& s, const std::vector<mesh::Vec3>& donors,
-                      const mesh::Vec3& t) {
-  s.weights.assign(s.donors.size(), 0.0);
+/// Inverse-distance weights over the sorted k nearest donors, with an
+/// exact-hit guard. Each d2 is the query's distance_squared(donor,
+/// target), so the weights need no second distance pass.
+void fill_idw_weights(std::span<const KdTree::Neighbour> nearest,
+                      Stencil& s) {
+  const std::size_t k = nearest.size();
+  s.donors.resize(k);
+  s.weights.resize(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    s.donors[j] = nearest[j].index;
+  }
   double total = 0.0;
-  bool exact = false;
-  for (std::size_t j = 0; j < s.donors.size(); ++j) {
-    const double d2 =
-        distance_squared(donors[static_cast<std::size_t>(s.donors[j])], t);
+  for (std::size_t j = 0; j < k; ++j) {
+    const double d2 = nearest[j].d2;
     if (d2 < 1e-24) {
       std::fill(s.weights.begin(), s.weights.end(), 0.0);
       s.weights[j] = 1.0;
-      exact = true;
-      break;
+      return;
     }
     s.weights[j] = 1.0 / std::sqrt(d2);
     total += s.weights[j];
   }
-  if (!exact) {
-    for (double& w : s.weights) {
-      w /= total;
-    }
+  for (double& w : s.weights) {
+    w /= total;
   }
 }
 
 }  // namespace
 
-std::vector<Stencil> build_idw_stencils(
-    const std::vector<mesh::Vec3>& donors,
-    const std::vector<mesh::Vec3>& targets, int k) {
-  CPX_REQUIRE(!donors.empty(), "build_idw_stencils: empty donor set");
-  CPX_REQUIRE(k >= 1, "build_idw_stencils: bad k");
+void fill_idw_stencils(const KdTree& tree,
+                       std::span<const mesh::Vec3> targets, int k,
+                       std::span<Stencil> stencils, NeighbourLanes& lanes) {
+  CPX_REQUIRE(tree.size() > 0, "fill_idw_stencils: empty donor tree");
+  CPX_REQUIRE(k >= 1, "fill_idw_stencils: bad k");
+  CPX_REQUIRE(stencils.size() == targets.size(),
+              "fill_idw_stencils: stencil count mismatch");
   CPX_METRICS_SCOPE("coupler/map_build");
-  const int kk = std::min<int>(k, static_cast<int>(donors.size()));
-  const auto nt = static_cast<std::int64_t>(targets.size());
-
+  const auto kk = static_cast<std::size_t>(
+      std::min<std::int64_t>(k, tree.size()));
+  // Every lane's scratch is sized serially, before the parallel region:
+  // chunks are claimed dynamically, so a lane that sat out the first call
+  // would otherwise allocate on a later, warm one.
+  const auto width = static_cast<std::size_t>(support::max_threads());
+  if (lanes.size() < width) {
+    lanes.resize(width);
+  }
+  for (auto& lane : lanes) {
+    lane.value.resize(kk);
+  }
   // Targets are independent, so the interface mapping parallelises over
-  // them; each target writes its own pre-allocated stencil slot. Stencils
-  // are rebuilt on every remap — every step of a sliding plane.
-  std::vector<Stencil> stencils(targets.size());
+  // them; each target refills its own stencil slot. A sliding plane
+  // refills every stencil on every step.
+  support::parallel_chunks(
+      0, static_cast<std::int64_t>(targets.size()), kStencilGrain,
+      [&](std::int64_t, std::int64_t t0, std::int64_t t1, int lane) {
+        std::span<KdTree::Neighbour> nearest =
+            lanes[static_cast<std::size_t>(lane)].value;
+        for (std::int64_t t = t0; t < t1; ++t) {
+          tree.k_nearest(targets[static_cast<std::size_t>(t)], nearest);
+          fill_idw_weights(nearest, stencils[static_cast<std::size_t>(t)]);
+        }
+      });
+}
+
+std::vector<Stencil> build_idw_stencils(std::span<const mesh::Vec3> donors,
+                                        std::span<const mesh::Vec3> targets,
+                                        int k) {
+  CPX_REQUIRE(!donors.empty(), "build_idw_stencils: empty donor set");
   const KdTree tree(donors);
-  // Exact k-nearest queries: donors come out in ascending (distance,
-  // index) order, the first kk entries of a full sort.
-  support::parallel_for(0, nt, kStencilGrain, [&](std::int64_t t0,
-                                                  std::int64_t t1) {
-    std::vector<KdTree::Neighbour> nearest(static_cast<std::size_t>(kk));
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const mesh::Vec3& target = targets[static_cast<std::size_t>(t)];
-      tree.k_nearest(target, nearest);
-      Stencil& s = stencils[static_cast<std::size_t>(t)];
-      s.donors.resize(static_cast<std::size_t>(kk));
-      for (int j = 0; j < kk; ++j) {
-        s.donors[static_cast<std::size_t>(j)] =
-            nearest[static_cast<std::size_t>(j)].index;
-      }
-      fill_idw_weights(s, donors, target);
-    }
-  });
+  std::vector<Stencil> stencils(targets.size());
+  NeighbourLanes lanes;
+  fill_idw_stencils(tree, targets, k, stencils, lanes);
   return stencils;
 }
 
@@ -186,11 +200,11 @@ std::vector<Stencil> make_conservative(std::span<const Stencil> stencils,
   return out;
 }
 
-std::vector<mesh::Vec3> rotate_z(const std::vector<mesh::Vec3>& points,
-                                 double radians) {
+void rotate_z(std::span<const mesh::Vec3> points, double radians,
+              std::span<mesh::Vec3> out) {
+  CPX_REQUIRE(out.size() == points.size(), "rotate_z: size mismatch");
   const double c = std::cos(radians);
   const double s = std::sin(radians);
-  std::vector<mesh::Vec3> out(points.size());
   support::parallel_for(
       0, static_cast<std::int64_t>(points.size()), 4096,
       [&](std::int64_t i0, std::int64_t i1) {
@@ -200,6 +214,12 @@ std::vector<mesh::Vec3> rotate_z(const std::vector<mesh::Vec3>& points,
                                               s * p.x + c * p.y, p.z};
         }
       });
+}
+
+std::vector<mesh::Vec3> rotate_z(const std::vector<mesh::Vec3>& points,
+                                 double radians) {
+  std::vector<mesh::Vec3> out(points.size());
+  rotate_z(points, radians, out);
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cpx/search.hpp"
+#include "support/parallel.hpp"
 
 namespace cpx::coupler {
 
@@ -19,13 +20,25 @@ struct Stencil {
   std::vector<double> weights;  ///< sum to 1
 };
 
-/// Builds inverse-distance stencils from `donors` to `targets`. Donors are
-/// located by exact k-nearest queries (KdTree::k_nearest) on a k-d tree
-/// over `donors`, ordered by ascending (distance, index). k is clamped to
-/// the donor count.
-std::vector<Stencil> build_idw_stencils(
-    const std::vector<mesh::Vec3>& donors,
-    const std::vector<mesh::Vec3>& targets, int k = 4);
+/// Per-lane k-nearest scratch of fill_idw_stencils, kept by the caller.
+using NeighbourLanes =
+    std::vector<support::Padded<std::vector<KdTree::Neighbour>>>;
+
+/// Refills `stencils` (one per target) in place with inverse-distance
+/// stencils over the k nearest points of `tree`, located by exact
+/// k-nearest queries (KdTree::k_nearest) and ordered by ascending
+/// (distance, index); k is clamped to tree.size(). Stencil arrays are
+/// resized, not rebuilt, and `lanes` is sized before the parallel region,
+/// so a refill with the last call's k and pool width allocates nothing.
+void fill_idw_stencils(const KdTree& tree,
+                       std::span<const mesh::Vec3> targets, int k,
+                       std::span<Stencil> stencils, NeighbourLanes& lanes);
+
+/// One-shot fill_idw_stencils: builds the tree over `donors` and returns
+/// the stencils of `targets`.
+std::vector<Stencil> build_idw_stencils(std::span<const mesh::Vec3> donors,
+                                        std::span<const mesh::Vec3> targets,
+                                        int k = 4);
 
 /// Applies stencils: out[t] = sum_j w_j * field[donor_j].
 void apply_stencils(std::span<const Stencil> stencils,
@@ -43,7 +56,9 @@ void validate_stencils(std::span<const Stencil> stencils,
                        bool partition_of_unity = true);
 
 /// Rotates points about the z axis by `radians` — the relative motion of a
-/// sliding-plane interface between timesteps.
+/// sliding-plane interface between timesteps — into `out` (same size).
+void rotate_z(std::span<const mesh::Vec3> points, double radians,
+              std::span<mesh::Vec3> out);
 std::vector<mesh::Vec3> rotate_z(const std::vector<mesh::Vec3>& points,
                                  double radians);
 

@@ -1,8 +1,7 @@
 #include "cpx/search.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <numeric>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/metrics.hpp"
@@ -12,6 +11,22 @@ namespace cpx::coupler {
 namespace {
 
 constexpr std::int64_t kQueryGrain = 256;  ///< donor queries per task
+
+/// Squared distance from `q` to the box [lower, upper]. It never exceeds
+/// the computed distance_squared(p, q) of a point p in the box: per axis
+/// the gap is 0 inside the slab and otherwise the difference to the nearer
+/// face, which |fl(p - q)| cannot undercut because rounding is monotone
+/// and symmetric; the squares and distance_squared's sum are monotone too.
+double box_distance_squared(const mesh::Vec3& lower, const mesh::Vec3& upper,
+                            const mesh::Vec3& q) {
+  const auto gap = [](double lo, double hi, double c) {
+    return c < lo ? lo - c : (c > hi ? c - hi : 0.0);
+  };
+  const double dx = gap(lower.x, upper.x, q.x);
+  const double dy = gap(lower.y, upper.y, q.y);
+  const double dz = gap(lower.z, upper.z, q.z);
+  return dx * dx + dy * dy + dz * dz;
+}
 
 }  // namespace
 
@@ -37,126 +52,124 @@ std::int64_t nearest_brute(const std::vector<mesh::Vec3>& points,
   return best;
 }
 
-KdTree::KdTree(std::vector<mesh::Vec3> points) : points_(std::move(points)) {
-  CPX_REQUIRE(!points_.empty(), "KdTree: empty point set");
-  std::vector<std::int64_t> idx(points_.size());
-  std::iota(idx.begin(), idx.end(), 0);
-  nodes_.reserve(points_.size());
-  root_ = build(idx, 0, static_cast<std::int64_t>(points_.size()));
+void KdTree::rebuild(std::span<const mesh::Vec3> points) {
+  CPX_REQUIRE(!points.empty(), "KdTree: empty point set");
+  entries_.resize(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    entries_[i] = {points[i], static_cast<std::int64_t>(i)};
+  }
+  // Every leaf above the root holds at least kLeafSize / 2 points, so
+  // there are at most n / 4 leaves and n / 2 nodes.
+  nodes_.clear();
+  nodes_.reserve(points.size() / 2 + 1);
+  build(0, size());
 }
 
-std::int64_t KdTree::build(std::vector<std::int64_t>& idx, std::int64_t lo,
-                           std::int64_t hi) {
-  if (lo >= hi) {
-    return -1;
-  }
-  // Split on the axis of largest extent (lowest axis on a tie).
-  const auto point_at = [&](std::int64_t i) -> const mesh::Vec3& {
-    return points_[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])];
+void KdTree::build(std::int64_t begin, std::int64_t end) {
+  const auto at = [&](std::int64_t i) -> Entry& {
+    return entries_[static_cast<std::size_t>(i)];
   };
-  mesh::Vec3 lower = point_at(lo);
-  mesh::Vec3 upper = lower;
-  for (std::int64_t i = lo + 1; i < hi; ++i) {
-    const mesh::Vec3& p = point_at(i);
-    lower = {std::min(lower.x, p.x), std::min(lower.y, p.y),
-             std::min(lower.z, p.z)};
-    upper = {std::max(upper.x, p.x), std::max(upper.y, p.y),
-             std::max(upper.z, p.z)};
+  Node node;
+  node.lower = at(begin).p;
+  node.upper = node.lower;
+  for (std::int64_t i = begin + 1; i < end; ++i) {
+    const mesh::Vec3& p = at(i).p;
+    node.lower = {std::min(node.lower.x, p.x), std::min(node.lower.y, p.y),
+                  std::min(node.lower.z, p.z)};
+    node.upper = {std::max(node.upper.x, p.x), std::max(node.upper.y, p.y),
+                  std::max(node.upper.z, p.z)};
   }
-  const double ex = upper.x - lower.x;
-  const double ey = upper.y - lower.y;
-  const double ez = upper.z - lower.z;
+  node.begin = begin;
+  node.end = end;
+  const std::size_t id = nodes_.size();
+  nodes_.push_back(node);
+  if (end - begin <= kLeafSize) {
+    return;
+  }
+  // Split at the median on the axis of largest extent (lowest axis on a
+  // tie).
+  const double ex = node.upper.x - node.lower.x;
+  const double ey = node.upper.y - node.lower.y;
+  const double ez = node.upper.z - node.lower.z;
   const int axis = ex >= ey && ex >= ez ? 0 : (ey >= ez ? 1 : 2);
-  const auto coord = [&](std::int64_t i) {
-    const mesh::Vec3& p = points_[static_cast<std::size_t>(i)];
-    return axis == 0 ? p.x : (axis == 1 ? p.y : p.z);
+  const auto coord = [axis](const Entry& e) {
+    return axis == 0 ? e.p.x : (axis == 1 ? e.p.y : e.p.z);
   };
-  const std::int64_t mid = lo + (hi - lo) / 2;
-  std::nth_element(idx.begin() + lo, idx.begin() + mid, idx.begin() + hi,
-                   [&](std::int64_t a, std::int64_t b) {
+  const std::int64_t mid = begin + (end - begin) / 2;
+  std::nth_element(entries_.begin() + begin, entries_.begin() + mid,
+                   entries_.begin() + end,
+                   [&](const Entry& a, const Entry& b) {
                      return coord(a) < coord(b);
                    });
-  const auto node_id = static_cast<std::int64_t>(nodes_.size());
-  nodes_.push_back({idx[static_cast<std::size_t>(mid)], axis, -1, -1});
-  const std::int64_t left = build(idx, lo, mid);
-  const std::int64_t right = build(idx, mid + 1, hi);
-  nodes_[static_cast<std::size_t>(node_id)].left = left;
-  nodes_[static_cast<std::size_t>(node_id)].right = right;
-  return node_id;
+  build(begin, mid);
+  const auto right = static_cast<std::int64_t>(nodes_.size());
+  build(mid, end);
+  nodes_[id].right = right;
 }
 
 void KdTree::search(std::int64_t node, const mesh::Vec3& query,
-                    std::int64_t& best, double& best_d2,
+                    std::span<Neighbour> best, std::int64_t& count,
                     std::int64_t& visited) const {
-  if (node < 0) {
+  ++visited;
+  const auto k = static_cast<std::int64_t>(best.size());
+  const Node& n = nodes_[static_cast<std::size_t>(node)];
+  if (n.right < 0) {
+    for (std::int64_t e = n.begin; e < n.end; ++e) {
+      const Entry& entry = entries_[static_cast<std::size_t>(e)];
+      const Neighbour cand{distance_squared(entry.p, query), entry.index};
+      if (count < k || cand < best[static_cast<std::size_t>(k - 1)]) {
+        // Insertion into the sorted list, dropping the worst when full.
+        std::int64_t i = count < k ? count++ : k - 1;
+        for (; i > 0 && cand < best[static_cast<std::size_t>(i - 1)]; --i) {
+          best[static_cast<std::size_t>(i)] =
+              best[static_cast<std::size_t>(i - 1)];
+        }
+        best[static_cast<std::size_t>(i)] = cand;
+      }
+    }
     return;
   }
-  ++visited;
-  const Node& n = nodes_[static_cast<std::size_t>(node)];
-  const mesh::Vec3& p = points_[static_cast<std::size_t>(n.point)];
-  const double d2 = distance_squared(p, query);
-  if (d2 < best_d2) {
-    best_d2 = d2;
-    best = n.point;
+  std::int64_t near_side = node + 1;
+  std::int64_t far_side = n.right;
+  const auto box_d2 = [&](std::int64_t child) {
+    const Node& c = nodes_[static_cast<std::size_t>(child)];
+    return box_distance_squared(c.lower, c.upper, query);
+  };
+  double near_d2 = box_d2(near_side);
+  double far_d2 = box_d2(far_side);
+  if (far_d2 < near_d2) {
+    std::swap(near_side, far_side);
+    std::swap(near_d2, far_d2);
   }
-  const double qc = n.axis == 0 ? query.x : (n.axis == 1 ? query.y : query.z);
-  const double pc = n.axis == 0 ? p.x : (n.axis == 1 ? p.y : p.z);
-  const double delta = qc - pc;
-  const std::int64_t near_side = delta < 0.0 ? n.left : n.right;
-  const std::int64_t far_side = delta < 0.0 ? n.right : n.left;
-  search(near_side, query, best, best_d2, visited);
-  if (delta * delta < best_d2) {
-    search(far_side, query, best, best_d2, visited);
+  // Only a box strictly farther than the k-th best prunes: a point at
+  // exactly the worst distance may still win on its lower index.
+  const auto reachable = [&](double box) {
+    return count < k || box <= best[static_cast<std::size_t>(k - 1)].d2;
+  };
+  if (reachable(near_d2)) {
+    search(near_side, query, best, count, visited);
+  }
+  if (reachable(far_d2)) {
+    search(far_side, query, best, count, visited);
   }
 }
 
 std::int64_t KdTree::nearest(const mesh::Vec3& query) const {
+  CPX_DCHECK(size() > 0);
+  Neighbour best[1];
+  std::int64_t count = 0;
   std::int64_t visited = 0;
-  std::int64_t best = -1;
-  double best_d2 = std::numeric_limits<double>::infinity();
-  search(root_, query, best, best_d2, visited);
+  search(0, query, best, count, visited);
   visited_ = visited;
-  return best;
-}
-
-void KdTree::search_k(std::int64_t node, const mesh::Vec3& query,
-                      std::span<Neighbour> best, std::int64_t& count) const {
-  if (node < 0) {
-    return;
-  }
-  const auto k = static_cast<std::int64_t>(best.size());
-  const Node& n = nodes_[static_cast<std::size_t>(node)];
-  const mesh::Vec3& p = points_[static_cast<std::size_t>(n.point)];
-  const Neighbour cand{distance_squared(p, query), n.point};
-  if (count < k || cand < best[static_cast<std::size_t>(k - 1)]) {
-    // Insertion into the sorted list, dropping the worst when full.
-    std::int64_t i = count < k ? count++ : k - 1;
-    for (; i > 0 && cand < best[static_cast<std::size_t>(i - 1)]; --i) {
-      best[static_cast<std::size_t>(i)] =
-          best[static_cast<std::size_t>(i - 1)];
-    }
-    best[static_cast<std::size_t>(i)] = cand;
-  }
-  const double qc = n.axis == 0 ? query.x : (n.axis == 1 ? query.y : query.z);
-  const double pc = n.axis == 0 ? p.x : (n.axis == 1 ? p.y : p.z);
-  const double delta = qc - pc;
-  const std::int64_t near_side = delta < 0.0 ? n.left : n.right;
-  const std::int64_t far_side = delta < 0.0 ? n.right : n.left;
-  search_k(near_side, query, best, count);
-  // Far-side points lie at least |delta| away (rounding is monotone, so
-  // also in floating point). Only a strictly larger bound prunes: a point
-  // at exactly the worst distance may still win on its lower index.
-  if (count < k ||
-      delta * delta <= best[static_cast<std::size_t>(k - 1)].d2) {
-    search_k(far_side, query, best, count);
-  }
+  return best[0].index;
 }
 
 void KdTree::k_nearest(const mesh::Vec3& query,
                        std::span<Neighbour> out) const {
   CPX_DCHECK(!out.empty() && static_cast<std::int64_t>(out.size()) <= size());
   std::int64_t count = 0;
-  search_k(root_, query, out, count);
+  std::int64_t visited = 0;
+  search(0, query, out, count, visited);
 }
 
 std::vector<std::int64_t> KdTree::nearest_batch(
@@ -172,10 +185,10 @@ std::vector<std::int64_t> KdTree::nearest_batch(
                                                    std::int64_t q1, int) {
     std::int64_t v = 0;
     for (std::int64_t q = q0; q < q1; ++q) {
-      std::int64_t best = -1;
-      double best_d2 = std::numeric_limits<double>::infinity();
-      search(root_, queries[static_cast<std::size_t>(q)], best, best_d2, v);
-      out[static_cast<std::size_t>(q)] = best;
+      Neighbour best[1];
+      std::int64_t count = 0;
+      search(0, queries[static_cast<std::size_t>(q)], best, count, v);
+      out[static_cast<std::size_t>(q)] = best[0].index;
     }
     visited[static_cast<std::size_t>(chunk)].value = v;
   });

@@ -9,11 +9,15 @@
 // brute-force baseline and a k-d tree, with an ablation bench comparing
 // them (bench_coupler_overhead).
 //
-// The tree answers nearest-point queries (donor injection) and exact
-// k-nearest queries (the donors of an IDW stencil). Each node splits its
-// points at the median along the axis of their largest extent, so planar
-// point sets — an annulus interface lies in one z-plane — never waste a
-// level on an axis that prunes nothing.
+// The tree answers exact k-nearest queries (the donors of an IDW stencil;
+// k = 1 is donor injection). Each node splits its points at the median
+// along the axis of their largest extent, so planar point sets — an
+// annulus interface lies in one z-plane — never waste a level on an axis
+// that prunes nothing. Leaves hold up to kLeafSize points, copied into
+// tree order with their original indices, and every node keeps the
+// bounding box of its points. A query prunes a subtree on the distance to
+// that box, so a target far from every donor (a sliding plane turned away
+// from its aligned position) visits O(log n) nodes, not most of the tree.
 
 #include <cstdint>
 #include <span>
@@ -30,13 +34,19 @@ std::int64_t nearest_brute(const std::vector<mesh::Vec3>& points,
 /// Static k-d tree over a point set: O(log n) expected per query.
 class KdTree {
  public:
-  explicit KdTree(std::vector<mesh::Vec3> points);
+  KdTree() = default;
+  explicit KdTree(std::span<const mesh::Vec3> points) { rebuild(points); }
+
+  /// Rebuilds the tree over `points` (non-empty), reusing every buffer:
+  /// a rebuild over as many points as the last one allocates nothing.
+  void rebuild(std::span<const mesh::Vec3> points);
 
   std::int64_t size() const {
-    return static_cast<std::int64_t>(points_.size());
+    return static_cast<std::int64_t>(entries_.size());
   }
 
-  /// Index (into the constructor's point vector) of the nearest point.
+  /// Index (into the built point set) of the nearest point; a distance tie
+  /// resolves to the lower index. This is k_nearest with k = 1.
   std::int64_t nearest(const mesh::Vec3& query) const;
 
   /// A candidate of a k-nearest query, ordered by (d2, index).
@@ -68,26 +78,34 @@ class KdTree {
   std::int64_t last_visited() const { return visited_; }
 
  private:
+  /// Largest number of points in one leaf.
+  static constexpr std::int64_t kLeafSize = 8;
+
+  /// A point in tree order with its index in the built point set.
+  struct Entry {
+    mesh::Vec3 p;
+    std::int64_t index = -1;
+  };
+  /// Bounding box of entries_[begin, end). The left child of an inner
+  /// node is the next node (pre-order); `right` is -1 for a leaf.
   struct Node {
-    std::int64_t point = -1;    ///< index into points_
-    int axis = 0;
-    std::int64_t left = -1;     ///< node indices, -1 = leaf
+    mesh::Vec3 lower;
+    mesh::Vec3 upper;
+    std::int64_t begin = 0;
+    std::int64_t end = 0;
     std::int64_t right = -1;
   };
 
-  std::int64_t build(std::vector<std::int64_t>& idx, std::int64_t lo,
-                     std::int64_t hi);
-  /// visited is a caller-owned counter so concurrent batch queries never
-  /// touch shared state.
-  void search(std::int64_t node, const mesh::Vec3& query, std::int64_t& best,
-              double& best_d2, std::int64_t& visited) const;
-  /// best[0, count) is the sorted candidate list of k_nearest.
-  void search_k(std::int64_t node, const mesh::Vec3& query,
-                std::span<Neighbour> best, std::int64_t& count) const;
+  void build(std::int64_t begin, std::int64_t end);
+  /// The one search: best[0, count) is the sorted candidate list, and
+  /// visited a caller-owned counter, so concurrent queries never touch
+  /// shared state.
+  void search(std::int64_t node, const mesh::Vec3& query,
+              std::span<Neighbour> best, std::int64_t& count,
+              std::int64_t& visited) const;
 
-  std::vector<mesh::Vec3> points_;
+  std::vector<Entry> entries_;
   std::vector<Node> nodes_;
-  std::int64_t root_ = -1;
   mutable std::int64_t visited_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdlib>
 #include <numeric>
 #include <string_view>
@@ -25,6 +26,22 @@ std::uint64_t fold_str(std::uint64_t h, std::string_view s) {
 
 std::uint64_t fold_f64(std::uint64_t h, double v) {
   return hash_mix(h, std::bit_cast<std::uint64_t>(v));
+}
+
+/// The CPX_CKPT_EVERY cadence: unset, empty or 0 is off. Anything but a
+/// whole non-negative int throws CheckError; a numeric prefix ("10x") is
+/// not a count.
+int parse_ckpt_every(const char* text) {
+  if (text == nullptr || *text == '\0') {
+    return 0;
+  }
+  const std::string_view s(text);
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+  CPX_REQUIRE(ec == std::errc() && ptr == s.data() + s.size() && n >= 0,
+              "CPX_CKPT_EVERY expects a non-negative step count, got '"
+                  << s << "'");
+  return n;
 }
 
 }  // namespace
@@ -78,12 +95,9 @@ CoupledSimulation::CoupledSimulation(const EngineCase& engine_case,
   // Snapshot cadence from the environment (docs/checkpoint.md):
   // CPX_CKPT_EVERY=<n> writes CPX_CKPT_PATH (default "cpx.ckpt") every n
   // density steps. set_checkpoint_cadence() overrides programmatically.
-  if (const char* every = std::getenv("CPX_CKPT_EVERY")) {
-    const int n = std::atoi(every);
-    if (n > 0) {
-      const char* path = std::getenv("CPX_CKPT_PATH");
-      set_checkpoint_cadence(n, path != nullptr ? path : "cpx.ckpt");
-    }
+  if (const int n = parse_ckpt_every(std::getenv("CPX_CKPT_EVERY")); n > 0) {
+    const char* path = std::getenv("CPX_CKPT_PATH");
+    set_checkpoint_cadence(n, path != nullptr ? path : "cpx.ckpt");
   }
 }
 

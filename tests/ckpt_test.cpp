@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -598,6 +599,26 @@ TEST(CkptCoupled, CadenceSnapshotsAreRestorable) {
   sim.run(2);
   fresh.run(2);
   EXPECT_EQ(to_vec(sim.checkpoint_bytes()), to_vec(fresh.checkpoint_bytes()));
+}
+
+TEST(CkptCoupled, EnvironmentCadenceIsParsedStrictly) {
+  // CPX_CKPT_EVERY is read when a CoupledSimulation is built: a whole
+  // non-negative count sets the cadence, an empty value or 0 leaves it
+  // off, and anything else throws (a numeric prefix is not a count).
+  const workflow::EngineCase c = workflow::small_validation_case();
+  const auto machine = sim::MachineModel::archer2();
+  const auto cadence_for = [&](const char* every) {
+    ::setenv("CPX_CKPT_EVERY", every, 1);
+    const workflow::CoupledSimulation sim(c, machine, small_case_assignment());
+    return sim.checkpoint_cadence();
+  };
+  EXPECT_EQ(cadence_for("3"), 3);
+  EXPECT_EQ(cadence_for(""), 0);
+  EXPECT_EQ(cadence_for("0"), 0);
+  for (const char* bad : {"10x", "x", "-1", " 5", "+5", "99999999999"}) {
+    EXPECT_THROW(cadence_for(bad), CheckError) << "CPX_CKPT_EVERY=" << bad;
+  }
+  ::unsetenv("CPX_CKPT_EVERY");
 }
 
 TEST(CkptCoupled, KilledRunRestoredFromSnapshotFinishesByteIdentically) {

@@ -43,12 +43,8 @@ TEST_P(KdTreeVsBrute, SameNearestNeighbour) {
   for (int q = 0; q < 200; ++q) {
     const mesh::Vec3 query{rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2),
                            rng.uniform(-1.2, 1.2)};
-    const std::int64_t brute = nearest_brute(pts, query);
-    const std::int64_t fast = tree.nearest(query);
-    // Indices may differ only on exact ties; distances must match.
-    EXPECT_NEAR(distance_squared(pts[static_cast<std::size_t>(fast)], query),
-                distance_squared(pts[static_cast<std::size_t>(brute)], query),
-                1e-15);
+    // Both resolve a distance tie to the lower index.
+    EXPECT_EQ(tree.nearest(query), nearest_brute(pts, query));
   }
 }
 
@@ -68,6 +64,48 @@ TEST(KdTree, VisitsLogarithmicallyFewNodes) {
   }
   // Expected ~log2(1e5) * small constant, certainly far below n.
   EXPECT_LT(total_visited / queries, 2000);
+}
+
+TEST(KdTree, FarQueriesVisitFewNodes) {
+  // Queries ten radii outside the cloud, like the targets of a sliding
+  // plane turned away from its donors: pruning on each subtree's bounding
+  // box keeps them as cheap as queries inside the cloud, and exact.
+  const auto pts = random_points(100'000, 3);
+  const KdTree tree(pts);
+  Rng rng(6);
+  const double radius = std::sqrt(3.0);  // the cloud fills [-1, 1]^3
+  std::int64_t total_visited = 0;
+  const int queries = 100;
+  for (int q = 0; q < queries; ++q) {
+    mesh::Vec3 d{rng.normal(), rng.normal(), rng.normal()};
+    const double scale = 10.0 * radius / std::sqrt(d.x * d.x + d.y * d.y +
+                                                   d.z * d.z);
+    const mesh::Vec3 query{scale * d.x, scale * d.y, scale * d.z};
+    EXPECT_EQ(tree.nearest(query), nearest_brute(pts, query));
+    total_visited += tree.last_visited();
+  }
+  EXPECT_LT(total_visited / queries, 2000);
+}
+
+TEST(KdTree, RebuildMatchesAFreshTree) {
+  // rebuild() reuses the buffers of the last build; the queries see only
+  // the new points.
+  const auto a = random_points(3000, 11);
+  const auto b = rotate_z(random_points(3000, 12), 1.0);
+  KdTree tree(a);
+  tree.rebuild(b);
+  const KdTree fresh(b);
+  std::vector<KdTree::Neighbour> got(6);
+  std::vector<KdTree::Neighbour> want(6);
+  for (const mesh::Vec3& q : random_points(200, 13)) {
+    tree.k_nearest(q, got);
+    fresh.k_nearest(q, want);
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].index, want[j].index);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j].d2),
+                std::bit_cast<std::uint64_t>(want[j].d2));
+    }
+  }
 }
 
 TEST(KdTree, ExactHitFindsItself) {
@@ -236,6 +274,25 @@ void expect_same_stencils(const std::vector<Stencil>& got,
   }
 }
 
+/// The coupled-rows interface: cell centroids of a 16 x 96 band of a 30
+/// degree annulus sector, the donors on the exit plane and the targets
+/// on the inlet plane moved onto it.
+std::pair<std::vector<mesh::Vec3>, std::vector<mesh::Vec3>>
+coupled_rows_interface() {
+  const int nz = 4;
+  const double dz = 1.0 / nz;
+  const mesh::UnstructuredMesh m =
+      mesh::make_annulus_mesh(16, 96, nz, 1.0, 2.0, 30.0, 1.0);
+  auto donors =
+      gather_centroids(m, extract_plane_cells(m, 1.0 - dz / 2.0, dz / 2.5));
+  auto targets =
+      gather_centroids(m, extract_plane_cells(m, dz / 2.0, dz / 2.5));
+  for (mesh::Vec3& p : targets) {
+    p.z += 1.0 - dz;
+  }
+  return {std::move(donors), std::move(targets)};
+}
+
 TEST(Idw, TreeStencilsMatchBruteForce) {
   // Random 3-D clouds, with a few exact hits among the targets.
   const auto donors = random_points(700, 71);
@@ -262,6 +319,21 @@ TEST(Idw, TreeStencilsMatchBruteForce) {
   const auto rotated = rotate_z(lattice, 0.0125);
   const std::vector<mesh::Vec3> few = {
       {0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {0.5, 0.5, 0}};
+  // The coupled-rows interface with the donor side turned far from the
+  // targets, where most of the tree lies near the worst candidate's
+  // distance.
+  const auto [band_donors, band_targets] = coupled_rows_interface();
+  ASSERT_EQ(band_donors.size(), 16u * 96u);
+  ASSERT_EQ(band_targets.size(), band_donors.size());
+  const double degree = 3.14159265358979323846 / 180.0;
+  const auto band60 = rotate_z(band_donors, 60.0 * degree);
+  const auto band180 = rotate_z(band_donors, 180.0 * degree);
+  const auto band240 = rotate_z(band_donors, 240.0 * degree);
+  // A target cloud ten radii away from a random donor cloud.
+  auto far_targets = random_points(300, 73);
+  for (mesh::Vec3& p : far_targets) {
+    p.x += 10.0 * std::sqrt(3.0);
+  }
 
   struct Case {
     const char* name;
@@ -271,7 +343,14 @@ TEST(Idw, TreeStencilsMatchBruteForce) {
   const Case cases[] = {{"random", donors, targets},
                         {"lattice", lattice, lattice_targets},
                         {"rotated lattice", rotated, lattice_targets},
-                        {"fewer donors than k", few, lattice_targets}};
+                        {"fewer donors than k", few, lattice_targets},
+                        {"coupled-rows band at 60 degrees", band60,
+                         band_targets},
+                        {"coupled-rows band at 180 degrees", band180,
+                         band_targets},
+                        {"coupled-rows band at 240 degrees", band240,
+                         band_targets},
+                        {"far targets", donors, far_targets}};
   for (const Case& c : cases) {
     for (const int k : {1, 2, 4, 12}) {
       expect_same_stencils(build_idw_stencils(c.donors, c.targets, k),

@@ -21,6 +21,7 @@
 #include "amg/pcg.hpp"
 #include "comm/communicator.hpp"
 #include "comm/exchange_plan.hpp"
+#include "cpx/field_coupler.hpp"
 #include "cpx/unit.hpp"
 #include "mesh/mesh.hpp"
 #include "mgcfd/distributed.hpp"
@@ -367,6 +368,47 @@ TEST(SolverAllocations, WarmDistributedEulerStepAllocatesNothing) {
           << " heap allocations (threads=" << threads
           << " cluster=" << with_cluster << ")";
     }
+  }
+  support::set_max_threads(width);
+}
+
+TEST(SolverAllocations, WarmSlidingPlaneRemapAllocatesNothing) {
+  // A warm sliding-plane remap — the donor side rotated in place, the k-d
+  // tree rebuilt, every stencil refilled — touches no heap, at pool widths
+  // 1 and 4. Each round is one coupled-rows step's coupling: a rotation,
+  // then five field transfers, the first of which remaps.
+  const cpx::mesh::UnstructuredMesh m =
+      cpx::mesh::make_annulus_mesh(16, 96, 4, 1.0, 2.0, 30.0, 1.0);
+  const double dz = 0.25;
+  const auto donors = cpx::coupler::gather_centroids(
+      m, cpx::coupler::extract_plane_cells(m, 1.0 - dz / 2.0, dz / 2.5));
+  auto targets = cpx::coupler::gather_centroids(
+      m, cpx::coupler::extract_plane_cells(m, dz / 2.0, dz / 2.5));
+  for (cpx::mesh::Vec3& p : targets) {
+    p.z += 1.0 - dz;
+  }
+  std::vector<double> field(donors.size(), 1.0);
+  std::vector<double> out(targets.size());
+  const int width = support::max_threads();
+  for (const int threads : {1, 4}) {
+    support::set_max_threads(threads);
+    cpx::coupler::FieldCoupler coupler(
+        donors, targets, cpx::coupler::InterfaceKind::kSlidingPlane);
+    const auto round = [&] {
+      coupler.advance_rotation(0.002);
+      for (int k = 0; k < 5; ++k) {
+        coupler.transfer(field, out);
+      }
+    };
+    round();  // the first remap sizes every buffer
+    const std::size_t allocs = allocations_during([&] {
+      for (int r = 0; r < 3; ++r) {
+        round();
+      }
+    });
+    EXPECT_EQ(coupler.remap_count(), 4);
+    EXPECT_EQ(allocs, 0u) << "warm sliding-plane remap made " << allocs
+                          << " heap allocations (threads=" << threads << ")";
   }
   support::set_max_threads(width);
 }
