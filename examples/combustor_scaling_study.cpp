@@ -12,18 +12,21 @@
 
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <vector>
 
 #include "perfmodel/sweep.hpp"
 #include "simpic/instance.hpp"
 #include "simpic/pic.hpp"
 #include "simpic/stc.hpp"
+#include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cpx;
   const Options opts = Options::parse(argc, argv);
+  const std::vector<double> ppc_list =
+      opts.get_double_list("ppc-list", {30, 100, 300, 1800});
 
   // --- Part 1: real PIC physics — plasma oscillation at omega_p ---
   print_banner(std::cout, "SIMPIC physics check: cold-plasma oscillation");
@@ -48,14 +51,6 @@ int main(int argc, char** argv) {
   print_banner(std::cout,
                "Particles-per-cell vs the 50% parallel-efficiency "
                "crossover (512k cells)");
-  std::vector<double> ppc_list;
-  {
-    std::istringstream iss(opts.get_string("ppc-list", "30,100,300,1800"));
-    std::string tok;
-    while (std::getline(iss, tok, ',')) {
-      ppc_list.push_back(std::stod(tok));
-    }
-  }
   const auto machine = sim::MachineModel::archer2();
   const std::vector<int> cores = {128,  256,  512,   1024,  2048,
                                   4096, 8192, 16384, 32768};
@@ -103,4 +98,7 @@ int main(int argc, char** argv) {
          "the 28M-cell pressure case collapsing near 3000 cores; 1800 ppc "
          "matches the 380M case reaching ~50% at 10k cores.)\n";
   return 0;
+} catch (const cpx::CheckError& e) {
+  std::cerr << "combustor_scaling_study: " << e.what() << '\n';
+  return 2;
 }

@@ -5,7 +5,7 @@
 // rank allocation and the predicted coupled runtime — the "rapid design
 // space and run-time setup exploration" of the paper's abstract.
 //
-//   ./resource_planner [--cores=40000] [--case=engine|small]
+//   ./resource_planner [--cores=40000] [--case=engine|engine-casing|small]
 //                      [--optimized] [--density-steps=1000]
 
 #include <algorithm>
@@ -13,13 +13,14 @@
 
 #include "perfmodel/allocator.hpp"
 #include "perfmodel/persistence.hpp"
+#include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 #include "workflow/case_io.hpp"
 #include "workflow/engine_case.hpp"
 #include "workflow/models.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cpx;
   Options opts = Options::parse(argc, argv);
   opts.describe("cores", "total core budget (default 40000)");
@@ -40,6 +41,11 @@ int main(int argc, char** argv) {
   const int cores = static_cast<int>(opts.get_int("cores", 40000));
   const bool optimized = opts.get_bool("optimized", false);
   const std::string which = opts.get_string("case", "engine");
+  CPX_REQUIRE(which == "small" || which == "engine" ||
+                  which == "engine-casing",
+              "unknown --case=" << which
+                                << " (expected small, engine or "
+                                   "engine-casing)");
   const std::string config = opts.get_string("config", "");
   const workflow::EngineCase ec =
       !config.empty() ? workflow::load_engine_case_file(config)
@@ -114,4 +120,7 @@ int main(int argc, char** argv) {
             << 100.0 * alloc.cu_time / alloc.predicted_runtime
             << "% coupling overhead)\n";
   return 0;
+} catch (const cpx::CheckError& e) {
+  std::cerr << "resource_planner: " << e.what() << '\n';
+  return 2;
 }

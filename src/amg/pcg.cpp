@@ -117,21 +117,6 @@ PcgResult pcg(const sparse::CsrMatrix& a, std::span<double> x,
   return result;
 }
 
-Preconditioner make_jacobi_preconditioner(const sparse::CsrMatrix& a) {
-  std::vector<double> inv_diag(static_cast<std::size_t>(a.rows()));
-  for (std::int64_t r = 0; r < a.rows(); ++r) {
-    const double d = a.at(r, r);
-    CPX_REQUIRE(d != 0.0, "jacobi preconditioner: zero diagonal at " << r);
-    inv_diag[static_cast<std::size_t>(r)] = 1.0 / d;
-  }
-  return [inv_diag = std::move(inv_diag)](std::span<double> z,
-                                          std::span<const double> r) {
-    for (std::size_t i = 0; i < z.size(); ++i) {
-      z[i] = inv_diag[i] * r[i];
-    }
-  };
-}
-
 Preconditioner make_amg_preconditioner(AmgHierarchy& hierarchy) {
   // pcg's contract zero-fills z before every application, so the cycle can
   // take it as the initial guess directly (no duplicate clearing pass).

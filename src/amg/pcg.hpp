@@ -54,9 +54,6 @@ PcgResult pcg(const sparse::CsrMatrix& a, std::span<double> x,
               std::span<const double> b, double tol, int max_iterations,
               const Preconditioner& precond, PcgWorkspace& workspace);
 
-/// Jacobi (diagonal) preconditioner for A.
-Preconditioner make_jacobi_preconditioner(const sparse::CsrMatrix& a);
-
 class AmgHierarchy;
 /// One AMG cycle as a preconditioner (the hierarchy must outlive the
 /// returned functor).

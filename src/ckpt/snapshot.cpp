@@ -153,13 +153,6 @@ void Writer::put_i64_span(std::span<const std::int64_t> v) {
   }
 }
 
-void Writer::put_u64_span(std::span<const std::uint64_t> v) {
-  put_u64(v.size());
-  for (const std::uint64_t x : v) {
-    put_u64(x);
-  }
-}
-
 void Writer::write_file(const std::string& path) const {
   CPX_REQUIRE(!open_, "Writer: write_file before finish()");
   const std::string stage = path + ".tmp";
@@ -313,33 +306,6 @@ std::string Reader::get_str() {
   return s;
 }
 
-void Reader::get_f64_span(std::span<double> out) {
-  const std::uint64_t n = get_u64();
-  CPX_REQUIRE(n == out.size(), "ckpt: vector length " << n << ", expected "
-                                                      << out.size());
-  for (double& x : out) {
-    x = get_f64();
-  }
-}
-
-void Reader::get_i64_span(std::span<std::int64_t> out) {
-  const std::uint64_t n = get_u64();
-  CPX_REQUIRE(n == out.size(), "ckpt: vector length " << n << ", expected "
-                                                      << out.size());
-  for (std::int64_t& x : out) {
-    x = get_i64();
-  }
-}
-
-void Reader::get_u64_span(std::span<std::uint64_t> out) {
-  const std::uint64_t n = get_u64();
-  CPX_REQUIRE(n == out.size(), "ckpt: vector length " << n << ", expected "
-                                                      << out.size());
-  for (std::uint64_t& x : out) {
-    x = get_u64();
-  }
-}
-
 void Reader::get_f64_vec(std::vector<double>& out) {
   const std::uint64_t n = get_u64();
   need(static_cast<std::size_t>(n) * 8);
@@ -355,15 +321,6 @@ void Reader::get_i64_vec(std::vector<std::int64_t>& out) {
   out.resize(static_cast<std::size_t>(n));
   for (std::int64_t& x : out) {
     x = get_i64();
-  }
-}
-
-void Reader::get_u64_vec(std::vector<std::uint64_t>& out) {
-  const std::uint64_t n = get_u64();
-  need(static_cast<std::size_t>(n) * 8);
-  out.resize(static_cast<std::size_t>(n));
-  for (std::uint64_t& x : out) {
-    x = get_u64();
   }
 }
 

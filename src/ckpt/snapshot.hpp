@@ -64,7 +64,6 @@ class Writer {
   void put_str(std::string_view s);
   void put_f64_span(std::span<const double> v);
   void put_i64_span(std::span<const std::int64_t> v);
-  void put_u64_span(std::span<const std::uint64_t> v);
 
   /// The finished snapshot bytes (valid until the next begin()).
   std::span<const std::byte> bytes() const { return buf_; }
@@ -108,13 +107,9 @@ class Reader {
   std::int64_t get_i64();
   double get_f64();
   std::string get_str();
-  void get_f64_span(std::span<double> out);
-  void get_i64_span(std::span<std::int64_t> out);
-  void get_u64_span(std::span<std::uint64_t> out);
   /// Reads a length-prefixed f64 vector (resizes `out`).
   void get_f64_vec(std::vector<double>& out);
   void get_i64_vec(std::vector<std::int64_t>& out);
-  void get_u64_vec(std::vector<std::uint64_t>& out);
   /// Allocator-generic variant: the aligned SoA arrays
   /// (support/aligned.hpp) restore through the same length-prefixed
   /// layout, so checkpoints are byte-identical either way.

@@ -148,7 +148,7 @@ void apply_stencils(std::span<const Stencil> stencils,
 }
 
 void validate_stencils(std::span<const Stencil> stencils,
-                       std::size_t num_donors, bool partition_of_unity) {
+                       std::size_t num_donors) {
   for (std::size_t t = 0; t < stencils.size(); ++t) {
     const Stencil& s = stencils[t];
     CPX_CHECK_MSG(!s.donors.empty(), "stencil " << t << " has no donors");
@@ -165,39 +165,10 @@ void validate_stencils(std::span<const Stencil> stencils,
                                << " not a finite non-negative value");
       sum += s.weights[j];
     }
-    if (partition_of_unity) {
-      CPX_CHECK_MSG(std::abs(sum - 1.0) <= 1e-9,
-                    "stencil " << t << " weights sum to " << sum
-                               << " (interpolation not consistent)");
-    }
+    CPX_CHECK_MSG(std::abs(sum - 1.0) <= 1e-9,
+                  "stencil " << t << " weights sum to " << sum
+                             << " (interpolation not consistent)");
   }
-}
-
-std::vector<Stencil> make_conservative(std::span<const Stencil> stencils,
-                                       std::size_t num_donors) {
-  // Column sums of the transfer operator: how much of each donor's value
-  // the consistent stencils distribute in total.
-  std::vector<double> donor_total(num_donors, 0.0);
-  for (const Stencil& s : stencils) {
-    for (std::size_t j = 0; j < s.donors.size(); ++j) {
-      CPX_REQUIRE(static_cast<std::size_t>(s.donors[j]) < num_donors,
-                  "make_conservative: donor index out of range");
-      donor_total[static_cast<std::size_t>(s.donors[j])] += s.weights[j];
-    }
-  }
-  // Dividing each weight by its donor's column sum makes every reached
-  // donor distribute exactly its own value (columns sum to 1).
-  std::vector<Stencil> out(stencils.begin(), stencils.end());
-  for (Stencil& s : out) {
-    for (std::size_t j = 0; j < s.donors.size(); ++j) {
-      const double total =
-          donor_total[static_cast<std::size_t>(s.donors[j])];
-      if (total > 0.0) {
-        s.weights[j] /= total;
-      }
-    }
-  }
-  return out;
 }
 
 void rotate_z(std::span<const mesh::Vec3> points, double radians,
@@ -214,13 +185,6 @@ void rotate_z(std::span<const mesh::Vec3> points, double radians,
                                               s * p.x + c * p.y, p.z};
         }
       });
-}
-
-std::vector<mesh::Vec3> rotate_z(const std::vector<mesh::Vec3>& points,
-                                 double radians) {
-  std::vector<mesh::Vec3> out(points.size());
-  rotate_z(points, radians, out);
-  return out;
 }
 
 }  // namespace cpx::coupler

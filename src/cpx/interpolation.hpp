@@ -47,29 +47,15 @@ void apply_stencils(std::span<const Stencil> stencils,
 
 /// Deep validator (tier 2, support/check.hpp): every stencil is non-empty
 /// with matching donor/weight arrays, donor indices in [0, num_donors),
-/// finite non-negative weights, and — when partition_of_unity is true (the
-/// consistent/IDW case; conservative stencils rescale per donor instead) —
-/// weights summing to 1 within 1e-9. Runs automatically after every
-/// FieldCoupler remap when check::deep() is on. Throws CheckError.
+/// finite non-negative weights summing to 1 within 1e-9. Runs
+/// automatically after every FieldCoupler remap when check::deep() is on.
+/// Throws CheckError.
 void validate_stencils(std::span<const Stencil> stencils,
-                       std::size_t num_donors,
-                       bool partition_of_unity = true);
+                       std::size_t num_donors);
 
 /// Rotates points about the z axis by `radians` — the relative motion of a
 /// sliding-plane interface between timesteps — into `out` (same size).
 void rotate_z(std::span<const mesh::Vec3> points, double radians,
               std::span<mesh::Vec3> out);
-std::vector<mesh::Vec3> rotate_z(const std::vector<mesh::Vec3>& points,
-                                 double radians);
-
-/// Conservative redistribution of the IDW stencils: rescales the weights
-/// per *donor* so that the total transferred quantity is preserved,
-///     sum_t out[t] == sum_d field[d]   (for donors reached by a stencil).
-/// Consistent (IDW) transfer preserves constants; conservative transfer
-/// preserves integrals — the classic coupler trade-off. Use conservative
-/// stencils for extensive quantities (mass/heat flux through the
-/// interface), consistent ones for intensive fields (velocity, pressure).
-std::vector<Stencil> make_conservative(std::span<const Stencil> stencils,
-                                       std::size_t num_donors);
 
 }  // namespace cpx::coupler

@@ -37,21 +37,6 @@ double distance_squared(const mesh::Vec3& a, const mesh::Vec3& b) {
   return dx * dx + dy * dy + dz * dz;
 }
 
-std::int64_t nearest_brute(const std::vector<mesh::Vec3>& points,
-                           const mesh::Vec3& query) {
-  CPX_REQUIRE(!points.empty(), "nearest_brute: empty point set");
-  std::int64_t best = 0;
-  double best_d2 = distance_squared(points[0], query);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    const double d2 = distance_squared(points[i], query);
-    if (d2 < best_d2) {
-      best_d2 = d2;
-      best = static_cast<std::int64_t>(i);
-    }
-  }
-  return best;
-}
-
 void KdTree::rebuild(std::span<const mesh::Vec3> points) {
   CPX_REQUIRE(!points.empty(), "KdTree: empty point set");
   entries_.resize(points.size());

@@ -27,10 +27,6 @@
 
 namespace cpx::coupler {
 
-/// Brute-force nearest neighbour: O(n) per query.
-std::int64_t nearest_brute(const std::vector<mesh::Vec3>& points,
-                           const mesh::Vec3& query);
-
 /// Static k-d tree over a point set: O(log n) expected per query.
 class KdTree {
  public:

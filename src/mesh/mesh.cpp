@@ -1,6 +1,5 @@
 #include "mesh/mesh.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "support/check.hpp"
@@ -30,48 +29,6 @@ void UnstructuredMesh::validate() const {
   for (double v : volumes_) {
     CPX_CHECK_MSG(v > 0.0, "non-positive cell volume");
   }
-}
-
-void UnstructuredMesh::build_adjacency() const {
-  const auto n = static_cast<std::size_t>(num_cells());
-  adj_offsets_.assign(n + 1, 0);
-  for (const Edge& e : edges_) {
-    ++adj_offsets_[static_cast<std::size_t>(e.a) + 1];
-    ++adj_offsets_[static_cast<std::size_t>(e.b) + 1];
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    adj_offsets_[i] += adj_offsets_[i - 1];
-  }
-  adj_cells_.assign(static_cast<std::size_t>(adj_offsets_[n]), 0);
-  std::vector<std::int64_t> cursor(adj_offsets_.begin(),
-                                   adj_offsets_.end() - 1);
-  for (const Edge& e : edges_) {
-    adj_cells_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(e.a)]++)] = e.b;
-    adj_cells_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(e.b)]++)] = e.a;
-  }
-}
-
-const std::vector<std::int64_t>& UnstructuredMesh::adjacency_offsets() const {
-  if (adj_offsets_.empty()) {
-    build_adjacency();
-  }
-  return adj_offsets_;
-}
-
-const std::vector<CellId>& UnstructuredMesh::adjacency_cells() const {
-  if (adj_offsets_.empty()) {
-    build_adjacency();
-  }
-  return adj_cells_;
-}
-
-int UnstructuredMesh::degree(CellId cell) const {
-  const auto& offsets = adjacency_offsets();
-  CPX_REQUIRE(cell >= 0 && cell < num_cells(), "degree: bad cell " << cell);
-  return static_cast<int>(offsets[static_cast<std::size_t>(cell) + 1] -
-                          offsets[static_cast<std::size_t>(cell)]);
 }
 
 namespace {
@@ -200,19 +157,6 @@ UnstructuredMesh make_annulus_mesh(int nr, int ntheta, int nz, double r_inner,
   }
   return UnstructuredMesh(std::move(centroids), std::move(volumes),
                           std::move(edges));
-}
-
-std::array<int, 3> box_dims_for(std::int64_t target_cells, double ax,
-                                double ay, double az) {
-  CPX_REQUIRE(target_cells >= 1, "box_dims_for: bad target");
-  CPX_REQUIRE(ax > 0.0 && ay > 0.0 && az > 0.0, "box_dims_for: bad aspect");
-  const double volume_scale =
-      std::cbrt(static_cast<double>(target_cells) / (ax * ay * az));
-  std::array<int, 3> dims = {
-      std::max(1, static_cast<int>(std::lround(ax * volume_scale))),
-      std::max(1, static_cast<int>(std::lround(ay * volume_scale))),
-      std::max(1, static_cast<int>(std::lround(az * volume_scale)))};
-  return dims;
 }
 
 }  // namespace cpx::mesh

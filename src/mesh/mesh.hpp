@@ -13,7 +13,6 @@
 // neighbour counts) drive the performance behaviour. Sizes too large to
 // instantiate are handled analytically by PartitionStats (stats.hpp).
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -52,26 +51,14 @@ class UnstructuredMesh {
   const std::vector<double>& volumes() const { return volumes_; }
   const std::vector<Edge>& edges() const { return edges_; }
 
-  /// CSR adjacency over cells (built lazily on first call, cached).
-  const std::vector<std::int64_t>& adjacency_offsets() const;
-  const std::vector<CellId>& adjacency_cells() const;
-
-  /// Degree of a cell in the dual graph.
-  int degree(CellId cell) const;
-
   /// Validates internal consistency (edge endpoints in range, positive
   /// volumes/areas). Throws CheckError on violation.
   void validate() const;
 
  private:
-  void build_adjacency() const;
-
   std::vector<Vec3> centroids_;
   std::vector<double> volumes_;
   std::vector<Edge> edges_;
-
-  mutable std::vector<std::int64_t> adj_offsets_;
-  mutable std::vector<CellId> adj_cells_;
 };
 
 /// Structured box mesh of nx*ny*nz cells with 6-point stencil connectivity,
@@ -88,11 +75,5 @@ UnstructuredMesh make_box_mesh(int nx, int ny, int nz, std::uint64_t seed = 42,
 UnstructuredMesh make_annulus_mesh(int nr, int ntheta, int nz, double r_inner,
                                    double r_outer, double sector_degrees,
                                    double length, std::uint64_t seed = 42);
-
-/// Chooses box dimensions whose product is close to `target_cells` with
-/// roughly the given aspect ratios. Used to build "an N-cell mesh" without
-/// hand-picking factors.
-std::array<int, 3> box_dims_for(std::int64_t target_cells, double ax = 1.0,
-                                double ay = 1.0, double az = 1.0);
 
 }  // namespace cpx::mesh

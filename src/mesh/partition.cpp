@@ -92,14 +92,6 @@ Partitioning partition_rcb(const UnstructuredMesh& mesh, int num_parts) {
   return p;
 }
 
-std::int64_t LocalMesh::halo_send_cells() const {
-  std::int64_t total = 0;
-  for (const SendList& s : sends) {
-    total += static_cast<std::int64_t>(s.cells.size());
-  }
-  return total;
-}
-
 std::vector<LocalMesh> extract_local_meshes(const UnstructuredMesh& mesh,
                                             const Partitioning& partitioning) {
   CPX_REQUIRE(partitioning.part_of.size() ==
@@ -359,29 +351,6 @@ void validate_local_meshes(const UnstructuredMesh& mesh,
                             << " connects two ghosts");
     }
   }
-}
-
-HaloSummary summarize_halos(const UnstructuredMesh& mesh,
-                            const Partitioning& partitioning) {
-  const auto locals = extract_local_meshes(mesh, partitioning);
-  HaloSummary s;
-  s.min_owned = mesh.num_cells();
-  double owned_sum = 0.0;
-  double halo_sum = 0.0;
-  double nbr_sum = 0.0;
-  for (const LocalMesh& lm : locals) {
-    s.max_owned = std::max(s.max_owned, lm.num_owned());
-    s.min_owned = std::min(s.min_owned, lm.num_owned());
-    owned_sum += static_cast<double>(lm.num_owned());
-    halo_sum += static_cast<double>(lm.num_ghosts());
-    s.max_halo = std::max(s.max_halo, static_cast<double>(lm.num_ghosts()));
-    nbr_sum += lm.num_neighbors();
-  }
-  const double n = static_cast<double>(locals.size());
-  s.mean_owned = owned_sum / n;
-  s.mean_halo = halo_sum / n;
-  s.mean_neighbors = nbr_sum / n;
-  return s;
 }
 
 }  // namespace cpx::mesh

@@ -64,7 +64,6 @@ struct LocalMesh {
   std::int64_t num_ghosts() const {
     return static_cast<std::int64_t>(ghosts.size());
   }
-  std::int64_t halo_send_cells() const;
   int num_neighbors() const { return static_cast<int>(sends.size()); }
 };
 
@@ -97,17 +96,5 @@ void validate_partitioning(const UnstructuredMesh& mesh,
 void validate_local_meshes(const UnstructuredMesh& mesh,
                            const Partitioning& partitioning,
                            std::span<const LocalMesh> locals);
-
-/// Aggregate halo statistics of a partitioning (no local meshes built).
-struct HaloSummary {
-  std::int64_t max_owned = 0;
-  std::int64_t min_owned = 0;
-  double mean_owned = 0.0;
-  double mean_halo = 0.0;  ///< mean ghost cells per part
-  double max_halo = 0.0;
-  double mean_neighbors = 0.0;
-};
-HaloSummary summarize_halos(const UnstructuredMesh& mesh,
-                            const Partitioning& partitioning);
 
 }  // namespace cpx::mesh

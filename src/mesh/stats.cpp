@@ -39,18 +39,4 @@ PartitionStats PartitionStats::analytic(std::int64_t global_cells,
   return s;
 }
 
-PartitionStats PartitionStats::measure(const UnstructuredMesh& mesh,
-                                       const Partitioning& partitioning) {
-  const HaloSummary h = summarize_halos(mesh, partitioning);
-  PartitionStats s;
-  s.global_cells = mesh.num_cells();
-  s.num_parts = partitioning.num_parts;
-  s.owned_mean = h.mean_owned;
-  s.owned_max = static_cast<double>(h.max_owned);
-  s.halo_mean = h.mean_halo;
-  s.halo_max = h.max_halo;
-  s.neighbors_mean = h.mean_neighbors;
-  return s;
-}
-
 }  // namespace cpx::mesh

@@ -1,6 +1,5 @@
 #pragma once
-// Partition statistics, both measured (from a real mesh + partitioning) and
-// analytic (from mesh size + part count alone).
+// Partition statistics from mesh size and part count alone.
 //
 // The analytic model is what lets the simulator run the paper's 8M-380M
 // cell instances on thousands of ranks without instantiating the meshes:
@@ -31,10 +30,6 @@ struct PartitionStats {
   static PartitionStats analytic(std::int64_t global_cells, int num_parts,
                                  double surface_coeff = 6.0,
                                  double imbalance = 1.03);
-
-  /// Measured from an actual partitioning.
-  static PartitionStats measure(const UnstructuredMesh& mesh,
-                                const Partitioning& partitioning);
 };
 
 }  // namespace cpx::mesh

@@ -7,12 +7,13 @@
 // implementation would.
 //
 // This closes the loop between the performance instance (instance.hpp,
-// which only *accounts* for communication) and the numerics (euler.hpp,
-// which is sequential): the distributed solver evaluates the sequential
-// solver's flux kernel (flux.hpp) and reproduces its solution on the same
-// mesh bit for bit (tests verify this), while its communication structure
-// — per-neighbour pack/send/unpack plus a residual allreduce — is
-// precisely what the performance instance charges to the virtual cluster.
+// which only *accounts* for communication) and the numerics: the
+// distributed solver evaluates the flux kernel (flux.hpp) of a sequential
+// reference solver and reproduces its solution on the same mesh bit for
+// bit (tests/mgcfd_test.cpp holds that reference), while its
+// communication structure — per-neighbour pack/send/unpack plus a
+// residual allreduce — is precisely what the performance instance charges
+// to the virtual cluster.
 // Passing a Cluster lets one run co-simulate: real physics and virtual
 // timing from the same execution, charged with the halo plan's real
 // message sizes. The co-simulated step is synchronous; comm/compute
@@ -48,9 +49,9 @@ namespace cpx::mgcfd {
 class DistributedSolver {
  public:
   /// Partitions `mesh` into `parts` ranks with RCB. Throws CheckError
-  /// unless options.mg_levels is 1: like EulerSolver it steps a single
-  /// grid, and the paper's density-solver instances are modelled at the
-  /// timestep level anyway.
+  /// unless options.mg_levels is 1: it steps a single grid, and the
+  /// paper's density-solver instances are modelled at the timestep level
+  /// anyway.
   DistributedSolver(const mesh::UnstructuredMesh& mesh, int parts,
                     const EulerOptions& options);
 

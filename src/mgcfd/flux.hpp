@@ -1,16 +1,17 @@
 #pragma once
-// The MG-CFD edge flux kernel and cell update, shared by the sequential
-// solver (EulerSolver) and the distributed one (DistributedSolver): one
-// definition, so both solvers evaluate every edge and update every cell
-// with the same expressions and their solutions agree bit for bit.
+// The MG-CFD edge flux kernel and cell update, shared by the distributed
+// solver (DistributedSolver) and its test-local sequential reference
+// (EulerSolver, tests/mgcfd_test.cpp): one definition, so both solvers
+// evaluate every edge and update every cell with the same expressions and
+// their solutions agree bit for bit.
 //
 // The kernel reads each cell's pressure and sound speed from its cached
 // Primitives instead of recomputing them per edge: a hex cell has about
 // six incident edges, so the per-edge form evaluated every pressure about
 // twelve times and every square root about six times per residual. The
 // solvers refresh one Primitives per cell slot before the edge loop; each
-// cached value is the expression pressure()/sound_speed() evaluate, on
-// the same inputs, so the cached form is bitwise equal to the per-edge
+// cached value is the expression the per-edge form evaluated, on the
+// same inputs, so the cached form is bitwise equal to the per-edge
 // one (the ISO build does not contract FMAs).
 //
 // Every kernel is spelled per component, as named scalars: no State

@@ -146,23 +146,4 @@ double ScalingCurve::efficiency_at(double cores, double base_cores) const {
   return (time_at(base_cores) * base_cores) / (time_at(cores) * cores);
 }
 
-double loocv_relative_error(std::span<const ScalingPoint> points) {
-  CPX_REQUIRE(points.size() >= 3, "loocv: need >= 3 points");
-  double total = 0.0;
-  for (std::size_t held = 0; held < points.size(); ++held) {
-    std::vector<ScalingPoint> rest;
-    rest.reserve(points.size() - 1);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (i != held) {
-        rest.push_back(points[i]);
-      }
-    }
-    const ScalingCurve curve = ScalingCurve::fit(rest);
-    total += std::abs(curve.time_at(points[held].cores) -
-                      points[held].seconds) /
-             points[held].seconds;
-  }
-  return total / static_cast<double>(points.size());
-}
-
 }  // namespace cpx::perfmodel

@@ -21,12 +21,6 @@ struct ScalingPoint {
   double seconds = 0.0;
 };
 
-/// Leave-one-out cross-validation of the curve family on a point set:
-/// refits without each point in turn and returns the mean relative error
-/// of predicting the held-out point — an honest estimate of the model's
-/// *predictive* (not in-sample) accuracy. Needs >= 3 points.
-double loocv_relative_error(std::span<const ScalingPoint> points);
-
 class ScalingCurve {
  public:
   ScalingCurve() = default;

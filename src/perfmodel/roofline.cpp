@@ -36,17 +36,6 @@ RooflinePoint classify(const KernelSample& sample,
   return p;
 }
 
-double roofline_seconds(std::int64_t flops, std::int64_t bytes,
-                        const RooflineMachine& machine) {
-  CPX_REQUIRE(machine.peak_gflops > 0.0 && machine.peak_gbs > 0.0,
-              "roofline_seconds: machine ceilings must be positive");
-  const double compute_s =
-      static_cast<double>(flops) / (machine.peak_gflops * 1e9);
-  const double memory_s =
-      static_cast<double>(bytes) / (machine.peak_gbs * 1e9);
-  return std::max(compute_s, memory_s);
-}
-
 namespace {
 
 /// Kernel names come from the metrics registry (plain ASCII identifiers),

@@ -61,12 +61,6 @@ struct RooflinePoint {
 RooflinePoint classify(const KernelSample& sample,
                        const RooflineMachine& machine);
 
-/// Roofline time prediction for a kernel: the slower of draining the
-/// bytes at peak bandwidth and retiring the flops at peak compute. The
-/// perfmodel sweeps use it as a single-core floor for counted kernels.
-double roofline_seconds(std::int64_t flops, std::int64_t bytes,
-                        const RooflineMachine& machine);
-
 /// Writes the `cpx-roofline-v1` JSON document: the machine ceilings plus
 /// one entry per sample with raw counts and derived roofline coordinates.
 void write_roofline_json(std::ostream& out, const RooflineMachine& machine,

@@ -59,12 +59,6 @@ Config Config::base_84m() {
   return c;
 }
 
-Config Config::base_380m() {
-  Config c = base_28m();
-  c.mesh_cells = 380'000'000;
-  return c;
-}
-
 Config Config::optimized(std::int64_t mesh_cells) {
   Config c = base_28m();
   c.mesh_cells = mesh_cells;

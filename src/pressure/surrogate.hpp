@@ -66,7 +66,6 @@ struct Config {
   /// Named presets for the paper's test cases.
   static Config base_28m();
   static Config base_84m();
-  static Config base_380m();
   /// The optimised solver of §IV-C applied to `mesh_cells`.
   static Config optimized(std::int64_t mesh_cells);
 };

@@ -512,14 +512,6 @@ void Cluster::comm_delay(RankRange range, std::span<const double> seconds,
   }
 }
 
-void Cluster::reset() {
-  reset_clocks();
-  profile_.reset();
-  if (trace_ != nullptr) {
-    trace_->clear();
-  }
-}
-
 void Cluster::reset_clocks() {
   std::fill(clocks_.begin(), clocks_.end(), 0.0);
   std::fill(comm_bytes_.begin(), comm_bytes_.end(), 0);

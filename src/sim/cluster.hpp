@@ -215,18 +215,15 @@ class Cluster {
   std::int64_t comm_messages(Rank rank) const;
   std::int64_t comm_messages(RankRange range) const;
 
-  /// Zeroes every clock and the profile (region ids survive).
-  void reset();
-
   /// Turns this cluster into one of `num_ranks` ranks on the same machine,
   /// in exactly the state a newly built cluster of that size starts in:
   /// clocks, traffic and hidden-comm totals zero, profile rows zeroed at
-  /// the new size (region ids survive, as with reset()), the failure
-  /// trigger disarmed and the trace cleared. id() changes, so every App
-  /// re-binds and a schedule built before the call is refused. Every
-  /// per-rank array keeps its capacity: reshaping to no more ranks than
-  /// the cluster has held allocates nothing (a sweep visits its largest
-  /// core count first and reuses that memory for the rest).
+  /// the new size (region ids survive), the failure trigger disarmed and
+  /// the trace cleared. id() changes, so every App re-binds and a
+  /// schedule built before the call is refused. Every per-rank array
+  /// keeps its capacity: reshaping to no more ranks than the cluster has
+  /// held allocates nothing (a sweep visits its largest core count first
+  /// and reuses that memory for the rest).
   void reshape(int num_ranks);
 
   /// Zeroes the per-rank clocks, traffic counters and hidden-comm totals
@@ -260,7 +257,7 @@ class Cluster {
   void restore(ckpt::Reader& r);
 
   /// Enables timeline recording (see sim/trace.hpp). Call before running;
-  /// reset() clears recorded events but keeps tracing enabled.
+  /// reshape() clears recorded events but keeps tracing enabled.
   void enable_tracing(std::size_t max_events = 1 << 20);
   bool tracing_enabled() const { return trace_ != nullptr; }
   const Trace* trace() const { return trace_.get(); }

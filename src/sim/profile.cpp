@@ -44,36 +44,6 @@ RegionTimes Profile::rank_region(Rank rank, RegionId region) const {
           comm_[static_cast<std::size_t>(region)][static_cast<std::size_t>(rank)]};
 }
 
-RegionTimes Profile::mean_over_ranks(RegionId region, Rank begin,
-                                     Rank end) const {
-  CPX_REQUIRE(begin >= 0 && end <= num_ranks_ && begin < end,
-              "Profile: bad rank interval [" << begin << ", " << end << ")");
-  RegionTimes sum;
-  for (Rank r = begin; r < end; ++r) {
-    const RegionTimes t = rank_region(r, region);
-    sum.compute += t.compute;
-    sum.comm += t.comm;
-  }
-  const double n = static_cast<double>(end - begin);
-  return {sum.compute / n, sum.comm / n};
-}
-
-RegionTimes Profile::max_over_ranks(RegionId region, Rank begin,
-                                    Rank end) const {
-  CPX_REQUIRE(begin >= 0 && end <= num_ranks_ && begin < end,
-              "Profile: bad rank interval [" << begin << ", " << end << ")");
-  RegionTimes best;
-  double best_total = -1.0;
-  for (Rank r = begin; r < end; ++r) {
-    const RegionTimes t = rank_region(r, region);
-    if (t.total() > best_total) {
-      best_total = t.total();
-      best = t;
-    }
-  }
-  return best;
-}
-
 RegionTimes Profile::rank_total(Rank rank) const {
   RegionTimes sum;
   for (std::size_t g = 0; g < names_.size(); ++g) {

@@ -85,12 +85,6 @@ class Profile {
   /// Time recorded for one rank in one region.
   RegionTimes rank_region(Rank rank, RegionId region) const;
 
-  /// Mean over a rank interval [begin, end).
-  RegionTimes mean_over_ranks(RegionId region, Rank begin, Rank end) const;
-
-  /// Max of (compute+comm) over a rank interval, with its split.
-  RegionTimes max_over_ranks(RegionId region, Rank begin, Rank end) const;
-
   /// Sum over all regions for one rank.
   RegionTimes rank_total(Rank rank) const;
 

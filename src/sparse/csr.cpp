@@ -1,7 +1,6 @@
 #include "sparse/csr.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/check.hpp"
 #include "support/metrics.hpp"
@@ -119,14 +118,6 @@ CsrMatrix::CsrMatrix(std::int64_t rows, std::int64_t cols,
   }
 }
 
-CsrMatrix::CsrMatrix(std::int64_t rows, std::int64_t cols,
-                     std::vector<std::int64_t> row_offsets,
-                     std::vector<std::int32_t> col_indices,
-                     const std::vector<double>& values, Trusted)
-    : CsrMatrix(rows, cols, std::move(row_offsets), std::move(col_indices),
-                support::aligned_vector<double>(values.begin(), values.end()),
-                Trusted{}) {}
-
 std::span<const std::int32_t> CsrMatrix::row_cols(std::int64_t r) const {
   CPX_DCHECK(r >= 0 && r < rows_);
   const auto begin = static_cast<std::size_t>(
@@ -186,20 +177,6 @@ void CsrMatrix::validate() const {
       }
     }
   }
-}
-
-CsrMatrix CsrMatrix::identity(std::int64_t n) {
-  std::vector<std::int64_t> offsets(static_cast<std::size_t>(n) + 1);
-  std::vector<std::int32_t> cols(static_cast<std::size_t>(n));
-  support::aligned_vector<double> vals(static_cast<std::size_t>(n), 1.0);
-  for (std::int64_t i = 0; i <= n; ++i) {
-    offsets[static_cast<std::size_t>(i)] = i;
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    cols[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(i);
-  }
-  return CsrMatrix(n, n, std::move(offsets), std::move(cols),
-                   std::move(vals), Trusted{});
 }
 
 CsrMatrix csr_from_triplets(std::int64_t rows, std::int64_t cols,
@@ -702,12 +679,6 @@ CsrMatrix spgemm_spa(const CsrMatrix& a, const CsrMatrix& b) {
                    std::move(vals), Trusted{});
 }
 
-CsrMatrix galerkin_product(const CsrMatrix& r, const CsrMatrix& a,
-                           const CsrMatrix& p) {
-  const CsrMatrix ap = spgemm_spa(a, p);
-  return spgemm_spa(r, ap);
-}
-
 SpgemmPlan::SpgemmPlan(const CsrMatrix& a, const CsrMatrix& b)
     : SpgemmPlan(a, b, spgemm_spa(a, b)) {}
 
@@ -805,35 +776,6 @@ void SpgemmPlan::numeric_into(const CsrMatrix& a, const CsrMatrix& b,
   CPX_REQUIRE(c.rows() == rows_ && c.cols() == cols_ && c.nnz() == nnz(),
               "SpgemmPlan::numeric_into: output structure mismatch");
   fill_values(a, b, row_offsets_, col_indices_, c.mutable_values());
-}
-
-double frobenius_distance(const CsrMatrix& a, const CsrMatrix& b) {
-  CPX_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(),
-              "frobenius_distance: shape mismatch");
-  double sum = 0.0;
-  for (std::int64_t r = 0; r < a.rows(); ++r) {
-    const auto ac = a.row_cols(r);
-    const auto av = a.row_values(r);
-    const auto bc = b.row_cols(r);
-    const auto bv = b.row_values(r);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < ac.size() || j < bc.size()) {
-      if (j >= bc.size() || (i < ac.size() && ac[i] < bc[j])) {
-        sum += av[i] * av[i];
-        ++i;
-      } else if (i >= ac.size() || bc[j] < ac[i]) {
-        sum += bv[j] * bv[j];
-        ++j;
-      } else {
-        const double d = av[i] - bv[j];
-        sum += d * d;
-        ++i;
-        ++j;
-      }
-    }
-  }
-  return std::sqrt(sum);
 }
 
 }  // namespace cpx::sparse

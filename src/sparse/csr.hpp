@@ -2,7 +2,8 @@
 // Compressed-sparse-row matrices and the kernels the paper's §IV-B
 // optimisation study targets: SpMV, SpGEMM (reference two-pass and
 // optimised single-pass with a sparse accumulator), transpose, and the
-// Galerkin triple product R*A*P used in AMG setup.
+// fixed-structure SpGEMM plan whose numeric passes re-form the Galerkin
+// products R*A*P of an AMG re-setup.
 
 #include <cstdint>
 #include <span>
@@ -33,7 +34,7 @@ class CsrMatrix {
   CsrMatrix() = default;
   // Values are stored 64-byte aligned (support/aligned.hpp) for the SIMD
   // SpMV kernels; the aligned_vector overloads move, the std::vector
-  // overloads copy into aligned storage for callers that build values in
+  // overload copies into aligned storage for callers that build values in
   // plain vectors.
   CsrMatrix(std::int64_t rows, std::int64_t cols,
             std::vector<std::int64_t> row_offsets,
@@ -47,10 +48,6 @@ class CsrMatrix {
             std::vector<std::int64_t> row_offsets,
             std::vector<std::int32_t> col_indices,
             const std::vector<double>& values);
-  CsrMatrix(std::int64_t rows, std::int64_t cols,
-            std::vector<std::int64_t> row_offsets,
-            std::vector<std::int32_t> col_indices,
-            const std::vector<double>& values, Trusted);
   // Braced value lists would convert equally well to either vector type,
   // so give them an overload that wins outright.
   CsrMatrix(std::int64_t rows, std::int64_t cols,
@@ -91,8 +88,6 @@ class CsrMatrix {
 
   /// Checks offsets are monotone, columns in range and sorted per row.
   void validate() const;
-
-  static CsrMatrix identity(std::int64_t n);
 
  private:
   /// O(rows) shape/offset checks only (the Trusted construction path).
@@ -216,12 +211,5 @@ CsrMatrix spgemm_twopass(const CsrMatrix& a, const CsrMatrix& b);
 /// giving O(1) access to any output element, rows built into per-row
 /// scratch then compacted into contiguous storage (§IV-B optimisations 1-2).
 CsrMatrix spgemm_spa(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Galerkin coarse operator R A P (computed as R*(A*P)).
-CsrMatrix galerkin_product(const CsrMatrix& r, const CsrMatrix& a,
-                           const CsrMatrix& p);
-
-/// Frobenius-norm distance between two matrices (for equivalence tests).
-double frobenius_distance(const CsrMatrix& a, const CsrMatrix& b);
 
 }  // namespace cpx::sparse

@@ -7,22 +7,6 @@
 
 namespace cpx::sparse {
 
-CsrMatrix laplacian_1d(std::int64_t n) {
-  CPX_REQUIRE(n >= 1, "laplacian_1d: bad size");
-  std::vector<Triplet> t;
-  t.reserve(static_cast<std::size_t>(3 * n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    t.push_back({i, i, 2.0});
-    if (i > 0) {
-      t.push_back({i, i - 1, -1.0});
-    }
-    if (i + 1 < n) {
-      t.push_back({i, i + 1, -1.0});
-    }
-  }
-  return csr_from_triplets(n, n, t);
-}
-
 CsrMatrix laplacian_2d(int nx, int ny) {
   CPX_REQUIRE(nx >= 1 && ny >= 1, "laplacian_2d: bad dims");
   const std::int64_t n = static_cast<std::int64_t>(nx) * ny;

@@ -1,5 +1,5 @@
 #pragma once
-// Canonical test matrices: 1-D/3-D finite-difference Poisson operators and
+// Canonical test matrices: 2-D/3-D finite-difference Poisson operators and
 // a random SPD perturbation. Used by the AMG module's tests and the SpGEMM
 // ablation benches without pulling in the mesh module.
 
@@ -8,9 +8,6 @@
 #include "sparse/csr.hpp"
 
 namespace cpx::sparse {
-
-/// Tridiagonal 1-D Poisson matrix (2 on the diagonal, -1 off).
-CsrMatrix laplacian_1d(std::int64_t n);
 
 /// 7-point 3-D Poisson matrix on an nx x ny x nz grid.
 CsrMatrix laplacian_3d(int nx, int ny, int nz);

@@ -105,55 +105,4 @@ std::vector<double> solve_normal_equations(std::span<const double> a,
   CPX_CHECK_MSG(false, "normal equations not SPD even with ridge boost");
 }
 
-std::vector<double> fit_basis(std::span<const double> xs,
-                              std::span<const double> ys,
-                              std::span<const BasisFn> basis,
-                              std::span<const double> weights) {
-  CPX_REQUIRE(xs.size() == ys.size(), "fit_basis: xs/ys size mismatch");
-  CPX_REQUIRE(!basis.empty(), "fit_basis: empty basis");
-  CPX_REQUIRE(weights.empty() || weights.size() == xs.size(),
-              "fit_basis: weights size mismatch");
-  const std::size_t m = xs.size();
-  const std::size_t n = basis.size();
-  std::vector<double> a(m * n);
-  std::vector<double> b(m);
-  for (std::size_t r = 0; r < m; ++r) {
-    const double w = weights.empty() ? 1.0 : std::sqrt(weights[r]);
-    for (std::size_t c = 0; c < n; ++c) {
-      a[r * n + c] = w * basis[c](xs[r]);
-    }
-    b[r] = w * ys[r];
-  }
-  return solve_normal_equations(a, m, n, b);
-}
-
-double eval_basis(std::span<const double> coefs, std::span<const BasisFn> basis,
-                  double x) {
-  CPX_REQUIRE(coefs.size() == basis.size(), "eval_basis: size mismatch");
-  double y = 0.0;
-  for (std::size_t i = 0; i < coefs.size(); ++i) {
-    y += coefs[i] * basis[i](x);
-  }
-  return y;
-}
-
-std::vector<double> fit_polynomial(std::span<const double> xs,
-                                   std::span<const double> ys, int degree) {
-  CPX_REQUIRE(degree >= 0, "fit_polynomial: negative degree");
-  std::vector<BasisFn> basis;
-  basis.reserve(static_cast<std::size_t>(degree) + 1);
-  for (int d = 0; d <= degree; ++d) {
-    basis.push_back([d](double x) { return std::pow(x, d); });
-  }
-  return fit_basis(xs, ys, basis);
-}
-
-double eval_polynomial(std::span<const double> coefs, double x) {
-  double y = 0.0;
-  for (std::size_t i = coefs.size(); i-- > 0;) {
-    y = y * x + coefs[i];
-  }
-  return y;
-}
-
 }  // namespace cpx

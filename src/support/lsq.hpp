@@ -8,7 +8,6 @@
 // function design matrix is exact. The normal equations are solved with a
 // Cholesky factorisation plus a tiny Tikhonov ridge for rank safety.
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -21,27 +20,5 @@ std::vector<double> solve_normal_equations(std::span<const double> a,
                                            std::size_t rows, std::size_t cols,
                                            std::span<const double> b,
                                            double ridge = 1e-12);
-
-/// A single basis function phi_j(x).
-using BasisFn = std::function<double(double)>;
-
-/// Ordinary least squares fit of y ~= sum_j coef[j] * basis[j](x).
-/// Optionally weighted (weights.size() == xs.size(), or empty for uniform).
-std::vector<double> fit_basis(std::span<const double> xs,
-                              std::span<const double> ys,
-                              std::span<const BasisFn> basis,
-                              std::span<const double> weights = {});
-
-/// Evaluate a fitted basis expansion at x.
-double eval_basis(std::span<const double> coefs, std::span<const BasisFn> basis,
-                  double x);
-
-/// Polynomial fit of the given degree; returns coefficients c0..cdeg
-/// (lowest order first).
-std::vector<double> fit_polynomial(std::span<const double> xs,
-                                   std::span<const double> ys, int degree);
-
-/// Evaluate a polynomial with coefficients lowest-order-first.
-double eval_polynomial(std::span<const double> coefs, double x);
 
 }  // namespace cpx

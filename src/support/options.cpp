@@ -1,5 +1,6 @@
 #include "support/options.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -8,6 +9,26 @@
 #include "support/check.hpp"
 
 namespace cpx {
+namespace {
+
+/// Strict parse of the whole of `text` as a double; `what` names the value
+/// in the error ("--rate", "--ppc-list element 2").
+double parse_double(const std::string& what, const std::string& text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  CPX_REQUIRE(end != text.c_str() && end != nullptr && *end == '\0',
+              "Options: " << what << " expects a number, got '" << text
+                          << "'");
+  // ERANGE overflow saturates to +/-HUGE_VAL — reject it. ERANGE underflow
+  // (denormal/zero results like 1e-400) is representable enough to accept.
+  CPX_REQUIRE(errno != ERANGE || std::abs(v) != HUGE_VAL,
+              "Options: " << what << " value '" << text
+                          << "' overflows a double");
+  return v;
+}
+
+}  // namespace
 
 Options Options::parse(int argc, const char* const* argv) {
   Options opts;
@@ -73,18 +94,28 @@ double Options::get_double(const std::string& key, double fallback) const {
               "Options: --" << key << " expects a number, got an empty "
                                "value (did you mean --"
                             << key << "=<x>?)");
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  CPX_REQUIRE(end != text.c_str() && end != nullptr && *end == '\0',
-              "Options: --" << key << " expects a number, got '" << text
-                            << "'");
-  // ERANGE overflow saturates to +/-HUGE_VAL — reject it. ERANGE underflow
-  // (denormal/zero results like 1e-400) is representable enough to accept.
-  CPX_REQUIRE(errno != ERANGE || std::abs(v) != HUGE_VAL,
-              "Options: --" << key << " value '" << text
-                            << "' overflows a double");
-  return v;
+  return parse_double("--" + key, text);
+}
+
+std::vector<double> Options::get_double_list(
+    const std::string& key, std::vector<double> fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) {
+    return fallback;
+  }
+  const std::string& text = it->second;
+  std::vector<double> out;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = std::min(text.find(',', begin), text.size());
+    out.push_back(parse_double(
+        "--" + key + " element " + std::to_string(out.size() + 1),
+        text.substr(begin, comma - begin)));
+    if (comma == text.size()) {
+      return out;
+    }
+    begin = comma + 1;
+  }
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {

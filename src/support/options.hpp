@@ -23,6 +23,11 @@ class Options {
                          const std::string& fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
   double get_double(const std::string& key, double fallback) const;
+  /// A comma-separated list of numbers ("--ppc-list=30,100"), each element
+  /// parsed as strictly as get_double; an empty or malformed element
+  /// throws CheckError naming it.
+  std::vector<double> get_double_list(const std::string& key,
+                                      std::vector<double> fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }

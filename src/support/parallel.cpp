@@ -13,7 +13,6 @@
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/mutex.hpp"
-#include "support/options.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace cpx::support {
@@ -274,14 +273,6 @@ int parse_thread_count(const char* text) {
     return 0;
   }
   return static_cast<int>(v);
-}
-
-int configure_threads(const Options& options) {
-  const long long requested = options.get_int("threads", 0);
-  if (requested >= 1) {
-    set_max_threads(static_cast<int>(requested));
-  }
-  return max_threads();
 }
 
 std::int64_t num_chunks(std::int64_t begin, std::int64_t end,

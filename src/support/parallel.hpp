@@ -22,10 +22,6 @@
 #include <type_traits>
 #include <utility>
 
-namespace cpx {
-class Options;
-}  // namespace cpx
-
 namespace cpx::support {
 
 /// Non-owning callable view (two raw pointers), used instead of
@@ -72,10 +68,6 @@ void set_max_threads(int n);
 /// Parses a thread-count string ("4"). Returns 0 for missing/invalid/
 /// non-positive input (callers fall back to hardware concurrency).
 int parse_thread_count(const char* text);
-
-/// Applies --threads=N from parsed CLI options (fallback: the current
-/// width, i.e. CPX_THREADS / hardware concurrency). Returns the width.
-int configure_threads(const Options& options);
 
 /// Number of chunks the deterministic decomposition produces for
 /// [begin, end) with the given grain (grain is clamped to >= 1).

@@ -41,62 +41,4 @@ double percent_error(double measured, double reference) {
   return 100.0 * relative_error(measured, reference);
 }
 
-double parallel_efficiency(double t_base, double cores_base, double t_p,
-                           double cores_p) {
-  CPX_REQUIRE(t_p > 0.0 && cores_p > 0.0 && t_base > 0.0 && cores_base > 0.0,
-              "parallel_efficiency: all inputs must be positive");
-  return (t_base * cores_base) / (t_p * cores_p);
-}
-
-double speedup(double t_base, double t_p) {
-  CPX_REQUIRE(t_p > 0.0, "speedup: t_p must be positive");
-  return t_base / t_p;
-}
-
-double r_squared(std::span<const double> observed,
-                 std::span<const double> predicted) {
-  CPX_REQUIRE(observed.size() == predicted.size() && !observed.empty(),
-              "r_squared: size mismatch or empty input");
-  const Summary obs = summarize(observed);
-  double ss_res = 0.0;
-  double ss_tot = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    const double r = observed[i] - predicted[i];
-    const double d = observed[i] - obs.mean;
-    ss_res += r * r;
-    ss_tot += d * d;
-  }
-  if (ss_tot == 0.0) {
-    return ss_res == 0.0 ? 1.0 : 0.0;
-  }
-  return 1.0 - ss_res / ss_tot;
-}
-
-double interp1(std::span<const double> xs, std::span<const double> ys,
-               double x) {
-  CPX_REQUIRE(xs.size() == ys.size() && !xs.empty(),
-              "interp1: size mismatch or empty input");
-  if (x <= xs.front()) {
-    return ys.front();
-  }
-  if (x >= xs.back()) {
-    return ys.back();
-  }
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
-  const std::size_t lo = hi - 1;
-  const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
-  return ys[lo] + t * (ys[hi] - ys[lo]);
-}
-
-double geometric_mean(std::span<const double> values) {
-  CPX_REQUIRE(!values.empty(), "geometric_mean: empty input");
-  double log_sum = 0.0;
-  for (double v : values) {
-    CPX_REQUIRE(v > 0.0, "geometric_mean: values must be positive");
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
 }  // namespace cpx

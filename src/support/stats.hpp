@@ -26,22 +26,4 @@ double relative_error(double measured, double reference);
 /// Percentage error, 100 * relative_error.
 double percent_error(double measured, double reference);
 
-/// Parallel efficiency of a strong-scaling point: PE(p) = T(p0)*p0 / (T(p)*p).
-double parallel_efficiency(double t_base, double cores_base, double t_p,
-                           double cores_p);
-
-/// Speedup relative to the base point: S(p) = T(p0) / T(p).
-double speedup(double t_base, double t_p);
-
-/// Coefficient of determination (R^2) of predictions vs observations.
-double r_squared(std::span<const double> observed,
-                 std::span<const double> predicted);
-
-/// Linear interpolation of y(x) on a sorted x grid; clamps outside range.
-double interp1(std::span<const double> xs, std::span<const double> ys,
-               double x);
-
-/// Geometric mean (all values must be positive).
-double geometric_mean(std::span<const double> values);
-
 }  // namespace cpx

@@ -71,39 +71,6 @@ void Table::print(std::ostream& os) const {
   }
 }
 
-void Table::print_csv(std::ostream& os) const {
-  const auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) {
-      return s;
-    }
-    std::string out = "\"";
-    for (char ch : s) {
-      if (ch == '"') {
-        out += '"';
-      }
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    os << (c == 0 ? "" : ",") << quote(headers_[c]);
-  }
-  os << '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      os << (c == 0 ? "" : ",") << quote(format_cell(row[c]));
-    }
-    os << '\n';
-  }
-}
-
-std::string Table::to_string() const {
-  std::ostringstream oss;
-  print(oss);
-  return oss.str();
-}
-
 void print_banner(std::ostream& os, const std::string& title) {
   os << '\n' << "=== " << title << " ===" << '\n';
 }

@@ -1,7 +1,7 @@
 #pragma once
-// Aligned plain-text tables and CSV output for benchmark reports. Every
-// bench binary prints the rows/series of the paper figure it reproduces
-// through this module, so output formatting is uniform.
+// Aligned plain-text tables for benchmark reports. Every bench binary
+// prints the rows/series of the paper figure it reproduces through this
+// module, so output formatting is uniform.
 
 #include <iosfwd>
 #include <string>
@@ -28,12 +28,6 @@ class Table {
 
   /// Renders with aligned columns and a header separator.
   void print(std::ostream& os) const;
-
-  /// Renders as CSV (RFC-4180-ish quoting for cells containing commas).
-  void print_csv(std::ostream& os) const;
-
-  /// Returns the formatted text (as print would emit).
-  std::string to_string() const;
 
  private:
   std::string format_cell(const Cell& cell) const;

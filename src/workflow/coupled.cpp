@@ -197,20 +197,6 @@ double CoupledSimulation::instance_runtime(int index) const {
   return cluster_->max_clock(app_ranges_[static_cast<std::size_t>(index)]);
 }
 
-std::size_t CoupledSimulation::instance_comm_bytes(int index) const {
-  CPX_REQUIRE(index >= 0 &&
-                  static_cast<std::size_t>(index) < app_ranges_.size(),
-              "instance_comm_bytes: bad index " << index);
-  return cluster_->comm_bytes(app_ranges_[static_cast<std::size_t>(index)]);
-}
-
-std::size_t CoupledSimulation::cu_comm_bytes(int index) const {
-  CPX_REQUIRE(index >= 0 &&
-                  static_cast<std::size_t>(index) < cu_ranges_.size(),
-              "cu_comm_bytes: bad index " << index);
-  return cluster_->comm_bytes(cu_ranges_[static_cast<std::size_t>(index)]);
-}
-
 double CoupledSimulation::standalone_runtime(int index,
                                              int density_steps) const {
   CPX_REQUIRE(index >= 0 &&
@@ -230,12 +216,6 @@ double CoupledSimulation::standalone_runtime(int index,
     }
   }
   return cluster.max_clock();
-}
-
-sim::App& CoupledSimulation::app(int index) {
-  CPX_REQUIRE(index >= 0 && static_cast<std::size_t>(index) < apps_.size(),
-              "app: bad index " << index);
-  return *apps_[static_cast<std::size_t>(index)];
 }
 
 std::uint64_t CoupledSimulation::case_digest() const {

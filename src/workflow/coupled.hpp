@@ -49,14 +49,6 @@ class CoupledSimulation {
   /// Coupled runtime of one instance (max clock over its ranks).
   double instance_runtime(int index) const;
 
-  /// Measured traffic injected by one instance's ranks so far (bytes of
-  /// halo exchanges, migrations, collectives — real message sizes from
-  /// the comm layer, see docs/communication.md).
-  std::size_t instance_comm_bytes(int index) const;
-  /// Measured traffic injected by one coupler unit's ranks so far (the
-  /// scatter legs of its exchanges originate on the CU ranks).
-  std::size_t cu_comm_bytes(int index) const;
-
   /// Disables/enables coupler exchanges. Running the same case once with
   /// and once without coupling isolates the coupling overhead of §V-B:
   ///   overhead = (T_coupled - T_uncoupled) / T_coupled.
@@ -76,7 +68,6 @@ class CoupledSimulation {
   const EngineCase& engine_case() const { return case_; }
   const RankAssignment& assignment() const { return assignment_; }
   sim::Cluster& cluster() { return *cluster_; }
-  sim::App& app(int index);
 
   // --- Checkpoint/restart (docs/checkpoint.md) ---
   /// Serialises the coupled-run state (case/assignment digest, step

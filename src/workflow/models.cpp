@@ -176,12 +176,4 @@ CaseModels build_case_models(const EngineCase& engine_case,
   return models;
 }
 
-double predicted_instance_runtime(const CaseModels& models, int index,
-                                  int cores) {
-  CPX_REQUIRE(index >= 0 &&
-                  static_cast<std::size_t>(index) < models.apps.size(),
-              "predicted_instance_runtime: bad index");
-  return models.apps[static_cast<std::size_t>(index)].time(cores);
-}
-
 }  // namespace cpx::workflow

@@ -57,9 +57,4 @@ perfmodel::AppFactory instance_factory(const EngineCase& engine_case,
 /// is one coupling exchange (needs >= 3 ranks).
 perfmodel::AppFactory coupler_bench_factory(const CouplerSpec& spec);
 
-/// Predicted full-run runtime of instance `index` at `cores` ranks, using
-/// the fitted models (model time; compare against measured runtimes).
-double predicted_instance_runtime(const CaseModels& models, int index,
-                                  int cores);
-
 }  // namespace cpx::workflow

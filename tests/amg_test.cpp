@@ -18,6 +18,7 @@
 #include "amg/pcg.hpp"
 #include "amg/smoothers.hpp"
 #include "mesh/mesh.hpp"
+#include "reference_sparse.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 #include "support/check.hpp"
@@ -91,7 +92,7 @@ TEST(Smoother, GaussSeidelBeatsJacobiPerSweep) {
 
 TEST(Smoother, HybridGsBetweenJacobiAndGs) {
   // With one block Hybrid GS *is* GS; with n blocks it approaches Jacobi.
-  const sparse::CsrMatrix a = sparse::laplacian_1d(64);
+  const sparse::CsrMatrix a = testing::laplacian_1d(64);
   const auto n = static_cast<std::size_t>(a.rows());
   const std::vector<double> b = random_vector(n, 3);
   std::vector<double> x_gs(n, 0.0);
@@ -334,7 +335,7 @@ TEST(Hierarchy, SpgemmChoiceDoesNotChangeResult) {
   ASSERT_EQ(h_two.num_levels(), h_spa.num_levels());
   for (int l = 0; l < h_two.num_levels(); ++l) {
     EXPECT_NEAR(
-        sparse::frobenius_distance(h_two.level(l).a, h_spa.level(l).a), 0.0,
+        testing::frobenius_distance(h_two.level(l).a, h_spa.level(l).a), 0.0,
         1e-10);
   }
 }
@@ -384,7 +385,7 @@ TEST(Aggregation, TruncationPreservesRowSumsAndSparsifies) {
     EXPECT_NEAR(before, after, 1e-12) << "row " << r;
   }
   // threshold 0 is the identity.
-  EXPECT_NEAR(sparse::frobenius_distance(truncate_prolongator(p, 0.0), p),
+  EXPECT_NEAR(testing::frobenius_distance(truncate_prolongator(p, 0.0), p),
               0.0, 1e-15);
 }
 
@@ -563,7 +564,7 @@ TEST(Hierarchy, ResetValuesRejectsDifferentStructure) {
 }
 
 TEST(Pcg, UnpreconditionedSolvesSmallSystem) {
-  const sparse::CsrMatrix a = sparse::laplacian_1d(50);
+  const sparse::CsrMatrix a = testing::laplacian_1d(50);
   const auto n = static_cast<std::size_t>(a.rows());
   const std::vector<double> b(n, 1.0);
   std::vector<double> x(n, 0.0);
@@ -592,7 +593,8 @@ TEST(Pcg, AmgPreconditionerCutsIterations) {
 }
 
 TEST(Pcg, JacobiPreconditionerHelpsScaledSystem) {
-  // Badly scaled diagonal: Jacobi normalises it.
+  // Badly scaled diagonal: a Jacobi preconditioner, z = r / diag(A),
+  // normalises it through pcg's preconditioner hook.
   std::vector<sparse::Triplet> t;
   for (std::int64_t i = 0; i < 100; ++i) {
     t.push_back({i, i, i % 2 == 0 ? 1.0 : 1000.0});
@@ -602,12 +604,21 @@ TEST(Pcg, JacobiPreconditionerHelpsScaledSystem) {
     }
   }
   const sparse::CsrMatrix a = sparse::csr_from_triplets(100, 100, t);
+  std::vector<double> inv_diag(100);
+  for (std::int64_t r = 0; r < a.rows(); ++r) {
+    inv_diag[static_cast<std::size_t>(r)] = 1.0 / a.at(r, r);
+  }
+  const Preconditioner jacobi = [&inv_diag](std::span<double> z,
+                                            std::span<const double> r) {
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      z[i] = inv_diag[i] * r[i];
+    }
+  };
   const std::vector<double> b(100, 1.0);
   std::vector<double> x0(100, 0.0);
   std::vector<double> x1(100, 0.0);
   const PcgResult plain = pcg(a, x0, b, 1e-10, 500);
-  const PcgResult jac =
-      pcg(a, x1, b, 1e-10, 500, make_jacobi_preconditioner(a));
+  const PcgResult jac = pcg(a, x1, b, 1e-10, 500, jacobi);
   EXPECT_TRUE(jac.converged);
   EXPECT_LE(jac.iterations, plain.iterations);
 }
@@ -658,7 +669,7 @@ TEST(Pcg, PressureSolveIsPinnedBitwise) {
 }
 
 TEST(Pcg, ZeroRhsReturnsImmediately) {
-  const sparse::CsrMatrix a = sparse::laplacian_1d(10);
+  const sparse::CsrMatrix a = testing::laplacian_1d(10);
   std::vector<double> x(10, 0.0);
   const std::vector<double> b(10, 0.0);
   const PcgResult res = pcg(a, x, b, 1e-10, 10);

@@ -185,10 +185,6 @@ TEST(StencilValidator, RejectsWeightsNotSummingToOne) {
   EXPECT_THROW(
       coupler::validate_stencils(std::vector<coupler::Stencil>{s}, 2),
       CheckError);
-  // The same stencil is legal for conservative transfer, where weights are
-  // rescaled per donor instead of per target.
-  EXPECT_NO_THROW(coupler::validate_stencils(
-      std::vector<coupler::Stencil>{s}, 2, /*partition_of_unity=*/false));
 }
 
 TEST(StencilValidator, RejectsDonorOutOfRange) {

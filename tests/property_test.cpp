@@ -23,6 +23,7 @@
 #include "perfmodel/allocator.hpp"
 #include "perfmodel/persistence.hpp"
 #include "mgcfd/instance.hpp"
+#include "reference_mesh.hpp"
 #include "sim/cluster.hpp"
 #include "simpic/instance.hpp"
 #include "simpic/pic.hpp"
@@ -1147,7 +1148,7 @@ TEST_P(PartitionModelBounds, AnalyticTracksMeasuredHalo) {
   const auto [side, parts] = GetParam();
   const mesh::UnstructuredMesh m = mesh::make_box_mesh(side, side, side);
   const mesh::PartitionStats measured =
-      mesh::PartitionStats::measure(m, mesh::partition_rcb(m, parts));
+      testing::measure_partition_stats(m, mesh::partition_rcb(m, parts));
   const mesh::PartitionStats analytic =
       mesh::PartitionStats::analytic(m.num_cells(), parts);
   EXPECT_NEAR(analytic.owned_mean, measured.owned_mean,

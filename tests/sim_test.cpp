@@ -149,10 +149,12 @@ TEST(Cluster, WaitUntilChargesCommTime) {
 }
 
 TEST(Cluster, ResetClearsState) {
+  // Reshaping to the current size is the reset: clocks and profile zeroed.
   Cluster c(MachineModel::archer2(), 2);
   const RegionId r0 = c.region("x");
   c.compute_seconds(0, 1.0, r0);
-  c.reset();
+  c.reshape(c.num_ranks());
+  EXPECT_EQ(c.num_ranks(), 2);
   EXPECT_DOUBLE_EQ(c.clock(0), 0.0);
   EXPECT_DOUBLE_EQ(c.profile().rank_region(0, r0).compute, 0.0);
   // Region ids survive a reset.
@@ -295,16 +297,6 @@ TEST(Cluster, SlowNetworkMakesExchangeSlower) {
   EXPECT_GT(slow.clock(129), 2.0 * fast.clock(129));
 }
 
-TEST(Profile, MeanAndMaxOverRanks) {
-  Profile p(4);
-  const RegionId r0 = p.region("a");
-  p.add_compute(0, r0, 1.0);
-  p.add_compute(1, r0, 3.0);
-  p.add_comm(1, r0, 1.0);
-  EXPECT_DOUBLE_EQ(p.mean_over_ranks(r0, 0, 4).compute, 1.0);
-  EXPECT_DOUBLE_EQ(p.max_over_ranks(r0, 0, 4).total(), 4.0);
-}
-
 TEST(Profile, RegionInterningIsIdempotent) {
   Profile p(1);
   EXPECT_EQ(p.region("x"), p.region("x"));
@@ -416,7 +408,8 @@ TEST(Trace, ResetClearsEventsButKeepsTracing) {
   Cluster c(MachineModel::archer2(), 1);
   c.enable_tracing();
   c.compute_seconds(0, 1.0, c.region("k"));
-  c.reset();
+  ASSERT_FALSE(c.trace()->events().empty());
+  c.reshape(c.num_ranks());
   EXPECT_TRUE(c.tracing_enabled());
   EXPECT_TRUE(c.trace()->events().empty());
 }

@@ -10,12 +10,18 @@
 #include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/identity_prefix.hpp"
+#include "reference_sparse.hpp"
 #include "sparse/renumber.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace cpx::sparse {
 namespace {
+
+using testing::frobenius_distance;
+using testing::galerkin_product;
+using testing::identity_matrix;
+using testing::laplacian_1d;
 
 TEST(Csr, FromTripletsSortsAndSumsDuplicates) {
   const std::vector<Triplet> t = {
@@ -58,7 +64,7 @@ TEST(Csr, AtBinarySearchesTheRow) {
 }
 
 TEST(Csr, IdentityActsAsIdentity) {
-  const CsrMatrix i = CsrMatrix::identity(5);
+  const CsrMatrix i = identity_matrix(5);
   std::vector<double> x = {1, 2, 3, 4, 5};
   std::vector<double> y(5);
   spmv(i, x, y);
@@ -78,7 +84,7 @@ TEST(Spmv, MatchesDense) {
 }
 
 TEST(Spmv, AddAccumulates) {
-  const CsrMatrix a = CsrMatrix::identity(3);
+  const CsrMatrix a = identity_matrix(3);
   const std::vector<double> x = {1.0, 1.0, 1.0};
   std::vector<double> y = {10.0, 20.0, 30.0};
   spmv_add(a, x, y, 2.0);
@@ -116,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SpgemmEquivalence,
 
 TEST(Spgemm, MultiplyByIdentityIsNoOp) {
   const CsrMatrix a = laplacian_2d(5, 5);
-  const CsrMatrix i = CsrMatrix::identity(a.cols());
+  const CsrMatrix i = identity_matrix(a.cols());
   EXPECT_NEAR(frobenius_distance(spgemm_spa(a, i), a), 0.0, 1e-14);
   EXPECT_NEAR(frobenius_distance(spgemm_twopass(i, a), a), 0.0, 1e-14);
 }
@@ -186,7 +192,7 @@ TEST(SameStructure, DetectsValueAndStructureDifferences) {
   EXPECT_TRUE(same_structure(a, b));  // values may differ
   EXPECT_TRUE(same_structure(a, a));
   EXPECT_FALSE(same_structure(a, laplacian_2d(6, 5)));
-  EXPECT_FALSE(same_structure(a, CsrMatrix::identity(a.rows())));
+  EXPECT_FALSE(same_structure(a, identity_matrix(a.rows())));
 }
 
 TEST(SpgemmPlan, SymbolicMatchesProductStructure) {
@@ -344,7 +350,7 @@ TEST(IdentityPrefix, NoPrefixDegeneratesToPlainCsr) {
 }
 
 TEST(IdentityPrefix, WholeIdentityMatrix) {
-  const CsrMatrix i = CsrMatrix::identity(7);
+  const CsrMatrix i = identity_matrix(7);
   const IdentityPrefixMatrix ip = IdentityPrefixMatrix::from_csr(i);
   EXPECT_EQ(ip.identity_rows(), 7);
   EXPECT_EQ(ip.stored_nnz(), 0);
@@ -356,7 +362,7 @@ TEST(IdentityPrefix, WholeIdentityMatrix) {
 
 TEST(IdentityPrefix, RejectsInconsistentShapes) {
   EXPECT_THROW(
-      IdentityPrefixMatrix(10, 5, CsrMatrix::identity(5)),
+      IdentityPrefixMatrix(10, 5, identity_matrix(5)),
       CheckError);
 }
 

@@ -49,7 +49,7 @@ RULES = (
         "malloc, the buffered stable_sort/stable_partition/inplace_merge) "
         "in any function reachable from the solve-path entry points "
         "(amg::pcg, AmgHierarchy::solve/cycle/reset_values, the "
-        "make_jacobi/make_amg preconditioner factories, blas1::sum, "
+        "make_amg_preconditioner factory, blas1::sum, "
         "SpgemmPlan::fill_values, DistributedSolver::step, simpic::Pic::step, "
         "simpic::DistributedPic::step) via the call graph."),
     RuleInfo(
@@ -107,12 +107,11 @@ RANDOM_IDENTS = frozenset({
 CLOCK_IDENTS = frozenset({"system_clock", "high_resolution_clock"})
 
 # pcg applies its preconditioner through a std::function, which the call
-# graph does not follow, so the factories whose lambdas it calls are
-# entries (lite attributes a lambda's calls to its enclosing function).
+# graph does not follow, so the factory whose lambda it calls is an entry
+# (lite attributes a lambda's calls to its enclosing function).
 # blas1::sum, the combine behind allreduce_sum, is watched in its own right.
 SOLVE_ENTRY_SUFFIXES = ("amg::pcg", "AmgHierarchy::solve",
                         "AmgHierarchy::cycle", "AmgHierarchy::reset_values",
-                        "amg::make_jacobi_preconditioner",
                         "amg::make_amg_preconditioner", "blas1::sum",
                         "SpgemmPlan::fill_values",
                         "DistributedSolver::step",
