@@ -25,6 +25,7 @@
 int main(int argc, char** argv) try {
   using namespace cpx;
   const Options opts = Options::parse(argc, argv);
+  opts.reject_unknown({"ppc-list"});
   const std::vector<double> ppc_list =
       opts.get_double_list("ppc-list", {30, 100, 300, 1800});
 

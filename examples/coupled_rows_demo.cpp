@@ -19,12 +19,14 @@
 #include "mesh/mesh.hpp"
 #include "mgcfd/distributed.hpp"
 #include "sim/cluster.hpp"
+#include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cpx;
   const Options opts = Options::parse(argc, argv);
+  opts.reject_unknown({"steps", "parts"});
   const int steps = static_cast<int>(opts.get_int("steps", 40));
   const int parts = static_cast<int>(opts.get_int("parts", 4));
 
@@ -129,4 +131,7 @@ int main(int argc, char** argv) {
                "the interface — unsteady information a steady "
                "boundary-condition hand-off would have lost.\n";
   return 0;
+} catch (const cpx::CheckError& e) {
+  std::cerr << "coupled_rows_demo: " << e.what() << '\n';
+  return 2;
 }

@@ -12,6 +12,7 @@
 
 #include "perfmodel/allocator.hpp"
 #include "sim/trace.hpp"
+#include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -19,9 +20,10 @@
 #include "workflow/engine_case.hpp"
 #include "workflow/models.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cpx;
   const Options opts = Options::parse(argc, argv);
+  opts.reject_unknown({"cores", "steps", "optimized", "trace"});
   const int cores = static_cast<int>(opts.get_int("cores", 40000));
   const int steps = static_cast<int>(opts.get_int("steps", 20));
   const bool optimized = opts.get_bool("optimized", false);
@@ -79,4 +81,7 @@ int main(int argc, char** argv) {
                              sim.runtime())
             << "% error)\n";
   return 0;
+} catch (const cpx::CheckError& e) {
+  std::cerr << "engine_simulation: " << e.what() << '\n';
+  return 2;
 }

@@ -16,12 +16,14 @@
 #include "perfmodel/allocator.hpp"
 #include "perfmodel/sweep.hpp"
 #include "sim/cluster.hpp"
+#include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cpx;
   const Options opts = Options::parse(argc, argv);
+  opts.reject_unknown({"cores", "steps"});
   const int cores = static_cast<int>(opts.get_int("cores", 1024));
   const int steps = static_cast<int>(opts.get_int("steps", 20));
 
@@ -82,4 +84,7 @@ int main(int argc, char** argv) {
             << " (predicted runtime " << alloc.predicted_runtime
             << " s/step)\n";
   return 0;
+} catch (const cpx::CheckError& e) {
+  std::cerr << "quickstart: " << e.what() << '\n';
+  return 2;
 }

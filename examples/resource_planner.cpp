@@ -33,6 +33,8 @@ int main(int argc, char** argv) try {
   opts.describe("save-models", "write the fitted component models to a file");
   opts.describe("load-models",
                 "reuse previously fitted models instead of re-benchmarking");
+  opts.reject_unknown({"help", "cores", "case", "config", "optimized",
+                       "density-steps", "save-models", "load-models"});
   if (opts.has("help")) {
     std::cout << opts.help_text("resource_planner");
     return 0;

@@ -11,12 +11,14 @@
 #include <iostream>
 
 #include "simpic/pic.hpp"
+#include "support/check.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace cpx;
   const Options opts = Options::parse(argc, argv);
+  opts.reject_unknown({"cells", "ppc", "v0"});
   const auto cells = opts.get_int("cells", 256);
   const auto ppc = static_cast<int>(opts.get_int("ppc", 30));
   // Instability condition: k*v0 < ~omega_p with k = 2*pi*m/L. With L = 1
@@ -75,4 +77,7 @@ int main(int argc, char** argv) {
                "then saturates as the beams trap — the classic kinetic "
                "instability picture.\n";
   return 0;
+} catch (const cpx::CheckError& e) {
+  std::cerr << "two_stream_instability: " << e.what() << '\n';
+  return 2;
 }

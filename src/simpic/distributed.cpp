@@ -26,13 +26,15 @@ enum Tag : int {
 }  // namespace
 
 DistributedPic::DistributedPic(const PicOptions& options, int parts)
-    : options_(options), rng_(options.seed) {
+    : options_(options),
+      grid_(options.length / static_cast<double>(options.cells),
+            options.cells - 1, 0),
+      rng_(options.seed) {
   CPX_REQUIRE(parts >= 1, "DistributedPic: bad part count");
   CPX_REQUIRE(options.cells >= parts,
               "DistributedPic: fewer cells than parts");
   CPX_REQUIRE(options.boundary == Boundary::kAbsorbing,
               "DistributedPic: only absorbing walls are supported");
-  dx_ = options.length / static_cast<double>(options.cells);
 
   comm_ = comm::Communicator::world(parts, "simpic");
   const auto p = static_cast<std::size_t>(parts);
@@ -89,7 +91,7 @@ void DistributedPic::deposit() {
     std::fill(rs.rho.begin(), rs.rho.end(), background_);
     deposit_charge(rs.x.data(), rs.w.data(), 0,
                    static_cast<std::int64_t>(rs.x.size()),
-                   {dx_, options_.cells - 1, rs.cell_begin}, rs.rho.data());
+                   {grid_.dx, grid_.last_cell, rs.cell_begin}, rs.rho.data());
   }
   // Merge the shared boundary nodes: both neighbours hold the node and
   // each contributed its own particles (plus the background once each).
@@ -135,7 +137,7 @@ void DistributedPic::deposit() {
         total_weight += w;
       }
     }
-    validate_charge_conservation(rho_audit_, background_, dx_,
+    validate_charge_conservation(rho_audit_, background_, grid_.dx,
                                  options_.boundary, total_weight);
   }
 }
@@ -148,7 +150,7 @@ void DistributedPic::solve_field() {
   // pass ripples left to right, the back substitution right to left: the
   // pipeline the performance instance charges.
   const std::int64_t n_nodes = options_.cells;  // unknowns 1..n_nodes-1
-  const double h2 = dx_ * dx_;
+  const double h2 = grid_.dx * grid_.dx;
 
   // --- forward pass (rank r waits for rank r-1's carry) ---
   // Rank 0 always handles at least one unknown when there are >= 2 parts,
@@ -245,7 +247,8 @@ void DistributedPic::solve_field() {
     RankState& rs = ranks_[static_cast<std::size_t>(r)];
     difference_field(rs.phi, ghost_from_left_[static_cast<std::size_t>(r)],
                      ghost_from_right_[static_cast<std::size_t>(r)],
-                     rs.cell_begin == 0, rs.cell_end == n_nodes, dx_, rs.e);
+                     rs.cell_begin == 0, rs.cell_end == n_nodes, grid_.dx,
+                     rs.e);
   }
 }
 
@@ -258,12 +261,14 @@ void DistributedPic::push_and_migrate() {
     for (std::vector<double>& pack : migr_pack_) {
       pack.clear();
     }
-    const GridView grid{dx_, options_.cells - 1, rs.cell_begin};
+    const GridView grid{grid_.dx, grid_.last_cell, rs.cell_begin};
     // A particle more than half a cell inside the rank's edges is in one
-    // of its cells whatever the rounding of x / dx, so only the others pay
-    // for cell_of's division.
-    const double inner_lo = (static_cast<double>(rs.cell_begin) + 0.5) * dx_;
-    const double inner_hi = (static_cast<double>(rs.cell_end) - 0.5) * dx_;
+    // of its cells whatever the rounding of x / dx, so only the others go
+    // through cell_of (a division unless dx is a power of two).
+    const double inner_lo =
+        (static_cast<double>(rs.cell_begin) + 0.5) * grid_.dx;
+    const double inner_hi =
+        (static_cast<double>(rs.cell_end) - 0.5) * grid_.dx;
     std::size_t alive = 0;
     for (std::size_t i = 0; i < rs.x.size(); ++i) {
       double x = rs.x[i];
@@ -394,7 +399,7 @@ PicDiagnostics DistributedPic::diagnostics() const {
     // Field energy over this rank's cells (nodes cell_begin..cell_end).
     for (std::size_t i = 0; i + 1 < rs.e.size(); ++i) {
       const double em = 0.5 * (rs.e[i] + rs.e[i + 1]);
-      d.field_energy += 0.5 * em * em * dx_;
+      d.field_energy += 0.5 * em * em * grid_.dx;
     }
   }
   return d;

@@ -123,7 +123,7 @@ class DistributedPic {
   };
 
   std::int64_t cell_of(double x) const {
-    return locate(x, dx_, options_.cells - 1).cell;
+    return locate(x, grid_).cell;
   }
   int owner_of(std::int64_t cell) const;
   void deposit();
@@ -134,7 +134,7 @@ class DistributedPic {
               std::vector<double>& out) const;
 
   PicOptions options_;
-  double dx_;  ///< derived from options, rebuilt // cpx-lint: allow(ckpt)
+  GridView grid_;  ///< whole grid, from options // cpx-lint: allow(ckpt)
   double background_ = 0.0;
   CounterRng rng_;
   std::vector<RankState> ranks_;

@@ -2,7 +2,9 @@
 // The SIMPIC particle and field kernels of simpic::Pic (one segment: the
 // whole grid) and simpic::DistributedPic (one segment per rank, with the
 // Thomas carries passed between ranks): the only home of each sequence,
-// so both compute the same bits (the build does not contract FMAs).
+// so both compute the same bits (the build does not contract FMAs). A
+// particle's `/ dx` is a multiply by 1/dx when dx is a power of two: both
+// round the same real number, so the bits are those of the division.
 
 #include <algorithm>
 #include <cmath>
@@ -13,12 +15,33 @@
 
 namespace cpx::simpic {
 
+/// 1/dx when dx is a positive power of two whose reciprocal is finite (so
+/// the reciprocal is exact, and x * (1/dx) rounds the same real number as
+/// x / dx for every x), else 0.
+inline double exact_reciprocal(double dx) {
+  int exponent = 0;
+  const double inv = 1.0 / dx;
+  return std::frexp(dx, &exponent) == 0.5 && std::isfinite(inv) ? inv : 0.0;
+}
+
 /// A segment of the node grid: the spacing, the last global cell and the
 /// global index of the segment's node 0.
 struct GridView {
-  double dx = 1.0;
-  std::int64_t last_cell = 0;
-  std::int64_t first_node = 0;
+  GridView(double spacing, std::int64_t last, std::int64_t first)
+      : dx(spacing),
+        inv_dx(exact_reciprocal(spacing)),
+        last_cell(last),
+        first_node(first) {}
+
+  /// v / dx: the multiply by inv_dx where that has the division's bits.
+  double over_dx(double v) const {
+    return inv_dx != 0.0 ? v * inv_dx : v / dx;
+  }
+
+  double dx;
+  double inv_dx;  ///< exact_reciprocal(dx)
+  std::int64_t last_cell;
+  std::int64_t first_node;
 };
 
 struct CellPosition {
@@ -26,13 +49,13 @@ struct CellPosition {
   double frac = 0.0;  ///< offset inside the cell, in cells
 };
 
-/// The one x -> (cell, frac) sequence: cell = floor(x / dx) clamped to
-/// [0, last_cell], so x = length lands in the last cell with frac = 1.
+/// The one x -> (cell, frac) sequence: cell = floor(over_dx(x)) clamped
+/// to [0, last_cell], so x = length lands in the last cell with frac = 1.
 /// DistributedPic keeps a particle on the rank owning this cell.
-inline CellPosition locate(double x, double dx, std::int64_t last_cell) {
-  const double c = x / dx;
-  const std::int64_t cell =
-      std::clamp<std::int64_t>(static_cast<std::int64_t>(c), 0, last_cell);
+inline CellPosition locate(double x, GridView grid) {
+  const double c = grid.over_dx(x);
+  const std::int64_t cell = std::clamp<std::int64_t>(
+      static_cast<std::int64_t>(c), 0, grid.last_cell);
   return {cell, c - static_cast<double>(cell)};
 }
 
@@ -41,8 +64,8 @@ inline CellPosition locate(double x, double dx, std::int64_t last_cell) {
 inline void deposit_charge(const double* x, const double* w, std::int64_t i0,
                            std::int64_t i1, GridView grid, double* rho) {
   for (std::int64_t i = i0; i < i1; ++i) {
-    const CellPosition at = locate(x[i], grid.dx, grid.last_cell);
-    const double q = w[i] / grid.dx;
+    const CellPosition at = locate(x[i], grid);
+    const double q = grid.over_dx(w[i]);
     double* node = rho + (at.cell - grid.first_node);
     node[0] += q * (1.0 - at.frac);
     node[1] += q * at.frac;
@@ -53,7 +76,7 @@ inline void deposit_charge(const double* x, const double* w, std::int64_t i0,
 /// the particle one leapfrog step in place. The caller applies the walls.
 inline void advance(double& x, double& v, const double* e,
                     GridView grid, double dt) {
-  const CellPosition at = locate(x, grid.dx, grid.last_cell);
+  const CellPosition at = locate(x, grid);
   const double* node = e + (at.cell - grid.first_node);
   constexpr double kChargeToMass = -1.0;  // electrons, normalised units
   const double e_here = node[0] * (1.0 - at.frac) + node[1] * at.frac;

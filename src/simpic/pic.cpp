@@ -97,7 +97,8 @@ void Pic::deposit() {
   }
 
   // CIC weighting in element order: the scatter is serial per chunk, so a
-  // pack path could only vectorise the two divisions, and costs more.
+  // pack path could only vectorise the cell and charge arithmetic, and
+  // costs more.
   const GridView grid{dx_, options_.cells - 1, 0};
   const std::int64_t nchunks = support::num_chunks(0, np, kParticleGrain);
   if (nchunks <= 1) {

@@ -56,6 +56,22 @@ bool Options::has(const std::string& key) const {
   return values_.count(key) != 0;
 }
 
+void Options::reject_unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& entry : values_) {
+    const std::string& key = entry.first;
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::string expected;
+      for (const std::string_view k : known) {
+        expected += (expected.empty() ? "--" : ", --") + std::string(k);
+      }
+      CPX_REQUIRE(false, "Options: unknown option --"
+                             << key << " (expected one of " << expected
+                             << ")");
+    }
+  }
+}
+
 std::string Options::get_string(const std::string& key,
                                 const std::string& fallback) const {
   const auto it = values_.find(key);

@@ -3,8 +3,10 @@
 // binaries. Supports --key=value and boolean --flag forms.
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cpx {
@@ -18,6 +20,10 @@ class Options {
   static Options parse(int argc, const char* const* argv);
 
   bool has(const std::string& key) const;
+
+  /// Throws CheckError naming the first parsed key that is not in `known`,
+  /// so a misspelt option fails instead of running the default.
+  void reject_unknown(std::initializer_list<std::string_view> known) const;
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;

@@ -297,7 +297,8 @@ TEST(CkptSections, DistributedPicRestoreRejectsParticleOutsideItsRanksCells) {
   opts.cells = 96;
   opts.boundary = simpic::Boundary::kAbsorbing;
   const double below_quarter = std::nextafter(0.25, 0.0);
-  ASSERT_EQ(simpic::locate(below_quarter, opts.length / 96.0, 95).cell, 24);
+  ASSERT_EQ(simpic::locate(below_quarter, {opts.length / 96.0, 95, 0}).cell,
+            24);
 
   // A "simpic/distributed" section in DistributedPic::serialize's layout
   // with one particle on rank 0 at `x`.

@@ -9,13 +9,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "perfmodel/sweep.hpp"
+#include "reference_simpic.hpp"
 #include "sim/cluster.hpp"
 #include "simpic/distributed.hpp"
 #include "simpic/instance.hpp"
+#include "simpic/particle.hpp"
 #include "simpic/pic.hpp"
 #include "simpic/stc.hpp"
 #include "support/check.hpp"
@@ -334,6 +338,216 @@ TEST(Pic, PushMatchesOutOfPlaceReference) {
         EXPECT_EQ(got.x.size(), before.x.size());
       }
     }
+  }
+}
+
+TEST(Particle, ExactReciprocalEqualsDivision) {
+  // For dx = 2^k, x * exact_reciprocal(dx) must have the bits of x / dx for
+  // every x: random bit patterns (all exponents, subnormals, NaNs),
+  // random values of moderate size, and the special values.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double true_min = std::numeric_limits<double>::denorm_min();
+  const double norm_min = std::numeric_limits<double>::min();
+  const double max = std::numeric_limits<double>::max();
+  std::vector<double> xs = {0.0,       -0.0,      true_min, -true_min,
+                            norm_min - true_min,  norm_min, -norm_min,
+                            max,       -max,      inf,      -inf,
+                            nan,       -nan,      1.0,      0.1,
+                            std::nextafter(1.0, 0.0)};
+  Rng rng(11);
+  for (int i = 0; i < 4000; ++i) {
+    xs.push_back(std::bit_cast<double>(rng()));
+    xs.push_back(rng.uniform(-1e3, 1e3));
+  }
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int k = -60; k <= 60; ++k) {
+    const double dx = std::ldexp(1.0, k);
+    const double inv = exact_reciprocal(dx);
+    ASSERT_EQ(inv, std::ldexp(1.0, -k)) << "k = " << k;
+    int differing = 0;
+    for (const double x : xs) {
+      differing += bits(x * inv) != bits(x / dx) ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 0) << "k = " << k;
+  }
+  // The extremes of the exponent range: 2^-1023 (subnormal) and 2^1023
+  // are each other's exact reciprocals.
+  for (const int k : {-1023, -1022, 1022, 1023}) {
+    const double dx = std::ldexp(1.0, k);
+    const double inv = exact_reciprocal(dx);
+    ASSERT_EQ(inv, std::ldexp(1.0, -k)) << "k = " << k;
+    int differing = 0;
+    for (const double x : xs) {
+      differing += bits(x * inv) != bits(x / dx) ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 0) << "k = " << k;
+  }
+
+  // No exact reciprocal: not a power of two, not positive, a subnormal
+  // whose reciprocal overflows, or not finite.
+  for (const double dx : {0.1, 1.0 / 3.0, 1.0 / 96.0, 3.0, 0.75 / 64.0, 0.0,
+                          -0.0, -0.5, std::ldexp(1.0, -1074),
+                          std::ldexp(1.0, -1024), inf, -inf, nan}) {
+    EXPECT_EQ(bits(exact_reciprocal(dx)), bits(0.0)) << "dx = " << dx;
+  }
+}
+
+TEST(Particle, KernelsMatchTheDivisionReference) {
+  // locate, deposit_charge and advance against the division spelling of
+  // reference_simpic.hpp, bit for bit: on power-of-two spacings (64, 128
+  // and 2048 cells on lengths 1 and 2), where the kernels multiply by the
+  // exact reciprocal of dx, and on all others, where they divide. Each
+  // kernel runs once over the whole grid and once over a segment whose
+  // node 0 is global node cells / 4 (the upper half of the particles).
+  constexpr std::size_t kParticles = 100000;
+  Rng rng(2039);
+  for (const std::int64_t cells : {64, 96, 100, 128, 2048}) {
+    for (const double length : {1.0, 2.0, 0.75}) {
+      SCOPED_TRACE(::testing::Message()
+                   << cells << " cells on length " << length);
+      const double dx = length / static_cast<double>(cells);
+      const std::int64_t last = cells - 1;
+      std::vector<double> x(kParticles);
+      std::vector<double> v(kParticles);
+      std::vector<double> w(kParticles);
+      for (std::size_t i = 0; i < kParticles; ++i) {
+        x[i] = rng.uniform(0.0, length);
+        v[i] = rng.uniform(-1.0, 1.0);
+        w[i] = -1e-3 * rng.uniform(0.5, 1.5);
+      }
+      // The walls, and cell edges with their neighbours one ulp away.
+      x[0] = 0.0;
+      x[1] = -0.0;
+      x[2] = length;
+      x[3] = std::nextafter(length, 0.0);
+      for (std::size_t i = 4; i < 64; i += 3) {
+        const double edge =
+            static_cast<double>(rng() % static_cast<std::uint64_t>(cells)) *
+            dx;
+        x[i] = edge;
+        x[i + 1] = std::nextafter(edge, 0.0);
+        x[i + 2] = std::nextafter(edge, length);
+      }
+      std::vector<double> e(static_cast<std::size_t>(cells) + 1);
+      for (double& value : e) {
+        value = rng.uniform(-1.0, 1.0);
+      }
+
+      for (const bool upper : {false, true}) {
+        SCOPED_TRACE(upper ? "segment" : "whole grid");
+        // The upper-half particles lie in cells >= cells / 2 - 1, all in
+        // the segment that starts at node cells / 4.
+        const std::int64_t first = upper ? cells / 4 : 0;
+        std::vector<double> px;
+        std::vector<double> pv;
+        std::vector<double> pw;
+        for (std::size_t i = 0; i < kParticles; ++i) {
+          if (!upper || x[i] >= 0.5 * length) {
+            px.push_back(x[i]);
+            pv.push_back(v[i]);
+            pw.push_back(w[i]);
+          }
+        }
+        const auto np = static_cast<std::int64_t>(px.size());
+        const GridView grid{dx, last, first};
+
+        int located = 0;
+        for (const double xi : px) {
+          const CellPosition got = locate(xi, grid);
+          const CellPosition want = testing::reference_locate(xi, dx, last);
+          located += got.cell != want.cell ||
+                             std::bit_cast<std::uint64_t>(got.frac) !=
+                                 std::bit_cast<std::uint64_t>(want.frac)
+                         ? 1
+                         : 0;
+        }
+        EXPECT_EQ(located, 0);
+
+        const auto nodes = static_cast<std::size_t>(cells + 1 - first);
+        std::vector<double> rho(nodes, 0.25);
+        std::vector<double> rho_want(nodes, 0.25);
+        deposit_charge(px.data(), pw.data(), 0, np, grid, rho.data());
+        testing::reference_deposit_charge(px.data(), pw.data(), 0, np, dx,
+                                          last, first, rho_want.data());
+        EXPECT_EQ(differing_bits(rho, rho_want), 0);
+
+        const double* e_segment = e.data() + first;
+        std::vector<double> x_want = px;
+        std::vector<double> v_want = pv;
+        for (std::int64_t i = 0; i < np; ++i) {
+          const auto k = static_cast<std::size_t>(i);
+          advance(px[k], pv[k], e_segment, grid, 0.05);
+          testing::reference_advance(x_want[k], v_want[k], e_segment, dx,
+                                     last, first, 0.05);
+        }
+        EXPECT_EQ(differing_bits(px, x_want), 0);
+        EXPECT_EQ(differing_bits(pv, v_want), 0);
+      }
+    }
+  }
+}
+
+/// hash_mix chain over the bits of `values`, continuing from `digest`.
+template <typename Values>
+std::uint64_t digest_of(std::uint64_t digest, const Values& values) {
+  for (const double value : values) {
+    digest = hash_mix(digest, std::bit_cast<std::uint64_t>(value));
+  }
+  return digest;
+}
+
+TEST(Pic, FortyStepRunsArePinnedBitwise) {
+  // A periodic run at 96 cells (dx = 1/96: the particle kernels divide by
+  // dx) and at 128 cells (dx = 2^-7: they multiply by 1/dx), each over
+  // more than one deposit chunk. The digests were taken while every
+  // kernel still divided, so the multiply moves no bit.
+  const std::pair<std::int64_t, std::uint64_t> pins[] = {
+      {96, 0xe5df0ab329a409c4ULL}, {128, 0xff131850f5cd74f4ULL}};
+  for (const auto& [cells, pin] : pins) {
+    PicOptions opt;
+    opt.cells = cells;
+    opt.dt = 0.05;
+    opt.boundary = Boundary::kPeriodic;
+    Pic pic(opt);
+    pic.load_uniform(100, 0.1, 0.05);
+    pic.run(40);
+    std::uint64_t digest = digest_of(0, pic.rho());
+    digest = digest_of(digest, pic.phi());
+    digest = digest_of(digest, pic.efield());
+    digest = digest_of(digest, pic.positions());
+    digest = digest_of(digest, pic.velocities());
+    EXPECT_EQ(digest, pin) << cells << " cells: 0x" << std::hex << digest;
+  }
+}
+
+TEST(DistributedPic, FortyStepRunsArePinnedBitwise) {
+  // The same pin for an absorbing three-part run that migrates and loses
+  // particles: deposit, push and cell_of at 96 cells (divide) and at 128
+  // cells (multiply), digests taken while every kernel still divided.
+  const std::pair<std::int64_t, std::uint64_t> pins[] = {
+      {96, 0xb90a135de1cc5dbaULL}, {128, 0x9763052aae0e77dfULL}};
+  for (const auto& [cells, pin] : pins) {
+    PicOptions opt;
+    opt.cells = cells;
+    opt.dt = 0.05;
+    opt.boundary = Boundary::kAbsorbing;
+    DistributedPic dist(opt, 3);
+    dist.load_uniform(40, 0.3, 0.05);
+    const std::int64_t loaded = dist.num_particles();
+    std::int64_t migrations = 0;
+    for (int s = 0; s < 40; ++s) {
+      dist.step();
+      migrations += dist.last_migrations();
+    }
+    EXPECT_GT(migrations, 0) << cells << " cells";
+    EXPECT_LT(dist.num_particles(), loaded) << cells << " cells";
+    std::uint64_t digest = digest_of(0, dist.gather_rho());
+    digest = digest_of(digest, dist.gather_phi());
+    digest = digest_of(digest, dist.gather_efield());
+    digest = digest_of(digest, dist.gather_positions());
+    digest = hash_mix(digest, static_cast<std::uint64_t>(dist.num_particles()));
+    EXPECT_EQ(digest, pin) << cells << " cells: 0x" << std::hex << digest;
   }
 }
 

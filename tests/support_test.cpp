@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "support/check.hpp"
@@ -262,6 +263,25 @@ TEST(Options, RejectsTrailingJunkAfterNumbers) {
   const Options o = Options::parse(3, argv);
   EXPECT_THROW(o.get_int("n", 0), CheckError);
   EXPECT_THROW(o.get_double("f", 0.0), CheckError);
+}
+
+TEST(Options, RejectUnknownNamesTheMisspeltKey) {
+  const char* argv[] = {"prog", "--cores=100", "--verbose"};
+  const Options o = Options::parse(3, argv);
+  EXPECT_NO_THROW(o.reject_unknown({"cores", "verbose", "steps"}));
+  try {
+    o.reject_unknown({"core", "verbose"});
+    ADD_FAILURE() << "--cores was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unknown option --cores (expected one of --core, "
+                  "--verbose)"),
+              std::string::npos)
+        << e.what();
+  }
+  // A flag is a key too, and no options at all pass any list.
+  EXPECT_THROW(o.reject_unknown({"cores"}), CheckError);
+  EXPECT_NO_THROW(Options::parse(1, argv).reject_unknown({}));
 }
 
 TEST(Options, DoubleListParsesEachElementStrictly) {
