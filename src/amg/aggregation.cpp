@@ -16,6 +16,7 @@ sparse::CsrMatrix strength_graph(const sparse::CsrMatrix& a, double theta) {
     diag[static_cast<std::size_t>(r)] = std::abs(a.at(r, r));
   }
   std::vector<sparse::Triplet> kept;
+  kept.reserve(static_cast<std::size_t>(a.nnz()));
   for (std::int64_t r = 0; r < n; ++r) {
     const auto cols = a.row_cols(r);
     const auto vals = a.row_values(r);
@@ -97,20 +98,11 @@ sparse::CsrMatrix tentative_prolongator(const Aggregation& agg,
 
 sparse::CsrMatrix smoothing_operator(const sparse::CsrMatrix& a,
                                      double omega) {
-  const std::int64_t n = a.rows();
-  std::vector<sparse::Triplet> st;
-  st.reserve(static_cast<std::size_t>(a.nnz()));
-  for (std::int64_t r = 0; r < n; ++r) {
-    const double d = a.at(r, r);
-    CPX_CHECK_MSG(d != 0.0, "smoothing_operator: zero diagonal at " << r);
-    const auto cols = a.row_cols(r);
-    const auto vals = a.row_values(r);
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      const double base = cols[i] == r ? 1.0 : 0.0;
-      st.push_back({r, cols[i], base - omega * vals[i] / d});
-    }
-  }
-  return sparse::csr_from_triplets(n, n, st);
+  sparse::CsrMatrix s(a.rows(), a.cols(), a.row_offsets(), a.col_indices(),
+                      support::aligned_vector<double>(a.values().size()),
+                      sparse::Trusted{});
+  smoothing_operator_values(a, omega, s);
+  return s;
 }
 
 void smoothing_operator_values(const sparse::CsrMatrix& a, double omega,

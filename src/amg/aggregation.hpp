@@ -38,13 +38,15 @@ sparse::CsrMatrix tentative_prolongator(const Aggregation& agg,
                                         std::int64_t fine_size);
 
 /// The prolongator-smoothing operator S = I − ω D⁻¹ A. S has exactly A's
-/// sparsity (A stores its full diagonal), which is what makes the
-/// numeric-only refresh below possible.
+/// sparsity, explicit zeros included (A stores its full diagonal): it is a
+/// copy of A's offsets and columns whose values smoothing_operator_values
+/// fills, so set-up and re-setup share one spelling of S.
 sparse::CsrMatrix smoothing_operator(const sparse::CsrMatrix& a,
                                      double omega);
 
 /// Numeric-only refresh of S for new A values over identical structure
-/// (allocation-free; the AMG re-setup path).
+/// (allocation-free; the AMG re-setup path). Throws CheckError on a zero
+/// or missing diagonal.
 void smoothing_operator_values(const sparse::CsrMatrix& a, double omega,
                                sparse::CsrMatrix& s);
 

@@ -181,11 +181,22 @@ void CsrMatrix::validate() const {
 
 CsrMatrix csr_from_triplets(std::int64_t rows, std::int64_t cols,
                             std::span<const Triplet> triplets) {
-  std::vector<Triplet> sorted(triplets.begin(), triplets.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  const auto before = [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  // Strictly (row, col)-increasing input, which the library's own builders
+  // produce, is assembled in place. Anything else, duplicates included, is
+  // copied and sorted.
+  std::span<const Triplet> sorted = triplets;
+  std::vector<Triplet> copy;
+  if (std::adjacent_find(triplets.begin(), triplets.end(),
+                         [&](const Triplet& a, const Triplet& b) {
+                           return !before(a, b);
+                         }) != triplets.end()) {
+    copy.assign(triplets.begin(), triplets.end());
+    std::sort(copy.begin(), copy.end(), before);
+    sorted = copy;
+  }
   std::vector<std::int64_t> offsets(static_cast<std::size_t>(rows) + 1, 0);
   std::vector<std::int32_t> out_cols;
   support::aligned_vector<double> out_vals;

@@ -100,8 +100,12 @@ class CsrMatrix {
   support::aligned_vector<double> values_;
 };
 
-/// Builds a CSR matrix from (possibly unsorted, duplicate) triplets;
-/// duplicates are summed, rows end up sorted by column.
+/// Builds a CSR matrix from (possibly unsorted, duplicate) triplets; rows
+/// end up sorted by column. Input strictly increasing in (row, col) is
+/// neither copied nor sorted: one O(nnz) pass checks the order. Any other
+/// input is copied and sorted, and duplicates are summed in the sorted
+/// order. Every entry is stored as 0.0 + sum, so −0.0 is stored as +0.0;
+/// explicit zeros are kept.
 CsrMatrix csr_from_triplets(std::int64_t rows, std::int64_t cols,
                             std::span<const Triplet> triplets);
 

@@ -15,18 +15,20 @@ CsrMatrix laplacian_2d(int nx, int ny) {
   const auto id = [&](int i, int j) {
     return static_cast<std::int64_t>(j) * nx + i;
   };
+  // Rows in column order (j-1, i-1, diagonal, i+1, j+1), so
+  // csr_from_triplets assembles them without a sort.
   for (int j = 0; j < ny; ++j) {
     for (int i = 0; i < nx; ++i) {
       const std::int64_t c = id(i, j);
-      t.push_back({c, c, 4.0});
+      if (j > 0) {
+        t.push_back({c, id(i, j - 1), -1.0});
+      }
       if (i > 0) {
         t.push_back({c, id(i - 1, j), -1.0});
       }
+      t.push_back({c, c, 4.0});
       if (i + 1 < nx) {
         t.push_back({c, id(i + 1, j), -1.0});
-      }
-      if (j > 0) {
-        t.push_back({c, id(i, j - 1), -1.0});
       }
       if (j + 1 < ny) {
         t.push_back({c, id(i, j + 1), -1.0});
@@ -44,25 +46,27 @@ CsrMatrix laplacian_3d(int nx, int ny, int nz) {
   const auto id = [&](int i, int j, int k) {
     return (static_cast<std::int64_t>(k) * ny + j) * nx + i;
   };
+  // Rows in column order (k-1, j-1, i-1, diagonal, i+1, j+1, k+1), so
+  // csr_from_triplets assembles them without a sort.
   for (int k = 0; k < nz; ++k) {
     for (int j = 0; j < ny; ++j) {
       for (int i = 0; i < nx; ++i) {
         const std::int64_t c = id(i, j, k);
-        t.push_back({c, c, 6.0});
-        if (i > 0) {
-          t.push_back({c, id(i - 1, j, k), -1.0});
-        }
-        if (i + 1 < nx) {
-          t.push_back({c, id(i + 1, j, k), -1.0});
+        if (k > 0) {
+          t.push_back({c, id(i, j, k - 1), -1.0});
         }
         if (j > 0) {
           t.push_back({c, id(i, j - 1, k), -1.0});
         }
+        if (i > 0) {
+          t.push_back({c, id(i - 1, j, k), -1.0});
+        }
+        t.push_back({c, c, 6.0});
+        if (i + 1 < nx) {
+          t.push_back({c, id(i + 1, j, k), -1.0});
+        }
         if (j + 1 < ny) {
           t.push_back({c, id(i, j + 1, k), -1.0});
-        }
-        if (k > 0) {
-          t.push_back({c, id(i, j, k - 1), -1.0});
         }
         if (k + 1 < nz) {
           t.push_back({c, id(i, j, k + 1), -1.0});

@@ -563,6 +563,111 @@ TEST(Hierarchy, ResetValuesRejectsDifferentStructure) {
   EXPECT_THROW(h.reset_values(wrong), CheckError);
 }
 
+/// FNV-1a over the bytes of 64-bit words.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Shape, offsets, columns and value bits of `m`, folded into `h`.
+std::uint64_t csr_digest(std::uint64_t h, const sparse::CsrMatrix& m) {
+  h = fnv1a(h, static_cast<std::uint64_t>(m.rows()));
+  h = fnv1a(h, static_cast<std::uint64_t>(m.cols()));
+  for (const std::int64_t o : m.row_offsets()) {
+    h = fnv1a(h, static_cast<std::uint64_t>(o));
+  }
+  for (const std::int32_t c : m.col_indices()) {
+    h = fnv1a(h, static_cast<std::uint64_t>(c));
+  }
+  for (const double v : m.values()) {
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+TEST(AmgSetup, HierarchyIsPinnedBitwise) {
+  // Every level's A, P and R straight after construction on the 24^3
+  // Poisson operator. The digests were recorded while the set-up sorted
+  // every triplet list, and must not move now that row-ordered builders
+  // skip the sort.
+  AmgOptions extended;
+  extended.interp = InterpKind::kExtended;
+  AmgOptions truncated;
+  truncated.interp_truncation = 0.1;
+  const struct {
+    const char* name;
+    AmgOptions options;
+    std::uint64_t digest;
+  } kCases[] = {{"default", AmgOptions{}, 0xaa1800658f7787ebULL},
+                {"extended", extended, 0x403775ec37dd8fc1ULL},
+                {"truncation 0.1", truncated, 0x78e750b10b1dbef1ULL}};
+  const sparse::CsrMatrix a = sparse::laplacian_3d(24, 24, 24);
+  for (const auto& c : kCases) {
+    const AmgHierarchy h(a, c.options);
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (int l = 0; l < h.num_levels(); ++l) {
+      digest = csr_digest(digest, h.level(l).a);
+      digest = csr_digest(digest, h.level(l).p);
+      digest = csr_digest(digest, h.level(l).r);
+    }
+    EXPECT_EQ(digest, c.digest)
+        << c.name << ": " << h.num_levels() << " levels, digest 0x"
+        << std::hex << digest;
+  }
+}
+
+TEST(AmgSetup, BuildersMatchTripletReferenceBitwise) {
+  // The set-up builders against their triplet spellings assembled through
+  // csr_from_triplets' copy-and-sort path, on every level operator of two
+  // default hierarchies.
+  using testing::same_bits;
+  const AmgOptions opt;
+  const double omega = opt.interp_omega;
+  for (const int edge : {24, 32}) {
+    const AmgHierarchy h(sparse::laplacian_3d(edge, edge, edge), opt);
+    double theta = opt.strength_theta;
+    for (int l = 0; l < h.num_levels(); ++l, theta *= 0.5) {
+      const sparse::CsrMatrix& a = h.level(l).a;
+      EXPECT_TRUE(same_bits(smoothing_operator(a, omega),
+                            testing::smoothing_operator_triplets(a, omega)))
+          << edge << "^3 level " << l << " S";
+      for (const double t : {theta, 0.5 * theta}) {
+        EXPECT_TRUE(same_bits(strength_graph(a, t),
+                              testing::strength_graph_triplets(a, t)))
+            << edge << "^3 level " << l << " strength at theta " << t;
+      }
+      const Aggregation agg = aggregate_greedy(strength_graph(a, theta));
+      EXPECT_TRUE(same_bits(tentative_prolongator(agg, a.rows()),
+                            testing::tentative_prolongator_triplets(
+                                agg.aggregate_of, agg.num_aggregates)))
+          << edge << "^3 level " << l << " tentative P";
+    }
+  }
+  for (const auto& [nx, ny, nz] : {std::tuple{1, 1, 1}, std::tuple{1, 7, 1},
+                                   std::tuple{5, 1, 3},
+                                   std::tuple{24, 24, 24}}) {
+    EXPECT_TRUE(same_bits(sparse::laplacian_3d(nx, ny, nz),
+                          testing::laplacian_triplets(nx, ny, nz, 6.0)))
+        << "laplacian_3d " << nx << "x" << ny << "x" << nz;
+    EXPECT_TRUE(same_bits(sparse::laplacian_2d(nx, ny * nz),
+                          testing::laplacian_triplets(nx, ny * nz, 1, 4.0)))
+        << "laplacian_2d " << nx << "x" << ny * nz;
+  }
+}
+
+TEST(AmgSetup, SmoothingOperatorRejectsZeroDiagonal) {
+  // A stored zero and a missing diagonal both leave D^-1 undefined.
+  const sparse::CsrMatrix stored_zero(2, 2, {0, 2, 4}, {0, 1, 0, 1},
+                                      {2.0, -1.0, -1.0, 0.0});
+  const sparse::CsrMatrix missing(2, 2, {0, 2, 3}, {0, 1, 0},
+                                  {2.0, -1.0, -1.0});
+  EXPECT_THROW(smoothing_operator(stored_zero, 0.66), CheckError);
+  EXPECT_THROW(smoothing_operator(missing, 0.66), CheckError);
+}
+
 TEST(Pcg, UnpreconditionedSolvesSmallSystem) {
   const sparse::CsrMatrix a = testing::laplacian_1d(50);
   const auto n = static_cast<std::size_t>(a.rows());

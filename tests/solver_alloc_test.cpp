@@ -17,6 +17,7 @@
 #include <new>
 #include <vector>
 
+#include "amg/aggregation.hpp"
 #include "amg/hierarchy.hpp"
 #include "amg/pcg.hpp"
 #include "comm/communicator.hpp"
@@ -160,6 +161,34 @@ TEST(SolverAllocations, SteadyStateResetValuesAllocatesNothing) {
   EXPECT_EQ(resetup_allocs, 0u)
       << "steady-state reset_values made " << resetup_allocs
       << " heap allocations";
+}
+
+TEST(SolverAllocations, SetupAssemblyAllocatesOnlyItsOutput) {
+  // Row-ordered triplets are assembled in place: one allocation fewer than
+  // the same triplets reversed, which csr_from_triplets copies to sort.
+  const sparse::CsrMatrix a = sparse::laplacian_3d(8, 8, 8);
+  std::vector<sparse::Triplet> ordered;
+  for (std::int64_t r = 0; r < a.rows(); ++r) {
+    const auto cols = a.row_cols(r);
+    const auto vals = a.row_values(r);
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      ordered.push_back({r, cols[i], vals[i]});
+    }
+  }
+  std::vector<sparse::Triplet> reversed(ordered.rbegin(), ordered.rend());
+  sparse::CsrMatrix out;
+  const std::size_t ordered_allocs = allocations_during(
+      [&] { out = sparse::csr_from_triplets(a.rows(), a.cols(), ordered); });
+  const std::size_t reversed_allocs = allocations_during(
+      [&] { out = sparse::csr_from_triplets(a.rows(), a.cols(), reversed); });
+  EXPECT_EQ(ordered_allocs + 1, reversed_allocs)
+      << ordered_allocs << " allocations on ordered input, "
+      << reversed_allocs << " on reversed";
+
+  // S = I - omega D^-1 A allocates only its offsets, columns and values.
+  const std::size_t s_allocs =
+      allocations_during([&] { out = smoothing_operator(a, 0.66); });
+  EXPECT_EQ(s_allocs, 3u);
 }
 
 TEST(SolverAllocations, WAndKCyclesAllocateNothingAfterSetup) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -22,6 +25,7 @@ using testing::frobenius_distance;
 using testing::galerkin_product;
 using testing::identity_matrix;
 using testing::laplacian_1d;
+using testing::same_bits;
 
 TEST(Csr, FromTripletsSortsAndSumsDuplicates) {
   const std::vector<Triplet> t = {
@@ -38,6 +42,48 @@ TEST(Csr, FromTripletsSortsAndSumsDuplicates) {
 TEST(Csr, RejectsOutOfRangeTriplets) {
   const std::vector<Triplet> t = {{0, 9, 1.0}};
   EXPECT_THROW(csr_from_triplets(2, 3, t), CheckError);
+}
+
+TEST(Csr, RowOrderedTripletsBuildTheSortedMatrix) {
+  // Strictly increasing input is assembled without a copy or a sort; the
+  // same triplets in any order must give the same matrix. Rows 1 and 4
+  // are empty; row 0 holds a -0.0, row 2 an explicit 0.0, and rows 0, 3
+  // and 5 reach the last column.
+  const std::vector<Triplet> ordered = {
+      {0, 0, 2.0},  {0, 3, -0.0},   {0, 6, 1.5},  {2, 1, 0.0},
+      {2, 2, -1.25}, {3, 0, 3.0},   {3, 6, -2.0}, {5, 4, 0.1},
+      {5, 6, 1e-300}};
+  const CsrMatrix m = csr_from_triplets(6, 7, ordered);
+  EXPECT_EQ(m.row_offsets(), (std::vector<std::int64_t>{0, 3, 3, 5, 7, 7, 9}));
+  EXPECT_EQ(m.col_indices(),
+            (std::vector<std::int32_t>{0, 3, 6, 1, 2, 0, 6, 4, 6}));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.at(0, 3)), 0U)
+      << "-0.0 is stored as +0.0";
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m.at(2, 1)), 0U);
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    std::vector<Triplet> shuffled = ordered;
+    Rng rng(seed);
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+      std::swap(shuffled[i], shuffled[rng.uniform_index(i + 1)]);
+    }
+    EXPECT_TRUE(same_bits(m, csr_from_triplets(6, 7, shuffled)))
+        << "seed " << seed;
+  }
+
+  // Ordered duplicates are not strictly increasing: they take the sort
+  // path and are summed.
+  const std::vector<Triplet> dup = {
+      {0, 1, 1.0}, {0, 1, 2.0}, {1, 0, 0.5}, {1, 0, 0.25}};
+  const CsrMatrix d = csr_from_triplets(2, 2, dup);
+  EXPECT_EQ(d.nnz(), 2);
+  EXPECT_EQ(d.at(0, 1), 3.0);
+  EXPECT_EQ(d.at(1, 0), 0.75);
+
+  // The per-entry range check still runs on ordered input.
+  const std::vector<Triplet> bad_col = {{0, 0, 1.0}, {1, 3, 1.0}};
+  const std::vector<Triplet> bad_row = {{-1, 0, 1.0}, {0, 0, 1.0}};
+  EXPECT_THROW(csr_from_triplets(2, 3, bad_col), CheckError);
+  EXPECT_THROW(csr_from_triplets(2, 3, bad_row), CheckError);
 }
 
 TEST(Csr, AtBinarySearchesTheRow) {
